@@ -17,9 +17,8 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .data import manifest_text
 from .errors import ParameterError, RankfedError
-from .harness import (build_dataset, build_partition, build_pretrain_dataset,
-                      evaluate, pretrain_base, run_federated,
-                      write_records_jsonl, write_summary_csv)
+from .harness import (build_base, build_dataset, build_partition, evaluate,
+                      run_federated, write_records_jsonl, write_summary_csv)
 from .lora import load_adapters, save_adapters
 from .numerics import Rng
 
@@ -127,11 +126,7 @@ def _cmd_eval(args) -> int:
     config = _load(args.config)
     root = Rng(config.seed)
     dataset = build_dataset(config, root.substream("data"))
-    pretrain_ds = build_pretrain_dataset(config, dataset,
-                                         root.substream("pretrain-data"))
-    base = pretrain_base(pretrain_ds, config.pretrain_epochs,
-                         root.substream("pretrain"), config.pretrain_eta,
-                         config.pretrain_batch, config.hidden)
+    base = build_base(config, dataset, root)
     adapters = load_adapters(args.checkpoint)
     metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task)
     print(json.dumps(metrics))

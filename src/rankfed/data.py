@@ -8,7 +8,7 @@ spans the IID (KS ~ 0), moderate-overlap, and fully-disjoint (KS = 1) regimes.
 from __future__ import annotations
 
 import csv as _csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,9 +84,6 @@ def generate_synthetic(num_classes: int, dim: int, n_per_class: int,
         raise ParameterError(f"need dim >= 2, got {dim}")
     if class_separation < 0:
         raise ParameterError(f"separation must be >= 0, got {class_separation}")
-    n_train, n_val, n_test = _split_counts(n_per_class)
-    if n_train < 1 or n_test < 1:
-        raise ParameterError(f"n_per_class={n_per_class} too small for a 70/15/15 split")
 
     if class_means is None:
         dirs = rng.substream("class-means").normal(num_classes, dim)
@@ -100,24 +97,10 @@ def generate_synthetic(num_classes: int, dim: int, n_per_class: int,
                 f"class_means must have shape ({num_classes}, {dim})"
             )
 
-    parts = {"train": ([], []), "val": ([], []), "test": ([], [])}
-    for c in range(num_classes):
-        x = class_means[c] + rng.substream("samples", c).normal(n_per_class, dim)
-        order = rng.substream("class-split", c).permutation(n_per_class)
-        x = x[order]
-        chunks = (x[:n_train], x[n_train:n_train + n_val], x[n_train + n_val:])
-        for name, chunk in zip(("train", "val", "test"), chunks):
-            parts[name][0].append(chunk)
-            parts[name][1].append(np.full(len(chunk), c, dtype=np.int64))
-
-    arrays = {}
-    for name, (xs, ys) in parts.items():
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
-        perm = rng.substream("split-shuffle", name).permutation(len(y))
-        arrays[name] = (x[perm], y[perm])
-    return Dataset(*arrays["train"], *arrays["val"], *arrays["test"],
-                   num_classes=num_classes, class_means=class_means)
+    x = np.concatenate([class_means[c] + rng.substream("samples", c).normal(n_per_class, dim)
+                        for c in range(num_classes)])
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), n_per_class)
+    return replace(dataset_from_arrays(x, y, rng), class_means=class_means)
 
 
 def relabeled(dataset: Dataset, shift: int = 1) -> Dataset:

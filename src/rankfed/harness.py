@@ -2,8 +2,8 @@
 mode, per-round logging, evaluation, and the operation-count budget.
 
 A run is fully determined by (RunConfig, seed): every random draw comes from
-a labeled sub-stream of the root seed, client results are collected in
-client-id order, and worker-pool size only changes scheduling, never values.
+a labeled sub-stream of the root seed, and the participants of a round train
+one after another in client-id order.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +25,8 @@ from .lora import AdapterSet, RankSchedule, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, auc, communication_cost,
                       layer_averaged_cka, weight_distance)
 from .model import (CLConfig, FrozenBase, OpCounter, forward,
-                    full_loss_and_grads)
-from .numerics import Rng, softmax
+                    full_loss_and_grads, random_base)
+from .numerics import Rng
 from .server import ClientUpdate, ServerState, server_round
 
 SCHEMA_VERSION = 1
@@ -77,24 +75,6 @@ class RunResult:
     cost_at_best: tuple
     final_metrics: dict
     op_count: int | None = None
-
-
-def _worker_pool_size() -> int:
-    raw = os.environ.get("RANKFED_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_client_tasks(task, client_ids):
-    workers = _worker_pool_size()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, client_ids))
-    else:
-        results = [task(cid) for cid in client_ids]
-    return sorted(results, key=lambda r: r[0])
 
 
 # ---------------------------------------------------------------------------
@@ -146,44 +126,45 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
 
     With epochs=0 the base is the frozen random initialization.
     """
-    if len(dataset.train_x) == 0:
+    n = len(dataset.train_x)
+    if n == 0:
         raise InputError("pretraining dataset is empty")
-    dims = [dataset.dim, *hidden, dataset.num_classes]
-    weights, biases = [], []
-    for l in range(len(dims) - 1):
-        h2, h1 = dims[l], dims[l + 1]
-        weights.append(rng.substream("base-init", l).normal(h1, h2, 1.0 / np.sqrt(h2)))
-        biases.append(np.zeros(h1))
-    x, y = dataset.train_x, dataset.train_y
-    n = len(x)
-    for epoch in range(epochs):
-        order = rng.substream("pretrain-shuffle", epoch).permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            _, w_grads, b_grads = full_loss_and_grads(weights, biases,
-                                                      x[idx], y[idx], dataset.task)
-            for l in range(len(weights)):
-                weights[l] -= eta * w_grads[l]
-                biases[l] -= eta * b_grads[l]
+    init = random_base([dataset.dim, *hidden, dataset.num_classes], rng)
+    weights = [w.copy() for w in init.weights]
+    biases = [b.copy() for b in init.biases]
+    orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
+              for epoch in range(epochs))
+    _full_model_sgd(weights, biases, dataset.train_x, dataset.train_y,
+                    dataset.task, eta, batch_size, orders)
     return FrozenBase(tuple(weights), tuple(biases))
 
 
-def linear_probe_accuracy(train_x, train_y, test_x, test_y, num_classes: int,
-                          epochs: int = 300, eta: float = 0.1) -> float:
-    """Accuracy of a full-batch softmax-regression probe on fixed features."""
-    d = train_x.shape[1]
-    w = np.zeros((num_classes, d))
-    b = np.zeros(num_classes)
-    n = len(train_x)
-    for _ in range(epochs):
-        logits = train_x @ w.T + b
-        p = softmax(logits)
-        p[np.arange(n), train_y] -= 1.0
-        p /= n
-        w -= eta * (p.T @ train_x)
-        b -= eta * p.sum(axis=0)
-    pred = np.argmax(test_x @ w.T + b, axis=1)
-    return accuracy_score(pred, test_y)
+def build_base(config: RunConfig, dataset: Dataset, root: Rng) -> FrozenBase:
+    """The run's frozen base, pretrained on the sibling task of ``dataset``."""
+    pretrain_ds = build_pretrain_dataset(config, dataset,
+                                         root.substream("pretrain-data"))
+    return pretrain_base(pretrain_ds, config.pretrain_epochs,
+                         root.substream("pretrain"), config.pretrain_eta,
+                         config.pretrain_batch, config.hidden)
+
+
+def _full_model_sgd(weights, biases, x, y, task, eta, batch_size, orders,
+                    counter=None):
+    """Mini-batch SGD on every weight and bias in place, one epoch per sample
+    order in ``orders``; returns the mean loss of each epoch."""
+    epoch_losses = []
+    for order in orders:
+        batch_losses = []
+        for start in range(0, len(x), batch_size):
+            idx = order[start:start + batch_size]
+            loss, w_grads, b_grads = full_loss_and_grads(weights, biases, x[idx],
+                                                         y[idx], task, counter)
+            for l in range(len(weights)):
+                weights[l] -= eta * w_grads[l]
+                biases[l] -= eta * b_grads[l]
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return epoch_losses
 
 
 # ---------------------------------------------------------------------------
@@ -238,86 +219,70 @@ def _participants(config: RunConfig, rng: Rng, round_index: int):
     return sorted(int(c) for c in perm[:k])
 
 
-def _adapter_mode_run(config: RunConfig, root: Rng, dataset: Dataset,
-                      plan: PartitionPlan, base: FrozenBase, probe_x) -> RunResult:
-    if config.mode == "fixed-rank-lora":
-        schedule = RankSchedule(config.r_init, config.r_init, config.subtractor)
-        cl = CLConfig("none")
-    else:
-        schedule = RankSchedule(config.r_init, config.r_min, config.subtractor)
-        cl = CLConfig(config.cl_method, config.mu1, config.mu2,
-                      config.lwf_temperature)
-    adapters0 = init_adapter_set(base.layer_shapes(), schedule.current_rank,
-                                 config.sigma_init, root.substream("adapters"))
-    server = ServerState(
-        adapters=adapters0, schedule=schedule, theta=config.theta,
-        lam=config.lam, cooldown=config.cooldown,
-        aggregation=config.aggregation, reinit_method=config.reinit,
-        reinit_sigma=config.sigma_init,
-        reinit_rng=root.substream("reinit") if config.reinit == "gaussian" else None,
-    )
-    clients = [
-        ClientState(
-            client_id=cid, base=base,
-            features=dataset.train_x[idx], labels=dataset.train_y[idx],
-            cl=cl, rng=root.substream("client", cid), task=dataset.task,
+class _AdapterRounds:
+    """LoRA modes: clients train adapters on the frozen base; the server
+    aggregates them, tracks gradient consistency and drops the rank."""
+
+    def __init__(self, config: RunConfig, root: Rng, dataset: Dataset,
+                 plan: PartitionPlan, base: FrozenBase):
+        if config.mode == "fixed-rank-lora":
+            schedule = RankSchedule(config.r_init, config.r_init, config.subtractor)
+            cl = CLConfig("none")
+        else:
+            schedule = RankSchedule(config.r_init, config.r_min, config.subtractor)
+            cl = CLConfig(config.cl_method, config.mu1, config.mu2,
+                          config.lwf_temperature)
+        adapters0 = init_adapter_set(base.layer_shapes(), schedule.current_rank,
+                                     config.sigma_init, root.substream("adapters"))
+        self.server = ServerState(
+            adapters=adapters0, schedule=schedule, theta=config.theta,
+            lam=config.lam, cooldown=config.cooldown,
+            aggregation=config.aggregation, reinit_method=config.reinit,
+            reinit_sigma=config.sigma_init,
+            reinit_rng=root.substream("reinit") if config.reinit == "gaussian" else None,
         )
-        for cid, idx in enumerate(plan.client_indices)
-    ]
-
-    n_participants = max(1, math.ceil(config.participation * config.num_clients))
-    ledger = CommLedger(n_participants, config.bytes_per_param)
-    records = []
-    op_total = 0 if config.count_ops else None
-
-    for t in range(1, config.rounds + 1):
-        incoming = server.adapters
-        stability = server.accumulated
-        phase = server.schedule.phase
-        participant_ids = _participants(config, root, t)
-
-        def client_task(cid):
-            state = clients[cid]
-            if state.cl.active and state.cl.method in ("ewc", "mas"):
-                anchor_cfg = stability if stability is not None else incoming
-                refresh_importances(state, base, anchor_cfg, phase)
-            counter = OpCounter() if config.count_ops else None
-            adapters, losses = local_train(
-                state, incoming, stability,
-                LocalTrainConfig(config.local_epochs,
-                                 config.eta * config.eta_decay ** (t - 1),
-                                 config.batch_size, round_index=t),
-                counter,
+        self.clients = [
+            ClientState(
+                client_id=cid, base=base,
+                features=dataset.train_x[idx], labels=dataset.train_y[idx],
+                cl=cl, rng=root.substream("client", cid), task=dataset.task,
             )
-            ops = counter.multiplies if counter is not None else 0
-            return cid, adapters, losses, ops
+            for cid, idx in enumerate(plan.client_indices)
+        ]
+        n_val = len(dataset.val_x)
+        probe_idx = root.substream("probe").permutation(n_val)[:min(config.probe_samples, n_val)]
+        self.probe_x = dataset.val_x[probe_idx]
+        self.config = config
+        self.base = base
 
-        results = _run_client_tasks(client_task, participant_ids)
-        updates = [ClientUpdate(cid, adp, clients[cid].shard_size)
-                   for cid, adp, _, _ in results]
-        if op_total is not None:
-            op_total += sum(r[3] for r in results)
+    def param_count(self) -> int:
+        return self.server.adapters.param_count()
 
-        ledger.add_round(incoming.param_count())
-        server, outcome = server_round(server, updates)
+    def client_step(self, cid: int, t: int, eta: float, counter):
+        state, server = self.clients[cid], self.server
+        if state.cl.active and state.cl.method in ("ewc", "mas"):
+            anchor = server.accumulated if server.accumulated is not None else server.adapters
+            refresh_importances(state, self.base, anchor, server.schedule.phase)
+        return local_train(
+            state, server.adapters, server.accumulated,
+            LocalTrainConfig(self.config.local_epochs, eta,
+                             self.config.batch_size, round_index=t),
+            counter,
+        )
 
-        sizes = np.array([clients[cid].shard_size for cid, *_ in results],
-                         dtype=np.float64)
-        w = sizes / sizes.sum()
-        last_losses = [r[2][-1] if r[2] else None for r in results]
-        global_loss = (float(np.dot(w, [l for l in last_losses]))
-                       if all(l is not None for l in last_losses) else None)
+    def close_round(self, results, weights):
+        incoming, stability = self.server.adapters, self.server.accumulated
+        phase = self.server.schedule.phase
+        updates = [ClientUpdate(cid, adp, self.clients[cid].shard_size)
+                   for cid, adp, _ in results]
+        self.server, outcome = server_round(self.server, updates)
 
-        val = evaluate(base, outcome.global_adapters,
-                       (dataset.val_x, dataset.val_y), dataset.task)
-        test = evaluate(base, outcome.global_adapters,
-                        (dataset.test_x, dataset.test_y), dataset.task)
-
+        base, probe_x = self.base, self.probe_x
         incoming_dense = incoming.dense()
         reps_incoming = forward(base, incoming, probe_x)[1]
         reps_stability = forward(base, stability, probe_x)[1] if stability is not None else None
         wd_sta, wd_pla, cka_sta, cka_pla = [], [], [], []
-        for cid, adp, _, _ in results:
+        for _, adp, _ in results:
             local_dense = adp.dense()
             wd_pla.append(weight_distance(local_dense, incoming_dense))
             reps_local = forward(base, adp, probe_x)[1]
@@ -325,131 +290,109 @@ def _adapter_mode_run(config: RunConfig, root: Rng, dataset: Dataset,
             if stability is not None:
                 wd_sta.append(weight_distance(local_dense, stability))
                 cka_sta.append(layer_averaged_cka(reps_local, reps_stability))
-
-        records.append(RoundRecord(
-            round=t, phase=phase, rank=outcome.rank,
-            consistency=outcome.consistency, global_loss=global_loss,
-            val_metric=_metric_scalar(val), test_metric=_metric_scalar(test),
-            wd_stability=wd_sta or None, wd_plasticity=wd_pla,
-            cka_stability=cka_sta or None, cka_plasticity=cka_pla,
-            cumulative_params=ledger.cumulative_transmitted()[-1],
-            dropped=outcome.dropped,
-        ))
-        final_adapters = outcome.global_adapters
-        final_metrics = test
-
-    best = max(range(len(records)),
-               key=lambda i: (records[i].val_metric
-                              if records[i].val_metric is not None else -np.inf))
-    return RunResult(
-        config=config, records=records, dataset=dataset, plan=plan, base=base,
-        base_checksum=base.checksum(), final_adapters=final_adapters,
-        ledger=ledger, best_val_round=best + 1,
-        cost_at_best=communication_cost(ledger, best + 1),
-        final_metrics=final_metrics, op_count=op_total,
-    )
+        fields = dict(phase=phase, rank=outcome.rank,
+                      consistency=outcome.consistency,
+                      wd_stability=wd_sta or None, wd_plasticity=wd_pla,
+                      cka_stability=cka_sta or None, cka_plasticity=cka_pla,
+                      dropped=outcome.dropped)
+        return base, outcome.global_adapters, fields
 
 
-def _forward_raw(weights, biases, x):
-    h = x
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.T + b
-        h = np.tanh(z) if l < len(weights) - 1 else z
-    return h
+class _FullModelRounds:
+    """fedavg-full: clients train every weight and bias; the server takes
+    their shard-weighted mean. No adapters, so no rank or diagnostics."""
+
+    NO_ADAPTER_FIELDS = dict(phase=None, rank=None, consistency=None,
+                             wd_stability=None, wd_plasticity=None,
+                             cka_stability=None, cka_plasticity=None,
+                             dropped=False)
+
+    def __init__(self, config: RunConfig, root: Rng, dataset: Dataset,
+                 plan: PartitionPlan, base: FrozenBase):
+        self.weights = [w.copy() for w in base.weights]
+        self.biases = [b.copy() for b in base.biases]
+        self.shards = [(dataset.train_x[idx], dataset.train_y[idx])
+                       for idx in plan.client_indices]
+        self.rngs = [root.substream("client", cid)
+                     for cid in range(config.num_clients)]
+        self.config = config
+        self.task = dataset.task
+
+    def param_count(self) -> int:
+        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+
+    def client_step(self, cid: int, t: int, eta: float, counter):
+        x, y = self.shards[cid]
+        w = [m.copy() for m in self.weights]
+        b = [v.copy() for v in self.biases]
+        orders = (self.rngs[cid].substream("round", t, "epoch", epoch,
+                                           "shuffle").permutation(len(x))
+                  for epoch in range(self.config.local_epochs))
+        losses = _full_model_sgd(w, b, x, y, self.task, eta,
+                                 self.config.batch_size, orders, counter)
+        return (w, b), losses
+
+    def close_round(self, results, weights):
+        global_w = [np.zeros_like(m) for m in self.weights]
+        global_b = [np.zeros_like(v) for v in self.biases]
+        for wt, (_, (w, b), _) in zip(weights, results):
+            for l in range(len(global_w)):
+                global_w[l] += wt * w[l]
+                global_b[l] += wt * b[l]
+        self.weights, self.biases = global_w, global_b
+        return FrozenBase(global_w, global_b), None, self.NO_ADAPTER_FIELDS
 
 
-def _fedavg_run(config: RunConfig, root: Rng, dataset: Dataset,
-                plan: PartitionPlan, base: FrozenBase, probe_x) -> RunResult:
-    global_w = [w.copy() for w in base.weights]
-    global_b = [b.copy() for b in base.biases]
-    param_count = sum(w.size + b.size for w, b in zip(global_w, global_b))
-    shards = [(dataset.train_x[idx], dataset.train_y[idx])
-              for idx in plan.client_indices]
-    client_rngs = [root.substream("client", cid)
-                   for cid in range(config.num_clients)]
+def _run_rounds(config: RunConfig, root: Rng, dataset: Dataset,
+                plan: PartitionPlan, base: FrozenBase, mode) -> RunResult:
+    """The round loop of every mode.
 
+    ``mode`` (one of the classes above) trains one participant per
+    ``client_step`` and folds the round's results and shard weights in
+    ``close_round``, which returns the base and adapters to score plus the
+    mode's record fields.
+    """
     n_participants = max(1, math.ceil(config.participation * config.num_clients))
     ledger = CommLedger(n_participants, config.bytes_per_param)
     records = []
     op_total = 0 if config.count_ops else None
 
     for t in range(1, config.rounds + 1):
-        participant_ids = _participants(config, root, t)
-
-        def client_task(cid):
-            x, y = shards[cid]
-            w = [m.copy() for m in global_w]
-            b = [v.copy() for v in global_b]
-            eta = config.eta * config.eta_decay ** (t - 1)
+        eta = config.eta * config.eta_decay ** (t - 1)
+        results = []
+        for cid in _participants(config, root, t):
             counter = OpCounter() if config.count_ops else None
-            losses = []
-            for epoch in range(config.local_epochs):
-                order = client_rngs[cid].substream(
-                    "round", t, "epoch", epoch, "shuffle").permutation(len(x))
-                batch_losses = []
-                for start in range(0, len(x), config.batch_size):
-                    idx = order[start:start + config.batch_size]
-                    loss, wg, bg = full_loss_and_grads(w, b, x[idx], y[idx],
-                                                       dataset.task, counter)
-                    for l in range(len(w)):
-                        w[l] -= eta * wg[l]
-                        b[l] -= eta * bg[l]
-                    batch_losses.append(loss)
-                losses.append(float(np.mean(batch_losses)))
-            ops = counter.multiplies if counter is not None else 0
-            return cid, (w, b), losses, ops
+            update, losses = mode.client_step(cid, t, eta, counter)
+            results.append((cid, update, losses))
+            if counter is not None:
+                op_total += counter.multiplies
+        ledger.add_round(mode.param_count())
 
-        results = _run_client_tasks(client_task, participant_ids)
-        if op_total is not None:
-            op_total += sum(r[3] for r in results)
-        sizes = np.array([len(shards[cid][0]) for cid, *_ in results],
+        sizes = np.array([len(plan.client_indices[cid]) for cid, _, _ in results],
                          dtype=np.float64)
         weights = sizes / sizes.sum()
-        global_w = [np.zeros_like(m) for m in global_w]
-        global_b = [np.zeros_like(v) for v in global_b]
-        for wt, (_, (w, b), _, _) in zip(weights, results):
-            for l in range(len(global_w)):
-                global_w[l] += wt * w[l]
-                global_b[l] += wt * b[l]
-
-        ledger.add_round(param_count)
-        last_losses = [r[2][-1] if r[2] else None for r in results]
-        global_loss = (float(np.dot(weights, [l for l in last_losses]))
+        last_losses = [losses[-1] if losses else None for _, _, losses in results]
+        global_loss = (float(np.dot(weights, last_losses))
                        if all(l is not None for l in last_losses) else None)
 
-        def _eval(split):
-            logits = _forward_raw(global_w, global_b, split[0])
-            if dataset.task == "multiclass":
-                return accuracy_score(np.argmax(logits, axis=1), split[1])
-            vals = []
-            for l in range(logits.shape[1]):
-                try:
-                    vals.append(auc(logits[:, l], split[1][:, l]))
-                except UndefinedMetricError:
-                    pass
-            return float(np.mean(vals)) if vals else None
-
+        model, adapters, fields = mode.close_round(results, weights)
+        val = evaluate(model, adapters, (dataset.val_x, dataset.val_y), dataset.task)
+        test = evaluate(model, adapters, (dataset.test_x, dataset.test_y), dataset.task)
         records.append(RoundRecord(
-            round=t, phase=None, rank=None, consistency=None,
-            global_loss=global_loss,
-            val_metric=_eval((dataset.val_x, dataset.val_y)),
-            test_metric=_eval((dataset.test_x, dataset.test_y)),
-            wd_stability=None, wd_plasticity=None,
-            cka_stability=None, cka_plasticity=None,
-            cumulative_params=ledger.cumulative_transmitted()[-1],
-            dropped=False,
+            round=t, global_loss=global_loss,
+            val_metric=_metric_scalar(val), test_metric=_metric_scalar(test),
+            cumulative_params=ledger.cumulative_transmitted()[-1], **fields,
         ))
 
     best = max(range(len(records)),
                key=lambda i: (records[i].val_metric
                               if records[i].val_metric is not None else -np.inf))
-    metric_key = "accuracy" if dataset.task == "multiclass" else "auc_mean"
     return RunResult(
         config=config, records=records, dataset=dataset, plan=plan, base=base,
-        base_checksum=base.checksum(), final_adapters=None, ledger=ledger,
-        best_val_round=best + 1,
+        base_checksum=base.checksum(), final_adapters=adapters,
+        ledger=ledger, best_val_round=best + 1,
         cost_at_best=communication_cost(ledger, best + 1),
-        final_metrics={metric_key: records[-1].test_metric}, op_count=op_total,
+        final_metrics=test, op_count=op_total,
     )
 
 
@@ -463,22 +406,12 @@ def run_federated(config: RunConfig) -> RunResult:
     root = Rng(config.seed)
     dataset = build_dataset(config, root.substream("data"))
     plan = build_partition(config, dataset, root.substream("partition"))
-    pretrain_ds = build_pretrain_dataset(config, dataset,
-                                         root.substream("pretrain-data"))
-    base = pretrain_base(pretrain_ds, config.pretrain_epochs,
-                         root.substream("pretrain"), config.pretrain_eta,
-                         config.pretrain_batch, config.hidden)
+    base = build_base(config, dataset, root)
     checksum_before = base.checksum()
 
-    n_val = len(dataset.val_x)
-    k = min(config.probe_samples, n_val)
-    probe_idx = root.substream("probe").permutation(n_val)[:k]
-    probe_x = dataset.val_x[probe_idx]
-
-    if config.mode == "fedavg-full":
-        result = _fedavg_run(config, root, dataset, plan, base, probe_x)
-    else:
-        result = _adapter_mode_run(config, root, dataset, plan, base, probe_x)
+    mode_cls = _FullModelRounds if config.mode == "fedavg-full" else _AdapterRounds
+    result = _run_rounds(config, root, dataset, plan, base,
+                         mode_cls(config, root, dataset, plan, base))
 
     if base.checksum() != checksum_before:
         raise InputError("frozen base was mutated during the run")

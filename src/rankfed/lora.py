@@ -2,7 +2,7 @@
 
 An adapter is a factor pair (B, A) whose product is a dense update
 ``delta = B @ A`` injected beside a frozen base weight. The module covers
-initialization, dense materialization, the forward branch, re-initialization
+initialization, dense materialization, re-initialization
 at a lower rank from an accumulated dense update, decay-averaged accumulation
 of phase-final adapters, and a binary checkpoint format.
 """
@@ -123,16 +123,6 @@ def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> Adapter
 
 def dense(adapter: LoRAAdapter) -> Matrix:
     return adapter.B @ adapter.A
-
-
-def forward_contribution(adapter: LoRAAdapter, x: Matrix) -> Matrix:
-    """Adapter branch B @ A @ x for column-sample input x of shape [h2, batch]."""
-    x = as_matrix(x, "x")
-    if x.shape[0] != adapter.in_dim:
-        raise ShapeError(
-            f"input rows ({x.shape[0]}) must match adapter in_dim ({adapter.in_dim})"
-        )
-    return adapter.B @ (adapter.A @ x)
 
 
 def accumulate(acc: DenseDelta | None, phase_final_global: AdapterSet,

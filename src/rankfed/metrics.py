@@ -10,29 +10,6 @@ import numpy as np
 from .errors import InputError, ShapeError, UndefinedMetricError
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise InputError("confusion counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-def accuracy(counts: ConfusionCounts) -> float:
-    """True-prediction ratio (tp + tn) / total."""
-    if counts.total == 0:
-        raise InputError("cannot compute accuracy over zero samples")
-    return (counts.tp + counts.tn) / counts.total
-
-
 def accuracy_score(predictions, labels) -> float:
     """Multiclass accuracy: fraction of exact label matches."""
     predictions = np.asarray(predictions)

@@ -45,7 +45,6 @@ class FrozenBase:
 
     weights: tuple
     biases: tuple
-    hidden_activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
@@ -54,8 +53,6 @@ class FrozenBase:
             w.flags.writeable = False
         for b in self.biases:
             b.flags.writeable = False
-        if self.hidden_activation != "tanh":
-            raise ParameterError(f"unsupported activation: {self.hidden_activation}")
 
     @property
     def num_layers(self) -> int:
@@ -64,10 +61,6 @@ class FrozenBase:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[0]
 
     def layer_shapes(self):
         return [w.shape for w in self.weights]
@@ -118,7 +111,6 @@ class ImportanceEstimate:
     """Per-layer nonnegative importance matrices in dense-update shape."""
 
     matrices: tuple
-    anchor_tag: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "matrices", tuple(self.matrices))
@@ -131,9 +123,8 @@ class ImportanceEstimate:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _layer_deltas(base: FrozenBase, adapters):
+def _layer_deltas(n: int, adapters):
     """Normalize the adapter argument: AdapterSet, dense per-layer list, or None."""
-    n = base.num_layers
     if adapters is None:
         return [None] * n, None
     if isinstance(adapters, AdapterSet):
@@ -155,16 +146,19 @@ class _Cache:
         self.items = items
 
 
-def _forward_cache(base: FrozenBase, adapters, x: Matrix, counter=None) -> _Cache:
-    items, kind = _layer_deltas(base, adapters)
+def _forward_cache(weights, biases, adapters, x: Matrix, counter=None) -> _Cache:
+    """Forward pass over the layer stack ``weights``/``biases`` (the frozen
+    base, or the trainable weights of the full-model path) plus adapters."""
+    n_layers = len(weights)
+    items, kind = _layer_deltas(n_layers, adapters)
     x = as_matrix(x, "x")
-    if x.shape[1] != base.input_dim:
-        raise ShapeError(f"input dim {x.shape[1]} != base input dim {base.input_dim}")
+    if x.shape[1] != weights[0].shape[1]:
+        raise ShapeError(f"input dim {x.shape[1]} != base input dim {weights[0].shape[1]}")
     h = x
     hs = [x]
-    hA = [None] * base.num_layers
+    hA = [None] * n_layers
     n = x.shape[0]
-    for l, (w, b) in enumerate(zip(base.weights, base.biases)):
+    for l, (w, b) in enumerate(zip(weights, biases)):
         z = h @ w.T + b
         _count(counter, n * w.shape[0] * w.shape[1])
         item = items[l]
@@ -176,14 +170,14 @@ def _forward_cache(base: FrozenBase, adapters, x: Matrix, counter=None) -> _Cach
         elif kind == "dense" and item is not None:
             z = z + h @ item.T
             _count(counter, n * item.shape[0] * item.shape[1])
-        h = np.tanh(z) if l < base.num_layers - 1 else z
+        h = np.tanh(z) if l < n_layers - 1 else z
         hs.append(h)
     return _Cache(hs, hA, kind, items)
 
 
 def forward(base: FrozenBase, adapters, x: Matrix, counter=None):
     """Logits and the per-layer post-activation representations."""
-    cache = _forward_cache(base, adapters, x, counter)
+    cache = _forward_cache(base.weights, base.biases, adapters, x, counter)
     return cache.hs[-1], cache.hs[1:]
 
 
@@ -242,7 +236,7 @@ def supervised_loss_and_grads(base: FrozenBase, adapters: AdapterSet, x, y,
     x = as_matrix(x, "x")
     if x.shape[0] == 0:
         raise InputError("empty batch")
-    cache = _forward_cache(base, adapters, x, counter)
+    cache = _forward_cache(base.weights, base.biases, adapters, x, counter)
     logits = cache.hs[-1]
     if task == "multiclass":
         loss, dz = softmax_cross_entropy(logits, y)
@@ -281,7 +275,7 @@ def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
     n = x.shape[0]
     if n == 0:
         raise InputError("empty shard")
-    cache = _forward_cache(base, adapters_at_anchor, x)
+    cache = _forward_cache(base.weights, base.biases, adapters_at_anchor, x)
     logits = cache.hs[-1]
     if task == "multiclass":
         dz = softmax(logits)
@@ -292,7 +286,7 @@ def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
         base, cache, dz,
         lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2) / n,
     )
-    return ImportanceEstimate(tuple(stats), anchor_tag="fim")
+    return ImportanceEstimate(tuple(stats))
 
 
 def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x,
@@ -302,21 +296,26 @@ def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x,
     n = x.shape[0]
     if n == 0:
         raise InputError("empty shard")
-    cache = _forward_cache(base, adapters_at_anchor, x)
+    cache = _forward_cache(base.weights, base.biases, adapters_at_anchor, x)
     dz = 2.0 * cache.hs[-1]
     stats = _backward_per_sample_stats(
         base, cache, dz,
         lambda g, h: np.einsum("ni,nj->ij", np.abs(g), np.abs(h)) / n,
     )
-    return ImportanceEstimate(tuple(stats), anchor_tag="mas")
+    return ImportanceEstimate(tuple(stats))
 
 
 # ---------------------------------------------------------------------------
 # Regularization penalties
 # ---------------------------------------------------------------------------
 
-def _quadratic_penalty(adapters: AdapterSet, anchor: DenseDelta,
-                       importance: ImportanceEstimate, mu: float):
+def quadratic_penalty(adapters: AdapterSet, anchor: DenseDelta,
+                      importance: ImportanceEstimate, mu: float):
+    """(mu/2) * sum I * (dense - anchor)^2 and its factor gradients.
+
+    The EWC and MAS penalties share this form; they differ only in the
+    importance matrices ``I`` (Fisher proxy vs. update magnitude).
+    """
     penalty = 0.0
     grads = []
     for a, anchor_l, imp in zip(adapters, anchor, importance.matrices):
@@ -325,18 +324,6 @@ def _quadratic_penalty(adapters: AdapterSet, anchor: DenseDelta,
         d_dense = mu * imp * diff
         grads.append((d_dense @ a.A.T, a.B.T @ d_dense))
     return penalty, grads
-
-
-def ewc_penalty(adapters: AdapterSet, anchor: DenseDelta,
-                importance: ImportanceEstimate, mu: float):
-    """(mu/2) * sum F * (dense - anchor)^2 and its factor gradients."""
-    return _quadratic_penalty(adapters, anchor, importance, mu)
-
-
-def mas_penalty(adapters: AdapterSet, anchor: DenseDelta,
-                importance: ImportanceEstimate, mu: float):
-    """Structurally identical to ewc_penalty with magnitude importances."""
-    return _quadratic_penalty(adapters, anchor, importance, mu)
 
 
 def lwf_penalty(base: FrozenBase, adapters_student: AdapterSet, teacher,
@@ -353,7 +340,7 @@ def lwf_penalty(base: FrozenBase, adapters_student: AdapterSet, teacher,
     if n == 0:
         raise InputError("empty batch")
     t_logits, _ = forward(base, teacher, x)
-    cache = _forward_cache(base, adapters_student, x)
+    cache = _forward_cache(base.weights, base.biases, adapters_student, x)
     s_logits = cache.hs[-1]
     if t_logits.shape != s_logits.shape:
         raise ShapeError(
@@ -385,10 +372,6 @@ def add_grads(g1, g2):
     return [(b1 + b2, a1 + a2) for (b1, a1), (b2, a2) in zip(g1, g2)]
 
 
-def zero_grads_like(adapters: AdapterSet):
-    return [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in adapters]
-
-
 def total_local_loss(base: FrozenBase, adapters: AdapterSet, x, y,
                      stability_anchor: DenseDelta | None,
                      plasticity_anchor: DenseDelta | None,
@@ -408,7 +391,7 @@ def total_local_loss(base: FrozenBase, adapters: AdapterSet, x, y,
         if cl.method in ("ewc", "mas"):
             if importance is None:
                 raise InputError(f"{cl.method} penalty requires importance estimates")
-            return _quadratic_penalty(adapters, anchor, importance, mu)
+            return quadratic_penalty(adapters, anchor, importance, mu)
         return lwf_penalty(base, adapters, anchor, x, mu,
                            cl.lwf_temperature, task)
 
@@ -446,14 +429,8 @@ def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
     n = x.shape[0]
     if n == 0:
         raise InputError("empty batch")
-    h = x
-    hs = [x]
+    hs = _forward_cache(weights, biases, None, x, counter).hs
     L = len(weights)
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.T + b
-        _count(counter, n * w.shape[0] * w.shape[1])
-        h = np.tanh(z) if l < L - 1 else z
-        hs.append(h)
     logits = hs[-1]
     if task == "multiclass":
         loss, dz = softmax_cross_entropy(logits, y)

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import InputError, NumericError, ParameterError, ShapeError
+from .errors import InputError, ParameterError, ShapeError
 
 Matrix = np.ndarray
 
@@ -21,12 +21,6 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
-
-
-def ensure_finite(m: np.ndarray, name: str = "value") -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise NumericError(f"{name} contains non-finite entries")
     return m
 
 
@@ -60,9 +54,6 @@ class Rng:
     def normal(self, rows: int, cols: int, sigma: float = 1.0) -> Matrix:
         return self._gen.standard_normal((rows, cols)) * sigma
 
-    def normal_vector(self, n: int, sigma: float = 1.0) -> np.ndarray:
-        return self._gen.standard_normal(n) * sigma
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
@@ -71,15 +62,6 @@ class Rng:
 
     def uniform(self, size=None):
         return self._gen.random(size)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
@@ -93,10 +75,6 @@ def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
 
 def relu(m: Matrix) -> Matrix:
     return np.maximum(np.asarray(m, dtype=np.float64), 0.0)
-
-
-def frobenius_norm(m: Matrix) -> float:
-    return float(np.sqrt(np.sum(np.square(np.asarray(m, dtype=np.float64)))))
 
 
 def softmax(logits: Matrix) -> Matrix:

@@ -1,11 +1,13 @@
-"""Shared test helpers: random model construction and finite-difference oracles."""
+"""Shared test helpers: random model construction, finite-difference oracles
+and a linear probe."""
 
 import numpy as np
 import pytest
 
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
+from rankfed.metrics import accuracy_score
 from rankfed.model import random_base
-from rankfed.numerics import Rng
+from rankfed.numerics import Rng, softmax
 
 
 @pytest.fixture
@@ -71,3 +73,21 @@ def max_rel_err(analytic, fd, floor=1e-6):
             denom = np.maximum(np.abs(f), floor)
             worst = max(worst, float(np.max(np.abs(a - f) / denom)))
     return worst
+
+
+def linear_probe_accuracy(train_x, train_y, test_x, test_y, num_classes: int,
+                          epochs: int = 300, eta: float = 0.1) -> float:
+    """Accuracy of a full-batch softmax-regression probe on fixed features."""
+    d = train_x.shape[1]
+    w = np.zeros((num_classes, d))
+    b = np.zeros(num_classes)
+    n = len(train_x)
+    for _ in range(epochs):
+        logits = train_x @ w.T + b
+        p = softmax(logits)
+        p[np.arange(n), train_y] -= 1.0
+        p /= n
+        w -= eta * (p.T @ train_x)
+        b -= eta * p.sum(axis=0)
+    pred = np.argmax(test_x @ w.T + b, axis=1)
+    return accuracy_score(pred, test_y)

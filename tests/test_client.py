@@ -8,7 +8,7 @@ from rankfed.client import (ClientState, LocalTrainConfig, local_train,
 from rankfed.errors import InputError
 from rankfed.lora import init_adapter_set
 from rankfed.model import CLConfig, estimate_fim, random_base
-from rankfed.numerics import Rng, frobenius_norm
+from rankfed.numerics import Rng
 
 
 def make_client(seed=0, cl=CLConfig("none"), n=40, dims=(6, 10, 4), warm=0.0):
@@ -61,7 +61,7 @@ class TestLocalTrain:
         out, _ = local_train(state, adapters, anchor, cfg)
 
         def drift(result):
-            return frobenius_norm(np.concatenate(
+            return np.linalg.norm(np.concatenate(
                 [(d - a).ravel() for d, a in zip(result.dense(), anchor)]))
 
         pinned = drift(out)

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import linear_probe_accuracy
+
 from rankfed.data import (dataset_from_arrays, generate_multilabel,
                           generate_synthetic, ks_statistic, load_csv,
                           manifest_text, partition,
                           partition_multilabel, relabeled)
 from rankfed.errors import InputError, ParameterError
-from rankfed.harness import linear_probe_accuracy
 from rankfed.numerics import Rng
 
 

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from rankfed.errors import ParameterError, ShapeError
 from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule, accumulate,
-                          dense, forward_contribution, init_adapter,
-                          init_adapter_set, load_adapters, reinit_at_rank,
-                          save_adapters)
-from rankfed.numerics import Rng, frobenius_norm, svd_truncate
+                          dense, init_adapter, init_adapter_set, load_adapters,
+                          reinit_at_rank, save_adapters)
+from rankfed.model import FrozenBase, forward
+from rankfed.numerics import Rng, svd_truncate
 
 
 def adapter_set_from_dense(layers, rank):
@@ -57,30 +57,38 @@ class TestDense:
         assert np.sum(s > 1e-10 * s[0]) <= 3
 
 
+def branch(adapter, x):
+    """The adapter branch x @ (B @ A).T as the model's forward pass applies it:
+    over a zero one-layer base, the logits are the branch alone."""
+    h1, h2 = adapter.out_dim, adapter.in_dim
+    base = FrozenBase((np.zeros((h1, h2)),), (np.zeros(h1),))
+    return forward(base, AdapterSet((adapter,), adapter.rank), x)[0]
+
+
 class TestForwardContribution:
     def test_fresh_adapter_zero(self, rng):
         a = init_adapter(5, 4, 2, 0.02, rng)
-        x = rng.substream("x").normal(4, 3)
-        assert np.array_equal(forward_contribution(a, x), np.zeros((5, 3)))
+        x = rng.substream("x").normal(3, 4)
+        assert np.array_equal(branch(a, x), np.zeros((3, 5)))
 
     def test_matches_dense_path(self, rng):
         a = LoRAAdapter(0, rng.substream("b").normal(5, 2),
                         rng.substream("a").normal(2, 4))
-        x = rng.substream("x").normal(4, 6)
-        factored = forward_contribution(a, x)
-        via_dense = dense(a) @ x
-        rel = frobenius_norm(factored - via_dense) / frobenius_norm(via_dense)
+        x = rng.substream("x").normal(6, 4)
+        factored = branch(a, x)
+        via_dense = x @ dense(a).T
+        rel = np.linalg.norm(factored - via_dense) / np.linalg.norm(via_dense)
         assert rel < 1e-12
 
     def test_zero_input(self, rng):
         a = LoRAAdapter(0, rng.substream("b").normal(5, 2),
                         rng.substream("a").normal(2, 4))
-        assert np.array_equal(forward_contribution(a, np.zeros((4, 3))), np.zeros((5, 3)))
+        assert np.array_equal(branch(a, np.zeros((3, 4))), np.zeros((3, 5)))
 
     def test_shape_mismatch(self, rng):
         a = init_adapter(5, 4, 2, 0.02, rng)
         with pytest.raises(ShapeError):
-            forward_contribution(a, rng.normal(5, 3))
+            branch(a, rng.normal(3, 5))
 
 
 class TestAccumulate:
@@ -119,7 +127,7 @@ class TestReinitAtRank:
         a = rng.substream("a").normal(2, 5)
         acc = [b @ a]
         new = reinit_at_rank(acc, 2)
-        assert frobenius_norm(new.dense()[0] - acc[0]) < 1e-9
+        assert np.linalg.norm(new.dense()[0] - acc[0]) < 1e-9
 
     def test_zero_accumulator(self):
         new = reinit_at_rank([np.zeros((5, 4))], 2)
@@ -131,7 +139,7 @@ class TestReinitAtRank:
         for m, d in zip(acc, new.dense()):
             u, s, v = svd_truncate(m, 2)
             direct = u @ np.diag(s) @ v.T
-            assert frobenius_norm(d - direct) < 1e-10
+            assert np.linalg.norm(d - direct) < 1e-10
 
     def test_gaussian_method(self, rng):
         acc = [rng.normal(6, 4)]

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
-from rankfed.metrics import (CommLedger, ConfusionCounts, accuracy,
-                             accuracy_score, auc, cka, communication_cost,
-                             layer_averaged_cka, linear_hsic, weight_distance)
+from rankfed.metrics import (CommLedger, accuracy_score, auc, cka,
+                             communication_cost, layer_averaged_cka,
+                             linear_hsic, weight_distance)
 from rankfed.numerics import Rng
 
 
@@ -33,19 +33,26 @@ def gram_hsic(z1, z2):
     return float(np.trace(k1 @ h @ k2 @ h) / (n - 1) ** 2)
 
 
+def binary_outcomes(tp, tn, fp, fn):
+    """(predictions, labels) with the given confusion counts."""
+    predictions = [1] * tp + [0] * tn + [1] * fp + [0] * fn
+    labels = [1] * tp + [0] * tn + [0] * fp + [1] * fn
+    return predictions, labels
+
+
 class TestAccuracy:
     def test_perfect(self):
-        assert accuracy(ConfusionCounts(5, 5, 0, 0)) == 1.0
+        assert accuracy_score(*binary_outcomes(5, 5, 0, 0)) == 1.0
 
     def test_all_equal_counts(self):
-        assert accuracy(ConfusionCounts(3, 3, 3, 3)) == 0.5
+        assert accuracy_score(*binary_outcomes(3, 3, 3, 3)) == 0.5
 
     def test_hand_value(self):
-        assert accuracy(ConfusionCounts(3, 2, 1, 4)) == 0.5
+        assert accuracy_score(*binary_outcomes(3, 2, 1, 4)) == 0.5
 
     def test_zero_total(self):
         with pytest.raises(InputError):
-            accuracy(ConfusionCounts(0, 0, 0, 0))
+            accuracy_score(*binary_outcomes(0, 0, 0, 0))
 
     def test_multiclass_score(self):
         assert accuracy_score([0, 1, 2, 1], [0, 1, 1, 1]) == 0.75
