@@ -124,10 +124,10 @@ def _cmd_partition(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _load(args.config)
+    adapters = load_adapters(args.checkpoint)
     root = Rng(config.seed)
     dataset = build_dataset(config, root.substream("data"))
     base = build_base(config, dataset, root)
-    adapters = load_adapters(args.checkpoint)
     metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task)
     print(json.dumps(metrics))
     return 0
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except ParameterError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RankfedError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -5,6 +5,12 @@ mini-batch SGD on its shard with the supervised loss plus the stability and
 plasticity regularizers, and returns the updated adapters. All randomness
 (mini-batch order) comes from a labeled sub-stream of the client's RNG keyed
 by round and epoch, so results are independent of scheduling.
+
+Clients with equal shard sizes train together: ``local_train`` stacks their
+shards and adapter factors along a leading client axis and takes every
+mini-batch step for the whole group at once. Each client's slice is computed
+exactly as it would be alone, so a client's result does not depend on which
+group it trains in.
 """
 
 from __future__ import annotations
@@ -14,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ParameterError
-from .lora import AdapterSet, DenseDelta
+from .lora import AdapterSet, DenseDelta, FactorStack
 from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
                     estimate_fim, estimate_mas_importance, sgd_step,
                     total_local_loss)
-from .numerics import Rng
+from .numerics import Rng, take_rows
 
 
 @dataclass
@@ -83,37 +89,64 @@ def refresh_importances(state: ClientState, base: FrozenBase,
     return state
 
 
-def local_train(state: ClientState, global_adapters: AdapterSet,
+def _stacked_importance(states) -> ImportanceEstimate | None:
+    """The group's cached importances, stacked per layer along the client axis."""
+    if any(s.importance is None for s in states):
+        return None
+    per_layer = zip(*(s.importance.matrices for s in states))
+    return ImportanceEstimate(tuple(np.stack(ms) for ms in per_layer))
+
+
+def local_train(states, global_adapters: AdapterSet,
                 stability_anchor: DenseDelta | None, config: LocalTrainConfig,
                 counter: OpCounter | None = None):
-    """Run E local epochs from the distributed adapters; return the result.
+    """Run E local epochs for a group of clients from the distributed adapters.
 
-    The plasticity anchor is the dense form of the incoming global adapters,
-    held fixed for the whole round. Returns ``(adapters, epoch_losses)`` where
-    the trace holds the mean total loss per epoch.
+    ``states`` are clients with equal shard sizes, sharing one base, task and
+    regularizer configuration; a single client is a group of one. Each step
+    trains every client of the group on its own mini-batch as one stacked
+    computation. The plasticity anchor is the dense form of the incoming
+    global adapters, held fixed for the whole round. Returns
+    ``(adapters, epoch_losses)``: per client, in the order of ``states``, the
+    resulting AdapterSet and the mean total loss of each epoch.
     """
-    adapters = global_adapters.clone()
-    plasticity_anchor = global_adapters.dense() if state.cl.active else None
-    n = state.shard_size
+    first = states[0]
+    n = first.shard_size
+    for s in states:
+        if s.shard_size != n:
+            raise InputError(f"client {s.client_id}: shard size {s.shard_size} "
+                             f"!= group shard size {n}")
+        if s.base is not first.base or (s.cl, s.task) != (first.cl, first.task):
+            raise InputError(f"client {s.client_id}: base, regularizer or task "
+                             "differs from the rest of its group")
+    ids = [s.client_id for s in states]
+    features = np.stack([s.features for s in states])
+    labels = np.stack([s.labels for s in states])
+    importance = _stacked_importance(states)
+    stack = FactorStack(global_adapters, ids)
+    plasticity_anchor = global_adapters.dense() if first.cl.active else None
     epoch_losses = []
     for epoch in range(config.epochs):
-        order = state.rng.substream(
+        order = np.stack([s.rng.substream(
             "round", config.round_index, "epoch", epoch, "shuffle"
-        ).permutation(n)
+        ).permutation(n) for s in states])
         batch_losses = []
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+            idx = order[:, start:start + config.batch_size]
             loss, grads = total_local_loss(
-                state.base, adapters, state.features[idx], state.labels[idx],
-                stability_anchor, plasticity_anchor, state.importance,
-                state.cl, state.task, counter,
+                first.base, stack, take_rows(features, idx),
+                take_rows(labels, idx), stability_anchor, plasticity_anchor,
+                importance, first.cl, first.task, counter,
             )
-            if not np.isfinite(loss):
+            finite = np.isfinite(loss)
+            if not finite.all():
                 raise NumericError(
-                    f"client {state.client_id}: non-finite loss at round "
-                    f"{config.round_index}, epoch {epoch}"
+                    f"client {ids[int(np.argmin(finite))]}: non-finite loss at "
+                    f"round {config.round_index}, epoch {epoch}"
                 )
-            adapters = sgd_step(adapters, grads, config.eta)
+            sgd_step(stack, grads, config.eta)
             batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
-    return adapters, epoch_losses
+        epoch_losses.append(np.mean(np.stack(batch_losses, axis=-1), axis=-1))
+    adapters = [stack.adapter_set(i) for i in range(len(states))]
+    losses = [[float(e[i]) for e in epoch_losses] for i in range(len(states))]
+    return adapters, losses

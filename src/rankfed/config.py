@@ -15,6 +15,10 @@ from .errors import ParameterError
 
 MODES = ("spd-cfl", "fixed-rank-lora", "fedavg-full")
 SCHEMES = ("iid", "overlap", "disjoint")
+TASKS = ("multiclass", "multilabel")
+CL_METHODS = ("none", "ewc", "mas", "lwf")
+REINIT_METHODS = ("svd", "gaussian")
+AGGREGATIONS = ("factor", "dense")
 
 
 @dataclass(frozen=True)
@@ -68,40 +72,64 @@ class RunConfig:
     bytes_per_param: int = 4
 
     def validate(self) -> "RunConfig":
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.rounds < 1:
-            raise ParameterError(f"rounds must be >= 1, got {self.rounds}")
-        if self.local_epochs < 0:
-            raise ParameterError(f"local_epochs must be >= 0, got {self.local_epochs}")
-        if self.eta < 0:
-            raise ParameterError(f"eta must be >= 0, got {self.eta}")
-        if not 0 < self.eta_decay <= 1:
-            raise ParameterError(f"eta_decay must lie in (0, 1], got {self.eta_decay}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.participation <= 1:
-            raise ParameterError(f"participation must lie in (0, 1], got {self.participation}")
-        if not (self.r_init >= self.r_min >= 1):
-            raise ParameterError(f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}")
-        if self.subtractor < 1:
-            raise ParameterError(f"subtractor must be >= 1, got {self.subtractor}")
-        if not 0 <= self.theta < 1:
-            raise ParameterError(f"theta must lie in [0, 1), got {self.theta}")
-        if not 0 <= self.lam < 1:
-            raise ParameterError(f"lam must lie in [0, 1), got {self.lam}")
-        if self.cooldown < 0:
-            raise ParameterError(f"cooldown must be >= 0, got {self.cooldown}")
-        if self.mu1 < 0 or self.mu2 < 0:
-            raise ParameterError("mu1 and mu2 must be >= 0")
-        if self.task not in ("multiclass", "multilabel"):
-            raise ParameterError(f"task must be multiclass or multilabel, got {self.task!r}")
-        if self.scheme not in SCHEMES:
-            raise ParameterError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.num_clients < 1:
-            raise ParameterError(f"num_clients must be >= 1, got {self.num_clients}")
-        if not self.hidden:
-            raise ParameterError("need at least one hidden layer")
+        """Check every field; raise ``ParameterError`` on the first bad one.
+
+        Checks are written so that NaN fails them. Runs validate here, once,
+        before any data is generated; the training kernels do not re-check.
+        """
+        def need(ok: bool, message: str):
+            if not ok:
+                raise ParameterError(message)
+
+        def finite_at_least(name: str, low: float, strict: bool = False):
+            v = getattr(self, name)
+            ok = math.isfinite(v) and (v > low if strict else v >= low)
+            need(ok, f"{name} must be finite and {'>' if strict else '>='} {low}, got {v!r}")
+
+        def one_of(name: str, choices):
+            v = getattr(self, name)
+            need(v in choices, f"{name} must be one of {choices}, got {v!r}")
+
+        one_of("mode", MODES)
+        need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
+        need(self.local_epochs >= 0, f"local_epochs must be >= 0, got {self.local_epochs}")
+        finite_at_least("eta", 0)
+        need(0 < self.eta_decay <= 1, f"eta_decay must lie in (0, 1], got {self.eta_decay}")
+        need(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        need(0 < self.participation <= 1,
+             f"participation must lie in (0, 1], got {self.participation}")
+        need(self.r_init >= self.r_min >= 1,
+             f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}")
+        need(self.subtractor >= 1, f"subtractor must be >= 1, got {self.subtractor}")
+        need(0 <= self.theta < 1, f"theta must lie in [0, 1), got {self.theta}")
+        need(0 <= self.lam < 1, f"lam must lie in [0, 1), got {self.lam}")
+        need(self.cooldown >= 0, f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
+        one_of("reinit", REINIT_METHODS)
+        one_of("aggregation", AGGREGATIONS)
+        one_of("cl_method", CL_METHODS)
+        finite_at_least("mu1", 0)
+        finite_at_least("mu2", 0)
+        finite_at_least("lwf_temperature", 0, strict=True)
+        one_of("task", TASKS)
+        need(self.classes >= 2, f"classes must be >= 2, got {self.classes}")
+        need(self.dim >= 2, f"dim must be >= 2, got {self.dim}")
+        need(self.n_per_class >= 1, f"n_per_class must be >= 1, got {self.n_per_class}")
+        finite_at_least("separation", 0)
+        one_of("scheme", SCHEMES)
+        need(self.num_clients >= 1, f"num_clients must be >= 1, got {self.num_clients}")
+        need(self.num_labels >= 1, f"num_labels must be >= 1, got {self.num_labels}")
+        need(self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}")
+        need(0 <= self.multilabel_skew <= 1,
+             f"multilabel_skew must lie in [0, 1], got {self.multilabel_skew}")
+        need(isinstance(self.hidden, tuple) and len(self.hidden) >= 1
+             and all(type(h) is int and h >= 1 for h in self.hidden),
+             f"hidden must be a non-empty tuple of positive layer widths, got {self.hidden!r}")
+        finite_at_least("sigma_init", 0, strict=True)
+        need(self.pretrain_epochs >= 0, f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        finite_at_least("pretrain_eta", 0)
+        need(self.pretrain_batch >= 1, f"pretrain_batch must be >= 1, got {self.pretrain_batch}")
+        need(self.probe_samples >= 2, f"probe_samples must be >= 2, got {self.probe_samples}")
+        need(self.bytes_per_param >= 1, f"bytes_per_param must be >= 1, got {self.bytes_per_param}")
         return self
 
 

@@ -2,8 +2,10 @@
 mode, per-round logging, evaluation, and the operation-count budget.
 
 A run is fully determined by (RunConfig, seed): every random draw comes from
-a labeled sub-stream of the root seed, and the participants of a round train
-one after another in client-id order.
+a labeled sub-stream of the root seed. A round's participants with equal
+shard sizes train together as one client-stacked group (see
+``client.local_train``); each client's result is the one it would get alone,
+and the server receives the results in client-id order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .metrics import (CommLedger, accuracy_score, auc, communication_cost,
                       layer_averaged_cka, weight_distance)
 from .model import (CLConfig, FrozenBase, OpCounter, forward,
                     full_loss_and_grads, random_base)
-from .numerics import Rng
+from .numerics import Rng, take_rows
 from .server import ClientUpdate, ServerState, server_round
 
 SCHEMA_VERSION = 1
@@ -151,19 +153,25 @@ def build_base(config: RunConfig, dataset: Dataset, root: Rng) -> FrozenBase:
 def _full_model_sgd(weights, biases, x, y, task, eta, batch_size, orders,
                     counter=None):
     """Mini-batch SGD on every weight and bias in place, one epoch per sample
-    order in ``orders``; returns the mean loss of each epoch."""
+    order in ``orders``; returns the mean loss of each epoch.
+
+    With one model, ``x`` is [n, d] and each order is [n]. With weights,
+    biases and shards stacked along a leading client axis, each order is
+    [C, n] and every epoch loss holds one value per client.
+    """
+    n = x.shape[-2]
     epoch_losses = []
     for order in orders:
         batch_losses = []
-        for start in range(0, len(x), batch_size):
-            idx = order[start:start + batch_size]
-            loss, w_grads, b_grads = full_loss_and_grads(weights, biases, x[idx],
-                                                         y[idx], task, counter)
+        for start in range(0, n, batch_size):
+            idx = order[..., start:start + batch_size]
+            loss, w_grads, b_grads = full_loss_and_grads(
+                weights, biases, take_rows(x, idx), take_rows(y, idx), task, counter)
             for l in range(len(weights)):
                 weights[l] -= eta * w_grads[l]
                 biases[l] -= eta * b_grads[l]
             batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
+        epoch_losses.append(np.mean(np.stack(batch_losses, axis=-1), axis=-1))
     return epoch_losses
 
 
@@ -252,19 +260,21 @@ class _AdapterRounds:
         n_val = len(dataset.val_x)
         probe_idx = root.substream("probe").permutation(n_val)[:min(config.probe_samples, n_val)]
         self.probe_x = dataset.val_x[probe_idx]
+        self.cl = cl
         self.config = config
         self.base = base
 
     def param_count(self) -> int:
         return self.server.adapters.param_count()
 
-    def client_step(self, cid: int, t: int, eta: float, counter):
-        state, server = self.clients[cid], self.server
-        if state.cl.active and state.cl.method in ("ewc", "mas"):
+    def train_group(self, cids, t: int, eta: float, counter):
+        states, server = [self.clients[cid] for cid in cids], self.server
+        if self.cl.active and self.cl.method in ("ewc", "mas"):
             anchor = server.accumulated if server.accumulated is not None else server.adapters
-            refresh_importances(state, self.base, anchor, server.schedule.phase)
+            for state in states:
+                refresh_importances(state, self.base, anchor, server.schedule.phase)
         return local_train(
-            state, server.adapters, server.accumulated,
+            states, server.adapters, server.accumulated,
             LocalTrainConfig(self.config.local_epochs, eta,
                              self.config.batch_size, round_index=t),
             counter,
@@ -321,16 +331,19 @@ class _FullModelRounds:
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def client_step(self, cid: int, t: int, eta: float, counter):
-        x, y = self.shards[cid]
-        w = [m.copy() for m in self.weights]
-        b = [v.copy() for v in self.biases]
-        orders = (self.rngs[cid].substream("round", t, "epoch", epoch,
-                                           "shuffle").permutation(len(x))
-                  for epoch in range(self.config.local_epochs))
+    def train_group(self, cids, t: int, eta: float, counter):
+        c = len(cids)
+        x = np.stack([self.shards[cid][0] for cid in cids])
+        y = np.stack([self.shards[cid][1] for cid in cids])
+        w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.weights]
+        b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.biases]
+        orders = (np.stack([self.rngs[cid].substream(
+            "round", t, "epoch", epoch, "shuffle").permutation(x.shape[1])
+            for cid in cids]) for epoch in range(self.config.local_epochs))
         losses = _full_model_sgd(w, b, x, y, self.task, eta,
                                  self.config.batch_size, orders, counter)
-        return (w, b), losses
+        updates = [([m[i] for m in w], [v[i] for v in b]) for i in range(c)]
+        return updates, [[float(e[i]) for e in losses] for i in range(c)]
 
     def close_round(self, results, weights):
         global_w = [np.zeros_like(m) for m in self.weights]
@@ -343,15 +356,25 @@ class _FullModelRounds:
         return FrozenBase(global_w, global_b), None, self.NO_ADAPTER_FIELDS
 
 
+def _groups(participants, sizes):
+    """Participants with equal shard sizes, each group in client-id order."""
+    groups = {}
+    for cid in participants:
+        groups.setdefault(sizes[cid], []).append(cid)
+    return list(groups.values())
+
+
 def _run_rounds(config: RunConfig, root: Rng, dataset: Dataset,
                 plan: PartitionPlan, base: FrozenBase, mode) -> RunResult:
     """The round loop of every mode.
 
-    ``mode`` (one of the classes above) trains one participant per
-    ``client_step`` and folds the round's results and shard weights in
+    ``mode`` (one of the classes above) trains one group of equal-shard
+    participants per ``train_group`` call, returning each client's update and
+    epoch losses, and folds the round's results and shard weights in
     ``close_round``, which returns the base and adapters to score plus the
     mode's record fields.
     """
+    sizes = [len(idx) for idx in plan.client_indices]
     n_participants = max(1, math.ceil(config.participation * config.num_clients))
     ledger = CommLedger(n_participants, config.bytes_per_param)
     records = []
@@ -359,18 +382,19 @@ def _run_rounds(config: RunConfig, root: Rng, dataset: Dataset,
 
     for t in range(1, config.rounds + 1):
         eta = config.eta * config.eta_decay ** (t - 1)
-        results = []
-        for cid in _participants(config, root, t):
+        participants = _participants(config, root, t)
+        trained = {}
+        for group in _groups(participants, sizes):
             counter = OpCounter() if config.count_ops else None
-            update, losses = mode.client_step(cid, t, eta, counter)
-            results.append((cid, update, losses))
+            updates, losses = mode.train_group(group, t, eta, counter)
+            trained.update(zip(group, zip(updates, losses)))
             if counter is not None:
                 op_total += counter.multiplies
+        results = [(cid, *trained[cid]) for cid in participants]
         ledger.add_round(mode.param_count())
 
-        sizes = np.array([len(plan.client_indices[cid]) for cid, _, _ in results],
-                         dtype=np.float64)
-        weights = sizes / sizes.sum()
+        shard = np.array([sizes[cid] for cid in participants], dtype=np.float64)
+        weights = shard / shard.sum()
         last_losses = [losses[-1] if losses else None for _, _, losses in results]
         global_loss = (float(np.dot(weights, last_losses))
                        if all(l is not None for l in last_losses) else None)

@@ -100,6 +100,29 @@ class AdapterSet:
         return [(a.out_dim, a.in_dim) for a in self.adapters]
 
 
+class FactorStack:
+    """The adapters of a group of clients, stacked along a leading client axis.
+
+    ``B[l]`` is [C, h1, r] and ``A[l]`` is [C, r, h2]; slice ``i`` belongs to
+    ``client_ids[i]``. Every slice starts as a copy of the same adapter set,
+    and local training updates the stacks in place. ``adapter_set(i)`` is the
+    validated per-client result that crosses to the server.
+    """
+
+    def __init__(self, adapters: AdapterSet, client_ids):
+        self.client_ids = tuple(client_ids)
+        self.layer_ids = tuple(a.layer_id for a in adapters)
+        self.nominal_rank = adapters.nominal_rank
+        c = len(self.client_ids)
+        self.B = [np.repeat(a.B[np.newaxis], c, axis=0) for a in adapters]
+        self.A = [np.repeat(a.A[np.newaxis], c, axis=0) for a in adapters]
+
+    def adapter_set(self, i: int) -> AdapterSet:
+        return AdapterSet(tuple(LoRAAdapter(lid, B[i], A[i]) for lid, B, A
+                                in zip(self.layer_ids, self.B, self.A)),
+                          self.nominal_rank)
+
+
 def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng,
                  layer_id: int = 0) -> LoRAAdapter:
     """Zero B, Gaussian A: the fresh adapter contributes exactly nothing."""
@@ -225,19 +248,42 @@ def save_adapters(path, adapter_set: AdapterSet) -> None:
 
 
 def load_adapters(path) -> AdapterSet:
+    """Read a checkpoint written by ``save_adapters``.
+
+    A file that is truncated, carries trailing bytes or describes an invalid
+    adapter set raises ``ParameterError``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ParameterError(f"bad checkpoint magic: {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ParameterError(f"unsupported checkpoint version: {version}")
-        dims = [struct.unpack("<III", fh.read(12)) for _ in range(count)]
-        adapters = []
-        for lid, (h1, h2, r) in enumerate(dims):
-            B = np.frombuffer(fh.read(8 * h1 * r), dtype="<f8").reshape(h1, r).copy()
-            A = np.frombuffer(fh.read(8 * r * h2), dtype="<f8").reshape(r, h2).copy()
-            adapters.append(LoRAAdapter(lid, B, A))
+        data = fh.read()
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if len(data) - pos < n:
+            raise ParameterError(
+                f"truncated checkpoint: needs {pos + n} bytes, has {len(data)}")
+        pos += n
+        return data[pos - n:pos]
+
+    magic = take(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise ParameterError(f"bad checkpoint magic: {magic!r}")
+    version, count = struct.unpack("<II", take(8))
+    if version != CHECKPOINT_VERSION:
+        raise ParameterError(f"unsupported checkpoint version: {version}")
+    if count < 1:
+        raise ParameterError("checkpoint holds no adapters")
+    dims = [struct.unpack("<III", take(12)) for _ in range(count)]
+    adapters = []
+    for lid, (h1, h2, r) in enumerate(dims):
+        if min(h1, h2, r) < 1:
+            raise ParameterError(f"layer {lid}: bad dimensions {h1}x{h2} at rank {r}")
+        B = np.frombuffer(take(8 * h1 * r), dtype="<f8").reshape(h1, r)
+        A = np.frombuffer(take(8 * r * h2), dtype="<f8").reshape(r, h2)
+        adapters.append(LoRAAdapter(lid, B.astype(np.float64), A.astype(np.float64)))
+    if pos != len(data):
+        raise ParameterError(
+            f"trailing checkpoint bytes: {len(data) - pos} after {count} layers")
     # Nominal rank is not stored; the largest per-layer rank recovers it
     # whenever at least one layer is uncapped.
     nominal = max(a.rank for a in adapters)

@@ -10,6 +10,14 @@ differences in the test suite.
 Continual-learning regularizers (quadratic importance-weighted anchoring and
 logit distillation) operate on the dense product ``B @ A`` so that anchors
 computed at one rank remain comparable after a rank change.
+
+The training kernels are shape-agnostic: a batch is [n, d] for one client or
+[C, n, d] for a group of clients stacked along a leading axis (adapter
+factors then come as a ``FactorStack``, full-model weights as [C, h1, h2]).
+Every product and reduction acts on the two trailing axes, so each client's
+slice of a stacked result equals, bit for bit, what the same call computes
+for that client alone; losses and penalties come back as one value per
+client.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantError, NumericError, ParameterError, ShapeError
-from .lora import AdapterSet, DenseDelta, LoRAAdapter
+from .lora import AdapterSet, DenseDelta, FactorStack
 from .numerics import Matrix, Rng, as_matrix, softmax, softmax_cross_entropy
 
 
@@ -123,17 +131,34 @@ class ImportanceEstimate:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
+def _as_batch(x) -> np.ndarray:
+    """A batch as float64 [n, d], or [C, n, d] for a client-stacked group."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"x must be [n, d] or client-stacked [C, n, d], got {x.shape}")
+    return x
+
+
+def _rows(x: np.ndarray) -> int:
+    """Samples in a batch, summed over the clients of a stacked one."""
+    return x.size // x.shape[-1]
+
+
 def _layer_deltas(n: int, adapters):
-    """Normalize the adapter argument: AdapterSet, dense per-layer list, or None."""
+    """Normalize the adapter argument to per-layer items and their kind:
+    ``(B, A)`` factor pairs from an AdapterSet or FactorStack, dense updates
+    from a per-layer list, or nothing."""
     if adapters is None:
         return [None] * n, None
     if isinstance(adapters, AdapterSet):
-        if len(adapters) != n:
-            raise ShapeError(f"adapter count {len(adapters)} != layer count {n}")
-        return list(adapters.adapters), "factor"
-    if len(adapters) != n:
-        raise ShapeError(f"dense delta count {len(adapters)} != layer count {n}")
-    return [as_matrix(d, "delta") for d in adapters], "dense"
+        items, kind = [(a.B, a.A) for a in adapters], "factor"
+    elif isinstance(adapters, FactorStack):
+        items, kind = list(zip(adapters.B, adapters.A)), "factor"
+    else:
+        items, kind = [as_matrix(d, "delta") for d in adapters], "dense"
+    if len(items) != n:
+        raise ShapeError(f"{kind} layer count {len(items)} != layer count {n}")
+    return items, kind
 
 
 class _Cache:
@@ -146,29 +171,30 @@ class _Cache:
         self.items = items
 
 
-def _forward_cache(weights, biases, adapters, x: Matrix, counter=None) -> _Cache:
+def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
     """Forward pass over the layer stack ``weights``/``biases`` (the frozen
     base, or the trainable weights of the full-model path) plus adapters."""
     n_layers = len(weights)
     items, kind = _layer_deltas(n_layers, adapters)
-    x = as_matrix(x, "x")
-    if x.shape[1] != weights[0].shape[1]:
-        raise ShapeError(f"input dim {x.shape[1]} != base input dim {weights[0].shape[1]}")
+    x = _as_batch(x)
+    if x.shape[-1] != weights[0].shape[-1]:
+        raise ShapeError(f"input dim {x.shape[-1]} != base input dim {weights[0].shape[-1]}")
     h = x
     hs = [x]
     hA = [None] * n_layers
-    n = x.shape[0]
+    n = _rows(x)
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.T + b
-        _count(counter, n * w.shape[0] * w.shape[1])
+        z = h @ w.swapaxes(-1, -2) + b[..., np.newaxis, :]
+        _count(counter, n * w.shape[-2] * w.shape[-1])
         item = items[l]
-        if kind == "factor" and item is not None:
-            ha = h @ item.A.T
-            z = z + ha @ item.B.T
-            _count(counter, n * item.rank * (item.in_dim + item.out_dim))
+        if kind == "factor":
+            B, A = item
+            ha = h @ A.swapaxes(-1, -2)
+            z = z + ha @ B.swapaxes(-1, -2)
+            _count(counter, n * B.shape[-1] * (A.shape[-1] + B.shape[-2]))
             hA[l] = ha
-        elif kind == "dense" and item is not None:
-            z = z + h @ item.T
+        elif kind == "dense":
+            z = z + h @ item.swapaxes(-1, -2)
             _count(counter, n * item.shape[0] * item.shape[1])
         h = np.tanh(z) if l < n_layers - 1 else z
         hs.append(h)
@@ -181,23 +207,23 @@ def forward(base: FrozenBase, adapters, x: Matrix, counter=None):
     return cache.hs[-1], cache.hs[1:]
 
 
-def _backward_factor(base: FrozenBase, adapters: AdapterSet, cache: _Cache,
-                     dz_last: Matrix, counter=None):
+def _backward_factor(base: FrozenBase, cache: _Cache, dz_last, counter=None):
     """Gradients w.r.t. (B, A) per layer for a loss with logit gradient dz_last."""
     grads = [None] * base.num_layers
     dz = dz_last
-    n = dz.shape[0]
+    n = _rows(dz)
     for l in reversed(range(base.num_layers)):
         h_prev = cache.hs[l]
-        a = cache.items[l]
-        dzB = dz @ a.B
-        gB = dz.T @ cache.hA[l]
-        gA = dzB.T @ h_prev
-        _count(counter, n * a.rank * (2 * a.out_dim + a.in_dim))
+        B, A = cache.items[l]
+        r, out_dim, in_dim = B.shape[-1], B.shape[-2], A.shape[-1]
+        dzB = dz @ B
+        gB = dz.swapaxes(-1, -2) @ cache.hA[l]
+        gA = dzB.swapaxes(-1, -2) @ h_prev
+        _count(counter, n * r * (2 * out_dim + in_dim))
         grads[l] = (gB, gA)
         if l > 0:
-            dh = dz @ base.weights[l] + dzB @ a.A
-            _count(counter, n * a.out_dim * a.in_dim + n * a.rank * a.in_dim)
+            dh = dz @ base.weights[l] + dzB @ A
+            _count(counter, n * out_dim * in_dim + n * r * in_dim)
             dz = dh * (1.0 - cache.hs[l] ** 2)
     return grads
 
@@ -220,9 +246,10 @@ def _backward_per_sample_stats(base: FrozenBase, cache: _Cache, dz0: Matrix,
         if l > 0:
             item = cache.items[l]
             w_eff = base.weights[l]
-            if cache.kind == "factor" and item is not None:
-                dh = dz @ w_eff + (dz @ item.B) @ item.A
-            elif cache.kind == "dense" and item is not None:
+            if cache.kind == "factor":
+                B, A = item
+                dh = dz @ w_eff + (dz @ B) @ A
+            elif cache.kind == "dense":
                 dh = dz @ (w_eff + item)
             else:
                 dh = dz @ w_eff
@@ -230,34 +257,49 @@ def _backward_per_sample_stats(base: FrozenBase, cache: _Cache, dz0: Matrix,
     return stats
 
 
-def supervised_loss_and_grads(base: FrozenBase, adapters: AdapterSet, x, y,
-                              task: str = "multiclass", counter=None):
-    """Mean supervised loss and analytic adapter-factor gradients."""
-    x = as_matrix(x, "x")
-    if x.shape[0] == 0:
-        raise InputError("empty batch")
-    cache = _forward_cache(base.weights, base.biases, adapters, x, counter)
-    logits = cache.hs[-1]
+def _task_loss(logits, y, task: str):
+    """Mean supervised loss (one per client when stacked) and its logit gradient."""
     if task == "multiclass":
-        loss, dz = softmax_cross_entropy(logits, y)
-    elif task == "multilabel":
-        loss, dz = _binary_cross_entropy(logits, y)
-    else:
-        raise ParameterError(f"unknown task: {task}")
-    grads = _backward_factor(base, adapters, cache, dz, counter)
+        return softmax_cross_entropy(logits, y)
+    if task == "multilabel":
+        return _binary_cross_entropy(logits, y)
+    raise ParameterError(f"unknown task: {task}")
+
+
+def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
+                              task: str = "multiclass", counter=None,
+                              student: _Cache | None = None):
+    """Mean supervised loss and analytic adapter-factor gradients.
+
+    ``adapters`` is an AdapterSet for an [n, d] batch or a FactorStack for a
+    client-stacked one. ``student`` reuses a forward pass of ``adapters`` on
+    ``x`` that the caller already made.
+    """
+    if student is None:
+        x = _as_batch(x)
+        if x.shape[-2] == 0:
+            raise InputError("empty batch")
+        student = _forward_cache(base.weights, base.biases, adapters, x, counter)
+    loss, dz = _task_loss(student.hs[-1], y, task)
+    grads = _backward_factor(base, student, dz, counter)
     return loss, grads
 
 
-def _binary_cross_entropy(logits: Matrix, targets):
+def _binary_cross_entropy(logits, targets):
     """Mean per-label sigmoid cross-entropy and its logit gradient."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ShapeError(f"targets shape {targets.shape} != logits shape {logits.shape}")
-    n, L = logits.shape
+    n, L = logits.shape[-2:]
     # softplus(z) - y*z, stabilized
-    loss = float(np.mean(np.logaddexp(0.0, logits) - targets * logits))
+    loss = _mean_per_client(np.logaddexp(0.0, logits) - targets * logits)
     grad = (_sigmoid(logits) - targets) / (n * L)
     return loss, grad
+
+
+def _mean_per_client(m):
+    """Mean over the two trailing axes: the whole matrix, or each stacked one."""
+    return np.mean(m.reshape(*m.shape[:-2], -1), axis=-1)
 
 
 def _sigmoid(z):
@@ -309,39 +351,43 @@ def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x,
 # Regularization penalties
 # ---------------------------------------------------------------------------
 
-def quadratic_penalty(adapters: AdapterSet, anchor: DenseDelta,
+def quadratic_penalty(adapters, anchor: DenseDelta,
                       importance: ImportanceEstimate, mu: float):
     """(mu/2) * sum I * (dense - anchor)^2 and its factor gradients.
 
     The EWC and MAS penalties share this form; they differ only in the
-    importance matrices ``I`` (Fisher proxy vs. update magnitude).
+    importance matrices ``I`` (Fisher proxy vs. update magnitude). For a
+    FactorStack the importances are stacked per client as well.
     """
+    items, _ = _layer_deltas(len(anchor), adapters)
     penalty = 0.0
     grads = []
-    for a, anchor_l, imp in zip(adapters, anchor, importance.matrices):
-        diff = (a.B @ a.A) - anchor_l
-        penalty += 0.5 * mu * float(np.sum(imp * diff * diff))
+    for (B, A), anchor_l, imp in zip(items, anchor, importance.matrices):
+        diff = (B @ A) - anchor_l
+        penalty += 0.5 * mu * np.sum(imp * diff * diff, axis=(-2, -1))
         d_dense = mu * imp * diff
-        grads.append((d_dense @ a.A.T, a.B.T @ d_dense))
+        grads.append((d_dense @ A.swapaxes(-1, -2), B.swapaxes(-1, -2) @ d_dense))
     return penalty, grads
 
 
-def lwf_penalty(base: FrozenBase, adapters_student: AdapterSet, teacher,
+def lwf_penalty(base: FrozenBase, adapters_student, teacher,
                 x, mu: float, temperature: float = 1.0,
-                task: str = "multiclass"):
+                task: str = "multiclass", student: _Cache | None = None):
     """Distillation from the teacher configuration's logits (stop-gradient).
 
     ``teacher`` may be an AdapterSet or a dense per-layer update. The penalty
     is ``mu`` times the mean cross-entropy between teacher and student output
-    distributions; gradients flow to the student adapters only.
+    distributions; gradients flow to the student adapters only. ``student``
+    reuses a forward pass of ``adapters_student`` on ``x``.
     """
-    x = as_matrix(x, "x")
-    n = x.shape[0]
+    x = _as_batch(x)
+    n = x.shape[-2]
     if n == 0:
         raise InputError("empty batch")
-    t_logits, _ = forward(base, teacher, x)
-    cache = _forward_cache(base.weights, base.biases, adapters_student, x)
-    s_logits = cache.hs[-1]
+    t_logits = _forward_cache(base.weights, base.biases, teacher, x).hs[-1]
+    if student is None:
+        student = _forward_cache(base.weights, base.biases, adapters_student, x)
+    s_logits = student.hs[-1]
     if t_logits.shape != s_logits.shape:
         raise ShapeError(
             f"teacher outputs {t_logits.shape} != student outputs {s_logits.shape}"
@@ -350,17 +396,17 @@ def lwf_penalty(base: FrozenBase, adapters_student: AdapterSet, teacher,
     if task == "multiclass":
         t = softmax(t_logits / tau)
         s_shift = s_logits / tau
-        s_shift = s_shift - s_shift.max(axis=1, keepdims=True)
-        log_s = s_shift - np.log(np.exp(s_shift).sum(axis=1, keepdims=True))
-        penalty = mu * float(np.mean(-np.sum(t * log_s, axis=1)))
+        s_shift = s_shift - s_shift.max(axis=-1, keepdims=True)
+        log_s = s_shift - np.log(np.exp(s_shift).sum(axis=-1, keepdims=True))
+        penalty = mu * np.mean(-np.sum(t * log_s, axis=-1), axis=-1)
         dz = mu * (softmax(s_logits / tau) - t) / (n * tau)
     else:
-        L = s_logits.shape[1]
+        L = s_logits.shape[-1]
         t = _sigmoid(t_logits / tau)
         z = s_logits / tau
-        penalty = mu * float(np.mean(np.logaddexp(0.0, z) - t * z))
+        penalty = mu * _mean_per_client(np.logaddexp(0.0, z) - t * z)
         dz = mu * (_sigmoid(z) - t) / (n * L * tau)
-    grads = _backward_factor(base, adapters_student, cache, dz)
+    grads = _backward_factor(base, student, dz)
     return penalty, grads
 
 
@@ -368,11 +414,7 @@ def lwf_penalty(base: FrozenBase, adapters_student: AdapterSet, teacher,
 # Combined local objective and the optimizer step
 # ---------------------------------------------------------------------------
 
-def add_grads(g1, g2):
-    return [(b1 + b2, a1 + a2) for (b1, a1), (b2, a2) in zip(g1, g2)]
-
-
-def total_local_loss(base: FrozenBase, adapters: AdapterSet, x, y,
+def total_local_loss(base: FrozenBase, adapters, x, y,
                      stability_anchor: DenseDelta | None,
                      plasticity_anchor: DenseDelta | None,
                      importance: ImportanceEstimate | None,
@@ -381,9 +423,15 @@ def total_local_loss(base: FrozenBase, adapters: AdapterSet, x, y,
 
     An absent stability anchor (first phase) contributes nothing; zero
     strengths short-circuit so the disabled path is bit-identical to the
-    supervised loss alone.
+    supervised loss alone. Penalty gradients are added into the supervised
+    ones in place.
     """
-    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter)
+    x = _as_batch(x)
+    if x.shape[-2] == 0:
+        raise InputError("empty batch")
+    student = _forward_cache(base.weights, base.biases, adapters, x, counter)
+    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter,
+                                            student=student)
     if cl.method == "none":
         return loss, grads
 
@@ -393,29 +441,35 @@ def total_local_loss(base: FrozenBase, adapters: AdapterSet, x, y,
                 raise InputError(f"{cl.method} penalty requires importance estimates")
             return quadratic_penalty(adapters, anchor, importance, mu)
         return lwf_penalty(base, adapters, anchor, x, mu,
-                           cl.lwf_temperature, task)
+                           cl.lwf_temperature, task, student=student)
 
-    if stability_anchor is not None and cl.mu1 > 0:
-        p, g = penalty(stability_anchor, cl.mu1)
-        loss += p
-        grads = add_grads(grads, g)
-    if plasticity_anchor is not None and cl.mu2 > 0:
-        p, g = penalty(plasticity_anchor, cl.mu2)
-        loss += p
-        grads = add_grads(grads, g)
+    for anchor, mu in ((stability_anchor, cl.mu1), (plasticity_anchor, cl.mu2)):
+        if anchor is not None and mu > 0:
+            p, g = penalty(anchor, mu)
+            loss = loss + p
+            for (gB, gA), (pB, pA) in zip(grads, g):
+                gB += pB
+                gA += pA
     return loss, grads
 
 
-def sgd_step(adapters: AdapterSet, grads, eta: float) -> AdapterSet:
-    """One gradient-descent step on every adapter factor."""
+def sgd_step(stack: FactorStack, grads, eta: float) -> None:
+    """One gradient-descent step on every factor of the stack, in place.
+
+    A non-finite gradient raises ``NumericError`` naming the first offending
+    client and its first offending layer; the stack is then left unchanged.
+    """
     if eta < 0:
         raise ParameterError(f"learning rate must be >= 0, got {eta}")
-    updated = []
-    for a, (gB, gA) in zip(adapters, grads):
-        if not (np.all(np.isfinite(gB)) and np.all(np.isfinite(gA))):
-            raise NumericError(f"non-finite gradient at layer {a.layer_id}")
-        updated.append(LoRAAdapter(a.layer_id, a.B - eta * gB, a.A - eta * gA))
-    return AdapterSet(tuple(updated), adapters.nominal_rank)
+    if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
+        for i, cid in enumerate(stack.client_ids):
+            for lid, (gB, gA) in zip(stack.layer_ids, grads):
+                if not (np.isfinite(gB[i]).all() and np.isfinite(gA[i]).all()):
+                    raise NumericError(
+                        f"client {cid}: non-finite gradient at layer {lid}")
+    for B, A, (gB, gA) in zip(stack.B, stack.A, grads):
+        B -= eta * gB
+        A -= eta * gA
 
 
 # ---------------------------------------------------------------------------
@@ -424,25 +478,27 @@ def sgd_step(adapters: AdapterSet, grads, eta: float) -> AdapterSet:
 
 def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
                         counter=None):
-    """Supervised loss and gradients w.r.t. every weight matrix and bias."""
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    if n == 0:
+    """Supervised loss and gradients w.r.t. every weight matrix and bias.
+
+    Weights [h1, h2] and biases [h1] train one model on an [n, d] batch;
+    weights [C, h1, h2] and biases [C, h1] train C client models on a
+    client-stacked [C, n, d] batch.
+    """
+    x = _as_batch(x)
+    if x.shape[-2] == 0:
         raise InputError("empty batch")
+    n = _rows(x)
     hs = _forward_cache(weights, biases, None, x, counter).hs
     L = len(weights)
-    logits = hs[-1]
-    if task == "multiclass":
-        loss, dz = softmax_cross_entropy(logits, y)
-    else:
-        loss, dz = _binary_cross_entropy(logits, y)
+    loss, dz = _task_loss(hs[-1], y, task)
     w_grads, b_grads = [None] * L, [None] * L
     for l in reversed(range(L)):
-        w_grads[l] = dz.T @ hs[l]
-        b_grads[l] = dz.sum(axis=0)
-        _count(counter, n * weights[l].shape[0] * weights[l].shape[1])
+        size = weights[l].shape[-2] * weights[l].shape[-1]
+        w_grads[l] = dz.swapaxes(-1, -2) @ hs[l]
+        b_grads[l] = dz.sum(axis=-2)
+        _count(counter, n * size)
         if l > 0:
             dh = dz @ weights[l]
-            _count(counter, n * weights[l].shape[0] * weights[l].shape[1])
+            _count(counter, n * size)
             dz = dh * (1.0 - hs[l] ** 2)
     return loss, w_grads, b_grads

@@ -1,8 +1,9 @@
 """Dense float64 kernels and the deterministic random stream.
 
 Everything downstream (adapters, models, the federated loop) is built on the
-handful of operations in this module. All values are 2-D float64 numpy arrays
-("matrices"); operations never mutate their inputs.
+handful of operations in this module. Values are float64 numpy arrays: 2-D
+"matrices", or batches stacked along a leading client axis, which the
+row-wise kernels treat slice by slice. Operations never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -80,30 +81,46 @@ def relu(m: Matrix) -> Matrix:
 def softmax(logits: Matrix) -> Matrix:
     """Row-wise softmax, stabilized by max subtraction."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def take_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of a shard; with ``idx`` of shape [C, b], rows
+    ``idx[c]`` of each shard of a client-stacked ``values``."""
+    if idx.ndim == 1:
+        return values[idx]
+    return values[np.arange(len(idx))[:, np.newaxis], idx]
 
 
 def softmax_cross_entropy(logits: Matrix, labels: np.ndarray):
     """Mean cross-entropy over the batch and its exact logit gradient.
 
     Returns ``(loss, grad)`` where ``grad[i] = (softmax(logits)[i] - onehot[i]) / batch``.
+    Client-stacked logits [C, n, c] with labels [C, n] give one loss per client.
     """
-    logits = as_matrix(logits, "logits")
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels must have shape ({n},), got {labels.shape}")
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"logits must be 2-D or client-stacked 3-D, got {logits.shape}")
+    n, c = logits.shape[-2:]
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
     if n == 0:
         raise InputError("empty batch")
     if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"labels must lie in [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(n), labels]))
-    grad = softmax(logits)
-    grad[np.arange(n), labels] -= 1.0
+    # Flat (row, label) positions address the picked logit of every row of
+    # every client at once.
+    pick = (np.arange(labels.size), labels.ravel())
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    picked = shifted.reshape(-1, c)[pick].reshape(labels.shape)
+    loss = np.mean(np.log(z[..., 0]) - picked, axis=-1)
+    grad = e / z  # the softmax of ``logits``
+    grad.reshape(-1, c)[pick] -= 1.0
     grad /= n
     return loss, grad
 

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+import rankfed.harness
 from rankfed.cli import main
 from rankfed.config import RunConfig, config_text, load_config
 from rankfed.errors import ParameterError
+from rankfed.harness import run_federated
+from rankfed.lora import load_adapters
 
 TINY_CONFIG = """
 [run]
@@ -71,6 +74,33 @@ class TestConfigFile:
         path.write_text("[dropout]\ncooldown = inf\n")
         cfg = load_config(path)
         assert cfg.cooldown == float("inf")
+
+
+INVALID_VALUES = [
+    dict(cooldown=float("nan")), dict(mu1=float("nan")), dict(eta=float("nan")),
+    dict(reinit="bogus"), dict(aggregation="x"), dict(cl_method="x"),
+    dict(lwf_temperature=0.0), dict(sigma_init=0.0), dict(classes=1),
+    dict(probe_samples=1), dict(hidden=(0,)), dict(hidden=128),
+    dict(bytes_per_param=-1),
+]
+
+
+@pytest.mark.parametrize("bad", INVALID_VALUES,
+                         ids=lambda d: ",".join(f"{k}={v!r}" for k, v in d.items()))
+def test_invalid_value_rejected_before_data_generation(bad, tmp_path, monkeypatch):
+    def no_data(*_):
+        raise AssertionError("data generated before validation")
+
+    monkeypatch.setattr(rankfed.harness, "build_dataset", no_data)
+    with pytest.raises(ParameterError):
+        RunConfig(**bad).validate()
+    with pytest.raises(ParameterError):
+        run_federated(RunConfig(**bad))
+    # The config file format can express every value but a non-tuple hidden.
+    if isinstance(bad.get("hidden", ()), tuple):
+        path = tmp_path / "bad.cfg"
+        path.write_text(config_text(RunConfig(**bad)))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestRunCommand:
@@ -143,6 +173,20 @@ class TestEvalCommand:
         records = (out / "records.jsonl").read_text().splitlines()
         last = json.loads(records[-1])
         assert metrics["accuracy"] == pytest.approx(last["test_metric"], abs=1e-12)
+
+    @pytest.mark.parametrize("damage", ["truncated", "trailing"])
+    def test_damaged_checkpoint_exits_2(self, config_path, tmp_path, capsys, damage):
+        out = tmp_path / "out"
+        main(["run", str(config_path), "--out", str(out)])
+        raw = (out / "adapters_final.ckpt").read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:-3] if damage == "truncated" else raw + b"\x00")
+        with pytest.raises(ParameterError, match=damage):
+            load_adapters(bad)
+        capsys.readouterr()
+        code = main(["eval", str(config_path), str(bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {damage} checkpoint")
 
 
 class TestSweepCommand:

@@ -30,10 +30,16 @@ def make_client(seed=0, cl=CLConfig("none"), n=40, dims=(6, 10, 4), warm=0.0):
     return state, adapters
 
 
+def train_alone(state, adapters, anchor, cfg):
+    """``local_train`` on a group of one; returns that client's result."""
+    (out,), (losses,) = local_train([state], adapters, anchor, cfg)
+    return out, losses
+
+
 class TestLocalTrain:
     def test_zero_epochs_is_noop(self):
         state, adapters = make_client()
-        out, losses = local_train(state, adapters, None,
+        out, losses = train_alone(state, adapters, None,
                                   LocalTrainConfig(0, 0.1, 16))
         assert losses == []
         for a, b in zip(out, adapters):
@@ -44,8 +50,8 @@ class TestLocalTrain:
         reg_state, _ = make_client(seed=3, cl=CLConfig("ewc", 0.0, 0.0))
         cfg = LocalTrainConfig(2, 0.1, 8, round_index=4)
         anchor = [np.asarray(d) + 0.05 for d in adapters.dense()]
-        out_plain, tr_plain = local_train(plain_state, adapters, None, cfg)
-        out_reg, tr_reg = local_train(reg_state, adapters, anchor, cfg)
+        out_plain, tr_plain = train_alone(plain_state, adapters, None, cfg)
+        out_reg, tr_reg = train_alone(reg_state, adapters, anchor, cfg)
         assert tr_plain == tr_reg
         for a, b in zip(out_plain, out_reg):
             assert np.array_equal(a.B, b.B) and np.array_equal(a.A, b.A)
@@ -58,7 +64,7 @@ class TestLocalTrain:
         # step size inside the quadratic stability bound eta * mu * F_max < 2
         f_max = max(float(np.max(m)) for m in state.importance.matrices)
         cfg = LocalTrainConfig(40, 0.2 / (mu * f_max), 8, round_index=1)
-        out, _ = local_train(state, adapters, anchor, cfg)
+        out, _ = train_alone(state, adapters, anchor, cfg)
 
         def drift(result):
             return np.linalg.norm(np.concatenate(
@@ -66,19 +72,19 @@ class TestLocalTrain:
 
         pinned = drift(out)
         free_state, _ = make_client(seed=5, cl=CLConfig("none"), warm=0.3)
-        unpinned = drift(local_train(free_state, adapters, None, cfg)[0])
+        unpinned = drift(train_alone(free_state, adapters, None, cfg)[0])
         assert pinned < 1e-3
         assert unpinned > 5 * pinned  # the anchor, not the step size, pins
 
     def test_rank_preserved(self):
         state, adapters = make_client()
-        out, _ = local_train(state, adapters, None, LocalTrainConfig(1, 0.1, 16))
+        out, _ = train_alone(state, adapters, None, LocalTrainConfig(1, 0.1, 16))
         assert out.nominal_rank == adapters.nominal_rank
         assert out.shapes() == adapters.shapes()
 
     def test_loss_decreases_over_epochs(self):
         state, adapters = make_client(seed=9, warm=0.2)
-        _, losses = local_train(state, adapters, None,
+        _, losses = train_alone(state, adapters, None,
                                 LocalTrainConfig(8, 0.05, 16, round_index=1))
         assert losses[-1] < losses[0]
 
@@ -87,7 +93,7 @@ class TestLocalTrain:
 
         def run_one(_):
             state, adapters = make_client(seed=11)
-            out, losses = local_train(state, adapters, None, cfg)
+            out, losses = train_alone(state, adapters, None, cfg)
             return out, losses
 
         serial = [run_one(i) for i in range(3)]
@@ -102,9 +108,9 @@ class TestLocalTrain:
     def test_batch_order_depends_on_round(self):
         state1, adapters = make_client(seed=13)
         state2, _ = make_client(seed=13)
-        out1, _ = local_train(state1, adapters, None,
+        out1, _ = train_alone(state1, adapters, None,
                               LocalTrainConfig(1, 0.1, 8, round_index=1))
-        out2, _ = local_train(state2, adapters, None,
+        out2, _ = train_alone(state2, adapters, None,
                               LocalTrainConfig(1, 0.1, 8, round_index=2))
         assert any(not np.array_equal(a.B, b.B) for a, b in zip(out1, out2))
 

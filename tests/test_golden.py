@@ -1,4 +1,4 @@
-"""Golden-bytes regression: ten short runs must reproduce pinned hashes.
+"""Golden-bytes regression: twelve short runs must reproduce pinned hashes.
 
 For each config the fixture ``golden.json`` stores the sha256 of the run's
 ``records.jsonl`` text, the sha256 of the final global adapters' ``B`` and
@@ -33,6 +33,8 @@ CONFIGS = {
     "spd-ewc": dict(cl_method="ewc"),
     "spd-mas": dict(cl_method="mas"),
     "spd-lwf": dict(cl_method="lwf"),
+    "spd-lwf-two-hidden": dict(cl_method="lwf", hidden=(12, 12)),
+    "spd-ewc-equal-shards": dict(cl_method="ewc", num_clients=2),
     "spd-dense-aggregation": dict(aggregation="dense"),
     "spd-gaussian-reinit": dict(reinit="gaussian"),
     "fixed-rank-lora": dict(mode="fixed-rank-lora", cl_method="none",

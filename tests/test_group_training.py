@@ -1,0 +1,181 @@
+"""Group training: clients with equal shard sizes trained as one stacked step.
+
+A client's adapters, epoch losses and multiply count must be the same bytes
+whether it trains inside a group, in any order within the group, or alone.
+"Alone" is checked two ways: as a group of one, and through a reference loop
+that trains one client on 2-D arrays with the same kernels, rebuilding its
+AdapterSet every step.
+"""
+
+import numpy as np
+import pytest
+
+from rankfed.client import ClientState, LocalTrainConfig, local_train, refresh_importances
+from rankfed.config import RunConfig
+from rankfed.errors import InputError, NumericError
+from rankfed.harness import (_full_model_sgd, _FullModelRounds, build_base,
+                             build_dataset, build_partition)
+from rankfed.lora import AdapterSet, FactorStack, LoRAAdapter, init_adapter_set
+from rankfed.model import CLConfig, OpCounter, random_base, sgd_step, total_local_loss
+from rankfed.numerics import Rng
+
+DIMS = (6, 10, 9, 4)
+CFG = LocalTrainConfig(epochs=2, eta=0.1, batch_size=8, round_index=3)
+
+
+def make_group(cl, task="multiclass", clients=3, n=20, seed=0):
+    """Clients with equal shards on one base, warm global adapters and a
+    stability anchor that differs from them."""
+    root = Rng(seed)
+    base = random_base(list(DIMS), root.substream("base"))
+    states = []
+    for cid in range(clients):
+        s = root.substream("client-data", cid)
+        x = s.substream("x").normal(n, DIMS[0])
+        if task == "multiclass":
+            y = np.asarray(s.substream("y").integers(0, DIMS[-1], n))
+        else:
+            y = np.asarray(s.substream("y").integers(0, 2, (n, DIMS[-1])))
+        states.append(ClientState(client_id=cid, base=base, features=x, labels=y,
+                                  cl=cl, rng=root.substream("client", cid), task=task))
+    fresh = init_adapter_set(base.layer_shapes(), 3, 0.05, root.substream("adapters"))
+    adapters = AdapterSet(tuple(
+        LoRAAdapter(a.layer_id,
+                    a.B + root.substream("wb", a.layer_id).normal(*a.B.shape, 0.05),
+                    a.A) for a in fresh), fresh.nominal_rank)
+    anchor = [d + root.substream("sta", l).normal(*d.shape, 0.05)
+              for l, d in enumerate(adapters.dense())]
+    for state in states:
+        refresh_importances(state, base, anchor, phase=1)
+    return states, adapters, anchor
+
+
+def train(states, adapters, anchor):
+    counter = OpCounter()
+    out, losses = local_train(states, adapters, anchor, CFG, counter)
+    return out, losses, counter.multiplies
+
+
+def train_reference(state, adapters, anchor):
+    """One client on 2-D arrays, stepping a fresh AdapterSet each batch."""
+    counter = OpCounter()
+    plasticity = adapters.dense() if state.cl.active else None
+    current = adapters
+    losses = []
+    for epoch in range(CFG.epochs):
+        order = state.rng.substream("round", CFG.round_index, "epoch", epoch,
+                                    "shuffle").permutation(state.shard_size)
+        batch = []
+        for start in range(0, state.shard_size, CFG.batch_size):
+            idx = order[start:start + CFG.batch_size]
+            loss, grads = total_local_loss(
+                state.base, current, state.features[idx], state.labels[idx],
+                anchor, plasticity, state.importance, state.cl, state.task, counter)
+            current = AdapterSet(tuple(
+                LoRAAdapter(a.layer_id, a.B - CFG.eta * gB, a.A - CFG.eta * gA)
+                for a, (gB, gA) in zip(current, grads)), current.nominal_rank)
+            batch.append(loss)
+        losses.append(float(np.mean(batch)))
+    return current, losses, counter.multiplies
+
+
+def factor_bytes(adapter_set):
+    return [(a.layer_id, a.B.tobytes(), a.A.tobytes()) for a in adapter_set]
+
+
+CASES = {
+    "ewc": (CLConfig("ewc", 0.4, 0.3), "multiclass"),
+    "mas": (CLConfig("mas", 0.4, 0.3), "multiclass"),
+    "lwf": (CLConfig("lwf", 0.4, 0.3, lwf_temperature=2.0), "multiclass"),
+    "multilabel": (CLConfig("lwf", 0.4, 0.3), "multilabel"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_group_equals_each_client_alone(case):
+    cl, task = CASES[case]
+    states, adapters, anchor = make_group(cl, task)
+    group_out, group_losses, group_ops = train(states, adapters, anchor)
+    reference_ops = 0
+    for state, out, losses in zip(states, group_out, group_losses):
+        (solo,), (solo_losses,), solo_ops = train([state], adapters, anchor)
+        ref, ref_losses, ref_ops = train_reference(state, adapters, anchor)
+        reference_ops += ref_ops
+        assert factor_bytes(out) == factor_bytes(solo) == factor_bytes(ref)
+        assert losses == solo_losses == ref_losses
+        assert solo_ops == ref_ops
+    assert group_ops == reference_ops
+    # both anchors were active: the result moved off the plain supervised one
+    plain = [ClientState(s.client_id, s.base, s.features, s.labels, CLConfig("none"),
+                         s.rng, s.task) for s in states]
+    plain_out, _, _ = train(plain, adapters, anchor)
+    assert factor_bytes(plain_out[0]) != factor_bytes(group_out[0])
+
+
+def test_permuted_group_gives_the_same_per_client_results():
+    states, adapters, anchor = make_group(CLConfig("ewc", 0.4, 0.3), clients=4)
+    out, losses, _ = train(states, adapters, anchor)
+    order = [2, 0, 3, 1]
+    p_out, p_losses, _ = train([states[i] for i in order], adapters, anchor)
+    for j, i in enumerate(order):
+        assert factor_bytes(p_out[j]) == factor_bytes(out[i])
+        assert p_losses[j] == losses[i]
+
+
+def test_full_weight_group_equals_each_client_alone():
+    config = RunConfig(mode="fedavg-full", scheme="iid", num_clients=3, classes=4,
+                       dim=8, n_per_class=30, pretrain_epochs=2, local_epochs=2,
+                       batch_size=8, count_ops=True).validate()
+    root = Rng(config.seed)
+    dataset = build_dataset(config, root.substream("data"))
+    plan = build_partition(config, dataset, root.substream("partition"))
+    base = build_base(config, dataset, root)
+    mode = _FullModelRounds(config, root, dataset, plan, base)
+    assert len({len(idx) for idx in plan.client_indices}) == 1
+
+    counter = OpCounter()
+    group_updates, group_losses = mode.train_group([0, 1, 2], 5, 0.1, counter)
+    reference_ops = 0
+    for cid in range(3):
+        (solo,), (solo_losses,) = mode.train_group([cid], 5, 0.1, OpCounter())
+        # the reference: the same client's model trained on 2-D arrays
+        x, y = mode.shards[cid]
+        w = [m.copy() for m in mode.weights]
+        b = [v.copy() for v in mode.biases]
+        orders = [mode.rngs[cid].substream("round", 5, "epoch", e, "shuffle")
+                  .permutation(len(x)) for e in range(config.local_epochs)]
+        ref_counter = OpCounter()
+        ref_losses = _full_model_sgd(w, b, x, y, dataset.task, 0.1,
+                                     config.batch_size, orders, ref_counter)
+        reference_ops += ref_counter.multiplies
+        (gw, gb), (sw, sb) = group_updates[cid], solo
+        assert ([m.tobytes() for m in gw + gb] == [m.tobytes() for m in sw + sb]
+                == [m.tobytes() for m in w + b])
+        assert group_losses[cid] == solo_losses == [float(v) for v in ref_losses]
+    assert counter.multiplies == reference_ops
+
+
+def test_poisoned_client_loss_names_that_client():
+    states, adapters, anchor = make_group(CLConfig("ewc", 0.4, 0.3))
+    states[2].features[4, 2] = np.nan
+    with pytest.raises(NumericError, match=r"client 2: non-finite loss at round 3, epoch 0"):
+        train(states, adapters, anchor)
+
+
+def test_poisoned_gradient_names_first_offending_client_and_layer():
+    states, adapters, _ = make_group(CLConfig("none"))
+    stack = FactorStack(adapters, [4, 7, 9])
+    grads = [(np.zeros_like(B), np.zeros_like(A)) for B, A in zip(stack.B, stack.A)]
+    grads[2][1][1, 0, 0] = np.inf   # client 7, layer 2
+    grads[1][0][2, 0, 0] = np.nan   # client 9, layer 1
+    before = [B.copy() for B in stack.B]
+    with pytest.raises(NumericError, match=r"client 7: non-finite gradient at layer 2"):
+        sgd_step(stack, grads, 0.1)
+    assert all(np.array_equal(a, b) for a, b in zip(before, stack.B))
+
+
+def test_group_needs_equal_shards():
+    states, adapters, anchor = make_group(CLConfig("none"))
+    short, _, _ = make_group(CLConfig("none"), n=12, clients=1)
+    with pytest.raises(InputError, match="shard size"):
+        local_train([states[0], short[0]], adapters, anchor, CFG)

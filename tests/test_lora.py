@@ -197,6 +197,23 @@ class TestCheckpoint:
         with pytest.raises(ParameterError):
             load_adapters(path)
 
+    # inside the magic, version/count, layer dims, first payload; last byte off
+    @pytest.mark.parametrize("cut", [2, 10, 20, 40, -1])
+    def test_truncated_file_rejected(self, rng, tmp_path, cut):
+        path = tmp_path / "cut.ckpt"
+        save_adapters(path, init_adapter_set([(3, 2), (4, 3)], 2, 0.02, rng))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ParameterError, match="truncated"):
+            load_adapters(path)
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_adapters(path, init_adapter_set([(3, 2)], 2, 0.02, rng))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ParameterError, match="trailing"):
+            load_adapters(path)
+
     def test_header_layout(self, rng, tmp_path):
         s = init_adapter_set([(3, 2)], 2, 0.02, rng)
         path = tmp_path / "one.ckpt"

@@ -4,8 +4,8 @@ import pytest
 from conftest import fd_factor_grads, make_model, max_rel_err
 
 from rankfed.errors import InputError, InvariantError, NumericError, ParameterError
-from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
-from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, add_grads,
+from rankfed.lora import AdapterSet, FactorStack, LoRAAdapter, init_adapter_set
+from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate,
                            estimate_fim, estimate_mas_importance, forward,
                            full_loss_and_grads, lwf_penalty, quadratic_penalty,
                            random_base, sgd_step, supervised_loss_and_grads,
@@ -277,7 +277,8 @@ class TestTotalLocalLoss:
         p1, g1 = quadratic_penalty(adapters, sta, imp, 0.4)
         p2, g2 = quadratic_penalty(adapters, pla, imp, 0.2)
         assert tot == pytest.approx(sup + p1 + p2, rel=1e-12)
-        expected = add_grads(add_grads(g0, g1), g2)
+        expected = [(b0 + b1 + b2, a0 + a1 + a2)
+                    for (b0, a0), (b1, a1), (b2, a2) in zip(g0, g1, g2)]
         for (eB, eA), (tB, tA) in zip(expected, tot_g):
             assert np.max(np.abs(eB - tB)) < 1e-12
             assert np.max(np.abs(eA - tA)) < 1e-12
@@ -303,18 +304,25 @@ class TestTotalLocalLoss:
         assert max_rel_err(grads, fd) < 1e-5
 
 
+def sgd_alone(adapters, grads, eta):
+    """``sgd_step`` on a stack of one client; returns the stepped adapters."""
+    stack = FactorStack(adapters, [0])
+    sgd_step(stack, [(gB[np.newaxis], gA[np.newaxis]) for gB, gA in grads], eta)
+    return stack.adapter_set(0)
+
+
 class TestSgdStep:
     def test_zero_grads_no_change(self, rng):
         _, adapters, _, _ = make_model(rng)
         zero = [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in adapters]
-        stepped = sgd_step(adapters, zero, 0.5)
+        stepped = sgd_alone(adapters, zero, 0.5)
         for a, b in zip(adapters, stepped):
             assert np.array_equal(a.B, b.B) and np.array_equal(a.A, b.A)
 
     def test_eta_zero_no_change(self, rng):
         base, adapters, x, y = make_model(rng)
         _, grads = supervised_loss_and_grads(base, adapters, x, y)
-        stepped = sgd_step(adapters, grads, 0.0)
+        stepped = sgd_alone(adapters, grads, 0.0)
         for a, b in zip(adapters, stepped):
             assert np.array_equal(a.B, b.B) and np.array_equal(a.A, b.A)
 
@@ -325,7 +333,7 @@ class TestSgdStep:
         anchor = [np.array([[2.0]])]
         imp = ImportanceEstimate((np.ones((1, 1)),))
         loss0, grads = quadratic_penalty(adapters, anchor, imp, 2.0)
-        stepped = sgd_step(adapters, grads, 0.05)
+        stepped = sgd_alone(adapters, grads, 0.05)
         loss1, _ = quadratic_penalty(stepped, anchor, imp, 2.0)
         assert loss1 < loss0
 
@@ -333,14 +341,14 @@ class TestSgdStep:
         _, adapters, _, _ = make_model(rng)
         zero = [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in adapters]
         with pytest.raises(ParameterError):
-            sgd_step(adapters, zero, -0.1)
+            sgd_alone(adapters, zero, -0.1)
 
     def test_non_finite_gradient_rejected(self, rng):
         _, adapters, _, _ = make_model(rng)
         bad = [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in adapters]
         bad[0][0][0, 0] = np.nan
         with pytest.raises(NumericError):
-            sgd_step(adapters, bad, 0.1)
+            sgd_alone(adapters, bad, 0.1)
 
 
 class TestFrozenBase:
@@ -354,7 +362,7 @@ class TestFrozenBase:
         before = base.checksum()
         for _ in range(5):
             _, grads = supervised_loss_and_grads(base, adapters, x, y)
-            adapters = sgd_step(adapters, grads, 0.1)
+            adapters = sgd_alone(adapters, grads, 0.1)
         assert base.checksum() == before
 
     def test_fresh_adapter_loss_equals_base_loss(self, rng):
