@@ -136,35 +136,40 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     import csv as _csv
     from dataclasses import replace
+    from itertools import product
     base_config = _load(args.config)
 
-    def axis(raw, default):
+    def axis(name):
+        raw = getattr(args, name)
         if raw is None:
-            return [default]
-        return [float(v) for v in raw.split(",") if v.strip()]
+            return [getattr(base_config, name)]
+        try:
+            values = [float(v) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            raise ParameterError(
+                f"--{name} must be comma-separated numbers, got {raw!r}") from None
+        if not values:
+            raise ParameterError(f"--{name} has no values")
+        return values
 
-    mu1s = axis(args.mu1, base_config.mu1)
-    mu2s = axis(args.mu2, base_config.mu2)
-    thetas = axis(args.theta, base_config.theta)
-    lams = axis(args.lam, base_config.lam)
+    # Every grid point is validated before the first run and before the CSV
+    # is opened, so a bad value costs no run and leaves no partial file.
+    grid = [replace(base_config, mu1=mu1, mu2=mu2, theta=theta, lam=lam).validate()
+            for mu1, mu2, theta, lam in product(
+                axis("mu1"), axis("mu2"), axis("theta"), axis("lam"))]
 
     with open(args.out, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["mu1", "mu2", "theta", "lam", "final_val_metric",
                          "final_test_metric", "best_val_round",
                          "transmitted_params_at_best", "transmitted_mb_at_best"])
-        for mu1 in mu1s:
-            for mu2 in mu2s:
-                for theta in thetas:
-                    for lam in lams:
-                        cfg = replace(base_config, mu1=mu1, mu2=mu2,
-                                      theta=theta, lam=lam).validate()
-                        result = run_federated(cfg)
-                        count, mb = result.cost_at_best
-                        last = result.records[-1]
-                        writer.writerow([mu1, mu2, theta, lam,
-                                         last.val_metric, last.test_metric,
-                                         result.best_val_round, count, mb])
+        for cfg in grid:
+            result = run_federated(cfg)
+            count, mb = result.cost_at_best
+            last = result.records[-1]
+            writer.writerow([cfg.mu1, cfg.mu2, cfg.theta, cfg.lam,
+                             last.val_metric, last.test_metric,
+                             result.best_val_round, count, mb])
     return 0
 
 

@@ -25,7 +25,8 @@ from .data import (Dataset, PartitionPlan, dataset_from_arrays,
 from .errors import InputError, ParameterError, UndefinedMetricError
 from .lora import AdapterSet, RankSchedule, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, auc, communication_cost,
-                      layer_averaged_cka, weight_distance)
+                      layer_averaged_cka, prepare_representations,
+                      weight_distance)
 from .model import (CLConfig, FrozenBase, OpCounter, forward,
                     full_loss_and_grads, random_base)
 from .numerics import Rng, take_rows
@@ -281,6 +282,15 @@ class _AdapterRounds:
         )
 
     def close_round(self, results, weights):
+        """Run the server round, then score each participant's adapters
+        against the incoming global adapters (plasticity) and the stability
+        anchor (stability) by weight distance and layer-averaged CKA.
+
+        The CKA operands are prepared (centred, self-HSIC computed) once: the
+        incoming and stability probe representations once per round, each
+        participant's once per client; each ``layer_averaged_cka`` call then
+        computes only the cross-HSIC of its pair.
+        """
         incoming, stability = self.server.adapters, self.server.accumulated
         phase = self.server.schedule.phase
         updates = [ClientUpdate(cid, adp, self.clients[cid].shard_size)
@@ -289,13 +299,14 @@ class _AdapterRounds:
 
         base, probe_x = self.base, self.probe_x
         incoming_dense = incoming.dense()
-        reps_incoming = forward(base, incoming, probe_x)[1]
-        reps_stability = forward(base, stability, probe_x)[1] if stability is not None else None
+        reps_incoming = prepare_representations(forward(base, incoming, probe_x)[1])
+        reps_stability = (prepare_representations(forward(base, stability, probe_x)[1])
+                          if stability is not None else None)
         wd_sta, wd_pla, cka_sta, cka_pla = [], [], [], []
         for _, adp, _ in results:
             local_dense = adp.dense()
             wd_pla.append(weight_distance(local_dense, incoming_dense))
-            reps_local = forward(base, adp, probe_x)[1]
+            reps_local = prepare_representations(forward(base, adp, probe_x)[1])
             cka_pla.append(layer_averaged_cka(reps_local, reps_incoming))
             if stability is not None:
                 wd_sta.append(weight_distance(local_dense, stability))

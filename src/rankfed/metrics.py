@@ -4,6 +4,7 @@ and linear-kernel representation similarity (HSIC / CKA)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,37 +110,75 @@ def weight_distance(a, b) -> float:
     return float(np.sqrt(total))
 
 
-def linear_hsic(z1, z2) -> float:
-    """Linear-kernel HSIC via the feature-space form |Z1c^T Z2c|_F^2 / (n-1)^2."""
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.ndim != 2 or z2.ndim != 2:
+class _Operand(NamedTuple):
+    """A representation prepared for HSIC: centred columns, self-HSIC, n."""
+
+    centred: np.ndarray
+    self_hsic: float
+    n: int
+
+
+def _hsic(c1, c2, n) -> float:
+    """The feature-space HSIC of two centred matrices, |C1^T C2|_F^2 / (n-1)^2."""
+    return float(np.sum((c1.T @ c2) ** 2) / (n - 1) ** 2)
+
+
+def _prepare(z) -> _Operand:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
         raise InputError("representations must be 2-D (samples x features)")
-    n = z1.shape[0]
-    if z2.shape[0] != n:
-        raise InputError(f"sample counts differ: {n} vs {z2.shape[0]}")
+    n = z.shape[0]
     if n < 2:
         raise InputError("HSIC needs at least 2 samples")
-    c1 = z1 - z1.mean(axis=0)
-    c2 = z2 - z2.mean(axis=0)
-    return float(np.sum((c1.T @ c2) ** 2) / (n - 1) ** 2)
+    c = z - z.mean(axis=0)
+    # Two buffers, never c.T @ c: numpy routes a product of one buffer with its
+    # own transpose to syrk, whose rounding may differ from the cross products'.
+    return _Operand(c, _hsic(c, c.copy(), n), n)
+
+
+def _cross_hsic(p: _Operand, q: _Operand) -> float:
+    if p.n != q.n:
+        raise InputError(f"sample counts differ: {p.n} vs {q.n}")
+    return _hsic(p.centred, q.centred, p.n)
+
+
+def _cka(p: _Operand, q: _Operand) -> float:
+    h12 = _cross_hsic(p, q)
+    if p.self_hsic <= 0 or q.self_hsic <= 0:
+        raise UndefinedMetricError("CKA is undefined for constant representations")
+    # sqrt(h11 * h22) keeps the self-comparison exactly 1.0
+    return min(float(h12 / np.sqrt(p.self_hsic * q.self_hsic)), 1.0)
+
+
+def linear_hsic(z1, z2) -> float:
+    """Linear-kernel HSIC via the feature-space form |Z1c^T Z2c|_F^2 / (n-1)^2."""
+    return _cross_hsic(_prepare(z1), _prepare(z2))
 
 
 def cka(z1, z2) -> float:
     """Linear CKA in [0, 1]; invariant to orthogonal maps and positive scaling."""
-    h12 = linear_hsic(z1, z2)
-    h11 = linear_hsic(z1, z1)
-    h22 = linear_hsic(z2, z2)
-    if h11 <= 0 or h22 <= 0:
-        raise UndefinedMetricError("CKA is undefined for constant representations")
-    # sqrt(h11 * h22) keeps the self-comparison exactly 1.0
-    return min(float(h12 / np.sqrt(h11 * h22)), 1.0)
+    return _cka(_prepare(z1), _prepare(z2))
+
+
+def prepare_representations(reps) -> list:
+    """Prepare per-layer representations once for many ``layer_averaged_cka``
+    calls: each layer is centred and its self-HSIC computed here, so a call
+    pays only the cross-HSIC."""
+    return [_prepare(z) for z in reps]
 
 
 def layer_averaged_cka(reps_a, reps_b) -> float:
-    """Arithmetic mean of per-layer CKA over matched layer representations."""
+    """Arithmetic mean of per-layer CKA over matched layer representations.
+
+    Either side may be raw per-layer arrays or the output of
+    ``prepare_representations``; the result is the same to the bit.
+    """
     if len(reps_a) != len(reps_b):
         raise InputError(f"layer count mismatch: {len(reps_a)} vs {len(reps_b)}")
     if not reps_a:
         raise InputError("need at least one layer")
-    return float(np.mean([cka(a, b) for a, b in zip(reps_a, reps_b)]))
+    return float(np.mean([
+        _cka(a if isinstance(a, _Operand) else _prepare(a),
+             b if isinstance(b, _Operand) else _prepare(b))
+        for a, b in zip(reps_a, reps_b)
+    ]))

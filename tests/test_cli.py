@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import rankfed.cli
 import rankfed.harness
 from rankfed.cli import main
 from rankfed.config import RunConfig, config_text, load_config
@@ -197,3 +198,20 @@ class TestSweepCommand:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2x2 grid
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--mu1", "abc"),        # not a number
+        ("--theta", "0.5,1.5"),  # the second grid point is out of range
+        ("--lam", ","),          # no values at all
+    ])
+    def test_bad_axis_exits_2_before_any_run(self, config_path, tmp_path, capsys,
+                                              monkeypatch, flag, value):
+        def no_run(config):
+            raise AssertionError("a grid point ran before the grid was validated")
+
+        monkeypatch.setattr(rankfed.cli, "run_federated", no_run)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", str(config_path), flag, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
 from rankfed.metrics import (CommLedger, accuracy_score, auc, cka,
                              communication_cost, layer_averaged_cka,
-                             linear_hsic, weight_distance)
+                             linear_hsic, prepare_representations,
+                             weight_distance)
 from rankfed.numerics import Rng
 
 
@@ -31,6 +34,21 @@ def gram_hsic(z1, z2):
     k1 = z1 @ z1.T
     k2 = z2 @ z2.T
     return float(np.trace(k1 @ h @ k2 @ h) / (n - 1) ** 2)
+
+
+def reference_hsic(z1, z2):
+    """Per-pair HSIC as computed before prepared operands: centres both inputs."""
+    c1 = z1 - z1.mean(axis=0)
+    c2 = z2 - z2.mean(axis=0)
+    return float(np.sum((c1.T @ c2) ** 2) / (z1.shape[0] - 1) ** 2)
+
+
+def reference_cka(z1, z2):
+    """Per-pair CKA as computed before prepared operands: three HSIC calls."""
+    h12 = reference_hsic(z1, z2)
+    h11 = reference_hsic(z1, z1)
+    h22 = reference_hsic(z2, z2)
+    return min(float(h12 / np.sqrt(h11 * h22)), 1.0)
 
 
 def binary_outcomes(tp, tn, fp, fn):
@@ -224,3 +242,53 @@ class TestLayerAveragedCka:
         w = rng.substream("w").normal(30, 6)
         target = 0.5 * (1.0 + cka(z, w))
         assert layer_averaged_cka([z, z], [z, w]) == pytest.approx(target, rel=1e-12)
+
+
+class TestPreparedOperands:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(2, 40),
+           st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                    min_size=1, max_size=3))
+    def test_bit_identical_to_per_pair_reference(self, seed, n, widths):
+        rng = Rng(seed)
+        reps_a = [rng.substream("a", i).normal(n, da) for i, (da, _) in enumerate(widths)]
+        reps_b = [3.0 * rng.substream("b", i).normal(n, db) + 1.0
+                  for i, (_, db) in enumerate(widths)]
+        per_layer = [reference_cka(a, b) for a, b in zip(reps_a, reps_b)]
+        expected = float(np.mean(per_layer))
+        prep_a = prepare_representations(reps_a)
+        prep_b = prepare_representations(reps_b)
+        for a, b, ref in zip(reps_a, reps_b, per_layer):
+            assert cka(a, b) == ref
+            assert linear_hsic(a, b) == reference_hsic(a, b)
+        assert layer_averaged_cka(reps_a, reps_b) == expected
+        assert layer_averaged_cka(prep_a, prep_b) == expected
+        assert layer_averaged_cka(prep_a, reps_b) == expected
+        assert layer_averaged_cka(reps_a, prep_b) == expected
+        # a prepared operand is reusable: a second pairing gives the same bits
+        assert layer_averaged_cka(prep_a, prep_b) == expected
+
+    @pytest.mark.parametrize("constant_side", [0, 1])
+    def test_constant_operand_rejected(self, rng, constant_side):
+        reps = [[rng.normal(8, 3)], [rng.normal(8, 3)]]
+        reps[constant_side] = [np.ones((8, 3))]
+        prepared = [prepare_representations(r) for r in reps]
+        with pytest.raises(UndefinedMetricError):
+            layer_averaged_cka(*prepared)
+
+    def test_sample_count_mismatch_rejected(self, rng):
+        a = prepare_representations([rng.normal(8, 3)])
+        b = prepare_representations([rng.normal(9, 3)])
+        with pytest.raises(InputError, match="sample counts differ"):
+            layer_averaged_cka(a, b)
+
+    def test_layer_count_mismatch_rejected(self, rng):
+        a = prepare_representations([rng.normal(8, 3), rng.normal(8, 4)])
+        b = prepare_representations([rng.normal(8, 3)])
+        with pytest.raises(InputError, match="layer count mismatch"):
+            layer_averaged_cka(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (5,), (2, 3, 4)])
+    def test_bad_shape_rejected_when_prepared(self, shape):
+        with pytest.raises(InputError):
+            prepare_representations([np.arange(np.prod(shape), dtype=float).reshape(shape)])

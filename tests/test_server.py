@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankfed.errors import (InputError, InvariantError, ParameterError,
                             ProtocolError)
 from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule,
                           init_adapter_set)
-from rankfed.numerics import svd_truncate
+from rankfed.numerics import Rng, svd_truncate
 from rankfed.server import (ClientUpdate, ServerState, accumulated_gradient,
                             aggregate, ema_update, gradient_consistency,
                             maybe_dropout, normalize_sensitivities,
@@ -387,3 +389,61 @@ class TestServerRound:
             u, s, v = svd_truncate(acc, 2)
             best = u @ np.diag(s) @ v.T
             assert np.linalg.norm(adapter.B @ adapter.A - best) < 1e-10
+
+
+class TestServerProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31), st.permutations(range(5)),
+           st.lists(st.integers(1, 50), min_size=5, max_size=5),
+           st.sampled_from(["factor", "dense"]))
+    def test_aggregate_invariant_under_permutation(self, seed, order, sizes, mode):
+        rng = Rng(seed)
+        updates = [ClientUpdate(i, warm_set(rng.substream("u", i)), sizes[i])
+                   for i in range(5)]
+        reference = aggregate(updates, mode)
+        permuted = aggregate([updates[i] for i in order], mode)
+        for a, b in zip(reference, permuted):
+            assert np.array_equal(a.B, b.B)
+            assert np.array_equal(a.A, b.A)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31), st.floats(0.0, 0.999), st.integers(1, 4),
+           st.integers(1, 12))
+    def test_consistency_bounded_under_ema(self, seed, theta, clients, steps):
+        rng = Rng(seed)
+        ema_pos = ema_neg = None
+        for t in range(steps):
+            s = rng.substream("step", t)
+            grads = [[s.substream("g", c, l).normal(3, 4, 10.0 ** (c - 2))
+                      for l in range(2)] for c in range(clients)]
+            alpha = normalize_sensitivities(
+                np.abs(s.substream("alpha").normal(1, clients))[0])
+            pos, neg = pool_gradients(grads, alpha)
+            ema_pos = [ema_update(p, c, theta)
+                       for p, c in zip(ema_pos or [None] * 2, pos)]
+            ema_neg = [ema_update(p, c, theta)
+                       for p, c in zip(ema_neg or [None] * 2, neg)]
+            assert 0.0 <= gradient_consistency(ema_pos, ema_neg) <= 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 8), st.integers(1, 8),
+           st.integers(1, 3), st.integers(0, 3), st.integers(1, 20))
+    def test_rank_never_increases(self, seed, r_init, r_min, subtractor,
+                                  cooldown, rounds):
+        r_init, r_min = max(r_init, r_min), min(r_init, r_min)
+        rng = Rng(seed)
+        state = ServerState(
+            adapters=init_adapter_set([(6, 4), (3, 6)], r_init, 0.02,
+                                      rng.substream("init")),
+            schedule=RankSchedule(r_init, r_min, subtractor), cooldown=cooldown)
+        ranks = []
+        for t in range(rounds):
+            rank = state.schedule.current_rank
+            updates = [ClientUpdate(i, warm_set(rng.substream("r", t, i), rank=rank), 10)
+                       for i in range(2)]
+            state, outcome = server_round(state, updates)
+            ranks.append(outcome.rank)
+            assert state.schedule.current_rank <= outcome.rank
+        assert all(a >= b for a, b in zip(ranks, ranks[1:]))
+        assert {a - b for a, b in zip(ranks, ranks[1:])} <= {0, subtractor}
+        assert min(ranks) >= r_min
