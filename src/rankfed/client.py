@@ -7,10 +7,12 @@ plasticity regularizers, and returns the updated adapters. All randomness
 by round and epoch, so results are independent of scheduling.
 
 Clients with equal shard sizes train together: ``local_train`` stacks their
-shards and adapter factors along a leading client axis and takes every
-mini-batch step for the whole group at once. Each client's slice is computed
-exactly as it would be alone, so a client's result does not depend on which
-group it trains in.
+shards along a leading client axis, copies the global adapters into a
+client-stacked ``AdapterSet`` and takes every mini-batch step for the whole
+group at once. Each client's slice is computed exactly as it would be alone,
+so a client's result does not depend on which group it trains in.
+``sgd_epochs`` is the one mini-batch epoch loop, shared with the full-weight
+FedAvg groups and base pretraining.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError, ParameterError
-from .lora import AdapterSet, DenseDelta, FactorStack
+from .lora import AdapterSet, DenseDelta
 from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
                     estimate_fim, estimate_mas_importance, sgd_step,
                     total_local_loss)
@@ -97,6 +99,33 @@ def _stacked_importance(states) -> ImportanceEstimate | None:
     return ImportanceEstimate(tuple(np.stack(ms) for ms in per_layer))
 
 
+def batch_orders(rngs, round_index: int, epochs: int, n: int):
+    """Each epoch's mini-batch order for a group of clients, as [C, n]: one
+    permutation per client from its stream's (round, epoch) sub-stream."""
+    for epoch in range(epochs):
+        yield np.stack([rng.substream("round", round_index, "epoch", epoch,
+                                      "shuffle").permutation(n) for rng in rngs])
+
+
+def sgd_epochs(step, x, y, batch_size: int, orders):
+    """Mini-batch SGD, one epoch per sample order in ``orders``.
+
+    ``step(epoch, xb, yb)`` takes one step on a mini-batch and returns its
+    loss. With one model, ``x`` is [n, d] and each order is [n]; with shards
+    stacked along a leading client axis, each order is [C, n] and every loss
+    holds one value per client. Returns the mean loss of each epoch.
+    """
+    n = x.shape[-2]
+    epoch_losses = []
+    for epoch, order in enumerate(orders):
+        batch_losses = []
+        for start in range(0, n, batch_size):
+            idx = order[..., start:start + batch_size]
+            batch_losses.append(step(epoch, take_rows(x, idx), take_rows(y, idx)))
+        epoch_losses.append(np.mean(np.stack(batch_losses, axis=-1), axis=-1))
+    return epoch_losses
+
+
 def local_train(states, global_adapters: AdapterSet,
                 stability_anchor: DenseDelta | None, config: LocalTrainConfig,
                 counter: OpCounter | None = None):
@@ -123,30 +152,25 @@ def local_train(states, global_adapters: AdapterSet,
     features = np.stack([s.features for s in states])
     labels = np.stack([s.labels for s in states])
     importance = _stacked_importance(states)
-    stack = FactorStack(global_adapters, ids)
+    adapters = global_adapters.stacked(len(states))
     plasticity_anchor = global_adapters.dense() if first.cl.active else None
-    epoch_losses = []
-    for epoch in range(config.epochs):
-        order = np.stack([s.rng.substream(
-            "round", config.round_index, "epoch", epoch, "shuffle"
-        ).permutation(n) for s in states])
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[:, start:start + config.batch_size]
-            loss, grads = total_local_loss(
-                first.base, stack, take_rows(features, idx),
-                take_rows(labels, idx), stability_anchor, plasticity_anchor,
-                importance, first.cl, first.task, counter,
+
+    def step(epoch, x, y):
+        loss, grads = total_local_loss(
+            first.base, adapters, x, y, stability_anchor, plasticity_anchor,
+            importance, first.cl, first.task, counter,
+        )
+        finite = np.isfinite(loss)
+        if not finite.all():
+            raise NumericError(
+                f"client {ids[int(np.argmin(finite))]}: non-finite loss at "
+                f"round {config.round_index}, epoch {epoch}"
             )
-            finite = np.isfinite(loss)
-            if not finite.all():
-                raise NumericError(
-                    f"client {ids[int(np.argmin(finite))]}: non-finite loss at "
-                    f"round {config.round_index}, epoch {epoch}"
-                )
-            sgd_step(stack, grads, config.eta)
-            batch_losses.append(loss)
-        epoch_losses.append(np.mean(np.stack(batch_losses, axis=-1), axis=-1))
-    adapters = [stack.adapter_set(i) for i in range(len(states))]
-    losses = [[float(e[i]) for e in epoch_losses] for i in range(len(states))]
-    return adapters, losses
+        sgd_step(adapters, grads, config.eta, ids)
+        return loss
+
+    orders = batch_orders([s.rng for s in states], config.round_index,
+                          config.epochs, n)
+    epoch_losses = sgd_epochs(step, features, labels, config.batch_size, orders)
+    return ([adapters.client(i) for i in range(len(states))],
+            [[float(e[i]) for e in epoch_losses] for i in range(len(states))])

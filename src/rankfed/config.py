@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ParameterError
 
@@ -21,10 +21,15 @@ REINIT_METHODS = ("svd", "gaussian")
 AGGREGATIONS = ("factor", "dense")
 
 
+def _opens(section: str, default):
+    """A field that opens a config-file section: it and the fields after it,
+    up to the next such field, are that section's keys."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    # [run]
-    mode: str = "spd-cfl"
+    mode: str = _opens("run", "spd-cfl")
     seed: int = 0
     rounds: int = 60
     local_epochs: int = 1
@@ -33,8 +38,7 @@ class RunConfig:
     batch_size: int = 16
     participation: float = 1.0
     count_ops: bool = False
-    # [dropout]
-    r_init: int = 8
+    r_init: int = _opens("dropout", 8)
     r_min: int = 2
     subtractor: int = 2
     theta: float = 0.9
@@ -42,13 +46,11 @@ class RunConfig:
     cooldown: float = 5
     reinit: str = "svd"
     aggregation: str = "factor"
-    # [regularization]
-    cl_method: str = "ewc"
+    cl_method: str = _opens("regularization", "ewc")
     mu1: float = 0.01
     mu2: float = 0.01
     lwf_temperature: float = 1.0
-    # [data]
-    task: str = "multiclass"
+    task: str = _opens("data", "multiclass")
     classes: int = 10
     dim: int = 16
     n_per_class: int = 120
@@ -62,8 +64,7 @@ class RunConfig:
     multilabel_skew: float = 0.0
     csv_path: str = ""
     label_column: str = "label"
-    # [model]
-    hidden: tuple = (32,)
+    hidden: tuple = _opens("model", (32,))
     sigma_init: float = 0.02
     pretrain_epochs: int = 40
     pretrain_eta: float = 0.05
@@ -133,19 +134,19 @@ class RunConfig:
         return self
 
 
-_SECTIONS = {
-    "run": ("mode", "seed", "rounds", "local_epochs", "eta", "eta_decay",
-            "batch_size", "participation", "count_ops"),
-    "dropout": ("r_init", "r_min", "subtractor", "theta", "lam", "cooldown",
-                "reinit", "aggregation"),
-    "regularization": ("cl_method", "mu1", "mu2", "lwf_temperature"),
-    "data": ("task", "classes", "dim", "n_per_class", "separation", "scheme",
-             "classes_per_client", "shared_classes", "num_clients",
-             "num_labels", "n_samples", "multilabel_skew", "csv_path",
-             "label_column"),
-    "model": ("hidden", "sigma_init", "pretrain_epochs", "pretrain_eta",
-              "pretrain_batch", "probe_samples", "bytes_per_param"),
-}
+def _sections() -> dict:
+    """Section name -> its keys, in file order."""
+    sections, current = {}, None
+    for f in fields(RunConfig):
+        current = f.metadata.get("section", current)
+        sections.setdefault(current, []).append(f.name)
+    return sections
+
+
+_SECTIONS = _sections()
+# Parse type of each key, from its annotation.
+_TYPES = {f.name: {"bool": bool, "int": int, "float": float, "str": str,
+                   "tuple": tuple}[f.type] for f in fields(RunConfig)}
 
 
 def _parse_value(name: str, raw: str, kind):
@@ -176,9 +177,6 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise ParameterError(f"cannot read config file: {path}")
-    types = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
-    # cooldown may be written as an int but is stored as float
-    types["cooldown"] = float
     overrides = {}
     for section in parser.sections():
         if section not in _SECTIONS:
@@ -186,7 +184,7 @@ def load_config(path) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SECTIONS[section]:
                 raise ParameterError(f"unknown key {key!r} in section [{section}]")
-            overrides[key] = _parse_value(key, raw, types[key])
+            overrides[key] = _parse_value(key, raw, _TYPES[key])
     return RunConfig(**overrides).validate()
 
 

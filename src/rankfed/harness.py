@@ -11,13 +11,15 @@ and the server receives the results in client-id order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .client import ClientState, LocalTrainConfig, local_train, refresh_importances
+from .client import (ClientState, LocalTrainConfig, batch_orders, local_train,
+                     refresh_importances, sgd_epochs)
 from .config import RunConfig
 from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
@@ -29,20 +31,16 @@ from .metrics import (CommLedger, accuracy_score, auc, communication_cost,
                       weight_distance)
 from .model import (CLConfig, FrozenBase, OpCounter, forward,
                     full_loss_and_grads, random_base)
-from .numerics import Rng, take_rows
+from .numerics import Rng
 from .server import ClientUpdate, ServerState, server_round
 
 SCHEMA_VERSION = 1
 
-RECORD_FIELDS = (
-    "schema_version", "round", "phase", "rank", "consistency", "global_loss",
-    "val_metric", "test_metric", "wd_stability", "wd_plasticity",
-    "cka_stability", "cka_plasticity", "cumulative_params", "dropped",
-)
-
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round's line of ``records.jsonl``, after its schema version."""
+
     round: int
     phase: int | None
     rank: int | None
@@ -59,9 +57,13 @@ class RoundRecord:
 
     def to_dict(self) -> dict:
         d = {"schema_version": SCHEMA_VERSION}
-        for name in RECORD_FIELDS[1:]:
-            d[name] = getattr(self, name)
+        for f in dataclasses.fields(self):
+            d[f.name] = getattr(self, f.name)
         return d
+
+
+RECORD_FIELDS = ("schema_version",
+                 *(f.name for f in dataclasses.fields(RoundRecord)))
 
 
 @dataclass
@@ -154,26 +156,18 @@ def build_base(config: RunConfig, dataset: Dataset, root: Rng) -> FrozenBase:
 def _full_model_sgd(weights, biases, x, y, task, eta, batch_size, orders,
                     counter=None):
     """Mini-batch SGD on every weight and bias in place, one epoch per sample
-    order in ``orders``; returns the mean loss of each epoch.
+    order in ``orders`` (see ``sgd_epochs``); returns the mean loss of each
+    epoch. Weights [C, h1, h2] and biases [C, h1] train C client models on
+    client-stacked shards."""
+    def step(epoch, xb, yb):
+        loss, w_grads, b_grads = full_loss_and_grads(weights, biases, xb, yb,
+                                                     task, counter)
+        for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
+            w -= eta * gw
+            b -= eta * gb
+        return loss
 
-    With one model, ``x`` is [n, d] and each order is [n]. With weights,
-    biases and shards stacked along a leading client axis, each order is
-    [C, n] and every epoch loss holds one value per client.
-    """
-    n = x.shape[-2]
-    epoch_losses = []
-    for order in orders:
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            idx = order[..., start:start + batch_size]
-            loss, w_grads, b_grads = full_loss_and_grads(
-                weights, biases, take_rows(x, idx), take_rows(y, idx), task, counter)
-            for l in range(len(weights)):
-                weights[l] -= eta * w_grads[l]
-                biases[l] -= eta * b_grads[l]
-            batch_losses.append(loss)
-        epoch_losses.append(np.mean(np.stack(batch_losses, axis=-1), axis=-1))
-    return epoch_losses
+    return sgd_epochs(step, x, y, batch_size, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +342,8 @@ class _FullModelRounds:
         y = np.stack([self.shards[cid][1] for cid in cids])
         w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.weights]
         b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.biases]
-        orders = (np.stack([self.rngs[cid].substream(
-            "round", t, "epoch", epoch, "shuffle").permutation(x.shape[1])
-            for cid in cids]) for epoch in range(self.config.local_epochs))
+        orders = batch_orders([self.rngs[cid] for cid in cids], t,
+                              self.config.local_epochs, x.shape[1])
         losses = _full_model_sgd(w, b, x, y, self.task, eta,
                                  self.config.batch_size, orders, counter)
         updates = [([m[i] for m in w], [v[i] for v in b]) for i in range(c)]

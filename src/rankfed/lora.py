@@ -22,36 +22,43 @@ from .numerics import Matrix, Rng, as_matrix, gaussian_matrix, svd_truncate
 DenseDelta = list
 
 CHECKPOINT_MAGIC = b"SPDL"
-CHECKPOINT_VERSION = 1
+# Version 2 stores the nominal rank; version 1 files still load.
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class LoRAAdapter:
-    """Factor pair for one adapted layer; the dense update is B @ A."""
+    """Factor pair for one adapted layer; the dense update is B @ A.
+
+    B is [h1, r] and A is [r, h2]. In the client-stacked form they carry a
+    leading client axis, [C, h1, r] and [C, r, h2], one pair per client.
+    """
 
     layer_id: int
-    B: Matrix  # [h1, r]
-    A: Matrix  # [r, h2]
+    B: Matrix
+    A: Matrix
 
     def __post_init__(self):
-        B = as_matrix(self.B, "B")
-        A = as_matrix(self.A, "A")
-        if B.shape[1] != A.shape[0]:
-            raise ShapeError(f"B cols ({B.shape[1]}) must equal A rows ({A.shape[0]})")
+        B = np.asarray(self.B, dtype=np.float64)
+        A = np.asarray(self.A, dtype=np.float64)
+        if (B.ndim not in (2, 3) or A.ndim != B.ndim or B.shape[:-2] != A.shape[:-2]
+                or B.shape[-1] != A.shape[-2]):
+            raise ShapeError(f"B {B.shape} and A {A.shape} are not a 2-D or "
+                             "client-stacked 3-D factor pair")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "A", A)
 
     @property
     def rank(self) -> int:
-        return self.B.shape[1]
+        return self.B.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.B.shape[0]
+        return self.B.shape[-2]
 
     @property
     def in_dim(self) -> int:
-        return self.A.shape[1]
+        return self.A.shape[-1]
 
     def clone(self) -> "LoRAAdapter":
         return LoRAAdapter(self.layer_id, self.B.copy(), self.A.copy())
@@ -63,6 +70,10 @@ class AdapterSet:
 
     The nominal rank is capped per layer at min(h1, h2); layers too small to
     host the full rank carry a full-rank adapter for their size instead.
+
+    A set whose factors all carry a leading client axis holds one adapter set
+    per client, as a group of clients trains them: ``stacked(c)`` makes ``c``
+    copies of a set, ``client(i)`` takes client ``i``'s slice back out.
     """
 
     adapters: tuple
@@ -99,28 +110,17 @@ class AdapterSet:
     def shapes(self):
         return [(a.out_dim, a.in_dim) for a in self.adapters]
 
+    def stacked(self, c: int) -> "AdapterSet":
+        """``c`` copies of this set stacked along a leading client axis."""
+        return AdapterSet(tuple(
+            LoRAAdapter(a.layer_id, np.repeat(a.B[np.newaxis], c, axis=0),
+                        np.repeat(a.A[np.newaxis], c, axis=0))
+            for a in self.adapters), self.nominal_rank)
 
-class FactorStack:
-    """The adapters of a group of clients, stacked along a leading client axis.
-
-    ``B[l]`` is [C, h1, r] and ``A[l]`` is [C, r, h2]; slice ``i`` belongs to
-    ``client_ids[i]``. Every slice starts as a copy of the same adapter set,
-    and local training updates the stacks in place. ``adapter_set(i)`` is the
-    validated per-client result that crosses to the server.
-    """
-
-    def __init__(self, adapters: AdapterSet, client_ids):
-        self.client_ids = tuple(client_ids)
-        self.layer_ids = tuple(a.layer_id for a in adapters)
-        self.nominal_rank = adapters.nominal_rank
-        c = len(self.client_ids)
-        self.B = [np.repeat(a.B[np.newaxis], c, axis=0) for a in adapters]
-        self.A = [np.repeat(a.A[np.newaxis], c, axis=0) for a in adapters]
-
-    def adapter_set(self, i: int) -> AdapterSet:
-        return AdapterSet(tuple(LoRAAdapter(lid, B[i], A[i]) for lid, B, A
-                                in zip(self.layer_ids, self.B, self.A)),
-                          self.nominal_rank)
+    def client(self, i: int) -> "AdapterSet":
+        """Client ``i``'s adapter set from a client-stacked one."""
+        return AdapterSet(tuple(LoRAAdapter(a.layer_id, a.B[i], a.A[i])
+                                for a in self.adapters), self.nominal_rank)
 
 
 def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng,
@@ -236,10 +236,13 @@ class RankSchedule:
 
 
 def save_adapters(path, adapter_set: AdapterSet) -> None:
-    """Write the binary adapter checkpoint (bit-exact round trip)."""
+    """Write the binary adapter checkpoint (bit-exact round trip): magic;
+    version, layer count, nominal rank; (h1, h2, r) per layer, all u32; then
+    each layer's B and A as float64, all little-endian."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(adapter_set)))
+        fh.write(struct.pack("<III", CHECKPOINT_VERSION, len(adapter_set),
+                             adapter_set.nominal_rank))
         for a in adapter_set:
             fh.write(struct.pack("<III", a.out_dim, a.in_dim, a.rank))
         for a in adapter_set:
@@ -269,8 +272,9 @@ def load_adapters(path) -> AdapterSet:
     if magic != CHECKPOINT_MAGIC:
         raise ParameterError(f"bad checkpoint magic: {magic!r}")
     version, count = struct.unpack("<II", take(8))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ParameterError(f"unsupported checkpoint version: {version}")
+    nominal = struct.unpack("<I", take(4))[0] if version == 2 else None
     if count < 1:
         raise ParameterError("checkpoint holds no adapters")
     dims = [struct.unpack("<III", take(12)) for _ in range(count)]
@@ -284,7 +288,8 @@ def load_adapters(path) -> AdapterSet:
     if pos != len(data):
         raise ParameterError(
             f"trailing checkpoint bytes: {len(data) - pos} after {count} layers")
-    # Nominal rank is not stored; the largest per-layer rank recovers it
-    # whenever at least one layer is uncapped.
-    nominal = max(a.rank for a in adapters)
+    if nominal is None:
+        # Version 1 does not store the nominal rank; the largest per-layer
+        # rank recovers it whenever at least one layer is uncapped.
+        nominal = max(a.rank for a in adapters)
     return AdapterSet(tuple(adapters), nominal)

@@ -12,12 +12,14 @@ logit distillation) operate on the dense product ``B @ A`` so that anchors
 computed at one rank remain comparable after a rank change.
 
 The training kernels are shape-agnostic: a batch is [n, d] for one client or
-[C, n, d] for a group of clients stacked along a leading axis (adapter
-factors then come as a ``FactorStack``, full-model weights as [C, h1, h2]).
-Every product and reduction acts on the two trailing axes, so each client's
-slice of a stacked result equals, bit for bit, what the same call computes
-for that client alone; losses and penalties come back as one value per
-client.
+[C, n, d] for a group of clients stacked along a leading axis (the adapter
+set is then client-stacked too, see ``AdapterSet.stacked``, and full-model
+weights are [C, h1, h2]). Every product and reduction acts on the two
+trailing axes, so each client's slice of a stacked result equals, bit for
+bit, what the same call computes for that client alone; losses and
+penalties come back as one value per client. One backward walk
+(``_backward``) serves every gradient: factor, full-weight and bias
+gradients and the per-sample importance statistics are folds over it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InvariantError, NumericError, ParameterError, ShapeError
-from .lora import AdapterSet, DenseDelta, FactorStack
+from .lora import AdapterSet, DenseDelta
 from .numerics import Matrix, Rng, as_matrix, softmax, softmax_cross_entropy
 
 
@@ -61,10 +63,6 @@ class FrozenBase:
             w.flags.writeable = False
         for b in self.biases:
             b.flags.writeable = False
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
 
     @property
     def input_dim(self) -> int:
@@ -132,10 +130,13 @@ class ImportanceEstimate:
 # ---------------------------------------------------------------------------
 
 def _as_batch(x) -> np.ndarray:
-    """A batch as float64 [n, d], or [C, n, d] for a client-stacked group."""
+    """A non-empty batch as float64 [n, d], or [C, n, d] for a client-stacked
+    group."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ShapeError(f"x must be [n, d] or client-stacked [C, n, d], got {x.shape}")
+    if x.shape[-2] == 0:
+        raise InputError("empty batch")
     return x
 
 
@@ -146,14 +147,12 @@ def _rows(x: np.ndarray) -> int:
 
 def _layer_deltas(n: int, adapters):
     """Normalize the adapter argument to per-layer items and their kind:
-    ``(B, A)`` factor pairs from an AdapterSet or FactorStack, dense updates
-    from a per-layer list, or nothing."""
+    ``(B, A)`` factor pairs from an AdapterSet (client-stacked or not), dense
+    updates from a per-layer list, or nothing."""
     if adapters is None:
         return [None] * n, None
     if isinstance(adapters, AdapterSet):
         items, kind = [(a.B, a.A) for a in adapters], "factor"
-    elif isinstance(adapters, FactorStack):
-        items, kind = list(zip(adapters.B, adapters.A)), "factor"
     else:
         items, kind = [as_matrix(d, "delta") for d in adapters], "dense"
     if len(items) != n:
@@ -162,9 +161,10 @@ def _layer_deltas(n: int, adapters):
 
 
 class _Cache:
-    __slots__ = ("hs", "hA", "kind", "items")
+    __slots__ = ("weights", "hs", "hA", "kind", "items")
 
-    def __init__(self, hs, hA, kind, items):
+    def __init__(self, weights, hs, hA, kind, items):
+        self.weights = weights
         self.hs = hs        # post-activation per layer, hs[0] = input
         self.hA = hA        # cached h @ A.T per layer (factor path only)
         self.kind = kind
@@ -174,9 +174,9 @@ class _Cache:
 def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
     """Forward pass over the layer stack ``weights``/``biases`` (the frozen
     base, or the trainable weights of the full-model path) plus adapters."""
+    x = _as_batch(x)
     n_layers = len(weights)
     items, kind = _layer_deltas(n_layers, adapters)
-    x = _as_batch(x)
     if x.shape[-1] != weights[0].shape[-1]:
         raise ShapeError(f"input dim {x.shape[-1]} != base input dim {weights[0].shape[-1]}")
     h = x
@@ -198,7 +198,7 @@ def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
             _count(counter, n * item.shape[0] * item.shape[1])
         h = np.tanh(z) if l < n_layers - 1 else z
         hs.append(h)
-    return _Cache(hs, hA, kind, items)
+    return _Cache(weights, hs, hA, kind, items)
 
 
 def forward(base: FrozenBase, adapters, x: Matrix, counter=None):
@@ -207,54 +207,45 @@ def forward(base: FrozenBase, adapters, x: Matrix, counter=None):
     return cache.hs[-1], cache.hs[1:]
 
 
-def _backward_factor(base: FrozenBase, cache: _Cache, dz_last, counter=None):
-    """Gradients w.r.t. (B, A) per layer for a loss with logit gradient dz_last."""
-    grads = [None] * base.num_layers
-    dz = dz_last
-    n = _rows(dz)
-    for l in reversed(range(base.num_layers)):
-        h_prev = cache.hs[l]
-        B, A = cache.items[l]
-        r, out_dim, in_dim = B.shape[-1], B.shape[-2], A.shape[-1]
-        dzB = dz @ B
-        gB = dz.swapaxes(-1, -2) @ cache.hA[l]
-        gA = dzB.swapaxes(-1, -2) @ h_prev
-        _count(counter, n * r * (2 * out_dim + in_dim))
-        grads[l] = (gB, gA)
-        if l > 0:
-            dh = dz @ base.weights[l] + dzB @ A
-            _count(counter, n * out_dim * in_dim + n * r * in_dim)
-            dz = dh * (1.0 - cache.hs[l] ** 2)
-    return grads
+def _backward(cache: _Cache, dz, fold, counter=None):
+    """Carry the logit error ``dz`` back through every layer, last to first.
 
-
-def _backward_per_sample_stats(base: FrozenBase, cache: _Cache, dz0: Matrix,
-                               combine):
-    """Fold per-sample dense-update gradients layer by layer.
-
-    For row-independent losses the per-sample gradient of the dense update of
-    layer ``l`` is the outer product of that sample's logit-side error row and
-    its input-side activation row, so elementwise statistics factorize and
-    ``combine(dz, h_prev)`` can evaluate them without materializing each outer
-    product.
+    At each layer ``fold(l, dz, dzB)`` turns the error at that layer's output
+    into what the caller needs; ``dzB`` is ``dz @ B`` on the factor path and
+    None otherwise. The error passes to the layer below through the
+    effective weight: ``dz @ W`` without adapters, ``dz @ W + (dz @ B) @ A``
+    for a factor pair, ``dz @ (W + D)`` for a dense update ``D``. Returns the
+    folds' results in layer order.
     """
-    stats = [None] * base.num_layers
-    dz = dz0
-    for l in reversed(range(base.num_layers)):
-        h_prev = cache.hs[l]
-        stats[l] = combine(dz, h_prev)
+    n = _rows(dz)
+    out = [None] * len(cache.weights)
+    for l in reversed(range(len(cache.weights))):
+        w, item = cache.weights[l], cache.items[l]
+        dzB = dz @ item[0] if cache.kind == "factor" else None
+        out[l] = fold(l, dz, dzB)
         if l > 0:
-            item = cache.items[l]
-            w_eff = base.weights[l]
+            _count(counter, n * w.shape[-2] * w.shape[-1])
             if cache.kind == "factor":
-                B, A = item
-                dh = dz @ w_eff + (dz @ B) @ A
+                dh = dz @ w + dzB @ item[1]
+                _count(counter, n * item[1].shape[-2] * item[1].shape[-1])
             elif cache.kind == "dense":
-                dh = dz @ (w_eff + item)
+                dh = dz @ (w + item)
             else:
-                dh = dz @ w_eff
+                dh = dz @ w
             dz = dh * (1.0 - cache.hs[l] ** 2)
-    return stats
+    return out
+
+
+def _factor_grads(cache: _Cache, dz, counter=None):
+    """Gradients w.r.t. (B, A) per layer for a loss with logit gradient ``dz``."""
+    n = _rows(dz)
+
+    def fold(l, dz, dzB):
+        r, out_dim, in_dim = dzB.shape[-1], dz.shape[-1], cache.hs[l].shape[-1]
+        _count(counter, n * r * (2 * out_dim + in_dim))
+        return dz.swapaxes(-1, -2) @ cache.hA[l], dzB.swapaxes(-1, -2) @ cache.hs[l]
+
+    return _backward(cache, dz, fold, counter)
 
 
 def _task_loss(logits, y, task: str):
@@ -271,18 +262,13 @@ def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
                               student: _Cache | None = None):
     """Mean supervised loss and analytic adapter-factor gradients.
 
-    ``adapters`` is an AdapterSet for an [n, d] batch or a FactorStack for a
-    client-stacked one. ``student`` reuses a forward pass of ``adapters`` on
-    ``x`` that the caller already made.
+    ``adapters`` is an AdapterSet, client-stacked for a client-stacked batch;
+    ``student`` reuses a forward pass of it on ``x`` that the caller made.
     """
     if student is None:
-        x = _as_batch(x)
-        if x.shape[-2] == 0:
-            raise InputError("empty batch")
         student = _forward_cache(base.weights, base.biases, adapters, x, counter)
     loss, dz = _task_loss(student.hs[-1], y, task)
-    grads = _backward_factor(base, student, dz, counter)
-    return loss, grads
+    return loss, _factor_grads(student, dz, counter)
 
 
 def _binary_cross_entropy(logits, targets):
@@ -310,41 +296,45 @@ def _sigmoid(z):
 # Importance estimation
 # ---------------------------------------------------------------------------
 
-def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
-                 task: str = "multiclass") -> ImportanceEstimate:
-    """Diagonal Fisher proxy: mean squared per-sample dense-update gradient."""
+def _importance(base: FrozenBase, adapters_at_anchor, x, logit_error,
+                combine) -> ImportanceEstimate:
+    """Mean over the samples of ``combine(g, h)`` per layer.
+
+    For row-independent losses the per-sample gradient of layer ``l``'s dense
+    update is the outer product of that sample's output-side error row ``g``
+    and its input-side activation row ``h``, so elementwise statistics
+    factorize and ``combine`` evaluates them without materializing each
+    outer product. ``logit_error`` maps the logits to the error at the output.
+    """
     x = as_matrix(x, "x")
     n = x.shape[0]
     if n == 0:
         raise InputError("empty shard")
     cache = _forward_cache(base.weights, base.biases, adapters_at_anchor, x)
-    logits = cache.hs[-1]
-    if task == "multiclass":
-        dz = softmax(logits)
-        dz[np.arange(n), np.asarray(y)] -= 1.0
-    else:
-        dz = _sigmoid(logits) - np.asarray(y, dtype=np.float64)
-    stats = _backward_per_sample_stats(
-        base, cache, dz,
-        lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2) / n,
-    )
+    dz = logit_error(cache.hs[-1])
+    stats = _backward(cache, dz, lambda l, g, _: combine(g, cache.hs[l]) / n)
     return ImportanceEstimate(tuple(stats))
+
+
+def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
+                 task: str = "multiclass") -> ImportanceEstimate:
+    """Diagonal Fisher proxy: mean squared per-sample dense-update gradient."""
+    def logit_error(logits):
+        if task == "multiclass":
+            dz = softmax(logits)
+            dz[np.arange(len(logits)), np.asarray(y)] -= 1.0
+            return dz
+        return _sigmoid(logits) - np.asarray(y, dtype=np.float64)
+
+    return _importance(base, adapters_at_anchor, x, logit_error,
+                       lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2))
 
 
 def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x,
                             y=None) -> ImportanceEstimate:
     """Update-magnitude importance: mean |gradient of squared output norm|."""
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    if n == 0:
-        raise InputError("empty shard")
-    cache = _forward_cache(base.weights, base.biases, adapters_at_anchor, x)
-    dz = 2.0 * cache.hs[-1]
-    stats = _backward_per_sample_stats(
-        base, cache, dz,
-        lambda g, h: np.einsum("ni,nj->ij", np.abs(g), np.abs(h)) / n,
-    )
-    return ImportanceEstimate(tuple(stats))
+    return _importance(base, adapters_at_anchor, x, lambda logits: 2.0 * logits,
+                       lambda g, h: np.einsum("ni,nj->ij", np.abs(g), np.abs(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +347,7 @@ def quadratic_penalty(adapters, anchor: DenseDelta,
 
     The EWC and MAS penalties share this form; they differ only in the
     importance matrices ``I`` (Fisher proxy vs. update magnitude). For a
-    FactorStack the importances are stacked per client as well.
+    client-stacked set the importances are stacked per client as well.
     """
     items, _ = _layer_deltas(len(anchor), adapters)
     penalty = 0.0
@@ -380,19 +370,15 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
     distributions; gradients flow to the student adapters only. ``student``
     reuses a forward pass of ``adapters_student`` on ``x``.
     """
-    x = _as_batch(x)
-    n = x.shape[-2]
-    if n == 0:
-        raise InputError("empty batch")
     t_logits = _forward_cache(base.weights, base.biases, teacher, x).hs[-1]
     if student is None:
         student = _forward_cache(base.weights, base.biases, adapters_student, x)
     s_logits = student.hs[-1]
     if t_logits.shape != s_logits.shape:
         raise ShapeError(
-            f"teacher outputs {t_logits.shape} != student outputs {s_logits.shape}"
-        )
+            f"teacher outputs {t_logits.shape} != student outputs {s_logits.shape}")
     tau = temperature
+    n, L = s_logits.shape[-2:]
     if task == "multiclass":
         t = softmax(t_logits / tau)
         s_shift = s_logits / tau
@@ -401,13 +387,11 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
         penalty = mu * np.mean(-np.sum(t * log_s, axis=-1), axis=-1)
         dz = mu * (softmax(s_logits / tau) - t) / (n * tau)
     else:
-        L = s_logits.shape[-1]
         t = _sigmoid(t_logits / tau)
         z = s_logits / tau
         penalty = mu * _mean_per_client(np.logaddexp(0.0, z) - t * z)
         dz = mu * (_sigmoid(z) - t) / (n * L * tau)
-    grads = _backward_factor(base, student, dz)
-    return penalty, grads
+    return penalty, _factor_grads(student, dz)
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +410,6 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     supervised loss alone. Penalty gradients are added into the supervised
     ones in place.
     """
-    x = _as_batch(x)
-    if x.shape[-2] == 0:
-        raise InputError("empty batch")
     student = _forward_cache(base.weights, base.biases, adapters, x, counter)
     loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter,
                                             student=student)
@@ -453,21 +434,23 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     return loss, grads
 
 
-def sgd_step(stack: FactorStack, grads, eta: float) -> None:
-    """One gradient-descent step on every factor of the stack, in place.
+def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
+    """One gradient-descent step on every factor of a client-stacked set, in place.
 
-    A non-finite gradient raises ``NumericError`` naming the first offending
-    client and its first offending layer; the stack is then left unchanged.
+    ``client_ids`` name the set's client slices in order. A non-finite
+    gradient raises ``NumericError`` naming the first offending client and
+    its first offending layer; the set is then left unchanged.
     """
     if eta < 0:
         raise ParameterError(f"learning rate must be >= 0, got {eta}")
     if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
-        for i, cid in enumerate(stack.client_ids):
-            for lid, (gB, gA) in zip(stack.layer_ids, grads):
+        for i, cid in enumerate(client_ids):
+            for a, (gB, gA) in zip(adapters, grads):
                 if not (np.isfinite(gB[i]).all() and np.isfinite(gA[i]).all()):
                     raise NumericError(
-                        f"client {cid}: non-finite gradient at layer {lid}")
-    for B, A, (gB, gA) in zip(stack.B, stack.A, grads):
+                        f"client {cid}: non-finite gradient at layer {a.layer_id}")
+    for a, (gB, gA) in zip(adapters, grads):
+        B, A = a.B, a.A
         B -= eta * gB
         A -= eta * gA
 
@@ -484,21 +467,13 @@ def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
     weights [C, h1, h2] and biases [C, h1] train C client models on a
     client-stacked [C, n, d] batch.
     """
-    x = _as_batch(x)
-    if x.shape[-2] == 0:
-        raise InputError("empty batch")
-    n = _rows(x)
-    hs = _forward_cache(weights, biases, None, x, counter).hs
-    L = len(weights)
-    loss, dz = _task_loss(hs[-1], y, task)
-    w_grads, b_grads = [None] * L, [None] * L
-    for l in reversed(range(L)):
-        size = weights[l].shape[-2] * weights[l].shape[-1]
-        w_grads[l] = dz.swapaxes(-1, -2) @ hs[l]
-        b_grads[l] = dz.sum(axis=-2)
-        _count(counter, n * size)
-        if l > 0:
-            dh = dz @ weights[l]
-            _count(counter, n * size)
-            dz = dh * (1.0 - hs[l] ** 2)
+    cache = _forward_cache(weights, biases, None, x, counter)
+    n = _rows(cache.hs[0])
+    loss, dz = _task_loss(cache.hs[-1], y, task)
+
+    def fold(l, dz, _):
+        _count(counter, n * weights[l].shape[-2] * weights[l].shape[-1])
+        return dz.swapaxes(-1, -2) @ cache.hs[l], dz.sum(axis=-2)
+
+    w_grads, b_grads = zip(*_backward(cache, dz, fold, counter))
     return loss, w_grads, b_grads

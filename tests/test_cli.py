@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -59,6 +60,30 @@ class TestConfigFile:
         path.write_text(config_text(cfg))
         again = load_config(path)
         assert again == cfg
+
+    def test_every_field_round_trips(self, tmp_path):
+        values = dict(
+            mode="fedavg-full", seed=11, rounds=9, local_epochs=3, eta=0.25,
+            eta_decay=0.95, batch_size=7, participation=0.5, count_ops=True,
+            r_init=6, r_min=3, subtractor=1, theta=0.8, lam=0.25, cooldown=3.5,
+            reinit="gaussian", aggregation="dense", cl_method="mas", mu1=0.5,
+            mu2=0.125, lwf_temperature=2.5, task="multilabel", classes=6,
+            dim=12, n_per_class=50, separation=1.5, scheme="overlap",
+            classes_per_client=3, shared_classes=1, num_clients=4, num_labels=5,
+            n_samples=600, multilabel_skew=0.75, csv_path="data/points.csv",
+            label_column="target", hidden=(24, 12), sigma_init=0.05,
+            pretrain_epochs=10, pretrain_eta=0.1, pretrain_batch=16,
+            probe_samples=64, bytes_per_param=2,
+        )
+        default = RunConfig()
+        assert sorted(values) == sorted(f.name for f in fields(RunConfig))
+        assert all(v != getattr(default, k) for k, v in values.items())
+        cfg = RunConfig(**values).validate()
+        path = tmp_path / "all.cfg"
+        path.write_text(config_text(cfg))
+        again = load_config(path)
+        assert again == cfg
+        assert all(type(getattr(again, k)) is type(v) for k, v in values.items())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

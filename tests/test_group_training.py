@@ -15,7 +15,7 @@ from rankfed.config import RunConfig
 from rankfed.errors import InputError, NumericError
 from rankfed.harness import (_full_model_sgd, _FullModelRounds, build_base,
                              build_dataset, build_partition)
-from rankfed.lora import AdapterSet, FactorStack, LoRAAdapter, init_adapter_set
+from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import CLConfig, OpCounter, random_base, sgd_step, total_local_loss
 from rankfed.numerics import Rng
 
@@ -164,14 +164,14 @@ def test_poisoned_client_loss_names_that_client():
 
 def test_poisoned_gradient_names_first_offending_client_and_layer():
     states, adapters, _ = make_group(CLConfig("none"))
-    stack = FactorStack(adapters, [4, 7, 9])
-    grads = [(np.zeros_like(B), np.zeros_like(A)) for B, A in zip(stack.B, stack.A)]
+    stack = adapters.stacked(3)
+    grads = [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in stack]
     grads[2][1][1, 0, 0] = np.inf   # client 7, layer 2
     grads[1][0][2, 0, 0] = np.nan   # client 9, layer 1
-    before = [B.copy() for B in stack.B]
+    before = [a.B.copy() for a in stack]
     with pytest.raises(NumericError, match=r"client 7: non-finite gradient at layer 2"):
-        sgd_step(stack, grads, 0.1)
-    assert all(np.array_equal(a, b) for a, b in zip(before, stack.B))
+        sgd_step(stack, grads, 0.1, [4, 7, 9])
+    assert all(np.array_equal(b, a.B) for b, a in zip(before, stack))
 
 
 def test_group_needs_equal_shards():

@@ -220,12 +220,36 @@ class TestCheckpoint:
         save_adapters(path, s)
         raw = path.read_bytes()
         assert raw[:4] == b"SPDL"
-        assert int.from_bytes(raw[4:8], "little") == 1   # version
+        assert int.from_bytes(raw[4:8], "little") == 2   # version
         assert int.from_bytes(raw[8:12], "little") == 1  # layer count
-        assert int.from_bytes(raw[12:16], "little") == 3  # h1
-        assert int.from_bytes(raw[16:20], "little") == 2  # h2
-        assert int.from_bytes(raw[20:24], "little") == 2  # r
-        assert len(raw) == 24 + 8 * (3 * 2 + 2 * 2)
+        assert int.from_bytes(raw[12:16], "little") == 2  # nominal rank
+        assert int.from_bytes(raw[16:20], "little") == 3  # h1
+        assert int.from_bytes(raw[20:24], "little") == 2  # h2
+        assert int.from_bytes(raw[24:28], "little") == 2  # r
+        assert len(raw) == 28 + 8 * (3 * 2 + 2 * 2)
+
+    def test_nominal_rank_of_capped_layers_round_trips(self, rng, tmp_path):
+        # every layer is capped below rank 8, so the per-layer ranks alone
+        # would give back rank 3
+        s = init_adapter_set([(3, 2), (4, 3)], 8, 0.02, rng)
+        path = tmp_path / "capped.ckpt"
+        save_adapters(path, s)
+        loaded = load_adapters(path)
+        assert loaded.nominal_rank == 8
+        assert [a.rank for a in loaded] == [2, 3]
+
+    def test_version_1_file_loads_with_max_rank(self, rng, tmp_path):
+        s = init_adapter_set([(3, 2), (6, 5)], 4, 0.02, rng)
+        path = tmp_path / "v1.ckpt"
+        save_adapters(path, s)
+        raw = path.read_bytes()
+        # version 1: the same layout without the nominal-rank field
+        path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:12] + raw[16:])
+        loaded = load_adapters(path)
+        assert loaded.nominal_rank == 4
+        for a, b in zip(s, loaded):
+            assert a.B.tobytes() == b.B.tobytes()
+            assert a.A.tobytes() == b.A.tobytes()
 
 
 class TestAdapterSetInvariants:

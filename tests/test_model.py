@@ -4,7 +4,7 @@ import pytest
 from conftest import fd_factor_grads, make_model, max_rel_err
 
 from rankfed.errors import InputError, InvariantError, NumericError, ParameterError
-from rankfed.lora import AdapterSet, FactorStack, LoRAAdapter, init_adapter_set
+from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate,
                            estimate_fim, estimate_mas_importance, forward,
                            full_loss_and_grads, lwf_penalty, quadratic_penalty,
@@ -152,9 +152,11 @@ class TestImportanceEstimates:
         fim = estimate_fim(base, adapters, x, y)
         assert all(np.all(m >= 0) for m in fim.matrices)
 
-    def test_fim_single_sample_is_squared_gradient(self, rng):
+    @pytest.mark.parametrize("anchor", ["factors", "dense"])
+    def test_fim_single_sample_is_squared_gradient(self, rng, anchor):
         base, adapters, x, y = make_model(rng, batch=1)
-        fim = estimate_fim(base, adapters, x, y)
+        at = adapters if anchor == "factors" else adapters.dense()
+        fim = estimate_fim(base, at, x, y)
         dense = adapters.dense()
         step = 1e-6
 
@@ -180,9 +182,11 @@ class TestImportanceEstimates:
         imp = estimate_mas_importance(base, adapters, x)
         assert all(np.array_equal(m, np.zeros_like(m)) for m in imp.matrices)
 
-    def test_mas_single_sample_matches_fd(self, rng):
+    @pytest.mark.parametrize("anchor", ["factors", "dense"])
+    def test_mas_single_sample_matches_fd(self, rng, anchor):
         base, adapters, x, _ = make_model(rng, batch=1)
-        imp = estimate_mas_importance(base, adapters, x)
+        at = adapters if anchor == "factors" else adapters.dense()
+        imp = estimate_mas_importance(base, at, x)
         dense = adapters.dense()
         step = 1e-6
 
@@ -306,9 +310,9 @@ class TestTotalLocalLoss:
 
 def sgd_alone(adapters, grads, eta):
     """``sgd_step`` on a stack of one client; returns the stepped adapters."""
-    stack = FactorStack(adapters, [0])
-    sgd_step(stack, [(gB[np.newaxis], gA[np.newaxis]) for gB, gA in grads], eta)
-    return stack.adapter_set(0)
+    stack = adapters.stacked(1)
+    sgd_step(stack, [(gB[np.newaxis], gA[np.newaxis]) for gB, gA in grads], eta, [0])
+    return stack.client(0)
 
 
 class TestSgdStep:
