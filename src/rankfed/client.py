@@ -6,13 +6,17 @@ plasticity regularizers, and returns the updated adapters. All randomness
 (mini-batch order) comes from a labeled sub-stream of the client's RNG keyed
 by round and epoch, so results are independent of scheduling.
 
-Clients with equal shard sizes train together: ``local_train`` stacks their
-shards along a leading client axis, copies the global adapters into a
-client-stacked ``AdapterSet`` and takes every mini-batch step for the whole
-group at once. Each client's slice is computed exactly as it would be alone,
-so a client's result does not depend on which group it trains in.
-``sgd_epochs`` is the one mini-batch epoch loop, shared with the full-weight
-FedAvg groups and base pretraining.
+A ``ClientState`` holds only what is the client's own: its shard, its stream
+and its importance cache. The frozen base is an argument, and the regularizer
+and task are stated once for every client in ``LocalTrainConfig``.
+
+Clients with equal shard sizes train together: ``group_sgd`` stacks their
+shards along a leading client axis, draws each client's batch order and runs
+``sgd_epochs``, the one mini-batch epoch loop, with a step that trains the
+whole group at once. ``local_train`` steps a client-stacked ``AdapterSet``;
+the full-weight FedAvg groups step client-stacked weights through the same
+path. Each client's slice is computed exactly as it would be alone, so a
+client's result does not depend on which group it trains in.
 """
 
 from __future__ import annotations
@@ -31,15 +35,12 @@ from .numerics import Rng, take_rows
 
 @dataclass
 class ClientState:
-    """One client's shard, regularizer configuration, and cached importances."""
+    """One client's shard, random stream, and cached importances."""
 
     client_id: int
-    base: FrozenBase
     features: np.ndarray
     labels: np.ndarray
-    cl: CLConfig
     rng: Rng
-    task: str = "multiclass"
     importance: ImportanceEstimate | None = None
     importance_phase: int | None = None
 
@@ -58,6 +59,8 @@ class LocalTrainConfig:
     eta: float
     batch_size: int
     round_index: int = 0
+    cl: CLConfig = CLConfig()
+    task: str = "multiclass"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -69,20 +72,22 @@ class LocalTrainConfig:
 
 
 def refresh_importances(state: ClientState, base: FrozenBase,
-                        anchor_configuration, phase: int) -> ClientState:
+                        anchor_configuration, phase: int,
+                        config: LocalTrainConfig) -> ClientState:
     """Estimate and cache importance matrices once per (client, phase).
 
     ``anchor_configuration`` is the adapter configuration (AdapterSet or dense
-    per-layer update) the estimates are evaluated at. Repeat calls within the
-    same phase return the cached values unchanged. Distillation needs no
-    importance matrices, so only the quadratic methods populate the cache.
+    per-layer update) the estimates are evaluated at; ``config`` names the
+    regularizer and the task. Repeat calls within the same phase return the
+    cached values unchanged. Distillation needs no importance matrices, so
+    only the quadratic methods populate the cache.
     """
     if state.importance_phase == phase:
         return state
-    if state.cl.method == "ewc":
+    if config.cl.method == "ewc":
         state.importance = estimate_fim(base, anchor_configuration,
-                                        state.features, state.labels, state.task)
-    elif state.cl.method == "mas":
+                                        state.features, state.labels, config.task)
+    elif config.cl.method == "mas":
         state.importance = estimate_mas_importance(base, anchor_configuration,
                                                    state.features)
     else:
@@ -97,14 +102,6 @@ def _stacked_importance(states) -> ImportanceEstimate | None:
         return None
     per_layer = zip(*(s.importance.matrices for s in states))
     return ImportanceEstimate(tuple(np.stack(ms) for ms in per_layer))
-
-
-def batch_orders(rngs, round_index: int, epochs: int, n: int):
-    """Each epoch's mini-batch order for a group of clients, as [C, n]: one
-    permutation per client from its stream's (round, epoch) sub-stream."""
-    for epoch in range(epochs):
-        yield np.stack([rng.substream("round", round_index, "epoch", epoch,
-                                      "shuffle").permutation(n) for rng in rngs])
 
 
 def sgd_epochs(step, x, y, batch_size: int, orders):
@@ -126,39 +123,51 @@ def sgd_epochs(step, x, y, batch_size: int, orders):
     return epoch_losses
 
 
-def local_train(states, global_adapters: AdapterSet,
-                stability_anchor: DenseDelta | None, config: LocalTrainConfig,
-                counter: OpCounter | None = None):
-    """Run E local epochs for a group of clients from the distributed adapters.
+def group_sgd(states, step, config: LocalTrainConfig):
+    """Run ``config.epochs`` epochs of ``step`` for a group of clients.
 
-    ``states`` are clients with equal shard sizes, sharing one base, task and
-    regularizer configuration; a single client is a group of one. Each step
-    trains every client of the group on its own mini-batch as one stacked
-    computation. The plasticity anchor is the dense form of the incoming
-    global adapters, held fixed for the whole round. Returns
-    ``(adapters, epoch_losses)``: per client, in the order of ``states``, the
-    resulting AdapterSet and the mean total loss of each epoch.
+    ``states`` must have equal shard sizes. Their shards are stacked along a
+    leading client axis, and each epoch every client draws its own batch
+    order from its stream's (round, epoch) sub-stream; ``step`` trains the
+    whole group on one stacked mini-batch (see ``sgd_epochs``). Returns each
+    client's mean loss per epoch, in the order of ``states``.
     """
-    first = states[0]
-    n = first.shard_size
+    n = states[0].shard_size
     for s in states:
         if s.shard_size != n:
             raise InputError(f"client {s.client_id}: shard size {s.shard_size} "
                              f"!= group shard size {n}")
-        if s.base is not first.base or (s.cl, s.task) != (first.cl, first.task):
-            raise InputError(f"client {s.client_id}: base, regularizer or task "
-                             "differs from the rest of its group")
-    ids = [s.client_id for s in states]
     features = np.stack([s.features for s in states])
     labels = np.stack([s.labels for s in states])
+    orders = (np.stack([s.rng.substream("round", config.round_index, "epoch",
+                                        epoch, "shuffle").permutation(n)
+                        for s in states])
+              for epoch in range(config.epochs))
+    epoch_losses = sgd_epochs(step, features, labels, config.batch_size, orders)
+    return [[float(e[i]) for e in epoch_losses] for i in range(len(states))]
+
+
+def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
+                stability_anchor: DenseDelta | None, config: LocalTrainConfig,
+                counter: OpCounter | None = None):
+    """Run E local epochs for a group of clients from the distributed adapters.
+
+    ``states`` are clients with equal shard sizes; a single client is a group
+    of one. Each step trains every client of the group on its own mini-batch
+    as one stacked computation. The plasticity anchor is the dense form of
+    the incoming global adapters, held fixed for the whole round. Returns
+    ``(adapters, epoch_losses)``: per client, in the order of ``states``, the
+    resulting AdapterSet and the mean total loss of each epoch.
+    """
+    ids = [s.client_id for s in states]
     importance = _stacked_importance(states)
     adapters = global_adapters.stacked(len(states))
-    plasticity_anchor = global_adapters.dense() if first.cl.active else None
+    plasticity_anchor = global_adapters.dense() if config.cl.active else None
 
     def step(epoch, x, y):
         loss, grads = total_local_loss(
-            first.base, adapters, x, y, stability_anchor, plasticity_anchor,
-            importance, first.cl, first.task, counter,
+            base, adapters, x, y, stability_anchor, plasticity_anchor,
+            importance, config.cl, config.task, counter,
         )
         finite = np.isfinite(loss)
         if not finite.all():
@@ -169,8 +178,5 @@ def local_train(states, global_adapters: AdapterSet,
         sgd_step(adapters, grads, config.eta, ids)
         return loss
 
-    orders = batch_orders([s.rng for s in states], config.round_index,
-                          config.epochs, n)
-    epoch_losses = sgd_epochs(step, features, labels, config.batch_size, orders)
-    return ([adapters.client(i) for i in range(len(states))],
-            [[float(e[i]) for e in epoch_losses] for i in range(len(states))])
+    epoch_losses = group_sgd(states, step, config)
+    return [adapters.client(i) for i in range(len(states))], epoch_losses

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .client import (ClientState, LocalTrainConfig, batch_orders, local_train,
+from .client import (ClientState, LocalTrainConfig, group_sgd, local_train,
                      refresh_importances, sgd_epochs)
 from .config import RunConfig
 from .data import (Dataset, PartitionPlan, dataset_from_arrays,
@@ -139,8 +139,8 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     biases = [b.copy() for b in init.biases]
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
-    _full_model_sgd(weights, biases, dataset.train_x, dataset.train_y,
-                    dataset.task, eta, batch_size, orders)
+    sgd_epochs(_full_model_step(weights, biases, dataset.task, eta),
+               dataset.train_x, dataset.train_y, batch_size, orders)
     return FrozenBase(tuple(weights), tuple(biases))
 
 
@@ -153,11 +153,9 @@ def build_base(config: RunConfig, dataset: Dataset, root: Rng) -> FrozenBase:
                          config.pretrain_batch, config.hidden)
 
 
-def _full_model_sgd(weights, biases, x, y, task, eta, batch_size, orders,
-                    counter=None):
-    """Mini-batch SGD on every weight and bias in place, one epoch per sample
-    order in ``orders`` (see ``sgd_epochs``); returns the mean loss of each
-    epoch. Weights [C, h1, h2] and biases [C, h1] train C client models on
+def _full_model_step(weights, biases, task, eta, counter=None):
+    """An ``sgd_epochs`` step that updates every weight and bias in place.
+    Weights [C, h1, h2] and biases [C, h1] train C client models on
     client-stacked shards."""
     def step(epoch, xb, yb):
         loss, w_grads, b_grads = full_loss_and_grads(weights, biases, xb, yb,
@@ -167,7 +165,7 @@ def _full_model_sgd(weights, biases, x, y, task, eta, batch_size, orders,
             b -= eta * gb
         return loss
 
-    return sgd_epochs(step, x, y, batch_size, orders)
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +220,19 @@ def _participants(config: RunConfig, rng: Rng, round_index: int):
     return sorted(int(c) for c in perm[:k])
 
 
+def _clients(config: RunConfig, root: Rng, dataset: Dataset,
+             plan: PartitionPlan, cl: CLConfig = CLConfig()):
+    """Every client's record (its shard of the training split and its stream)
+    and the local-training settings the clients share; the loop fills in
+    each round's index and learning rate."""
+    clients = [ClientState(client_id=cid, features=dataset.train_x[idx],
+                           labels=dataset.train_y[idx],
+                           rng=root.substream("client", cid))
+               for cid, idx in enumerate(plan.client_indices)]
+    return clients, LocalTrainConfig(config.local_epochs, config.eta,
+                                     config.batch_size, cl=cl, task=dataset.task)
+
+
 class _AdapterRounds:
     """LoRA modes: clients train adapters on the frozen base; the server
     aggregates them, tracks gradient consistency and drops the rank."""
@@ -244,19 +255,10 @@ class _AdapterRounds:
             reinit_sigma=config.sigma_init,
             reinit_rng=root.substream("reinit") if config.reinit == "gaussian" else None,
         )
-        self.clients = [
-            ClientState(
-                client_id=cid, base=base,
-                features=dataset.train_x[idx], labels=dataset.train_y[idx],
-                cl=cl, rng=root.substream("client", cid), task=dataset.task,
-            )
-            for cid, idx in enumerate(plan.client_indices)
-        ]
+        self.clients, self.local = _clients(config, root, dataset, plan, cl)
         n_val = len(dataset.val_x)
         probe_idx = root.substream("probe").permutation(n_val)[:min(config.probe_samples, n_val)]
         self.probe_x = dataset.val_x[probe_idx]
-        self.cl = cl
-        self.config = config
         self.base = base
 
     def param_count(self) -> int:
@@ -264,16 +266,14 @@ class _AdapterRounds:
 
     def train_group(self, cids, t: int, eta: float, counter):
         states, server = [self.clients[cid] for cid in cids], self.server
-        if self.cl.active and self.cl.method in ("ewc", "mas"):
+        config = dataclasses.replace(self.local, eta=eta, round_index=t)
+        if config.cl.active and config.cl.method in ("ewc", "mas"):
             anchor = server.accumulated if server.accumulated is not None else server.adapters
             for state in states:
-                refresh_importances(state, self.base, anchor, server.schedule.phase)
-        return local_train(
-            states, server.adapters, server.accumulated,
-            LocalTrainConfig(self.config.local_epochs, eta,
-                             self.config.batch_size, round_index=t),
-            counter,
-        )
+                refresh_importances(state, self.base, anchor,
+                                    server.schedule.phase, config)
+        return local_train(states, self.base, server.adapters,
+                           server.accumulated, config, counter)
 
     def close_round(self, results, weights):
         """Run the server round, then score each participant's adapters
@@ -326,28 +326,19 @@ class _FullModelRounds:
                  plan: PartitionPlan, base: FrozenBase):
         self.weights = [w.copy() for w in base.weights]
         self.biases = [b.copy() for b in base.biases]
-        self.shards = [(dataset.train_x[idx], dataset.train_y[idx])
-                       for idx in plan.client_indices]
-        self.rngs = [root.substream("client", cid)
-                     for cid in range(config.num_clients)]
-        self.config = config
-        self.task = dataset.task
+        self.clients, self.local = _clients(config, root, dataset, plan)
 
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def train_group(self, cids, t: int, eta: float, counter):
         c = len(cids)
-        x = np.stack([self.shards[cid][0] for cid in cids])
-        y = np.stack([self.shards[cid][1] for cid in cids])
         w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.weights]
         b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.biases]
-        orders = batch_orders([self.rngs[cid] for cid in cids], t,
-                              self.config.local_epochs, x.shape[1])
-        losses = _full_model_sgd(w, b, x, y, self.task, eta,
-                                 self.config.batch_size, orders, counter)
-        updates = [([m[i] for m in w], [v[i] for v in b]) for i in range(c)]
-        return updates, [[float(e[i]) for e in losses] for i in range(c)]
+        losses = group_sgd([self.clients[cid] for cid in cids],
+                           _full_model_step(w, b, self.local.task, eta, counter),
+                           dataclasses.replace(self.local, eta=eta, round_index=t))
+        return [([m[i] for m in w], [v[i] for v in b]) for i in range(c)], losses
 
     def close_round(self, results, weights):
         global_w = [np.zeros_like(m) for m in self.weights]

@@ -7,13 +7,16 @@ that trains one client on 2-D arrays with the same kernels, rebuilding its
 AdapterSet every step.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rankfed.client import ClientState, LocalTrainConfig, local_train, refresh_importances
+from rankfed.client import (ClientState, LocalTrainConfig, local_train,
+                            refresh_importances, sgd_epochs)
 from rankfed.config import RunConfig
 from rankfed.errors import InputError, NumericError
-from rankfed.harness import (_full_model_sgd, _FullModelRounds, build_base,
+from rankfed.harness import (_full_model_step, _FullModelRounds, build_base,
                              build_dataset, build_partition)
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import CLConfig, OpCounter, random_base, sgd_step, total_local_loss
@@ -24,8 +27,9 @@ CFG = LocalTrainConfig(epochs=2, eta=0.1, batch_size=8, round_index=3)
 
 
 def make_group(cl, task="multiclass", clients=3, n=20, seed=0):
-    """Clients with equal shards on one base, warm global adapters and a
-    stability anchor that differs from them."""
+    """Clients with equal shards on one base, the group's training settings,
+    warm global adapters and a stability anchor that differs from them."""
+    cfg = replace(CFG, cl=cl, task=task)
     root = Rng(seed)
     base = random_base(list(DIMS), root.substream("base"))
     states = []
@@ -36,8 +40,8 @@ def make_group(cl, task="multiclass", clients=3, n=20, seed=0):
             y = np.asarray(s.substream("y").integers(0, DIMS[-1], n))
         else:
             y = np.asarray(s.substream("y").integers(0, 2, (n, DIMS[-1])))
-        states.append(ClientState(client_id=cid, base=base, features=x, labels=y,
-                                  cl=cl, rng=root.substream("client", cid), task=task))
+        states.append(ClientState(client_id=cid, features=x, labels=y,
+                                  rng=root.substream("client", cid)))
     fresh = init_adapter_set(base.layer_shapes(), 3, 0.05, root.substream("adapters"))
     adapters = AdapterSet(tuple(
         LoRAAdapter(a.layer_id,
@@ -46,20 +50,20 @@ def make_group(cl, task="multiclass", clients=3, n=20, seed=0):
     anchor = [d + root.substream("sta", l).normal(*d.shape, 0.05)
               for l, d in enumerate(adapters.dense())]
     for state in states:
-        refresh_importances(state, base, anchor, phase=1)
-    return states, adapters, anchor
+        refresh_importances(state, base, anchor, 1, cfg)
+    return states, base, cfg, adapters, anchor
 
 
-def train(states, adapters, anchor):
+def train(states, base, cfg, adapters, anchor):
     counter = OpCounter()
-    out, losses = local_train(states, adapters, anchor, CFG, counter)
+    out, losses = local_train(states, base, adapters, anchor, cfg, counter)
     return out, losses, counter.multiplies
 
 
-def train_reference(state, adapters, anchor):
+def train_reference(state, base, cfg, adapters, anchor):
     """One client on 2-D arrays, stepping a fresh AdapterSet each batch."""
     counter = OpCounter()
-    plasticity = adapters.dense() if state.cl.active else None
+    plasticity = adapters.dense() if cfg.cl.active else None
     current = adapters
     losses = []
     for epoch in range(CFG.epochs):
@@ -69,8 +73,8 @@ def train_reference(state, adapters, anchor):
         for start in range(0, state.shard_size, CFG.batch_size):
             idx = order[start:start + CFG.batch_size]
             loss, grads = total_local_loss(
-                state.base, current, state.features[idx], state.labels[idx],
-                anchor, plasticity, state.importance, state.cl, state.task, counter)
+                base, current, state.features[idx], state.labels[idx],
+                anchor, plasticity, state.importance, cfg.cl, cfg.task, counter)
             current = AdapterSet(tuple(
                 LoRAAdapter(a.layer_id, a.B - CFG.eta * gB, a.A - CFG.eta * gA)
                 for a, (gB, gA) in zip(current, grads)), current.nominal_rank)
@@ -94,29 +98,29 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_group_equals_each_client_alone(case):
     cl, task = CASES[case]
-    states, adapters, anchor = make_group(cl, task)
-    group_out, group_losses, group_ops = train(states, adapters, anchor)
+    states, base, cfg, adapters, anchor = make_group(cl, task)
+    group_out, group_losses, group_ops = train(states, base, cfg, adapters, anchor)
     reference_ops = 0
     for state, out, losses in zip(states, group_out, group_losses):
-        (solo,), (solo_losses,), solo_ops = train([state], adapters, anchor)
-        ref, ref_losses, ref_ops = train_reference(state, adapters, anchor)
+        (solo,), (solo_losses,), solo_ops = train([state], base, cfg, adapters, anchor)
+        ref, ref_losses, ref_ops = train_reference(state, base, cfg, adapters, anchor)
         reference_ops += ref_ops
         assert factor_bytes(out) == factor_bytes(solo) == factor_bytes(ref)
         assert losses == solo_losses == ref_losses
         assert solo_ops == ref_ops
     assert group_ops == reference_ops
     # both anchors were active: the result moved off the plain supervised one
-    plain = [ClientState(s.client_id, s.base, s.features, s.labels, CLConfig("none"),
-                         s.rng, s.task) for s in states]
-    plain_out, _, _ = train(plain, adapters, anchor)
+    plain = [ClientState(s.client_id, s.features, s.labels, s.rng) for s in states]
+    plain_out, _, _ = train(plain, base, replace(cfg, cl=CLConfig("none")),
+                            adapters, anchor)
     assert factor_bytes(plain_out[0]) != factor_bytes(group_out[0])
 
 
 def test_permuted_group_gives_the_same_per_client_results():
-    states, adapters, anchor = make_group(CLConfig("ewc", 0.4, 0.3), clients=4)
-    out, losses, _ = train(states, adapters, anchor)
+    states, base, cfg, adapters, anchor = make_group(CLConfig("ewc", 0.4, 0.3), clients=4)
+    out, losses, _ = train(states, base, cfg, adapters, anchor)
     order = [2, 0, 3, 1]
-    p_out, p_losses, _ = train([states[i] for i in order], adapters, anchor)
+    p_out, p_losses, _ = train([states[i] for i in order], base, cfg, adapters, anchor)
     for j, i in enumerate(order):
         assert factor_bytes(p_out[j]) == factor_bytes(out[i])
         assert p_losses[j] == losses[i]
@@ -139,14 +143,15 @@ def test_full_weight_group_equals_each_client_alone():
     for cid in range(3):
         (solo,), (solo_losses,) = mode.train_group([cid], 5, 0.1, OpCounter())
         # the reference: the same client's model trained on 2-D arrays
-        x, y = mode.shards[cid]
+        client = mode.clients[cid]
+        x, y = client.features, client.labels
         w = [m.copy() for m in mode.weights]
         b = [v.copy() for v in mode.biases]
-        orders = [mode.rngs[cid].substream("round", 5, "epoch", e, "shuffle")
+        orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")
                   .permutation(len(x)) for e in range(config.local_epochs)]
         ref_counter = OpCounter()
-        ref_losses = _full_model_sgd(w, b, x, y, dataset.task, 0.1,
-                                     config.batch_size, orders, ref_counter)
+        ref_losses = sgd_epochs(_full_model_step(w, b, dataset.task, 0.1, ref_counter),
+                                x, y, config.batch_size, orders)
         reference_ops += ref_counter.multiplies
         (gw, gb), (sw, sb) = group_updates[cid], solo
         assert ([m.tobytes() for m in gw + gb] == [m.tobytes() for m in sw + sb]
@@ -156,14 +161,14 @@ def test_full_weight_group_equals_each_client_alone():
 
 
 def test_poisoned_client_loss_names_that_client():
-    states, adapters, anchor = make_group(CLConfig("ewc", 0.4, 0.3))
+    states, base, cfg, adapters, anchor = make_group(CLConfig("ewc", 0.4, 0.3))
     states[2].features[4, 2] = np.nan
     with pytest.raises(NumericError, match=r"client 2: non-finite loss at round 3, epoch 0"):
-        train(states, adapters, anchor)
+        train(states, base, cfg, adapters, anchor)
 
 
 def test_poisoned_gradient_names_first_offending_client_and_layer():
-    states, adapters, _ = make_group(CLConfig("none"))
+    states, _, _, adapters, _ = make_group(CLConfig("none"))
     stack = adapters.stacked(3)
     grads = [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in stack]
     grads[2][1][1, 0, 0] = np.inf   # client 7, layer 2
@@ -175,7 +180,20 @@ def test_poisoned_gradient_names_first_offending_client_and_layer():
 
 
 def test_group_needs_equal_shards():
-    states, adapters, anchor = make_group(CLConfig("none"))
-    short, _, _ = make_group(CLConfig("none"), n=12, clients=1)
+    states, base, cfg, adapters, anchor = make_group(CLConfig("none"))
+    short = make_group(CLConfig("none"), n=12, clients=1)[0]
     with pytest.raises(InputError, match="shard size"):
-        local_train([states[0], short[0]], adapters, anchor, CFG)
+        local_train([states[0], short[0]], base, adapters, anchor, cfg)
+
+
+def test_full_weight_group_needs_equal_shards():
+    config = RunConfig(mode="fedavg-full", scheme="disjoint", num_clients=3, classes=4,
+                       dim=8, n_per_class=30, pretrain_epochs=0).validate()
+    root = Rng(config.seed)
+    dataset = build_dataset(config, root.substream("data"))
+    plan = build_partition(config, dataset, root.substream("partition"))
+    mode = _FullModelRounds(config, root, dataset, plan,
+                            build_base(config, dataset, root))
+    assert [len(idx) for idx in plan.client_indices] == [21, 21, 42]
+    with pytest.raises(InputError, match="client 2: shard size 42 != group shard size 21"):
+        mode.train_group([0, 2], 1, 0.1, None)
