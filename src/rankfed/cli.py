@@ -79,7 +79,8 @@ def _cmd_run(args) -> int:
     with open(out / "partition.manifest", "w") as fh:
         fh.write(manifest_text(result.plan))
     if result.final_adapters is not None:
-        save_adapters(out / "adapters_final.ckpt", result.final_adapters)
+        save_adapters(out / "adapters_final.ckpt", result.final_adapters,
+                      result.base_checksum)
     count, mb = result.cost_at_best
     last = result.records[-1]
     print(json.dumps({
@@ -124,10 +125,18 @@ def _cmd_partition(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _load(args.config)
-    adapters = load_adapters(args.checkpoint)
+    adapters, trained_on = load_adapters(args.checkpoint)
     root = Rng(config.seed)
     dataset = build_dataset(config, root.substream("data"))
     base = build_base(config, dataset, root)
+    if trained_on is None:
+        print("warning: the checkpoint predates version 3 and stores no base "
+              "checksum; cannot check that it was trained on this base",
+              file=sys.stderr)
+    elif trained_on != base.checksum():
+        raise ParameterError(
+            f"checkpoint was trained on base sha256 {trained_on}, but the config "
+            f"builds base sha256 {base.checksum()}")
     metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task)
     print(json.dumps(metrics))
     return 0

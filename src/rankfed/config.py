@@ -103,7 +103,7 @@ class RunConfig:
              f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}")
         need(self.subtractor >= 1, f"subtractor must be >= 1, got {self.subtractor}")
         need(0 <= self.theta < 1, f"theta must lie in [0, 1), got {self.theta}")
-        need(0 <= self.lam < 1, f"lam must lie in [0, 1), got {self.lam}")
+        need(0 <= self.lam <= 1, f"lam must lie in [0, 1], got {self.lam}")
         need(self.cooldown >= 0, f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
         one_of("reinit", REINIT_METHODS)
         one_of("aggregation", AGGREGATIONS)

@@ -269,6 +269,9 @@ def partition_multilabel(dataset: Dataset, num_clients: int, rng: Rng,
     else:
         shards = [list(order[s::num_clients]) for s in range(num_clients)]
     client_indices = tuple(np.sort(np.asarray(s, dtype=np.int64)) for s in shards)
+    if any(len(s) == 0 for s in client_indices):
+        raise ParameterError(f"a client received an empty shard: {n} training "
+                             f"samples for {num_clients} clients")
     hist = np.stack([y[idx].sum(axis=0) for idx in client_indices])
     return PartitionPlan(client_indices, hist, 0.0, "multilabel")
 
@@ -290,7 +293,12 @@ def load_csv(path, label_column: str = "label"):
     Returns ``(features, labels, label_names)`` with labels encoded as
     consecutive integers in sorted name order.
     """
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise ParameterError(f"cannot read CSV file {str(path)!r}: "
+                             f"{exc.strerror}") from None
+    with fh:
         reader = _csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -4,7 +4,7 @@ mode, per-round logging, evaluation, and the operation-count budget.
 A run is fully determined by (RunConfig, seed): every random draw comes from
 a labeled sub-stream of the root seed. A round's participants with equal
 shard sizes train together as one client-stacked group (see
-``client.local_train``); each client's result is the one it would get alone,
+``client.group_sgd``); each client's result is the one it would get alone,
 and the server receives the results in client-id order.
 """
 

@@ -22,8 +22,9 @@ from .numerics import Matrix, Rng, as_matrix, gaussian_matrix, svd_truncate
 DenseDelta = list
 
 CHECKPOINT_MAGIC = b"SPDL"
-# Version 2 stores the nominal rank; version 1 files still load.
-CHECKPOINT_VERSION = 2
+# Version 2 added the nominal rank and version 3 the base's sha256; version 1
+# and 2 files still load.
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -235,14 +236,17 @@ class RankSchedule:
         return RankSchedule(self.r_init, self.r_min, self.subtractor, self.phase + 1)
 
 
-def save_adapters(path, adapter_set: AdapterSet) -> None:
+def save_adapters(path, adapter_set: AdapterSet, base_checksum: str) -> None:
     """Write the binary adapter checkpoint (bit-exact round trip): magic;
-    version, layer count, nominal rank; (h1, h2, r) per layer, all u32; then
-    each layer's B and A as float64, all little-endian."""
+    version, layer count, nominal rank, all u32; the 32-byte sha256 of the
+    frozen base the adapters were trained on (``FrozenBase.checksum()``);
+    (h1, h2, r) per layer, all u32; then each layer's B and A as float64, all
+    little-endian."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", CHECKPOINT_VERSION, len(adapter_set),
                              adapter_set.nominal_rank))
+        fh.write(bytes.fromhex(base_checksum))
         for a in adapter_set:
             fh.write(struct.pack("<III", a.out_dim, a.in_dim, a.rank))
         for a in adapter_set:
@@ -250,11 +254,13 @@ def save_adapters(path, adapter_set: AdapterSet) -> None:
             fh.write(np.ascontiguousarray(a.A, dtype="<f8").tobytes())
 
 
-def load_adapters(path) -> AdapterSet:
+def load_adapters(path) -> tuple[AdapterSet, str | None]:
     """Read a checkpoint written by ``save_adapters``.
 
-    A file that is truncated, carries trailing bytes or describes an invalid
-    adapter set raises ``ParameterError``.
+    Returns the adapter set and the checksum of the base it was trained on,
+    or None for a version 1 or 2 file, which does not store it. A file that
+    is truncated, carries trailing bytes or describes an invalid adapter set
+    raises ``ParameterError``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -272,9 +278,10 @@ def load_adapters(path) -> AdapterSet:
     if magic != CHECKPOINT_MAGIC:
         raise ParameterError(f"bad checkpoint magic: {magic!r}")
     version, count = struct.unpack("<II", take(8))
-    if version not in (1, CHECKPOINT_VERSION):
+    if version not in (1, 2, CHECKPOINT_VERSION):
         raise ParameterError(f"unsupported checkpoint version: {version}")
-    nominal = struct.unpack("<I", take(4))[0] if version == 2 else None
+    nominal = struct.unpack("<I", take(4))[0] if version >= 2 else None
+    base_checksum = take(32).hex() if version >= 3 else None
     if count < 1:
         raise ParameterError("checkpoint holds no adapters")
     dims = [struct.unpack("<III", take(12)) for _ in range(count)]
@@ -292,4 +299,4 @@ def load_adapters(path) -> AdapterSet:
         # Version 1 does not store the nominal rank; the largest per-layer
         # rank recovers it whenever at least one layer is uncapped.
         nominal = max(a.rank for a in adapters)
-    return AdapterSet(tuple(adapters), nominal)
+    return AdapterSet(tuple(adapters), nominal), base_checksum

@@ -95,6 +95,14 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_lam_one_validates(self, tmp_path):
+        # lam = 1 keeps the accumulator as is at every phase boundary
+        path = tmp_path / "lam.cfg"
+        path.write_text("[dropout]\nlam = 1\n")
+        cfg = load_config(path)
+        assert cfg.lam == 1.0
+        assert cfg.validate() is cfg
+
     def test_infinite_cooldown(self, tmp_path):
         path = tmp_path / "inf.cfg"
         path.write_text("[dropout]\ncooldown = inf\n")
@@ -127,6 +135,32 @@ def test_invalid_value_rejected_before_data_generation(bad, tmp_path, monkeypatc
         path = tmp_path / "bad.cfg"
         path.write_text(config_text(RunConfig(**bad)))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_empty_multilabel_shard_rejected_before_pretraining(tmp_path, monkeypatch,
+                                                           capsys):
+    def no_pretraining(*_, **__):
+        raise AssertionError("base pretrained before the partition was checked")
+
+    monkeypatch.setattr(rankfed.harness, "pretrain_base", no_pretraining)
+    cfg = RunConfig(task="multilabel", n_samples=5)
+    with pytest.raises(ParameterError, match="empty shard"):
+        run_federated(cfg)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "empty shard" in capsys.readouterr().err
+
+
+def test_missing_csv_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    cfg = RunConfig(csv_path=str(missing))
+    with pytest.raises(ParameterError, match="absent.csv"):
+        run_federated(cfg)
+    path = tmp_path / "csv.cfg"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 class TestRunCommand:
@@ -200,6 +234,37 @@ class TestEvalCommand:
         last = json.loads(records[-1])
         assert metrics["accuracy"] == pytest.approx(last["test_metric"], abs=1e-12)
 
+    def test_checkpoint_from_another_base_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG.replace("seed = 4", "seed = 5")
+                         .replace("pretrain_epochs = 3", "pretrain_epochs = 9"))
+        capsys.readouterr()
+        code = main(["eval", str(other), str(out / "adapters_final.ckpt")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: checkpoint was trained on base sha256")
+
+    def test_version_2_checkpoint_evaluates_with_a_warning(self, config_path,
+                                                           tmp_path, capsys):
+        out = tmp_path / "out"
+        main(["run", str(config_path), "--out", str(out)])
+        raw = (out / "adapters_final.ckpt").read_bytes()
+        v2 = tmp_path / "v2.ckpt"
+        # version 2: the v3 layout without the 32-byte base checksum
+        v2.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
+        capsys.readouterr()
+        assert main(["eval", str(config_path), str(out / "adapters_final.ckpt")]) == 0
+        current = capsys.readouterr()
+        assert current.err == ""
+        assert main(["eval", str(config_path), str(v2)]) == 0
+        legacy = capsys.readouterr()
+        assert legacy.out == current.out
+        assert len(legacy.err.splitlines()) == 1
+        assert "cannot check" in legacy.err
+
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     def test_damaged_checkpoint_exits_2(self, config_path, tmp_path, capsys, damage):
         out = tmp_path / "out"
@@ -223,6 +288,13 @@ class TestSweepCommand:
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2x2 grid
+
+    def test_lam_one_runs(self, config_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", str(config_path), "--lam", "1", "--out", str(out)])
+        assert code == 0
+        header, row = out.read_text().strip().splitlines()
+        assert row.split(",")[header.split(",").index("lam")] == "1.0"
 
     @pytest.mark.parametrize("flag, value", [
         ("--mu1", "abc"),        # not a number

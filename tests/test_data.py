@@ -167,6 +167,14 @@ class TestMultilabel:
         assert own > off
 
 
+    @pytest.mark.parametrize("skew", [0.0, 2.0])
+    def test_empty_shard_rejected(self, skew):
+        ds = generate_multilabel(5, 8, 3, Rng(7))
+        assert len(ds.train_y) < 5
+        with pytest.raises(ParameterError, match="empty shard"):
+            partition_multilabel(ds, 5, Rng(8), prevalence_skew=skew)
+
+
 class TestCsvLoader:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -191,6 +199,12 @@ class TestCsvLoader:
         path = tmp_path / "data.csv"
         path.write_text("f0,label\noops,x\n")
         with pytest.raises(InputError):
+            load_csv(path)
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_file_is_parameter_error(self, tmp_path, where):
+        path = tmp_path / "absent.csv" if where == "missing" else tmp_path
+        with pytest.raises(ParameterError, match="cannot read CSV file"):
             load_csv(path)
 
     def test_dataset_from_arrays_stratified(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,10 @@ from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule, accumulate,
                           reinit_at_rank, save_adapters)
 from rankfed.model import FrozenBase, forward
 from rankfed.numerics import Rng, svd_truncate
+
+
+# The checksum a checkpoint binds to; any sha256 hex digest will do.
+BASE_SHA = hashlib.sha256(b"frozen base").hexdigest()
 
 
 def adapter_set_from_dense(layers, rank):
@@ -184,8 +190,9 @@ class TestCheckpoint:
                         a.A)
             for a in original), original.nominal_rank)
         path = tmp_path / "adapters.ckpt"
-        save_adapters(path, warmed)
-        loaded = load_adapters(path)
+        save_adapters(path, warmed, BASE_SHA)
+        loaded, base_sha = load_adapters(path)
+        assert base_sha == BASE_SHA
         assert loaded.nominal_rank == warmed.nominal_rank
         for a, b in zip(warmed, loaded):
             assert a.B.tobytes() == b.B.tobytes()
@@ -197,11 +204,12 @@ class TestCheckpoint:
         with pytest.raises(ParameterError):
             load_adapters(path)
 
-    # inside the magic, version/count, layer dims, first payload; last byte off
-    @pytest.mark.parametrize("cut", [2, 10, 20, 40, -1])
+    # inside the magic, version/count, base checksum (20, 40), layer dims (60),
+    # first payload (80); last byte off
+    @pytest.mark.parametrize("cut", [2, 10, 20, 40, 60, 80, -1])
     def test_truncated_file_rejected(self, rng, tmp_path, cut):
         path = tmp_path / "cut.ckpt"
-        save_adapters(path, init_adapter_set([(3, 2), (4, 3)], 2, 0.02, rng))
+        save_adapters(path, init_adapter_set([(3, 2), (4, 3)], 2, 0.02, rng), BASE_SHA)
         raw = path.read_bytes()
         path.write_bytes(raw[:cut])
         with pytest.raises(ParameterError, match="truncated"):
@@ -209,7 +217,7 @@ class TestCheckpoint:
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "long.ckpt"
-        save_adapters(path, init_adapter_set([(3, 2)], 2, 0.02, rng))
+        save_adapters(path, init_adapter_set([(3, 2)], 2, 0.02, rng), BASE_SHA)
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(ParameterError, match="trailing"):
             load_adapters(path)
@@ -217,36 +225,53 @@ class TestCheckpoint:
     def test_header_layout(self, rng, tmp_path):
         s = init_adapter_set([(3, 2)], 2, 0.02, rng)
         path = tmp_path / "one.ckpt"
-        save_adapters(path, s)
+        save_adapters(path, s, BASE_SHA)
         raw = path.read_bytes()
         assert raw[:4] == b"SPDL"
-        assert int.from_bytes(raw[4:8], "little") == 2   # version
+        assert int.from_bytes(raw[4:8], "little") == 3   # version
         assert int.from_bytes(raw[8:12], "little") == 1  # layer count
         assert int.from_bytes(raw[12:16], "little") == 2  # nominal rank
-        assert int.from_bytes(raw[16:20], "little") == 3  # h1
-        assert int.from_bytes(raw[20:24], "little") == 2  # h2
-        assert int.from_bytes(raw[24:28], "little") == 2  # r
-        assert len(raw) == 28 + 8 * (3 * 2 + 2 * 2)
+        assert raw[16:48].hex() == BASE_SHA              # base sha256
+        assert int.from_bytes(raw[48:52], "little") == 3  # h1
+        assert int.from_bytes(raw[52:56], "little") == 2  # h2
+        assert int.from_bytes(raw[56:60], "little") == 2  # r
+        assert len(raw) == 60 + 8 * (3 * 2 + 2 * 2)
 
     def test_nominal_rank_of_capped_layers_round_trips(self, rng, tmp_path):
         # every layer is capped below rank 8, so the per-layer ranks alone
         # would give back rank 3
         s = init_adapter_set([(3, 2), (4, 3)], 8, 0.02, rng)
         path = tmp_path / "capped.ckpt"
-        save_adapters(path, s)
-        loaded = load_adapters(path)
+        save_adapters(path, s, BASE_SHA)
+        loaded, _ = load_adapters(path)
         assert loaded.nominal_rank == 8
         assert [a.rank for a in loaded] == [2, 3]
 
     def test_version_1_file_loads_with_max_rank(self, rng, tmp_path):
         s = init_adapter_set([(3, 2), (6, 5)], 4, 0.02, rng)
         path = tmp_path / "v1.ckpt"
-        save_adapters(path, s)
+        save_adapters(path, s, BASE_SHA)
         raw = path.read_bytes()
-        # version 1: the same layout without the nominal-rank field
-        path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:12] + raw[16:])
-        loaded = load_adapters(path)
+        # version 1: the same layout without the nominal rank and base checksum
+        path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:12] + raw[48:])
+        loaded, base_sha = load_adapters(path)
+        assert base_sha is None
         assert loaded.nominal_rank == 4
+        for a, b in zip(s, loaded):
+            assert a.B.tobytes() == b.B.tobytes()
+            assert a.A.tobytes() == b.A.tobytes()
+
+
+    def test_version_2_file_loads_without_base_checksum(self, rng, tmp_path):
+        s = init_adapter_set([(3, 2), (4, 3)], 8, 0.02, rng)
+        path = tmp_path / "v2.ckpt"
+        save_adapters(path, s, BASE_SHA)
+        raw = path.read_bytes()
+        # version 2: the same layout without the base checksum
+        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
+        loaded, base_sha = load_adapters(path)
+        assert base_sha is None
+        assert loaded.nominal_rank == 8
         for a, b in zip(s, loaded):
             assert a.B.tobytes() == b.B.tobytes()
             assert a.A.tobytes() == b.A.tobytes()
