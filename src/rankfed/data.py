@@ -288,35 +288,35 @@ def manifest_text(plan: PartitionPlan) -> str:
 
 
 def load_csv(path, label_column: str = "label"):
-    """Load a labeled CSV (header row, one label column, float features).
+    """Load a labeled UTF-8 CSV (header row, one label column, float features).
 
     Returns ``(features, labels, label_names)`` with labels encoded as
-    consecutive integers in sorted name order.
+    consecutive integers in sorted name order. A file that cannot be opened
+    or decoded raises ``ParameterError``.
     """
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ParameterError(f"cannot read CSV file {str(path)!r}: "
-                             f"{exc.strerror}") from None
-    with fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InputError("CSV file is empty")
-        if label_column not in header:
-            raise InputError(f"label column {label_column!r} not in header {header}")
-        label_pos = header.index(label_column)
-        raw_labels, rows = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise InputError(f"line {line_no}: expected {len(header)} fields")
-            raw_labels.append(row[label_pos])
-            try:
-                rows.append([float(v) for i, v in enumerate(row) if i != label_pos])
-            except ValueError as exc:
-                raise InputError(f"line {line_no}: non-numeric feature: {exc}") from None
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = list(_csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParameterError(f"cannot read CSV file {str(path)!r}: {reason}") from None
+    if not lines:
+        raise InputError("CSV file is empty")
+    header = lines[0]
+    if label_column not in header:
+        raise InputError(f"label column {label_column!r} not in header {header}")
+    label_pos = header.index(label_column)
+    raw_labels, rows = [], []
+    for line_no, row in enumerate(lines[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"line {line_no}: expected {len(header)} fields")
+        raw_labels.append(row[label_pos])
+        try:
+            rows.append([float(v) for i, v in enumerate(row) if i != label_pos])
+        except ValueError as exc:
+            raise InputError(f"line {line_no}: non-numeric feature: {exc}") from None
     if not rows:
         raise InputError("CSV file has no data rows")
     names = sorted(set(raw_labels))

@@ -201,9 +201,12 @@ class TestCsvLoader:
         with pytest.raises(InputError):
             load_csv(path)
 
-    @pytest.mark.parametrize("where", ["missing", "directory"])
+    @pytest.mark.parametrize("where", ["missing", "directory", "undecodable"])
     def test_unreadable_file_is_parameter_error(self, tmp_path, where):
-        path = tmp_path / "absent.csv" if where == "missing" else tmp_path
+        path = {"missing": tmp_path / "absent.csv", "directory": tmp_path,
+                "undecodable": tmp_path / "latin1.csv"}[where]
+        if where == "undecodable":
+            path.write_bytes(b"f0,label\n0.5,caf\xe9\n")
         with pytest.raises(ParameterError, match="cannot read CSV file"):
             load_csv(path)
 
