@@ -12,15 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig, load_config
 from .data import manifest_text
 from .errors import ParameterError, RankfedError
-from .harness import (build_base, build_dataset, build_partition, evaluate,
-                      run_federated, write_records_jsonl, write_summary_csv)
+from .harness import (Setup, evaluate, run_federated, write_records_jsonl,
+                      write_summary_csv)
 from .lora import load_adapters, save_adapters
-from .numerics import Rng
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,21 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path, overrides=None) -> RunConfig:
-    config = load_config(path)
-    if overrides:
-        from dataclasses import replace
-        config = replace(config, **overrides).validate()
-    return config
+def _load(path, args=None, **flags) -> RunConfig:
+    """The validated config of the file at ``path`` (the defaults when None),
+    each ``flag=field`` that is set in ``args`` replacing that field."""
+    config = load_config(path) if path is not None else RunConfig()
+    overrides = {field: getattr(args, flag) for flag, field in flags.items()
+                 if getattr(args, flag) is not None}
+    return replace(config, **overrides).validate()
 
 
 def _cmd_run(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    config = _load(args.config, overrides)
+    config = _load(args.config, args, seed="seed", mode="mode")
     result = run_federated(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -95,24 +91,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    if args.config is not None:
-        config = _load(args.config)
-    else:
-        config = RunConfig()
-    from dataclasses import replace
-    overrides = {}
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.classes is not None:
-        overrides["classes"] = args.classes
-    if args.clients is not None:
-        overrides["num_clients"] = args.clients
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = replace(config, **overrides).validate()
-    root = Rng(config.seed)
-    dataset = build_dataset(config, root.substream("data"))
-    plan = build_partition(config, dataset, root.substream("partition"))
+    config = _load(args.config, args, scheme="scheme", classes="classes",
+                   clients="num_clients", seed="seed")
+    plan = Setup(config).plan
     text = manifest_text(plan)
     if args.out:
         with open(args.out, "w") as fh:
@@ -126,9 +107,8 @@ def _cmd_partition(args) -> int:
 def _cmd_eval(args) -> int:
     config = _load(args.config)
     adapters, trained_on = load_adapters(args.checkpoint)
-    root = Rng(config.seed)
-    dataset = build_dataset(config, root.substream("data"))
-    base = build_base(config, dataset, root)
+    setup = Setup(config)
+    dataset, base = setup.dataset, setup.base
     if trained_on is None:
         print("warning: the checkpoint predates version 3 and stores no base "
               "checksum; cannot check that it was trained on this base",
@@ -144,7 +124,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     import csv as _csv
-    from dataclasses import replace
     from itertools import product
     base_config = _load(args.config)
 

@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,14 +26,15 @@ from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
                    partition, partition_multilabel, relabeled)
 from .errors import InputError, ParameterError, UndefinedMetricError
-from .lora import AdapterSet, RankSchedule, init_adapter_set
+from .lora import AdapterSet, RankSchedule, capped_rank, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, auc, communication_cost,
                       layer_averaged_cka, prepare_representations,
                       weight_distance)
 from .model import (CLConfig, FrozenBase, OpCounter, forward,
                     full_loss_and_grads, random_base)
 from .numerics import Rng
-from .server import ClientUpdate, ServerState, server_round
+from .server import (ClientUpdate, ServerState, server_round, shard_weights,
+                     weighted_sum)
 
 SCHEMA_VERSION = 1
 
@@ -144,13 +146,29 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     return FrozenBase(tuple(weights), tuple(biases))
 
 
-def build_base(config: RunConfig, dataset: Dataset, root: Rng) -> FrozenBase:
-    """The run's frozen base, pretrained on the sibling task of ``dataset``."""
-    pretrain_ds = build_pretrain_dataset(config, dataset,
-                                         root.substream("pretrain-data"))
-    return pretrain_base(pretrain_ds, config.pretrain_epochs,
-                         root.substream("pretrain"), config.pretrain_eta,
-                         config.pretrain_batch, config.hidden)
+class Setup:
+    """A run's dataset, partition plan and frozen base, each drawn from its
+    own labeled stream of the config's seed. The plan and the base are built
+    on first use: scoring a checkpoint needs no partition, and printing a
+    partition needs no pretraining."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.root = Rng(config.seed)
+        self.dataset = build_dataset(config, self.root.substream("data"))
+
+    @cached_property
+    def plan(self) -> PartitionPlan:
+        return build_partition(self.config, self.dataset, self.root.substream("partition"))
+
+    @cached_property
+    def base(self) -> FrozenBase:
+        """Pretrained on the sibling task of the dataset."""
+        config, root = self.config, self.root
+        return pretrain_base(
+            build_pretrain_dataset(config, self.dataset, root.substream("pretrain-data")),
+            config.pretrain_epochs, root.substream("pretrain"), config.pretrain_eta,
+            config.pretrain_batch, config.hidden)
 
 
 def _full_model_step(weights, biases, task, eta, counter=None):
@@ -211,24 +229,27 @@ def _metric_scalar(metrics: dict) -> float | None:
 # Federated loop
 # ---------------------------------------------------------------------------
 
+def _participant_count(config: RunConfig) -> int:
+    return max(1, math.ceil(config.participation * config.num_clients))
+
+
 def _participants(config: RunConfig, rng: Rng, round_index: int):
-    s = config.num_clients
-    k = max(1, math.ceil(config.participation * s))
+    s, k = config.num_clients, _participant_count(config)
     if k >= s:
         return list(range(s))
     perm = rng.substream("participation", round_index).permutation(s)
     return sorted(int(c) for c in perm[:k])
 
 
-def _clients(config: RunConfig, root: Rng, dataset: Dataset,
-             plan: PartitionPlan, cl: CLConfig = CLConfig()):
+def _clients(setup: Setup, cl: CLConfig = CLConfig()):
     """Every client's record (its shard of the training split and its stream)
-    and the local-training settings the clients share; the loop fills in
-    each round's index and learning rate."""
+    and the local-training settings the clients share; the round loop fills
+    in each round's index and learning rate."""
+    config, dataset = setup.config, setup.dataset
     clients = [ClientState(client_id=cid, features=dataset.train_x[idx],
                            labels=dataset.train_y[idx],
-                           rng=root.substream("client", cid))
-               for cid, idx in enumerate(plan.client_indices)]
+                           rng=setup.root.substream("client", cid))
+               for cid, idx in enumerate(setup.plan.client_indices)]
     return clients, LocalTrainConfig(config.local_epochs, config.eta,
                                      config.batch_size, cl=cl, task=dataset.task)
 
@@ -237,8 +258,8 @@ class _AdapterRounds:
     """LoRA modes: clients train adapters on the frozen base; the server
     aggregates them, tracks gradient consistency and drops the rank."""
 
-    def __init__(self, config: RunConfig, root: Rng, dataset: Dataset,
-                 plan: PartitionPlan, base: FrozenBase):
+    def __init__(self, setup: Setup):
+        config, root, base = setup.config, setup.root, setup.base
         if config.mode == "fixed-rank-lora":
             schedule = RankSchedule(config.r_init, config.r_init, config.subtractor)
             cl = CLConfig("none")
@@ -255,25 +276,24 @@ class _AdapterRounds:
             reinit_sigma=config.sigma_init,
             reinit_rng=root.substream("reinit") if config.reinit == "gaussian" else None,
         )
-        self.clients, self.local = _clients(config, root, dataset, plan, cl)
-        n_val = len(dataset.val_x)
-        probe_idx = root.substream("probe").permutation(n_val)[:min(config.probe_samples, n_val)]
-        self.probe_x = dataset.val_x[probe_idx]
+        self.clients, self.local = _clients(setup, cl)
+        val_x = setup.dataset.val_x
+        probe_idx = root.substream("probe").permutation(len(val_x))[:config.probe_samples]
+        self.probe_x = val_x[probe_idx]
         self.base = base
 
     def param_count(self) -> int:
         return self.server.adapters.param_count()
 
-    def train_group(self, cids, t: int, eta: float, counter):
+    def train_group(self, cids, local: LocalTrainConfig, counter):
         states, server = [self.clients[cid] for cid in cids], self.server
-        config = dataclasses.replace(self.local, eta=eta, round_index=t)
-        if config.cl.active and config.cl.method in ("ewc", "mas"):
+        if local.cl.active and local.cl.method in ("ewc", "mas"):
             anchor = server.accumulated if server.accumulated is not None else server.adapters
             for state in states:
                 refresh_importances(state, self.base, anchor,
-                                    server.schedule.phase, config)
+                                    server.schedule.phase, local)
         return local_train(states, self.base, server.adapters,
-                           server.accumulated, config, counter)
+                           server.accumulated, local, counter)
 
     def close_round(self, results, weights):
         """Run the server round, then score each participant's adapters
@@ -322,33 +342,27 @@ class _FullModelRounds:
                              cka_stability=None, cka_plasticity=None,
                              dropped=False)
 
-    def __init__(self, config: RunConfig, root: Rng, dataset: Dataset,
-                 plan: PartitionPlan, base: FrozenBase):
-        self.weights = [w.copy() for w in base.weights]
-        self.biases = [b.copy() for b in base.biases]
-        self.clients, self.local = _clients(config, root, dataset, plan)
+    def __init__(self, setup: Setup):
+        self.weights = [w.copy() for w in setup.base.weights]
+        self.biases = [b.copy() for b in setup.base.biases]
+        self.clients, self.local = _clients(setup)
 
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
-    def train_group(self, cids, t: int, eta: float, counter):
+    def train_group(self, cids, local: LocalTrainConfig, counter):
         c = len(cids)
         w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.weights]
         b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.biases]
         losses = group_sgd([self.clients[cid] for cid in cids],
-                           _full_model_step(w, b, self.local.task, eta, counter),
-                           dataclasses.replace(self.local, eta=eta, round_index=t))
+                           _full_model_step(w, b, local.task, local.eta, counter), local)
         return [([m[i] for m in w], [v[i] for v in b]) for i in range(c)], losses
 
     def close_round(self, results, weights):
-        global_w = [np.zeros_like(m) for m in self.weights]
-        global_b = [np.zeros_like(v) for v in self.biases]
-        for wt, (_, (w, b), _) in zip(weights, results):
-            for l in range(len(global_w)):
-                global_w[l] += wt * w[l]
-                global_b[l] += wt * b[l]
-        self.weights, self.biases = global_w, global_b
-        return FrozenBase(global_w, global_b), None, self.NO_ADAPTER_FIELDS
+        total = weighted_sum(weights, (w + b for _, (w, b), _ in results))
+        n = len(self.weights)
+        self.weights, self.biases = total[:n], total[n:]
+        return FrozenBase(self.weights, self.biases), None, self.NO_ADAPTER_FIELDS
 
 
 def _groups(participants, sizes):
@@ -359,37 +373,36 @@ def _groups(participants, sizes):
     return list(groups.values())
 
 
-def _run_rounds(config: RunConfig, root: Rng, dataset: Dataset,
-                plan: PartitionPlan, base: FrozenBase, mode) -> RunResult:
+def _run_rounds(setup: Setup, mode) -> RunResult:
     """The round loop of every mode.
 
     ``mode`` (one of the classes above) trains one group of equal-shard
-    participants per ``train_group`` call, returning each client's update and
-    epoch losses, and folds the round's results and shard weights in
-    ``close_round``, which returns the base and adapters to score plus the
-    mode's record fields.
+    participants per ``train_group`` call, given the round's local-training
+    settings, returning each client's update and epoch losses, and folds the
+    round's results and shard weights in ``close_round``, which returns the
+    base and adapters to score plus the mode's record fields.
     """
-    sizes = [len(idx) for idx in plan.client_indices]
-    n_participants = max(1, math.ceil(config.participation * config.num_clients))
-    ledger = CommLedger(n_participants, config.bytes_per_param)
+    config, root, dataset = setup.config, setup.root, setup.dataset
+    sizes = [c.shard_size for c in mode.clients]
+    ledger = CommLedger(_participant_count(config), config.bytes_per_param)
     records = []
     op_total = 0 if config.count_ops else None
 
     for t in range(1, config.rounds + 1):
-        eta = config.eta * config.eta_decay ** (t - 1)
+        local = dataclasses.replace(mode.local, round_index=t,
+                                    eta=config.eta * config.eta_decay ** (t - 1))
         participants = _participants(config, root, t)
         trained = {}
         for group in _groups(participants, sizes):
             counter = OpCounter() if config.count_ops else None
-            updates, losses = mode.train_group(group, t, eta, counter)
+            updates, losses = mode.train_group(group, local, counter)
             trained.update(zip(group, zip(updates, losses)))
             if counter is not None:
                 op_total += counter.multiplies
         results = [(cid, *trained[cid]) for cid in participants]
         ledger.add_round(mode.param_count())
 
-        shard = np.array([sizes[cid] for cid in participants], dtype=np.float64)
-        weights = shard / shard.sum()
+        weights = shard_weights([sizes[cid] for cid in participants])
         last_losses = [losses[-1] if losses else None for _, _, losses in results]
         global_loss = (float(np.dot(weights, last_losses))
                        if all(l is not None for l in last_losses) else None)
@@ -407,8 +420,8 @@ def _run_rounds(config: RunConfig, root: Rng, dataset: Dataset,
                key=lambda i: (records[i].val_metric
                               if records[i].val_metric is not None else -np.inf))
     return RunResult(
-        config=config, records=records, dataset=dataset, plan=plan, base=base,
-        base_checksum=base.checksum(), final_adapters=adapters,
+        config=config, records=records, dataset=dataset, plan=setup.plan,
+        base=setup.base, base_checksum=setup.base.checksum(), final_adapters=adapters,
         ledger=ledger, best_val_round=best + 1,
         cost_at_best=communication_cost(ledger, best + 1),
         final_metrics=test, op_count=op_total,
@@ -421,17 +434,12 @@ def run_federated(config: RunConfig) -> RunResult:
     The frozen base's checksum is verified after the round loop; a mutated
     base aborts the run.
     """
-    config.validate()
-    root = Rng(config.seed)
-    dataset = build_dataset(config, root.substream("data"))
-    plan = build_partition(config, dataset, root.substream("partition"))
-    base = build_base(config, dataset, root)
+    setup = Setup(config.validate())
+    # partition first: a partition that cannot be built costs no pretraining
+    _, base = setup.plan, setup.base
     checksum_before = base.checksum()
-
     mode_cls = _FullModelRounds if config.mode == "fedavg-full" else _AdapterRounds
-    result = _run_rounds(config, root, dataset, plan, base,
-                         mode_cls(config, root, dataset, plan, base))
-
+    result = _run_rounds(setup, mode_cls(setup))
     if base.checksum() != checksum_before:
         raise InputError("frozen base was mutated during the run")
     return result
@@ -458,10 +466,9 @@ def op_count_budget(config: RunConfig) -> int:
         if config.mode == "fedavg-full":
             psi += 3 * h1 * h2
         else:
-            r = min(config.r_init, h1, h2)
+            r = capped_rank(config.r_init, h1, h2)
             psi += 2 * h1 * h2 + 3 * r * (h1 + h2)
-    participants = max(1, math.ceil(config.participation * config.num_clients))
-    return (config.rounds * participants * config.local_epochs
+    return (config.rounds * _participant_count(config) * config.local_epochs
             * psi * config.batch_size)
 
 

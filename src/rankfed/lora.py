@@ -86,7 +86,7 @@ class AdapterSet:
         if len(set(ids)) != len(ids):
             raise ParameterError(f"duplicate layer ids: {ids}")
         for a in self.adapters:
-            expected = min(self.nominal_rank, a.out_dim, a.in_dim)
+            expected = capped_rank(self.nominal_rank, a.out_dim, a.in_dim)
             if a.rank != expected:
                 raise ParameterError(
                     f"layer {a.layer_id}: rank {a.rank} != min(nominal, dims) = {expected}"
@@ -124,6 +124,12 @@ class AdapterSet:
                                 for a in self.adapters), self.nominal_rank)
 
 
+def capped_rank(rank: int, h1: int, h2: int) -> int:
+    """A layer's rank at a nominal rank: an h1 x h2 layer hosts at most
+    min(h1, h2)."""
+    return min(rank, h1, h2)
+
+
 def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng,
                  layer_id: int = 0) -> LoRAAdapter:
     """Zero B, Gaussian A: the fresh adapter contributes exactly nothing."""
@@ -138,11 +144,10 @@ def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> Adapter
     """One fresh adapter per layer at the nominal rank, capped per layer."""
     if rank < 1:
         raise ParameterError(f"rank must be >= 1, got {rank}")
-    adapters = []
-    for lid, (h1, h2) in enumerate(layer_shapes):
-        r = min(rank, h1, h2)
-        adapters.append(init_adapter(h1, h2, r, sigma, rng.substream("adapter-init", lid), lid))
-    return AdapterSet(tuple(adapters), rank)
+    return AdapterSet(tuple(
+        init_adapter(h1, h2, capped_rank(rank, h1, h2), sigma,
+                     rng.substream("adapter-init", lid), lid)
+        for lid, (h1, h2) in enumerate(layer_shapes)), rank)
 
 
 def dense(adapter: LoRAAdapter) -> Matrix:
@@ -185,7 +190,7 @@ def reinit_at_rank(acc: DenseDelta, r_new: int, method: str = "svd",
     adapters = []
     for lid, layer in enumerate(acc):
         layer = as_matrix(layer, f"acc[{lid}]")
-        r = min(r_new, *layer.shape)
+        r = capped_rank(r_new, *layer.shape)
         if method == "svd":
             u, s, v = svd_truncate(layer, r)
             root = np.sqrt(s)

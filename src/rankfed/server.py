@@ -68,6 +68,27 @@ class RoundOutcome:
     global_adapters: AdapterSet  # this round's aggregate (pre re-initialization)
 
 
+def shard_weights(sizes) -> np.ndarray:
+    """Each client's weight in a round: its share of the round's samples."""
+    sizes = np.asarray(sizes, dtype=np.float64)
+    return sizes / sizes.sum()
+
+
+def weighted_sum(weights, items) -> list:
+    """Per-array sum of ``w * item`` over clients, in the given order.
+
+    ``items`` yields one list of arrays per client and may be a generator,
+    so that only one client's arrays are held at a time.
+    """
+    total = None
+    for w, arrays in zip(weights, items):
+        if total is None:
+            total = [np.zeros_like(a) for a in arrays]
+        for acc, a in zip(total, arrays):
+            acc += w * a
+    return total
+
+
 def aggregate(updates, mode: str = "factor") -> AdapterSet:
     """Shard-size weighted average of client adapters.
 
@@ -88,29 +109,16 @@ def aggregate(updates, mode: str = "factor") -> AdapterSet:
             )
         if u.adapters.shapes() != first.shapes():
             raise ProtocolError(f"client {u.client_id} sent mismatched layer shapes")
-    sizes = np.array([u.shard_size for u in updates], dtype=np.float64)
-    weights = sizes / sizes.sum()
+    weights = shard_weights([u.shard_size for u in updates])
 
     if mode == "factor":
-        layers = []
-        for l, ref in enumerate(first.adapters):
-            B = np.zeros_like(ref.B)
-            A = np.zeros_like(ref.A)
-            for w, u in zip(weights, updates):
-                a = u.adapters.adapters[l]
-                B += w * a.B
-                A += w * a.A
-            layers.append(LoRAAdapter(ref.layer_id, B, A))
-        return AdapterSet(tuple(layers), first.nominal_rank)
+        factors = weighted_sum(weights, ([m for a in u.adapters for m in (a.B, a.A)]
+                                         for u in updates))
+        return AdapterSet(tuple(LoRAAdapter(ref.layer_id, *factors[2 * l:2 * l + 2])
+                                for l, ref in enumerate(first)), first.nominal_rank)
     if mode == "dense":
-        dense_mean = None
-        for w, u in zip(weights, updates):
-            d = u.adapters.dense()
-            if dense_mean is None:
-                dense_mean = [w * m for m in d]
-            else:
-                dense_mean = [acc + w * m for acc, m in zip(dense_mean, d)]
-        return reinit_at_rank(dense_mean, first.nominal_rank)
+        return reinit_at_rank(weighted_sum(weights, (u.adapters.dense() for u in updates)),
+                              first.nominal_rank)
     raise ParameterError(f"unknown aggregation mode: {mode}")
 
 

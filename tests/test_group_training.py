@@ -16,8 +16,7 @@ from rankfed.client import (ClientState, LocalTrainConfig, local_train,
                             refresh_importances, sgd_epochs)
 from rankfed.config import RunConfig
 from rankfed.errors import InputError, NumericError
-from rankfed.harness import (_full_model_step, _FullModelRounds, build_base,
-                             build_dataset, build_partition)
+from rankfed.harness import Setup, _full_model_step, _FullModelRounds
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import CLConfig, OpCounter, random_base, sgd_step, total_local_loss
 from rankfed.numerics import Rng
@@ -130,18 +129,16 @@ def test_full_weight_group_equals_each_client_alone():
     config = RunConfig(mode="fedavg-full", scheme="iid", num_clients=3, classes=4,
                        dim=8, n_per_class=30, pretrain_epochs=2, local_epochs=2,
                        batch_size=8, count_ops=True).validate()
-    root = Rng(config.seed)
-    dataset = build_dataset(config, root.substream("data"))
-    plan = build_partition(config, dataset, root.substream("partition"))
-    base = build_base(config, dataset, root)
-    mode = _FullModelRounds(config, root, dataset, plan, base)
-    assert len({len(idx) for idx in plan.client_indices}) == 1
+    setup = Setup(config)
+    mode = _FullModelRounds(setup)
+    assert len({len(idx) for idx in setup.plan.client_indices}) == 1
 
+    local = replace(mode.local, eta=0.1, round_index=5)
     counter = OpCounter()
-    group_updates, group_losses = mode.train_group([0, 1, 2], 5, 0.1, counter)
+    group_updates, group_losses = mode.train_group([0, 1, 2], local, counter)
     reference_ops = 0
     for cid in range(3):
-        (solo,), (solo_losses,) = mode.train_group([cid], 5, 0.1, OpCounter())
+        (solo,), (solo_losses,) = mode.train_group([cid], local, OpCounter())
         # the reference: the same client's model trained on 2-D arrays
         client = mode.clients[cid]
         x, y = client.features, client.labels
@@ -150,7 +147,7 @@ def test_full_weight_group_equals_each_client_alone():
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")
                   .permutation(len(x)) for e in range(config.local_epochs)]
         ref_counter = OpCounter()
-        ref_losses = sgd_epochs(_full_model_step(w, b, dataset.task, 0.1, ref_counter),
+        ref_losses = sgd_epochs(_full_model_step(w, b, setup.dataset.task, 0.1, ref_counter),
                                 x, y, config.batch_size, orders)
         reference_ops += ref_counter.multiplies
         (gw, gb), (sw, sb) = group_updates[cid], solo
@@ -189,11 +186,8 @@ def test_group_needs_equal_shards():
 def test_full_weight_group_needs_equal_shards():
     config = RunConfig(mode="fedavg-full", scheme="disjoint", num_clients=3, classes=4,
                        dim=8, n_per_class=30, pretrain_epochs=0).validate()
-    root = Rng(config.seed)
-    dataset = build_dataset(config, root.substream("data"))
-    plan = build_partition(config, dataset, root.substream("partition"))
-    mode = _FullModelRounds(config, root, dataset, plan,
-                            build_base(config, dataset, root))
-    assert [len(idx) for idx in plan.client_indices] == [21, 21, 42]
+    setup = Setup(config)
+    mode = _FullModelRounds(setup)
+    assert [len(idx) for idx in setup.plan.client_indices] == [21, 21, 42]
     with pytest.raises(InputError, match="client 2: shard size 42 != group shard size 21"):
-        mode.train_group([0, 2], 1, 0.1, None)
+        mode.train_group([0, 2], replace(mode.local, eta=0.1, round_index=1), None)
