@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, ParameterError
+from .errors import InputError, NumericError, ParameterError, require_finite
 from .lora import AdapterSet, DenseDelta
 from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
                     estimate_fim, estimate_mas_importance, sgd_step,
@@ -67,8 +67,7 @@ class LocalTrainConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.eta < 0:
-            raise ParameterError(f"learning rate must be >= 0, got {self.eta}")
+        require_finite("eta", self.eta, 0)
 
 
 def refresh_importances(state: ClientState, base: FrozenBase,

@@ -11,7 +11,8 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ParameterError
+from .errors import ParameterError, require_finite
+from .lora import RankSchedule, capped_rank
 
 MODES = ("spd-cfl", "fixed-rank-lora", "fedavg-full")
 SCHEMES = ("iid", "overlap", "disjoint")
@@ -83,9 +84,7 @@ class RunConfig:
                 raise ParameterError(message)
 
         def finite_at_least(name: str, low: float, strict: bool = False):
-            v = getattr(self, name)
-            ok = math.isfinite(v) and (v > low if strict else v >= low)
-            need(ok, f"{name} must be finite and {'>' if strict else '>='} {low}, got {v!r}")
+            require_finite(name, getattr(self, name), low, strict)
 
         def one_of(name: str, choices):
             v = getattr(self, name)
@@ -102,6 +101,10 @@ class RunConfig:
         need(self.r_init >= self.r_min >= 1,
              f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}")
         need(self.subtractor >= 1, f"subtractor must be >= 1, got {self.subtractor}")
+        need(self.mode != "spd-cfl"
+             or RankSchedule(self.r_init, self.r_min, self.subtractor).can_drop,
+             f"spd-cfl can never drop from r_init {self.r_init} by subtractor "
+             f"{self.subtractor} without passing r_min {self.r_min}")
         need(0 <= self.theta < 1, f"theta must lie in [0, 1), got {self.theta}")
         need(0 <= self.lam <= 1, f"lam must lie in [0, 1], got {self.lam}")
         need(self.cooldown >= 0, f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
@@ -131,7 +134,23 @@ class RunConfig:
         need(self.pretrain_batch >= 1, f"pretrain_batch must be >= 1, got {self.pretrain_batch}")
         need(self.probe_samples >= 2, f"probe_samples must be >= 2, got {self.probe_samples}")
         need(self.bytes_per_param >= 1, f"bytes_per_param must be >= 1, got {self.bytes_per_param}")
+        if not self.csv_path:  # a CSV's width and classes are known once it is read
+            self.check_rank_cap(self.dim, self.classes if self.task == "multiclass"
+                                else self.num_labels)
         return self
+
+    def check_rank_cap(self, dim: int, out_dim: int) -> None:
+        """Reject an ``r_init`` above the largest per-layer rank cap of the
+        [dim, *hidden, out_dim] network: no layer could host it, and every
+        drop down to that cap would change nothing that is sent."""
+        if self.mode == "fedavg-full":
+            return
+        dims = (dim, *self.hidden, out_dim)
+        largest = max(capped_rank(self.r_init, h1, h2) for h2, h1 in zip(dims, dims[1:]))
+        if largest < self.r_init:
+            raise ParameterError(
+                f"r_init {self.r_init} exceeds the largest per-layer rank cap "
+                f"{largest} of the {'x'.join(map(str, dims))} network")
 
 
 def _sections() -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, require_finite
 from .numerics import Rng
 
 
@@ -82,8 +82,7 @@ def generate_synthetic(num_classes: int, dim: int, n_per_class: int,
         raise ParameterError(f"need >= 2 classes, got {num_classes}")
     if dim < 2:
         raise ParameterError(f"need dim >= 2, got {dim}")
-    if class_separation < 0:
-        raise ParameterError(f"separation must be >= 0, got {class_separation}")
+    require_finite("separation", class_separation, 0)
 
     if class_means is None:
         dirs = rng.substream("class-means").normal(num_classes, dim)
@@ -292,7 +291,7 @@ def load_csv(path, label_column: str = "label"):
 
     Returns ``(features, labels, label_names)`` with labels encoded as
     consecutive integers in sorted name order. A file that cannot be opened
-    or decoded raises ``ParameterError``.
+    or decoded, or whose content is malformed, raises ``ParameterError``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -301,24 +300,24 @@ def load_csv(path, label_column: str = "label"):
         reason = getattr(exc, "strerror", None) or exc
         raise ParameterError(f"cannot read CSV file {str(path)!r}: {reason}") from None
     if not lines:
-        raise InputError("CSV file is empty")
+        raise ParameterError("CSV file is empty")
     header = lines[0]
     if label_column not in header:
-        raise InputError(f"label column {label_column!r} not in header {header}")
+        raise ParameterError(f"label column {label_column!r} not in header {header}")
     label_pos = header.index(label_column)
     raw_labels, rows = [], []
     for line_no, row in enumerate(lines[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
-            raise InputError(f"line {line_no}: expected {len(header)} fields")
+            raise ParameterError(f"line {line_no}: expected {len(header)} fields")
         raw_labels.append(row[label_pos])
         try:
             rows.append([float(v) for i, v in enumerate(row) if i != label_pos])
         except ValueError as exc:
-            raise InputError(f"line {line_no}: non-numeric feature: {exc}") from None
+            raise ParameterError(f"line {line_no}: non-numeric feature: {exc}") from None
     if not rows:
-        raise InputError("CSV file has no data rows")
+        raise ParameterError("CSV file has no data rows")
     names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(names)}
     x = np.asarray(rows, dtype=np.float64)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its finite-range check."""
+
+import math
 
 
 class RankfedError(Exception):
@@ -31,3 +33,11 @@ class ProtocolError(RankfedError):
 
 class UndefinedMetricError(RankfedError):
     """A metric is undefined for the given input (single-class AUC, constant CKA input)."""
+
+
+def require_finite(name: str, value, low: float, strict: bool = False) -> None:
+    """Raise ``ParameterError`` unless ``value`` is finite and >= ``low``
+    (> ``low`` if ``strict``). NaN and infinities fail."""
+    if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        raise ParameterError(
+            f"{name} must be finite and {'>' if strict else '>='} {low}, got {value!r}")

@@ -156,6 +156,8 @@ class Setup:
         self.config = config
         self.root = Rng(config.seed)
         self.dataset = build_dataset(config, self.root.substream("data"))
+        # validate() cannot check a CSV's network before the file is read
+        config.check_rank_cap(self.dataset.dim, self.dataset.num_classes)
 
     @cached_property
     def plan(self) -> PartitionPlan:

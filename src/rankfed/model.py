@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InvariantError, NumericError, ParameterError, ShapeError
+from .errors import (InputError, InvariantError, NumericError, ParameterError,
+                     ShapeError, require_finite)
 from .lora import AdapterSet, DenseDelta
 from .numerics import Matrix, Rng, as_matrix, softmax, softmax_cross_entropy
 
@@ -102,10 +103,9 @@ class CLConfig:
     def __post_init__(self):
         if self.method not in ("none", "ewc", "mas", "lwf"):
             raise ParameterError(f"unknown CL method: {self.method}")
-        if self.mu1 < 0 or self.mu2 < 0:
-            raise ParameterError("regularization strengths must be >= 0")
-        if self.lwf_temperature <= 0:
-            raise ParameterError("temperature must be positive")
+        require_finite("mu1", self.mu1, 0)
+        require_finite("mu2", self.mu2, 0)
+        require_finite("lwf_temperature", self.lwf_temperature, 0, strict=True)
 
     @property
     def active(self) -> bool:

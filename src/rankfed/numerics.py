@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import InputError, ParameterError, ShapeError
+from .errors import InputError, ParameterError, ShapeError, require_finite
 
 Matrix = np.ndarray
 
@@ -67,8 +67,7 @@ class Rng:
 
 def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
     """i.i.d. N(0, sigma^2) matrix drawn from the given stream."""
-    if sigma <= 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    require_finite("sigma", sigma, 0, strict=True)
     if rows < 1 or cols < 1:
         raise ParameterError(f"matrix dimensions must be positive, got {rows}x{cols}")
     return rng.normal(rows, cols, sigma)

@@ -58,6 +58,8 @@ class ServerState:
             raise ParameterError(f"theta must lie in [0, 1), got {self.theta}")
         if not 0.0 <= self.lam <= 1.0:
             raise ParameterError(f"lam must lie in [0, 1], got {self.lam}")
+        if not self.cooldown >= 0:
+            raise ParameterError(f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
 
 
 @dataclass(frozen=True)

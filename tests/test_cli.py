@@ -1,15 +1,20 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
 import rankfed.cli
 import rankfed.harness
 from rankfed.cli import main
+from rankfed.client import LocalTrainConfig
 from rankfed.config import RunConfig, config_text, load_config
+from rankfed.data import generate_synthetic
 from rankfed.errors import ParameterError
 from rankfed.harness import run_federated
-from rankfed.lora import load_adapters
+from rankfed.lora import RankSchedule, init_adapter_set, load_adapters
+from rankfed.model import CLConfig
+from rankfed.numerics import Rng, gaussian_matrix
+from rankfed.server import ServerState
 
 TINY_CONFIG = """
 [run]
@@ -44,6 +49,14 @@ def config_path(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(TINY_CONFIG)
     return path
+
+
+@pytest.fixture
+def no_pretraining(monkeypatch):
+    def fail(*_, **__):
+        raise AssertionError("the base was pretrained")
+
+    monkeypatch.setattr(rankfed.harness, "pretrain_base", fail)
 
 
 class TestConfigFile:
@@ -116,6 +129,10 @@ INVALID_VALUES = [
     dict(lwf_temperature=0.0), dict(sigma_init=0.0), dict(classes=1),
     dict(probe_samples=1), dict(hidden=(0,)), dict(hidden=128),
     dict(bytes_per_param=-1),
+    # no layer of the 16x8x10 network hosts rank 16
+    dict(r_init=16, hidden=(8,)), dict(mode="fixed-rank-lora", r_init=16, hidden=(8,)),
+    # spd-cfl cannot drop from 4 by 3 without passing r_min 2
+    dict(r_init=4, r_min=2, subtractor=3),
 ]
 
 
@@ -135,6 +152,45 @@ def test_invalid_value_rejected_before_data_generation(bad, tmp_path, monkeypatc
         path = tmp_path / "bad.cfg"
         path.write_text(config_text(RunConfig(**bad)))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_rank_rules_bind_only_the_modes_they_concern():
+    # a fixed rank never drops; fedavg-full has no adapters and no rank
+    RunConfig(mode="fixed-rank-lora", r_init=4, r_min=2, subtractor=3).validate()
+    RunConfig(mode="fedavg-full", r_init=16, hidden=(8,)).validate()
+    # a rank equal to the largest cap, and the explicit off switch, stay valid
+    RunConfig(r_init=8, hidden=(8,)).validate()
+    RunConfig(cooldown=float("inf")).validate()
+
+
+def _server_state(cooldown):
+    return ServerState(init_adapter_set([(4, 3)], 2, 0.1, Rng(0)),
+                       RankSchedule(2, 1, 1), cooldown=cooldown)
+
+
+NAN, INF = float("nan"), float("inf")
+CONSTRUCTOR_CHECKS = {
+    "CLConfig-mu1-nan": lambda: CLConfig("ewc", mu1=NAN),
+    "CLConfig-mu1-inf": lambda: CLConfig("ewc", mu1=INF),
+    "CLConfig-mu2-nan": lambda: CLConfig("ewc", mu2=NAN),
+    "CLConfig-lwf_temperature-nan": lambda: CLConfig("lwf", lwf_temperature=NAN),
+    "LocalTrainConfig-eta-nan": lambda: LocalTrainConfig(1, NAN, 8),
+    "LocalTrainConfig-eta-inf": lambda: LocalTrainConfig(1, INF, 8),
+    "gaussian_matrix-sigma-nan": lambda: gaussian_matrix(2, 2, NAN, Rng(0)),
+    "generate_synthetic-separation-nan": lambda: generate_synthetic(3, 4, 10, NAN, Rng(0)),
+    "ServerState-cooldown-nan": lambda: _server_state(NAN),
+    "ServerState-cooldown-negative": lambda: _server_state(-1),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTRUCTOR_CHECKS))
+def test_library_constructor_rejects_what_validate_rejects(case):
+    with pytest.raises(ParameterError):
+        CONSTRUCTOR_CHECKS[case]()
+
+
+def test_server_state_accepts_infinite_cooldown():
+    assert _server_state(INF).cooldown == INF
 
 
 def test_empty_multilabel_shard_rejected_before_pretraining(tmp_path, monkeypatch,
@@ -161,6 +217,43 @@ def test_missing_csv_exits_2(tmp_path, capsys):
     path.write_text(config_text(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+MALFORMED_CSV = {
+    "empty": "",
+    "no-label-column": "f0,target\n1.0,a\n",
+    "short-row": "f0,label\n1.0,a\n2.0\n",
+    "non-numeric-feature": "f0,label\noops,a\n",
+    "no-data-rows": "f0,label\n\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CSV))
+def test_malformed_csv_exits_2_before_pretraining(case, tmp_path, capsys, no_pretraining):
+    data = tmp_path / "data.csv"
+    data.write_text(MALFORMED_CSV[case])
+    path = tmp_path / "csv.cfg"
+    path.write_text(config_text(RunConfig(csv_path=str(data))))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_r_init_above_csv_rank_cap_rejected_before_pretraining(tmp_path, no_pretraining):
+    # two features and two classes: the 2x32x2 network hosts rank 2 at most,
+    # which only reading the CSV reveals
+    data = tmp_path / "data.csv"
+    data.write_text("f0,f1,label\n" + "".join(f"{i},{-i},{'ab'[i % 2]}\n"
+                                             for i in range(12)))
+    cfg = RunConfig(csv_path=str(data), num_clients=2, r_init=4, r_min=1,
+                    subtractor=1).validate()
+    with pytest.raises(ParameterError, match="r_init 4 exceeds the largest "
+                                             "per-layer rank cap 2 of the 2x32x2"):
+        run_federated(cfg)
+    path = tmp_path / "csv.cfg"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(AssertionError, match="pretrained"):
+        run_federated(replace(cfg, r_init=2))
 
 
 class TestRunCommand:
@@ -212,6 +305,18 @@ class TestPartitionCommand:
         assert "mean_pairwise_ks: 1.000000" in text
         assert "achieved_ks = 1.000000" in capsys.readouterr().err
 
+    def test_manifest_equals_the_runs(self, config_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+        manifest = tmp_path / "plan.manifest"
+        assert main(["partition", "--config", str(config_path),
+                     "--out", str(manifest)]) == 0
+        assert manifest.read_bytes() == (out / "partition.manifest").read_bytes()
+
+    def test_never_pretrains(self, config_path, tmp_path, no_pretraining):
+        assert main(["partition", "--config", str(config_path), "--seed", "9",
+                     "--out", str(tmp_path / "plan.manifest")]) == 0
+
     def test_stdout_manifest(self, capsys):
         code = main(["partition", "--scheme", "iid", "--classes", "4",
                      "--clients", "2", "--seed", "1"])
@@ -233,6 +338,16 @@ class TestEvalCommand:
         records = (out / "records.jsonl").read_text().splitlines()
         last = json.loads(records[-1])
         assert metrics["accuracy"] == pytest.approx(last["test_metric"], abs=1e-12)
+
+    def test_never_partitions(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(config_path), "--out", str(out)]) == 0
+
+        def no_partition(*_):
+            raise AssertionError("eval built a partition")
+
+        monkeypatch.setattr(rankfed.harness, "build_partition", no_partition)
+        assert main(["eval", str(config_path), str(out / "adapters_final.ckpt")]) == 0
 
     def test_checkpoint_from_another_base_exits_2(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"

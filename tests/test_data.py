@@ -192,13 +192,13 @@ class TestCsvLoader:
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError):
             load_csv(path)
 
     def test_non_numeric_feature(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f0,label\noops,x\n")
-        with pytest.raises(InputError):
+        with pytest.raises(ParameterError):
             load_csv(path)
 
     @pytest.mark.parametrize("where", ["missing", "directory", "undecodable"])
