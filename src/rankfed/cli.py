@@ -59,10 +59,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path, args=None, **flags) -> RunConfig:
     """The validated config of the file at ``path`` (the defaults when None),
     each ``flag=field`` that is set in ``args`` replacing that field."""
-    config = load_config(path) if path is not None else RunConfig()
     overrides = {field: getattr(args, flag) for flag, field in flags.items()
                  if getattr(args, flag) is not None}
-    return replace(config, **overrides).validate()
+    if path is None:
+        return RunConfig(**overrides).validate()
+    return load_config(path, **overrides)
 
 
 def _cmd_run(args) -> int:

@@ -190,21 +190,23 @@ def _parse_value(name: str, raw: str, kind):
         raise ParameterError(f"bad value for {name!r}: {raw!r}") from None
 
 
-def load_config(path) -> RunConfig:
-    """Parse an INI-style config file into a validated RunConfig."""
+def load_config(path, **overrides) -> RunConfig:
+    """Parse an INI-style config file into a validated RunConfig. Keyword
+    ``overrides`` replace the file's values before the one validation, so a
+    file may be completed by them (a mode given on the command line)."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise ParameterError(f"cannot read config file: {path}")
-    overrides = {}
+    values = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ParameterError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SECTIONS[section]:
                 raise ParameterError(f"unknown key {key!r} in section [{section}]")
-            overrides[key] = _parse_value(key, raw, _TYPES[key])
-    return RunConfig(**overrides).validate()
+            values[key] = _parse_value(key, raw, _TYPES[key])
+    return RunConfig(**{**values, **overrides}).validate()
 
 
 def config_text(config: RunConfig) -> str:

@@ -116,8 +116,9 @@ def aggregate(updates, mode: str = "factor") -> AdapterSet:
     if mode == "factor":
         factors = weighted_sum(weights, ([m for a in u.adapters for m in (a.B, a.A)]
                                          for u in updates))
-        return AdapterSet(tuple(LoRAAdapter(ref.layer_id, *factors[2 * l:2 * l + 2])
-                                for l, ref in enumerate(first)), first.nominal_rank)
+        return AdapterSet(tuple(LoRAAdapter(ref.layer_id, B, A) for ref, B, A
+                                in zip(first, factors[0::2], factors[1::2])),
+                          first.nominal_rank)
     if mode == "dense":
         return reinit_at_rank(weighted_sum(weights, (u.adapters.dense() for u in updates)),
                               first.nominal_rank)

@@ -283,6 +283,16 @@ class TestRunCommand:
         assert ((out1 / "records.jsonl").read_bytes()
                 != (out2 / "records.jsonl").read_bytes())
 
+    def test_mode_flag_applies_before_validation(self, tmp_path):
+        # r_init = r_min is a fixed rank: a file that names no mode is an
+        # spd-cfl run that can never drop, and valid once --mode fixes the rank
+        path = tmp_path / "fixed.cfg"
+        path.write_text(TINY_CONFIG.replace("mode = fixed-rank-lora\n", "")
+                        .replace("r_min = 2", "r_min = 4"))
+        assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 2
+        assert main(["run", str(path), "--mode", "fixed-rank-lora",
+                     "--out", str(tmp_path / "b")]) == 0
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "missing.cfg"),
                      "--out", str(tmp_path / "o")])
