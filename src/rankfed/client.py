@@ -63,10 +63,10 @@ class LocalTrainConfig:
     task: str = "multiclass"
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.epochs >= 0:
+            raise ParameterError(f"local_epochs must be >= 0, got {self.epochs}")
+        if not self.batch_size >= 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
         require_finite("eta", self.eta, 0)
 
 

@@ -11,13 +11,14 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
+from .client import LocalTrainConfig
 from .errors import ParameterError, require_finite
 from .lora import RankSchedule, capped_rank
+from .model import CLConfig
 
 MODES = ("spd-cfl", "fixed-rank-lora", "fedavg-full")
 SCHEMES = ("iid", "overlap", "disjoint")
 TASKS = ("multiclass", "multilabel")
-CL_METHODS = ("none", "ewc", "mas", "lwf")
 REINIT_METHODS = ("svd", "gaussian")
 AGGREGATIONS = ("factor", "dense")
 
@@ -78,6 +79,8 @@ class RunConfig:
 
         Checks are written so that NaN fails them. Runs validate here, once,
         before any data is generated; the training kernels do not re-check.
+        The local-training settings, the rank schedule and the regularizer
+        own their rules; validate() builds them instead of restating them.
         """
         def need(ok: bool, message: str):
             if not ok:
@@ -92,17 +95,12 @@ class RunConfig:
 
         one_of("mode", MODES)
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
-        need(self.local_epochs >= 0, f"local_epochs must be >= 0, got {self.local_epochs}")
-        finite_at_least("eta", 0)
+        LocalTrainConfig(self.local_epochs, self.eta, self.batch_size)
         need(0 < self.eta_decay <= 1, f"eta_decay must lie in (0, 1], got {self.eta_decay}")
-        need(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
         need(0 < self.participation <= 1,
              f"participation must lie in (0, 1], got {self.participation}")
-        need(self.r_init >= self.r_min >= 1,
-             f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}")
-        need(self.subtractor >= 1, f"subtractor must be >= 1, got {self.subtractor}")
-        need(self.mode != "spd-cfl"
-             or RankSchedule(self.r_init, self.r_min, self.subtractor).can_drop,
+        schedule = RankSchedule(self.r_init, self.r_min, self.subtractor)
+        need(self.mode != "spd-cfl" or schedule.can_drop,
              f"spd-cfl can never drop from r_init {self.r_init} by subtractor "
              f"{self.subtractor} without passing r_min {self.r_min}")
         need(0 <= self.theta < 1, f"theta must lie in [0, 1), got {self.theta}")
@@ -110,10 +108,7 @@ class RunConfig:
         need(self.cooldown >= 0, f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
         one_of("reinit", REINIT_METHODS)
         one_of("aggregation", AGGREGATIONS)
-        one_of("cl_method", CL_METHODS)
-        finite_at_least("mu1", 0)
-        finite_at_least("mu2", 0)
-        finite_at_least("lwf_temperature", 0, strict=True)
+        CLConfig(self.cl_method, self.mu1, self.mu2, self.lwf_temperature)
         one_of("task", TASKS)
         need(self.classes >= 2, f"classes must be >= 2, got {self.classes}")
         need(self.dim >= 2, f"dim must be >= 2, got {self.dim}")

@@ -388,7 +388,7 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     sizes = [c.shard_size for c in mode.clients]
     ledger = CommLedger(_participant_count(config), config.bytes_per_param)
     records = []
-    op_total = 0 if config.count_ops else None
+    counter = OpCounter() if config.count_ops else None
 
     for t in range(1, config.rounds + 1):
         local = dataclasses.replace(mode.local, round_index=t,
@@ -396,11 +396,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
         participants = _participants(config, root, t)
         trained = {}
         for group in _groups(participants, sizes):
-            counter = OpCounter() if config.count_ops else None
             updates, losses = mode.train_group(group, local, counter)
             trained.update(zip(group, zip(updates, losses)))
-            if counter is not None:
-                op_total += counter.multiplies
         results = [(cid, *trained[cid]) for cid in participants]
         ledger.add_round(mode.param_count())
 
@@ -426,7 +423,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
         base=setup.base, base_checksum=setup.base.checksum(), final_adapters=adapters,
         ledger=ledger, best_val_round=best + 1,
         cost_at_best=communication_cost(ledger, best + 1),
-        final_metrics=test, op_count=op_total,
+        final_metrics=test,
+        op_count=counter.multiplies if counter is not None else None,
     )
 
 

@@ -222,9 +222,9 @@ class RankSchedule:
             raise ParameterError(
                 f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}"
             )
-        if self.subtractor < 1:
+        if not self.subtractor >= 1:
             raise ParameterError(f"subtractor must be >= 1, got {self.subtractor}")
-        if self.phase < 1:
+        if not self.phase >= 1:
             raise ParameterError(f"phase must be >= 1, got {self.phase}")
 
     @property

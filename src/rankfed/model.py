@@ -45,9 +45,13 @@ class OpCounter:
         self.multiplies += int(n)
 
 
-def _count(counter, n):
+def _mm(a, b, counter=None):
+    """``a @ b``, adding its ``a.size * b.shape[-1]`` multiplies to
+    ``counter`` when one is given. The count is exact when ``b`` has no
+    leading client axis that ``a`` lacks, as in every training product."""
     if counter is not None:
-        counter.add(n)
+        counter.add(a.size * b.shape[-1])
+    return a @ b
 
 
 @dataclass(frozen=True)
@@ -91,18 +95,22 @@ def random_base(layer_dims, rng: Rng, scale: float | None = None) -> FrozenBase:
     return FrozenBase(tuple(weights), tuple(biases))
 
 
+CL_METHODS = ("none", "ewc", "mas", "lwf")
+
+
 @dataclass(frozen=True)
 class CLConfig:
     """Continual-learning regularizer selection and strengths."""
 
-    method: str = "none"  # one of: none, ewc, mas, lwf
+    method: str = "none"  # one of CL_METHODS
     mu1: float = 0.0      # stability strength (anchor = accumulated global)
     mu2: float = 0.0      # plasticity strength (anchor = current global)
     lwf_temperature: float = 1.0
 
     def __post_init__(self):
-        if self.method not in ("none", "ewc", "mas", "lwf"):
-            raise ParameterError(f"unknown CL method: {self.method}")
+        if self.method not in CL_METHODS:
+            raise ParameterError(
+                f"cl_method must be one of {CL_METHODS}, got {self.method!r}")
         require_finite("mu1", self.mu1, 0)
         require_finite("mu2", self.mu2, 0)
         require_finite("lwf_temperature", self.lwf_temperature, 0, strict=True)
@@ -138,11 +146,6 @@ def _as_batch(x) -> np.ndarray:
     if x.shape[-2] == 0:
         raise InputError("empty batch")
     return x
-
-
-def _rows(x: np.ndarray) -> int:
-    """Samples in a batch, summed over the clients of a stacked one."""
-    return x.size // x.shape[-1]
 
 
 def _layer_deltas(n: int, adapters):
@@ -182,20 +185,15 @@ def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
     h = x
     hs = [x]
     hA = [None] * n_layers
-    n = _rows(x)
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = h @ w.swapaxes(-1, -2) + b[..., np.newaxis, :]
-        _count(counter, n * w.shape[-2] * w.shape[-1])
+        z = _mm(h, w.swapaxes(-1, -2), counter) + b[..., np.newaxis, :]
         item = items[l]
         if kind == "factor":
             B, A = item
-            ha = h @ A.swapaxes(-1, -2)
-            z = z + ha @ B.swapaxes(-1, -2)
-            _count(counter, n * B.shape[-1] * (A.shape[-1] + B.shape[-2]))
-            hA[l] = ha
+            hA[l] = _mm(h, A.swapaxes(-1, -2), counter)
+            z = z + _mm(hA[l], B.swapaxes(-1, -2), counter)
         elif kind == "dense":
-            z = z + h @ item.swapaxes(-1, -2)
-            _count(counter, n * item.shape[0] * item.shape[1])
+            z = z + _mm(h, item.swapaxes(-1, -2), counter)
         h = np.tanh(z) if l < n_layers - 1 else z
         hs.append(h)
     return _Cache(weights, hs, hA, kind, items)
@@ -217,33 +215,27 @@ def _backward(cache: _Cache, dz, fold, counter=None):
     for a factor pair, ``dz @ (W + D)`` for a dense update ``D``. Returns the
     folds' results in layer order.
     """
-    n = _rows(dz)
     out = [None] * len(cache.weights)
     for l in reversed(range(len(cache.weights))):
         w, item = cache.weights[l], cache.items[l]
-        dzB = dz @ item[0] if cache.kind == "factor" else None
+        dzB = _mm(dz, item[0], counter) if cache.kind == "factor" else None
         out[l] = fold(l, dz, dzB)
         if l > 0:
-            _count(counter, n * w.shape[-2] * w.shape[-1])
             if cache.kind == "factor":
-                dh = dz @ w + dzB @ item[1]
-                _count(counter, n * item[1].shape[-2] * item[1].shape[-1])
+                dh = _mm(dz, w, counter) + _mm(dzB, item[1], counter)
             elif cache.kind == "dense":
-                dh = dz @ (w + item)
+                dh = _mm(dz, w + item, counter)
             else:
-                dh = dz @ w
+                dh = _mm(dz, w, counter)
             dz = dh * (1.0 - cache.hs[l] ** 2)
     return out
 
 
 def _factor_grads(cache: _Cache, dz, counter=None):
     """Gradients w.r.t. (B, A) per layer for a loss with logit gradient ``dz``."""
-    n = _rows(dz)
-
     def fold(l, dz, dzB):
-        r, out_dim, in_dim = dzB.shape[-1], dz.shape[-1], cache.hs[l].shape[-1]
-        _count(counter, n * r * (2 * out_dim + in_dim))
-        return dz.swapaxes(-1, -2) @ cache.hA[l], dzB.swapaxes(-1, -2) @ cache.hs[l]
+        return (_mm(dz.swapaxes(-1, -2), cache.hA[l], counter),
+                _mm(dzB.swapaxes(-1, -2), cache.hs[l], counter))
 
     return _backward(cache, dz, fold, counter)
 
@@ -468,12 +460,10 @@ def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
     client-stacked [C, n, d] batch.
     """
     cache = _forward_cache(weights, biases, None, x, counter)
-    n = _rows(cache.hs[0])
     loss, dz = _task_loss(cache.hs[-1], y, task)
 
     def fold(l, dz, _):
-        _count(counter, n * weights[l].shape[-2] * weights[l].shape[-1])
-        return dz.swapaxes(-1, -2) @ cache.hs[l], dz.sum(axis=-2)
+        return _mm(dz.swapaxes(-1, -2), cache.hs[l], counter), dz.sum(axis=-2)
 
     w_grads, b_grads = zip(*_backward(cache, dz, fold, counter))
     return loss, w_grads, b_grads
