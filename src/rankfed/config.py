@@ -189,10 +189,15 @@ def load_config(path, **overrides) -> RunConfig:
     """Parse an INI-style config file into a validated RunConfig. Keyword
     ``overrides`` replace the file's values before the one validation, so a
     file may be completed by them (a mode given on the command line)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ParameterError(f"cannot read config file: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError:
+        raise ParameterError(f"cannot read config file: {path}") from None
+    except (UnicodeDecodeError, configparser.Error) as exc:
+        reason = " ".join(str(exc).split())  # configparser's spans lines
+        raise ParameterError(f"malformed config file {path}: {reason}") from None
     values = {}
     for section in parser.sections():
         if section not in _SECTIONS:

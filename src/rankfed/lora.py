@@ -264,11 +264,15 @@ def load_adapters(path) -> tuple[AdapterSet, str | None]:
 
     Returns the adapter set and the checksum of the base it was trained on,
     or None for a version 1 or 2 file, which does not store it. A file that
-    is truncated, carries trailing bytes or describes an invalid adapter set
-    raises ``ParameterError``.
+    cannot be opened, is truncated, carries trailing bytes or describes an
+    invalid adapter set raises ``ParameterError``.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot read checkpoint {str(path)!r}: {exc.strerror or exc}") from None
     pos = 0
 
     def take(n: int) -> bytes:

@@ -108,6 +108,13 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_percent_sign_round_trips(self, tmp_path):
+        # values are literal: "%" starts no interpolation
+        cfg = RunConfig(csv_path="data/100%(x)s.csv", label_column="50%")
+        path = tmp_path / "percent.cfg"
+        path.write_text(config_text(cfg))
+        assert load_config(path) == cfg
+
     def test_lam_one_validates(self, tmp_path):
         # lam = 1 keeps the accumulator as is at every phase boundary
         path = tmp_path / "lam.cfg"
@@ -133,6 +140,9 @@ INVALID_VALUES = [
     dict(r_init=16, hidden=(8,)), dict(mode="fixed-rank-lora", r_init=16, hidden=(8,)),
     # spd-cfl cannot drop from 4 by 3 without passing r_min 2
     dict(r_init=4, r_min=2, subtractor=3),
+    # rules that validate() leaves to LocalTrainConfig and RankSchedule
+    dict(local_epochs=float("nan")), dict(batch_size=float("nan")),
+    dict(subtractor=float("nan")), dict(mode="fixed-rank-lora", r_init=2, r_min=4),
 ]
 
 
@@ -176,6 +186,10 @@ CONSTRUCTOR_CHECKS = {
     "CLConfig-lwf_temperature-nan": lambda: CLConfig("lwf", lwf_temperature=NAN),
     "LocalTrainConfig-eta-nan": lambda: LocalTrainConfig(1, NAN, 8),
     "LocalTrainConfig-eta-inf": lambda: LocalTrainConfig(1, INF, 8),
+    "LocalTrainConfig-epochs-nan": lambda: LocalTrainConfig(NAN, 0.1, 8),
+    "LocalTrainConfig-batch_size-nan": lambda: LocalTrainConfig(1, 0.1, NAN),
+    "RankSchedule-subtractor-nan": lambda: RankSchedule(4, 2, NAN),
+    "RankSchedule-phase-nan": lambda: RankSchedule(4, 2, 1, NAN),
     "gaussian_matrix-sigma-nan": lambda: gaussian_matrix(2, 2, NAN, Rng(0)),
     "generate_synthetic-separation-nan": lambda: generate_synthetic(3, 4, 10, NAN, Rng(0)),
     "ServerState-cooldown-nan": lambda: _server_state(NAN),
@@ -226,6 +240,27 @@ MALFORMED_CSV = {
     "non-numeric-feature": "f0,label\noops,a\n",
     "no-data-rows": "f0,label\n\n",
 }
+
+
+MALFORMED_CONFIG = {
+    "duplicate-key": b"[run]\nseed = 1\nseed = 2\n",
+    "duplicate-section": b"[run]\nseed = 1\n[run]\nrounds = 2\n",
+    "key-before-section": b"seed = 1\n[run]\n",
+    "no-equals": b"[run]\nseed\n",
+    "non-utf8": b"[run]\nmode = spd-cfl\xff\n",
+    "interpolation": b"[run]\nmode = %(x)s\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CONFIG))
+def test_malformed_config_file_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(MALFORMED_CONFIG[case])
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    # a parse error names the file; a literal "%(x)s" fails as a bad mode
+    assert str(path) in err if case != "interpolation" else "'%(x)s'" in err
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_CSV))
@@ -403,6 +438,15 @@ class TestEvalCommand:
         code = main(["eval", str(config_path), str(bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {damage} checkpoint")
+
+    @pytest.mark.parametrize("unreadable", ["missing", "directory"])
+    def test_unreadable_checkpoint_exits_2(self, config_path, tmp_path, capsys,
+                                           unreadable):
+        path = tmp_path / "absent.ckpt" if unreadable == "missing" else tmp_path
+        with pytest.raises(ParameterError, match="cannot read checkpoint"):
+            load_adapters(path)
+        assert main(["eval", str(config_path), str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
 
 class TestSweepCommand:
