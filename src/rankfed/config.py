@@ -99,6 +99,7 @@ class RunConfig:
         need(0 < self.eta_decay <= 1, f"eta_decay must lie in (0, 1], got {self.eta_decay}")
         need(0 < self.participation <= 1,
              f"participation must lie in (0, 1], got {self.participation}")
+        # built in every mode: r_init >= r_min >= 1 binds the fixed rank too
         schedule = RankSchedule(self.r_init, self.r_min, self.subtractor)
         need(self.mode != "spd-cfl" or schedule.can_drop,
              f"spd-cfl can never drop from r_init {self.r_init} by subtractor "
@@ -189,14 +190,16 @@ def load_config(path, **overrides) -> RunConfig:
     """Parse an INI-style config file into a validated RunConfig. Keyword
     ``overrides`` replace the file's values before the one validation, so a
     file may be completed by them (a mode given on the command line)."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # default_section="" cannot be written as a header, so a [DEFAULT]
+    # section is an unknown section like any other instead of being dropped
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError:
         raise ParameterError(f"cannot read config file: {path}") from None
     except (UnicodeDecodeError, configparser.Error) as exc:
-        reason = " ".join(str(exc).split())  # configparser's spans lines
+        reason = " ".join(str(exc).split())  # configparser's messages span lines
         raise ParameterError(f"malformed config file {path}: {reason}") from None
     values = {}
     for section in parser.sections():

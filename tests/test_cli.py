@@ -104,6 +104,13 @@ class TestConfigFile:
         with pytest.raises(ParameterError):
             load_config(path)
 
+    def test_default_section_rejected(self, tmp_path):
+        # its keys reached no field: seed = 3 ran at seed 0
+        path = tmp_path / "default.cfg"
+        path.write_text("[DEFAULT]\nseed = 3\n")
+        with pytest.raises(ParameterError, match=r"unknown config section \[DEFAULT\]"):
+            load_config(path)
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
             load_config(tmp_path / "nope.cfg")
