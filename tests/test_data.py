@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,28 @@ class TestPartition:
         assert "scheme: disjoint" in text
         assert "mean_pairwise_ks: 1.000000" in text
         assert text.count("client ") == 5
+
+    # The labels and the class shuffles are Philox permutations and involve
+    # no BLAS, so these hashes hold on every machine. 7 classes over 3
+    # clients gives uneven disjoint blocks and overlap claims that wrap.
+    @pytest.mark.parametrize("scheme,classes,clients,kw,sha256", [
+        ("iid", 10, 5, {},
+         "efdfe7892cb97b62db10c045b2d4692476f3e09505c44910afa016d29c30a4d8"),
+        ("disjoint", 10, 5, {},
+         "9ed3b11d6c2a05f8900157bbba19c371c129cd511a6e14d98c3ae2e350e59f57"),
+        ("overlap", 10, 5, dict(classes_per_client=4, shared_classes=2),
+         "f3302853bb0bd831912a0d8601ffbda324d43312183164f7bcc8beedfbbf08da"),
+        ("iid", 7, 3, {},
+         "7b3d79bfb8eb3db3f24b07b1075cf7d12d83e14de859bdb35757ff92548c75ed"),
+        ("disjoint", 7, 3, {},
+         "a894727823f2f288b5d9f084cf7ea880256a6f97ca0e15b4ab6ca44a8476546f"),
+        ("overlap", 7, 3, dict(classes_per_client=4, shared_classes=1),
+         "7b5183762861ba87d6765bf39f499b0107954da6cf5fb93ccfc36a34e0d58e23"),
+    ])
+    def test_manifest_bytes_pinned(self, scheme, classes, clients, kw, sha256):
+        dataset = generate_synthetic(classes, 4, 20, 1.0, Rng(7))
+        text = manifest_text(partition(dataset, clients, scheme, Rng(3), **kw))
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestMultilabel:
