@@ -188,21 +188,17 @@ def partition(dataset: Dataset, num_clients: int, scheme: str, rng: Rng,
     shuffled = [idx[rng.substream("class-shuffle", ci).permutation(len(idx))]
                 for ci, idx in enumerate(per_class)]
 
+    # A scheme only names each class's owners, in client order; one loop
+    # then deals the class's shuffled samples round-robin among them.
     if scheme == "iid":
-        shards = [[] for _ in range(num_clients)]
-        for idx in shuffled:
-            for i, v in enumerate(idx):
-                shards[i % num_clients].append(v)
+        owners = [range(num_clients)] * c
     elif scheme == "disjoint":
         if c < num_clients:
             raise ParameterError(
                 f"disjoint scheme needs >= 1 class per client ({c} < {num_clients})"
             )
         bounds = np.linspace(0, c, num_clients + 1).astype(int)
-        shards = []
-        for s in range(num_clients):
-            block = range(bounds[s], bounds[s + 1])
-            shards.append([v for ci in block for v in shuffled[ci]])
+        owners = [[s] for s in range(num_clients) for _ in range(bounds[s], bounds[s + 1])]
     elif scheme == "overlap":
         if classes_per_client is None or shared_classes is None:
             raise ParameterError("overlap scheme needs classes_per_client and shared_classes")
@@ -212,26 +208,20 @@ def partition(dataset: Dataset, num_clients: int, scheme: str, rng: Rng,
                 f"({classes_per_client}) <= classes ({c})"
             )
         step = classes_per_client - shared_classes
-        claims = [[(s * step + j) % c for j in range(classes_per_client)]
-                  for s in range(num_clients)]
-        claimed = sorted({ci for cl in claims for ci in cl})
-        if claimed != list(range(c)):
+        owners = [[s for s in range(num_clients) if (ci - s * step) % c < classes_per_client]
+                  for ci in range(c)]
+        if not all(owners):
             raise ParameterError(
                 "overlap scheme does not cover every class; adjust "
                 "classes_per_client/shared_classes for this client count"
             )
-        claimants = [[] for _ in range(c)]
-        for s, cl in enumerate(claims):
-            for ci in cl:
-                claimants[ci].append(s)
-        shards = [[] for _ in range(num_clients)]
-        for ci, idx in enumerate(shuffled):
-            owners = claimants[ci]
-            for i, v in enumerate(idx):
-                shards[owners[i % len(owners)]].append(v)
     else:
         raise ParameterError(f"unknown scheme: {scheme}")
 
+    shards = [[] for _ in range(num_clients)]
+    for idx, own in zip(shuffled, owners):
+        for i, v in enumerate(idx):
+            shards[own[i % len(own)]].append(v)
     client_indices = tuple(np.sort(np.asarray(s, dtype=np.int64)) for s in shards)
     if any(len(s) == 0 for s in client_indices):
         raise ParameterError("a client received an empty shard; reduce client count")

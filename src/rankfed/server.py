@@ -125,23 +125,12 @@ def aggregate(updates, mode: str = "factor") -> AdapterSet:
     raise ParameterError(f"unknown aggregation mode: {mode}")
 
 
-def accumulated_gradient(local: AdapterSet, global_prev: AdapterSet) -> list:
-    """Per-layer dense displacement of a client from the distributed global."""
-    if local.shapes() != global_prev.shapes():
-        raise ShapeError("adapter layer shapes differ between local and global")
-    return [dl - dg for dl, dg in zip(local.dense(), global_prev.dense())]
-
-
-def sensitivity(local_dense, grad) -> float:
-    """Magnitude-sum of the elementwise weight-gradient product."""
-    if len(local_dense) != len(grad):
-        raise ShapeError("layer count mismatch")
-    total = 0.0
-    for d, g in zip(local_dense, grad):
-        if d.shape != g.shape:
-            raise ShapeError(f"layer shape mismatch: {d.shape} vs {g.shape}")
-        total += float(np.sum(np.abs(d * g)))
-    return total
+def sensitivity(local_dense, global_dense):
+    """A client's per-layer dense displacement from the distributed global
+    adapters, and its sensitivity: the magnitude-sum of the elementwise
+    product of its dense update and that displacement."""
+    grad = [dl - dg for dl, dg in zip(local_dense, global_dense)]
+    return grad, sum(float(np.sum(np.abs(d * g))) for d, g in zip(local_dense, grad))
 
 
 def normalize_sensitivities(values) -> np.ndarray:
@@ -262,16 +251,20 @@ def server_round(state: ServerState, updates):
     """
     if not updates:
         raise InputError("no client updates")
-    rank = state.schedule.current_rank
+    rank, shapes = state.schedule.current_rank, state.adapters.shapes()
     for u in updates:
         if u.adapters.nominal_rank != rank:
             raise ProtocolError(
                 f"client {u.client_id} trained at rank {u.adapters.nominal_rank}, "
                 f"server expects {rank}"
             )
+        if u.adapters.shapes() != shapes:
+            raise ProtocolError(f"client {u.client_id} sent layer shapes "
+                                f"{u.adapters.shapes()}, server expects {shapes}")
     updates = sorted(updates, key=lambda u: u.client_id)
-    grads = [accumulated_gradient(u.adapters, state.adapters) for u in updates]
-    sens = [sensitivity(u.adapters.dense(), g) for u, g in zip(updates, grads)]
+    global_dense = state.adapters.dense()
+    # each client's dense update lives only while its displacement is formed
+    grads, sens = zip(*(sensitivity(u.adapters.dense(), global_dense) for u in updates))
     alpha = normalize_sensitivities(sens)
     pos, neg = pool_gradients(grads, alpha)
     ema_pos = [ema_update(p, c, state.theta)

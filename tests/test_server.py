@@ -10,10 +10,10 @@ from rankfed.errors import (InputError, InvariantError, ParameterError,
 from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule,
                           init_adapter_set)
 from rankfed.numerics import Rng, svd_truncate
-from rankfed.server import (ClientUpdate, ServerState, accumulated_gradient,
-                            aggregate, ema_update, gradient_consistency,
-                            maybe_dropout, normalize_sensitivities,
-                            pool_gradients, sensitivity, server_round)
+from rankfed.server import (ClientUpdate, ServerState, aggregate, ema_update,
+                            gradient_consistency, maybe_dropout,
+                            normalize_sensitivities, pool_gradients,
+                            sensitivity, server_round)
 
 
 def warm_set(rng, shapes=((6, 4), (3, 6)), rank=2, scale=0.3):
@@ -98,22 +98,24 @@ class TestAggregate:
 
 
 class TestAccumulatedGradient:
+    """The displacement half of ``sensitivity``."""
+
     def test_equal_sets_give_zero(self, rng):
         x = warm_set(rng)
-        grads = accumulated_gradient(x, x.clone())
+        grads, _ = sensitivity(x.dense(), x.clone().dense())
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
     def test_zero_global(self, rng):
         local = warm_set(rng)
         zero = init_adapter_set([(6, 4), (3, 6)], 2, 0.02, rng.substream("z"))
-        grads = accumulated_gradient(local, zero)
+        grads, _ = sensitivity(local.dense(), zero.dense())
         for g, d in zip(grads, local.dense()):
             assert np.array_equal(g, d)
 
     def test_matches_entrywise_subtraction(self, rng):
         local = warm_set(rng.substream("l"))
         glob = warm_set(rng.substream("g"))
-        grads = accumulated_gradient(local, glob)
+        grads, _ = sensitivity(local.dense(), glob.dense())
         for g, dl, dg in zip(grads, local.dense(), glob.dense()):
             assert np.array_equal(g, dl - dg)
 
@@ -121,17 +123,20 @@ class TestAccumulatedGradient:
 class TestSensitivity:
     def test_zero_gradient(self, rng):
         d = [rng.normal(3, 3)]
-        assert sensitivity(d, [np.zeros((3, 3))]) == 0.0
+        assert sensitivity(d, [m.copy() for m in d])[1] == 0.0
 
     def test_hand_product(self):
-        assert sensitivity([np.array([[2.0]])], [np.array([[3.0]])]) == 6.0
+        # displacement 2 - (-1) = 3, weighted by the local update 2
+        grad, score = sensitivity([np.array([[2.0]])], [np.array([[-1.0]])])
+        assert grad[0][0, 0] == 3.0
+        assert score == 6.0
 
     def test_nonnegative(self, rng):
         for i in range(10):
             s = rng.substream(i)
             d = [s.substream("d").normal(4, 4)]
             g = [s.substream("g").normal(4, 4)]
-            assert sensitivity(d, g) >= 0.0
+            assert sensitivity(d, g)[1] >= 0.0
 
 
 class TestNormalizeSensitivities:
@@ -316,6 +321,31 @@ class TestServerRound:
         bad = ClientUpdate(0, warm_set(rng, rank=3), 5)
         with pytest.raises(ProtocolError):
             server_round(state, [bad])
+
+    def test_shape_mismatch_rejected(self, rng):
+        state = make_state(rng, rank=4)
+        good = ClientUpdate(0, warm_set(rng.substream("g"), rank=4), 5)
+        bad = ClientUpdate(1, warm_set(rng.substream("b"), shapes=((6, 4), (3, 5)),
+                                       rank=4), 5)
+        with pytest.raises(ProtocolError, match="client 1 sent layer shapes"):
+            server_round(state, [good, bad])
+
+    def test_one_dense_product_per_update_and_one_for_the_global(self, rng,
+                                                                monkeypatch):
+        calls = []
+        dense = AdapterSet.dense
+
+        def counted(self):
+            calls.append(self)
+            return dense(self)
+
+        state = make_state(rng)
+        updates = [ClientUpdate(i, warm_set(rng.substream("u", i), rank=4), 10)
+                   for i in range(3)]
+        monkeypatch.setattr(AdapterSet, "dense", counted)
+        _, outcome = server_round(state, updates)
+        assert not outcome.dropped  # a drop folds the aggregate in: one more
+        assert len(calls) == len(updates) + 1
 
     def test_matches_flat_scripted_oracle(self, rng):
         theta = 0.9
