@@ -118,6 +118,9 @@ def _cmd_eval(args) -> int:
         raise ParameterError(
             f"checkpoint was trained on base sha256 {trained_on}, but the config "
             f"builds base sha256 {base.checksum()}")
+    if adapters.shapes() != base.layer_shapes():
+        raise ParameterError(f"checkpoint layer shapes {adapters.shapes()} do not fit "
+                             f"the config's base layer shapes {base.layer_shapes()}")
     metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task)
     print(json.dumps(metrics))
     return 0

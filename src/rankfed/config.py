@@ -130,6 +130,8 @@ class RunConfig:
         need(self.pretrain_batch >= 1, f"pretrain_batch must be >= 1, got {self.pretrain_batch}")
         need(self.probe_samples >= 2, f"probe_samples must be >= 2, got {self.probe_samples}")
         need(self.bytes_per_param >= 1, f"bytes_per_param must be >= 1, got {self.bytes_per_param}")
+        need(not (self.csv_path and self.task == "multilabel"),
+             "csv_path yields multiclass labels; it cannot be used with task = multilabel")
         if not self.csv_path:  # a CSV's width and classes are known once it is read
             self.check_rank_cap(self.dim, self.classes if self.task == "multiclass"
                                 else self.num_labels)

@@ -158,6 +158,12 @@ class Setup:
         self.dataset = build_dataset(config, self.root.substream("data"))
         # validate() cannot check a CSV's network before the file is read
         config.check_rank_cap(self.dataset.dim, self.dataset.num_classes)
+        # every round scores the validation split; the LoRA modes' CKA probe
+        # draws its rows from it and needs two
+        least, rows = (1 if config.mode == "fedavg-full" else 2), len(self.dataset.val_x)
+        if rows < least:
+            raise ParameterError(f"the validation split has {rows} rows and {config.mode} "
+                                 f"needs at least {least}; give the run more samples")
 
     @cached_property
     def plan(self) -> PartitionPlan:

@@ -429,12 +429,11 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
 def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
     """One gradient-descent step on every factor of a client-stacked set, in place.
 
-    ``client_ids`` name the set's client slices in order. A non-finite
-    gradient raises ``NumericError`` naming the first offending client and
-    its first offending layer; the set is then left unchanged.
+    ``client_ids`` name the set's client slices in order. ``eta`` is not
+    re-checked: ``LocalTrainConfig`` owns its rule. A non-finite gradient
+    raises ``NumericError`` naming the first offending client and its first
+    offending layer; the set is then left unchanged.
     """
-    if eta < 0:
-        raise ParameterError(f"learning rate must be >= 0, got {eta}")
     if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
         for i, cid in enumerate(client_ids):
             for a, (gB, gA) in zip(adapters, grads):

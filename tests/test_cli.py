@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,9 @@ from rankfed.client import LocalTrainConfig
 from rankfed.config import RunConfig, config_text, load_config
 from rankfed.data import generate_synthetic
 from rankfed.errors import ParameterError
-from rankfed.harness import run_federated
-from rankfed.lora import RankSchedule, init_adapter_set, load_adapters
+from rankfed.harness import Setup, run_federated
+from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
+                          save_adapters)
 from rankfed.model import CLConfig
 from rankfed.numerics import Rng, gaussian_matrix
 from rankfed.server import ServerState
@@ -67,6 +69,16 @@ class TestConfigFile:
         assert cfg.classes == 4
         assert cfg.cl_method == "none"
 
+    def test_readme_defaults_file_is_complete_and_loads_as_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split("=")[0].strip() for line in block.splitlines()
+                if "=" in line and not line.startswith(";")]
+        assert keys == [f.name for f in fields(RunConfig)]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path) == RunConfig()
+
     def test_render_and_reload(self, tmp_path):
         cfg = RunConfig(rounds=7, mu1=0.25, hidden=(16, 8))
         path = tmp_path / "echo.cfg"
@@ -91,12 +103,14 @@ class TestConfigFile:
         default = RunConfig()
         assert sorted(values) == sorted(f.name for f in fields(RunConfig))
         assert all(v != getattr(default, k) for k, v in values.items())
-        cfg = RunConfig(**values).validate()
-        path = tmp_path / "all.cfg"
-        path.write_text(config_text(cfg))
-        again = load_config(path)
-        assert again == cfg
-        assert all(type(getattr(again, k)) is type(v) for k, v in values.items())
+        # a CSV holds multiclass labels: task and csv_path keep their defaults in turn
+        for turn in (dict(csv_path=""), dict(task="multiclass")):
+            cfg = RunConfig(**{**values, **turn}).validate()
+            path = tmp_path / "all.cfg"
+            path.write_text(config_text(cfg))
+            again = load_config(path)
+            assert again == cfg
+            assert all(type(getattr(again, k)) is type(v) for k, v in values.items())
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -139,6 +153,7 @@ class TestConfigFile:
 
 INVALID_VALUES = [
     dict(cooldown=float("nan")), dict(mu1=float("nan")), dict(eta=float("nan")),
+    dict(eta=-0.1),
     dict(reinit="bogus"), dict(aggregation="x"), dict(cl_method="x"),
     dict(lwf_temperature=0.0), dict(sigma_init=0.0), dict(classes=1),
     dict(probe_samples=1), dict(hidden=(0,)), dict(hidden=128),
@@ -150,6 +165,8 @@ INVALID_VALUES = [
     # rules that validate() leaves to LocalTrainConfig and RankSchedule
     dict(local_epochs=float("nan")), dict(batch_size=float("nan")),
     dict(subtractor=float("nan")), dict(mode="fixed-rank-lora", r_init=2, r_min=4),
+    # a CSV has multiclass labels only
+    dict(task="multilabel", csv_path="points.csv"),
 ]
 
 
@@ -220,13 +237,34 @@ def test_empty_multilabel_shard_rejected_before_pretraining(tmp_path, monkeypatc
         raise AssertionError("base pretrained before the partition was checked")
 
     monkeypatch.setattr(rankfed.harness, "pretrain_base", no_pretraining)
-    cfg = RunConfig(task="multilabel", n_samples=5)
+    # 14 training samples for 20 clients
+    cfg = RunConfig(task="multilabel", n_samples=20, num_clients=20)
     with pytest.raises(ParameterError, match="empty shard"):
         run_federated(cfg)
     path = tmp_path / "tiny.cfg"
     path.write_text(config_text(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "empty shard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("small", [
+    dict(n_per_class=6),  # 0 validation rows per class
+    dict(task="multilabel", n_samples=12, num_clients=2),  # 1 validation row
+], ids=["no-rows", "one-row"])
+def test_small_validation_split_rejected_before_pretraining(small, tmp_path,
+                                                            no_pretraining, capsys):
+    cfg = RunConfig(**small)
+    with pytest.raises(ParameterError, match="validation split"):
+        run_federated(cfg)
+    path = tmp_path / "small.cfg"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "validation split has" in capsys.readouterr().err
+
+
+def test_one_validation_row_suffices_without_the_probe():
+    cfg = RunConfig(mode="fedavg-full", task="multilabel", n_samples=12, num_clients=2)
+    assert len(Setup(cfg.validate()).dataset.val_x) == 1
 
 
 def test_missing_csv_exits_2(tmp_path, capsys):
@@ -285,7 +323,7 @@ def test_r_init_above_csv_rank_cap_rejected_before_pretraining(tmp_path, no_pret
     # which only reading the CSV reveals
     data = tmp_path / "data.csv"
     data.write_text("f0,f1,label\n" + "".join(f"{i},{-i},{'ab'[i % 2]}\n"
-                                             for i in range(12)))
+                                             for i in range(20)))
     cfg = RunConfig(csv_path=str(data), num_clients=2, r_init=4, r_min=1,
                     subtractor=1).validate()
     with pytest.raises(ParameterError, match="r_init 4 exceeds the largest "
@@ -431,6 +469,24 @@ class TestEvalCommand:
         assert legacy.out == current.out
         assert len(legacy.err.splitlines()) == 1
         assert "cannot check" in legacy.err
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_checkpoint_that_does_not_fit_the_base_exits_2(self, config_path, tmp_path,
+                                                           capsys, version):
+        # adapters for a hidden=(8,) network; the config's base has hidden=(32,)
+        base = rankfed.cli.Setup(load_config(config_path)).base
+        adapters = init_adapter_set([(8, 8), (4, 8)], 4, 0.1, Rng(0))
+        path = tmp_path / "other.ckpt"
+        # a v3 file carrying this base's checksum stands for a corrupted header
+        save_adapters(path, adapters, base.checksum())
+        if version == 2:
+            raw = path.read_bytes()
+            path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
+        capsys.readouterr()
+        assert main(["eval", str(config_path), str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: checkpoint layer shapes [(8, 8), (4, 8)] do not fit")
+        assert "[(32, 8), (4, 32)]" in err
 
     @pytest.mark.parametrize("damage", ["truncated", "trailing"])
     def test_damaged_checkpoint_exits_2(self, config_path, tmp_path, capsys, damage):
