@@ -160,7 +160,8 @@ class Setup:
         config.check_rank_cap(self.dataset.dim, self.dataset.num_classes)
         # every round scores the validation split; the LoRA modes' CKA probe
         # draws its rows from it and needs two
-        least, rows = (1 if config.mode == "fedavg-full" else 2), len(self.dataset.val_x)
+        rows = len(self.dataset.val_x)
+        least = 1 if config.mode == "fedavg-full" else 2
         if rows < least:
             raise ParameterError(f"the validation split has {rows} rows and {config.mode} "
                                  f"needs at least {least}; give the run more samples")

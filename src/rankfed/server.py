@@ -125,7 +125,7 @@ def aggregate(updates, mode: str = "factor") -> AdapterSet:
     raise ParameterError(f"unknown aggregation mode: {mode}")
 
 
-def sensitivity(local_dense, global_dense):
+def sensitivity(local_dense, global_dense) -> tuple[list, float]:
     """A client's per-layer dense displacement from the distributed global
     adapters, and its sensitivity: the magnitude-sum of the elementwise
     product of its dense update and that displacement."""
@@ -263,7 +263,7 @@ def server_round(state: ServerState, updates):
                                 f"{u.adapters.shapes()}, server expects {shapes}")
     updates = sorted(updates, key=lambda u: u.client_id)
     global_dense = state.adapters.dense()
-    # each client's dense update lives only while its displacement is formed
+    # a generator: each client's dense update is freed once its displacement is formed
     grads, sens = zip(*(sensitivity(u.adapters.dense(), global_dense) for u in updates))
     alpha = normalize_sensitivities(sens)
     pos, neg = pool_gradients(grads, alpha)
