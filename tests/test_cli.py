@@ -474,7 +474,7 @@ class TestEvalCommand:
     def test_checkpoint_that_does_not_fit_the_base_exits_2(self, config_path, tmp_path,
                                                            capsys, version):
         # adapters for a hidden=(8,) network; the config's base has hidden=(32,)
-        base = rankfed.cli.Setup(load_config(config_path)).base
+        base = Setup(load_config(config_path)).base
         adapters = init_adapter_set([(8, 8), (4, 8)], 4, 0.1, Rng(0))
         path = tmp_path / "other.ckpt"
         # a v3 file carrying this base's checksum stands for a corrupted header
