@@ -121,7 +121,8 @@ def _cmd_eval(args) -> int:
     if adapters.shapes() != base.layer_shapes():
         raise ParameterError(f"checkpoint layer shapes {adapters.shapes()} do not fit "
                              f"the config's base layer shapes {base.layer_shapes()}")
-    metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task)
+    metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task,
+                       args.split)
     print(json.dumps(metrics))
     return 0
 

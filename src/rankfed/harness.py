@@ -25,11 +25,15 @@ from .config import RunConfig
 from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
                    partition, partition_multilabel, relabeled)
-from .errors import InputError, ParameterError, UndefinedMetricError
+from .errors import InputError, NumericError, ParameterError
 from .lora import AdapterSet, RankSchedule, capped_rank, init_adapter_set
-from .metrics import (CommLedger, accuracy_score, auc, communication_cost,
+from .metrics import (CommLedger, accuracy_score, column_aucs, communication_cost,
                       layer_averaged_cka, prepare_representations,
                       weight_distance)
+# Not called here. The benchmark's tracer wraps ``rankfed.harness.auc`` as its
+# ``metrics.auc`` layer, so the name stays importable until that target is
+# re-pointed at ``column_aucs``.
+from .metrics import auc  # noqa: F401
 from .model import (CLConfig, FrozenBase, OpCounter, forward,
                     full_loss_and_grads, random_base)
 from .numerics import Rng
@@ -199,34 +203,33 @@ def _full_model_step(weights, biases, task, eta, counter=None):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(base: FrozenBase, adapters, split, task_mode: str = "multiclass") -> dict:
-    """Metrics of the adapted model on a (features, labels) split.
+def evaluate(base: FrozenBase, adapters, split, task_mode: str = "multiclass",
+             name: str = "evaluation") -> dict:
+    """Metrics of the adapted model on a (features, labels) split; ``name``
+    names the split in errors.
 
-    Multiclass: accuracy of argmax predictions. Multilabel: per-label ROC AUC
-    of the raw logits plus the macro mean; labels whose split contains a
-    single class are reported as undefined (None) rather than failing the
-    whole evaluation.
+    Multiclass: accuracy of argmax predictions. Multilabel: the ROC AUC of
+    every label's raw logits, all scored in one ``column_aucs`` pass, plus
+    the macro mean; labels whose split contains a single class are reported
+    as undefined (None) rather than failing the whole evaluation. Non-finite
+    logits raise ``NumericError``: no metric is defined for them.
     """
     x, y = split
     if len(x) == 0:
         raise InputError("empty evaluation split")
     logits, _ = forward(base, adapters, x)
+    if not np.all(np.isfinite(logits)):
+        raise NumericError(f"the model's logits on the {name} split are not finite")
     if task_mode == "multiclass":
         return {"accuracy": accuracy_score(np.argmax(logits, axis=1), y)}
     if task_mode != "multilabel":
         raise ParameterError(f"unknown task mode: {task_mode}")
-    per_label, undefined = [], []
-    for l in range(logits.shape[1]):
-        try:
-            per_label.append(auc(logits[:, l], y[:, l]))
-        except UndefinedMetricError:
-            per_label.append(None)
-            undefined.append(l)
+    per_label = column_aucs(logits, y)
     defined = [v for v in per_label if v is not None]
     return {
         "auc_per_label": per_label,
         "auc_mean": float(np.mean(defined)) if defined else None,
-        "undefined_labels": undefined,
+        "undefined_labels": [l for l, v in enumerate(per_label) if v is None],
     }
 
 
@@ -309,6 +312,10 @@ class _AdapterRounds:
         against the incoming global adapters (plasticity) and the stability
         anchor (stability) by weight distance and layer-averaged CKA.
 
+        The plasticity distances are the server round's displacement norms,
+        so a participant's dense product is formed here only for the
+        stability distance, when an anchor exists.
+
         The CKA operands are prepared (centred, self-HSIC computed) once: the
         incoming and stability probe representations once per round, each
         participant's once per client; each ``layer_averaged_cka`` call then
@@ -321,22 +328,20 @@ class _AdapterRounds:
         self.server, outcome = server_round(self.server, updates)
 
         base, probe_x = self.base, self.probe_x
-        incoming_dense = incoming.dense()
         reps_incoming = prepare_representations(forward(base, incoming, probe_x)[1])
         reps_stability = (prepare_representations(forward(base, stability, probe_x)[1])
                           if stability is not None else None)
-        wd_sta, wd_pla, cka_sta, cka_pla = [], [], [], []
+        wd_sta, cka_sta, cka_pla = [], [], []
         for _, adp, _ in results:
-            local_dense = adp.dense()
-            wd_pla.append(weight_distance(local_dense, incoming_dense))
             reps_local = prepare_representations(forward(base, adp, probe_x)[1])
             cka_pla.append(layer_averaged_cka(reps_local, reps_incoming))
             if stability is not None:
-                wd_sta.append(weight_distance(local_dense, stability))
+                wd_sta.append(weight_distance(adp.dense(), stability))
                 cka_sta.append(layer_averaged_cka(reps_local, reps_stability))
         fields = dict(phase=phase, rank=outcome.rank,
                       consistency=outcome.consistency,
-                      wd_stability=wd_sta or None, wd_plasticity=wd_pla,
+                      wd_stability=wd_sta or None,
+                      wd_plasticity=list(outcome.displacement_norms),
                       cka_stability=cka_sta or None, cka_plasticity=cka_pla,
                       dropped=outcome.dropped)
         return base, outcome.global_adapters, fields
@@ -414,8 +419,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
                        if all(l is not None for l in last_losses) else None)
 
         model, adapters, fields = mode.close_round(results, weights)
-        val = evaluate(model, adapters, (dataset.val_x, dataset.val_y), dataset.task)
-        test = evaluate(model, adapters, (dataset.test_x, dataset.test_y), dataset.task)
+        val = evaluate(model, adapters, dataset.split("val"), dataset.task, "val")
+        test = evaluate(model, adapters, dataset.split("test"), dataset.task, "test")
         records.append(RoundRecord(
             round=t, global_loss=global_loss,
             val_metric=_metric_scalar(val), test_metric=_metric_scalar(test),

@@ -22,33 +22,83 @@ def accuracy_score(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def auc(scores, labels) -> float:
-    """Area under the ROC curve, trapezoidal over distinct score thresholds.
+def column_aucs(scores, labels) -> list:
+    """Area under the ROC curve of every column of ``scores`` [n, L] against
+    the 0/1 ``labels`` [n, L]; None for a column holding a single class.
 
+    Each column's curve is trapezoidal over its distinct score thresholds.
     Tied scores are grouped at a single threshold, so the trapezoid across a
     tie block credits half, matching the pairwise probability
     P(score+ > score-) + 0.5 * P(tie).
+
+    All columns are sorted and counted in one pass. A column's trapezoid
+    terms are those of ``np.trapezoid(tpr, fpr)`` and are summed as one
+    contiguous run, so each value equals the column's 1-D trapezoid bit for
+    bit. The sort need not be stable: the positives counted at the end of a
+    tie block do not depend on the order inside it.
     """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 2:
+        raise InputError(f"scores and labels must be equal-shape [n, L] arrays, "
+                         f"got {scores.shape} and {labels.shape}")
+    positive = labels == 1
+    pos = positive.sum(axis=0)
+    neg = (labels == 0).sum(axis=0)
+    if np.any(pos + neg != len(labels)):
+        raise InputError("labels must be 0 or 1")
+    if not np.all(np.isfinite(scores)):
+        raise InputError("scores must be finite")
+    defined = np.flatnonzero((pos > 0) & (neg > 0))
+    out = [None] * scores.shape[1]
+    if len(defined) == 0:
+        return out
+
+    k, n = len(defined), len(labels)
+    pos, neg = pos[defined, np.newaxis], neg[defined, np.newaxis]
+    neg_s = -scores.T[defined]
+    order = np.argsort(neg_s, axis=1)
+    order += np.arange(0, k * n, n)[:, np.newaxis]  # flat indices into [k, n]
+    neg_s = neg_s.take(order)
+    # positives among each column's top 1..n scores, exact in float64
+    tps = np.cumsum(positive.T[defined].take(order), axis=1, dtype=np.float64)
+    # a threshold closes each block of equal scores
+    closes = np.empty((k, n), dtype=bool)
+    closes[:, :-1] = neg_s[:, 1:] != neg_s[:, :-1]
+    closes[:, -1] = True
+    # row-major selection: each column's thresholds form one run
+    tpr = (tps / pos)[closes]
+    fpr = ((np.arange(1, n + 1) - tps) / neg)[closes]
+    counts = closes.sum(axis=1)
+    starts = np.cumsum(counts) - counts
+    # each threshold's predecessor on its column's curve, which starts at (0, 0)
+    prev = np.empty((2, len(tpr)))
+    prev[0, 1:], prev[1, 1:] = fpr[:-1], tpr[:-1]
+    prev[:, starts] = 0.0
+    terms = (fpr - prev[0]) * (tpr + prev[1]) / 2.0
+
+    # columns with equal threshold counts sum as the rows of one [k, m] block
+    by_count = {}
+    for i, m in enumerate(counts.tolist()):
+        by_count.setdefault(m, []).append(i)
+    for m, members in by_count.items():
+        block = terms[starts[members][:, np.newaxis] + np.arange(m)]
+        for i, value in zip(members, block.sum(axis=1).tolist()):
+            out[defined[i]] = value
+    return out
+
+
+def auc(scores, labels) -> float:
+    """Area under the ROC curve of 1-D scores against 0/1 labels: the
+    one-column case of ``column_aucs``."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-D sequences")
-    pos = int(np.sum(labels == 1))
-    neg = int(np.sum(labels == 0))
-    if pos + neg != len(labels):
-        raise InputError("labels must be 0 or 1")
-    if pos == 0 or neg == 0:
+    value = column_aucs(scores[:, np.newaxis], labels[:, np.newaxis])[0]
+    if value is None:
         raise UndefinedMetricError("AUC needs both classes present")
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order].astype(np.float64)
-    distinct = np.flatnonzero(np.diff(s))
-    cut = np.concatenate([distinct, [len(s) - 1]])
-    tps = np.cumsum(y)[cut]
-    fps = (cut + 1) - tps
-    tpr = np.concatenate([[0.0], tps / pos])
-    fpr = np.concatenate([[0.0], fps / neg])
-    return float(np.trapezoid(tpr, fpr))
+    return value
 
 
 @dataclass
@@ -94,20 +144,27 @@ def communication_cost(ledger: CommLedger, through_round: int | None = None):
     return count, megabytes
 
 
+def frobenius_norm(arrays) -> float:
+    """Frobenius norm of the arrays concatenated; ``arrays`` may be a generator."""
+    return float(np.sqrt(sum((float(np.sum(a ** 2)) for a in arrays), 0.0)))
+
+
 def weight_distance(a, b) -> float:
     """Frobenius norm of the difference, concatenated over layers."""
     a_list = a if isinstance(a, (list, tuple)) else [a]
     b_list = b if isinstance(b, (list, tuple)) else [b]
     if len(a_list) != len(b_list):
         raise ShapeError(f"layer count mismatch: {len(a_list)} vs {len(b_list)}")
-    total = 0.0
-    for x, y in zip(a_list, b_list):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if x.shape != y.shape:
-            raise ShapeError(f"layer shape mismatch: {x.shape} vs {y.shape}")
-        total += float(np.sum((x - y) ** 2))
-    return float(np.sqrt(total))
+
+    def differences():
+        for x, y in zip(a_list, b_list):
+            x = np.asarray(x, dtype=np.float64)
+            y = np.asarray(y, dtype=np.float64)
+            if x.shape != y.shape:
+                raise ShapeError(f"layer shape mismatch: {x.shape} vs {y.shape}")
+            yield x - y
+
+    return frobenius_norm(differences())
 
 
 class _Operand(NamedTuple):

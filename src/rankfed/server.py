@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InputError, InvariantError, ParameterError, ProtocolError, ShapeError
 from .lora import (AdapterSet, DenseDelta, LoRAAdapter, RankSchedule, accumulate,
                    reinit_at_rank)
+from .metrics import frobenius_norm
 from .numerics import Rng, relu
 
 
@@ -68,6 +69,9 @@ class RoundOutcome:
     rank: int        # rank the round's updates were trained at
     dropped: bool
     global_adapters: AdapterSet  # this round's aggregate (pre re-initialization)
+    # each update's Frobenius distance from the distributed global adapters
+    # over all layers, in client-id order
+    displacement_norms: tuple
 
 
 def shard_weights(sizes) -> np.ndarray:
@@ -276,4 +280,5 @@ def server_round(state: ServerState, updates):
     new_state = replace(state, adapters=global_adapters,
                         ema_pos=ema_pos, ema_neg=ema_neg)
     new_state, dropped = maybe_dropout(new_state, consistency)
-    return new_state, RoundOutcome(consistency, rank, dropped, global_adapters)
+    return new_state, RoundOutcome(consistency, rank, dropped, global_adapters,
+                                   tuple(frobenius_norm(g) for g in grads))

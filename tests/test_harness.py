@@ -5,13 +5,14 @@ import pytest
 
 from conftest import linear_probe_accuracy
 
+from rankfed import harness
 from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
-from rankfed.errors import ParameterError
+from rankfed.errors import NumericError, ParameterError
 from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
                              op_count_budget, pretrain_base, records_jsonl,
                              run_federated)
-from rankfed.lora import init_adapter_set
+from rankfed.lora import AdapterSet, init_adapter_set
 from rankfed.model import forward
 from rankfed.numerics import Rng
 
@@ -234,6 +235,19 @@ class TestEvaluate:
         result = run_federated(cfg)
         assert result.records[-1].test_metric > 0.95
 
+    @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+    def test_non_finite_logits_rejected_naming_the_split(self, task):
+        root = Rng(3)
+        if task == "multiclass":
+            ds = generate_synthetic(3, 8, 20, 2.0, root.substream("data"))
+        else:
+            ds = generate_multilabel(200, 8, 3, root.substream("data"))
+        base = pretrain_base(ds, 0, root.substream("base"))
+        x = ds.test_x.copy()
+        x[0, 0] = np.nan
+        with pytest.raises(NumericError, match="test split"):
+            evaluate(base, None, (x, ds.test_y), task, "test")
+
     def test_single_class_label_surfaced_per_label(self):
         root = Rng(3)
         ds = generate_multilabel(200, 8, 3, root.substream("data"))
@@ -244,6 +258,46 @@ class TestEvaluate:
         assert metrics["auc_per_label"][1] is None
         assert metrics["undefined_labels"] == [1]
         assert metrics["auc_mean"] is not None
+
+
+class TestCloseRound:
+    def test_dense_products_formed_only_for_the_stability_distance(self, monkeypatch):
+        """The plasticity distance comes from ``server_round``'s displacement
+        norms; ``close_round`` itself forms a participant's dense product
+        only when a stability anchor exists (after the first drop)."""
+        calls = []
+        dense = AdapterSet.dense
+
+        def counted(self):
+            calls.append(self)
+            return dense(self)
+
+        server_round, close_round = harness.server_round, harness._AdapterRounds.close_round
+        in_server, per_round = [], []
+
+        def counted_server_round(*args):
+            before = len(calls)
+            out = server_round(*args)
+            in_server.append(len(calls) - before)
+            return out
+
+        def counted_close_round(self, results, weights):
+            anchored = self.server.accumulated is not None
+            before = len(calls)
+            out = close_round(self, results, weights)
+            per_round.append((anchored, len(results),
+                              len(calls) - before - in_server[-1]))
+            return out
+
+        monkeypatch.setattr(AdapterSet, "dense", counted)
+        monkeypatch.setattr(harness, "server_round", counted_server_round)
+        monkeypatch.setattr(harness._AdapterRounds, "close_round", counted_close_round)
+        cfg = RunConfig(mode="spd-cfl", seed=2, cl_method="none", mu1=0, mu2=0,
+                        **dict(TINY, rounds=5, cooldown=1, num_clients=3))
+        run_federated(cfg)
+        assert [anchored for anchored, _, _ in per_round] == [False, False, True, True, True]
+        for anchored, participants, own in per_round:
+            assert own == (participants if anchored else 0)
 
 
 class TestOpCountBudget:

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
-from rankfed.metrics import (CommLedger, accuracy_score, auc, cka,
-                             communication_cost, layer_averaged_cka,
-                             linear_hsic, prepare_representations,
-                             weight_distance)
+from rankfed.metrics import (CommLedger, accuracy_score, auc, cka, column_aucs,
+                             communication_cost, frobenius_norm,
+                             layer_averaged_cka, linear_hsic,
+                             prepare_representations, weight_distance)
 from rankfed.numerics import Rng
 
 
@@ -25,6 +25,52 @@ def pairwise_auc(scores, labels):
             elif p == n:
                 ties += 1
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
+
+
+def reference_auc(scores, labels):
+    """Per-column AUC as computed before ``column_aucs``: a stable sort, the
+    tie blocks' ends, and ``np.trapezoid`` over the ROC points; None for a
+    single-class column."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = int(np.sum(labels == 1))
+    neg = int(np.sum(labels == 0))
+    if pos == 0 or neg == 0:
+        return None
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order].astype(np.float64)
+    distinct = np.flatnonzero(np.diff(s))
+    cut = np.concatenate([distinct, [len(s) - 1]])
+    tps = np.cumsum(y)[cut]
+    fps = (cut + 1) - tps
+    tpr = np.concatenate([[0.0], tps / pos])
+    fpr = np.concatenate([[0.0], fps / neg])
+    return float(np.trapezoid(tpr, fpr))
+
+
+def bits(values):
+    """Each value's exact bits (None kept), so comparisons tell -0.0 from 0.0."""
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def assert_matches_reference(scores, labels):
+    expected = [reference_auc(scores[:, l], labels[:, l])
+                for l in range(scores.shape[1])]
+    assert bits(column_aucs(scores, labels)) == bits(expected)
+
+
+def random_columns(rng, n, width, levels, label_dtype=np.int64):
+    """Scores [n, width] and labels: ``levels`` > 0 puts the scores on a grid
+    of that many values (ties), 0 draws them continuous over six decades."""
+    if levels:
+        scores = rng.substream("s").integers(0, levels, (n, width)) / levels
+    else:
+        scale = 10.0 ** rng.substream("decade").integers(-3, 3, width)
+        scores = rng.substream("s").normal(n, width) * scale
+    p = 0.05 + 0.9 * rng.substream("p").uniform(width)
+    labels = (rng.substream("y").uniform((n, width)) < p).astype(label_dtype)
+    return np.asarray(scores, dtype=np.float64), labels
 
 
 def gram_hsic(z1, z2):
@@ -102,6 +148,93 @@ class TestAuc:
             assert auc(scores, labels) == pytest.approx(
                 pairwise_auc(scores, labels), abs=1e-9)
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.2], [1, 0, 1]),
+        ([[0.1, 0.2]], [[1, 0]]),
+        ([0.1, 0.2], [1, 2]),
+        ([0.1, 0.2], [1, 0.5]),
+    ], ids=["length", "2-D", "label-2", "label-half"])
+    def test_bad_input_rejected(self, scores, labels):
+        with pytest.raises(InputError):
+            auc(scores, labels)
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.1, 0.2], [0, 0]),
+        ([0.7], [1]),
+        ([], []),
+    ], ids=["negatives-only", "one-sample", "empty"])
+    def test_one_class_undefined(self, scores, labels):
+        with pytest.raises(UndefinedMetricError, match="both classes"):
+            auc(scores, labels)
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1, 0], [0, 1, 1, 0]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad, labels):
+        with pytest.raises(InputError, match="finite"):
+            auc([bad, bad, 0.5, 0.2], labels)
+
+    def test_bool_labels(self):
+        assert auc([0.9, 0.1, 0.5], [True, False, False]) == 1.0
+
+
+class TestColumnAucs:
+    """``column_aucs`` against ``reference_auc``, the per-column algorithm it
+    replaced, to the bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(1, 300), st.integers(1, 6),
+           st.sampled_from([0, 1, 2, 3, 7, 50]),
+           st.sampled_from([np.int64, np.int8, bool, np.float64]))
+    def test_bit_identical_to_reference(self, seed, n, width, levels, label_dtype):
+        scores, labels = random_columns(Rng(seed), n, width, levels, label_dtype)
+        assert_matches_reference(scores, labels)
+
+    # 8 and 128 are numpy's pairwise-summation unroll and block sizes
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 127, 128, 129, 1024, 1025, 9000])
+    @pytest.mark.parametrize("levels", [0, 5])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_bit_identical_around_summation_blocks(self, n, levels, width):
+        scores, labels = random_columns(Rng(n).substream(levels, width), n, width, levels)
+        assert_matches_reference(scores, labels)
+
+    def test_columns_with_different_threshold_counts(self):
+        # distinct scores, a 3-level grid and a constant column side by side
+        rng = Rng(4)
+        scores = np.stack([rng.substream("a").normal(200, 1)[:, 0],
+                           rng.substream("b").integers(0, 3, 200) / 3.0,
+                           np.full(200, 0.25)], axis=1)
+        labels = rng.substream("y").integers(0, 2, (200, 3))
+        assert_matches_reference(scores, labels)
+        assert column_aucs(scores, labels)[2] == 0.5
+
+    def test_one_class_columns_are_none(self):
+        scores = np.array([[0.9, 0.1, 0.3], [0.2, 0.4, 0.6], [0.5, 0.5, 0.5]])
+        labels = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]])
+        values = column_aucs(scores, labels)
+        assert values[1] is None and values[2] is None
+        assert values[0] == 1.0
+
+    def test_one_sample_and_no_samples(self):
+        assert column_aucs([[0.3, 0.4]], [[1, 0]]) == [None, None]
+        assert column_aucs(np.zeros((0, 3)), np.zeros((0, 3))) == [None] * 3
+
+    @pytest.mark.parametrize("scores, labels", [
+        (np.zeros((3, 2)), np.zeros((3, 3))),
+        (np.zeros(3), np.zeros(3)),
+        (np.zeros((3, 2)), np.full((3, 2), 2)),
+    ], ids=["shape", "1-D", "label-2"])
+    def test_bad_input_rejected(self, scores, labels):
+        with pytest.raises(InputError):
+            column_aucs(scores, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_rejected_in_any_column(self, bad):
+        scores, labels = random_columns(Rng(2), 20, 3, 0)
+        scores[7, 2] = bad
+        labels[:, 2] = 1  # even in a column whose AUC is undefined
+        with pytest.raises(InputError, match="finite"):
+            column_aucs(scores, labels)
+
 
 class TestCommunicationCost:
     def test_hand_value(self):
@@ -176,6 +309,14 @@ class TestWeightDistance:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             weight_distance([rng.normal(2, 2)], [rng.normal(3, 2)])
+
+    def test_is_the_norm_of_the_layer_differences(self, rng):
+        a = [rng.substream("a").normal(3, 4), rng.substream("a2").normal(2, 5)]
+        b = [rng.substream("b").normal(3, 4), rng.substream("b2").normal(2, 5)]
+        diffs = [x - y for x, y in zip(a, b)]
+        assert weight_distance(a, b) == frobenius_norm(diffs)
+        assert frobenius_norm(iter(diffs)) == frobenius_norm(diffs)
+        assert frobenius_norm([]) == 0.0
 
 
 class TestHsic:

@@ -9,6 +9,7 @@ from rankfed.errors import (InputError, InvariantError, ParameterError,
                             ProtocolError)
 from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule,
                           init_adapter_set)
+from rankfed.metrics import weight_distance
 from rankfed.numerics import Rng, svd_truncate
 from rankfed.server import (ClientUpdate, ServerState, aggregate, ema_update,
                             gradient_consistency, maybe_dropout,
@@ -346,6 +347,16 @@ class TestServerRound:
         _, outcome = server_round(state, updates)
         assert not outcome.dropped  # a drop folds the aggregate in: one more
         assert len(calls) == len(updates) + 1
+
+    def test_displacement_norms_are_the_weight_distances_in_client_order(self, rng):
+        state = make_state(rng)
+        updates = [ClientUpdate(i, warm_set(rng.substream("u", i), rank=4), 10)
+                   for i in (2, 0, 1)]
+        _, outcome = server_round(state, updates)
+        global_dense = state.adapters.dense()
+        assert outcome.displacement_norms == tuple(
+            weight_distance(u.adapters.dense(), global_dense)
+            for u in sorted(updates, key=lambda u: u.client_id))
 
     def test_matches_flat_scripted_oracle(self, rng):
         theta = 0.9
