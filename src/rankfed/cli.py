@@ -121,9 +121,9 @@ def _cmd_eval(args) -> int:
     if adapters.shapes() != base.layer_shapes():
         raise ParameterError(f"checkpoint layer shapes {adapters.shapes()} do not fit "
                              f"the config's base layer shapes {base.layer_shapes()}")
-    metrics = evaluate(base, adapters, dataset.split(args.split), dataset.task,
-                       args.split)
-    print(json.dumps(metrics))
+    metrics = evaluate(base, adapters, {args.split: dataset.split(args.split)},
+                       dataset.task)
+    print(json.dumps(metrics[args.split]))
     return 0
 
 

@@ -30,7 +30,7 @@ from .lora import AdapterSet, DenseDelta
 from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
                     estimate_fim, estimate_mas_importance, sgd_step,
                     total_local_loss)
-from .numerics import Rng, take_rows
+from .numerics import Rng
 
 
 @dataclass
@@ -110,15 +110,27 @@ def sgd_epochs(step, x, y, batch_size: int, orders):
     loss. With one model, ``x`` is [n, d] and each order is [n]; with shards
     stacked along a leading client axis, each order is [C, n] and every loss
     holds one value per client. Returns the mean loss of each epoch.
+
+    The shards are flattened once, so that row ``c * n + i`` is row ``i`` of
+    client ``c``; each epoch's orders are offset into that flat index once,
+    and each mini-batch is then one ``take`` per array.
     """
     n = x.shape[-2]
+    clients = x.shape[0] if x.ndim == 3 else 1
+    x_flat = x.reshape(clients * n, x.shape[-1])
+    y_flat = y.reshape(clients * n, *y.shape[x.ndim - 1:])
+    offsets = np.arange(0, clients * n, n)[:, np.newaxis] if x.ndim == 3 else 0
     epoch_losses = []
     for epoch, order in enumerate(orders):
+        flat_order = order + offsets
         batch_losses = []
         for start in range(0, n, batch_size):
-            idx = order[..., start:start + batch_size]
-            batch_losses.append(step(epoch, take_rows(x, idx), take_rows(y, idx)))
-        epoch_losses.append(np.mean(np.stack(batch_losses, axis=-1), axis=-1))
+            idx = flat_order[..., start:start + batch_size]
+            batch_losses.append(step(epoch, x_flat.take(idx, axis=0),
+                                     y_flat.take(idx, axis=0)))
+        # np.mean's own arithmetic, without its wrapper
+        epoch_losses.append(np.add.reduce(np.stack(batch_losses, axis=-1), axis=-1)
+                            / len(batch_losses))
     return epoch_losses
 
 

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field, fields
 
 from .client import LocalTrainConfig
 from .errors import ParameterError, require_finite
-from .lora import RankSchedule, capped_rank
+from .lora import REINIT_METHODS, RankSchedule, capped_rank
 from .model import CLConfig
+from .server import AGGREGATIONS
 
 MODES = ("spd-cfl", "fixed-rank-lora", "fedavg-full")
 SCHEMES = ("iid", "overlap", "disjoint")
 TASKS = ("multiclass", "multilabel")
-REINIT_METHODS = ("svd", "gaussian")
-AGGREGATIONS = ("factor", "dense")
 
 
 def _opens(section: str, default):

@@ -25,7 +25,7 @@ from .config import RunConfig
 from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
                    partition, partition_multilabel, relabeled)
-from .errors import InputError, NumericError, ParameterError
+from .errors import InputError, NumericError, ParameterError, UndefinedMetricError
 from .lora import AdapterSet, RankSchedule, capped_rank, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, column_aucs, communication_cost,
                       layer_averaged_cka, prepare_representations,
@@ -130,12 +130,21 @@ def build_pretrain_dataset(config: RunConfig, dataset: Dataset, rng: Rng) -> Dat
     return generate_multilabel(config.n_samples, config.dim, config.num_labels, rng)
 
 
+def _training_targets(dataset: Dataset) -> np.ndarray:
+    """The train split's labels as the loss consumes them: multilabel 0/1
+    targets as float64, multiclass class indices as they are."""
+    if dataset.task == "multilabel":
+        return dataset.train_y.astype(np.float64)
+    return dataset.train_y
+
+
 def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
                   eta: float = 0.05, batch_size: int = 32,
                   hidden=(32,)) -> FrozenBase:
     """Train all base weights on the given dataset, then freeze them.
 
-    With epochs=0 the base is the frozen random initialization.
+    With epochs=0 the base is the frozen random initialization. Multilabel
+    targets are cast to float64 once here rather than by the loss every step.
     """
     n = len(dataset.train_x)
     if n == 0:
@@ -146,7 +155,7 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
     sgd_epochs(_full_model_step(weights, biases, dataset.task, eta),
-               dataset.train_x, dataset.train_y, batch_size, orders)
+               dataset.train_x, _training_targets(dataset), batch_size, orders)
     return FrozenBase(tuple(weights), tuple(biases))
 
 
@@ -203,34 +212,60 @@ def _full_model_step(weights, biases, task, eta, counter=None):
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(base: FrozenBase, adapters, split, task_mode: str = "multiclass",
-             name: str = "evaluation") -> dict:
-    """Metrics of the adapted model on a (features, labels) split; ``name``
-    names the split in errors.
+def evaluate(base: FrozenBase, adapters, splits, task_mode: str = "multiclass") -> dict:
+    """Metrics of the adapted model on every split of ``splits``, a mapping
+    from split name to (features, labels); returns name -> metrics in the
+    mapping's order.
 
     Multiclass: accuracy of argmax predictions. Multilabel: the ROC AUC of
-    every label's raw logits, all scored in one ``column_aucs`` pass, plus
-    the macro mean; labels whose split contains a single class are reported
-    as undefined (None) rather than failing the whole evaluation. Non-finite
-    logits raise ``NumericError``: no metric is defined for them.
+    every label's raw logits plus the macro mean; labels whose split
+    contains a single class are reported as undefined (None) rather than
+    failing the whole evaluation. Non-finite logits raise ``NumericError``
+    naming the first such split in mapping order: no metric is defined for
+    them.
+
+    Splits of equal shape are scored as one group, as equal shards train
+    as one: one client-stacked forward pass, and for multilabel one
+    ``column_aucs`` pass over the group's label columns side by side. Each
+    split's metrics are the bits it gets scored alone.
     """
-    x, y = split
-    if len(x) == 0:
-        raise InputError("empty evaluation split")
-    logits, _ = forward(base, adapters, x)
-    if not np.all(np.isfinite(logits)):
-        raise NumericError(f"the model's logits on the {name} split are not finite")
-    if task_mode == "multiclass":
-        return {"accuracy": accuracy_score(np.argmax(logits, axis=1), y)}
-    if task_mode != "multilabel":
+    if task_mode not in ("multiclass", "multilabel"):
         raise ParameterError(f"unknown task mode: {task_mode}")
-    per_label = column_aucs(logits, y)
-    defined = [v for v in per_label if v is not None]
-    return {
-        "auc_per_label": per_label,
-        "auc_mean": float(np.mean(defined)) if defined else None,
-        "undefined_labels": [l for l, v in enumerate(per_label) if v is None],
-    }
+    if not splits:
+        raise InputError("no split to evaluate")
+    groups = {}
+    for name, (x, _) in splits.items():
+        if len(x) == 0:
+            raise InputError(f"the {name} split is empty")
+        groups.setdefault(np.shape(x), []).append(name)
+    logits = {}
+    for names in groups.values():
+        stacked, _ = forward(base, adapters, np.stack([splits[n][0] for n in names]))
+        logits.update(zip(names, stacked))
+    for name in splits:
+        if not np.all(np.isfinite(logits[name])):
+            raise NumericError(f"the model's logits on the {name} split are not finite")
+    if task_mode == "multiclass":
+        return {name: {"accuracy": accuracy_score(np.argmax(logits[name], axis=1), y)}
+                for name, (_, y) in splits.items()}
+    for name, (_, y) in splits.items():
+        if np.shape(y) != logits[name].shape:
+            raise InputError(f"the {name} split's labels have shape {np.shape(y)}, "
+                             f"its logits {logits[name].shape}")
+    width = logits[name].shape[1]  # every split's: one model made them all
+    scored = {}
+    for names in groups.values():
+        per_label = column_aucs(np.concatenate([logits[n] for n in names], axis=1),
+                                np.concatenate([splits[n][1] for n in names], axis=1))
+        for i, name in enumerate(names):
+            aucs = per_label[i * width:(i + 1) * width]
+            defined = [v for v in aucs if v is not None]
+            scored[name] = {
+                "auc_per_label": aucs,
+                "auc_mean": float(np.mean(defined)) if defined else None,
+                "undefined_labels": [l for l, v in enumerate(aucs) if v is None],
+            }
+    return {name: scored[name] for name in splits}
 
 
 def _metric_scalar(metrics: dict) -> float | None:
@@ -254,12 +289,14 @@ def _participants(config: RunConfig, rng: Rng, round_index: int):
 
 
 def _clients(setup: Setup, cl: CLConfig = CLConfig()):
-    """Every client's record (its shard of the training split and its stream)
-    and the local-training settings the clients share; the round loop fills
-    in each round's index and learning rate."""
+    """Every client's record (its shard of the training split, with
+    multilabel targets as float64, and its stream) and the local-training
+    settings the clients share; the round loop fills in each round's index
+    and learning rate."""
     config, dataset = setup.config, setup.dataset
+    targets = _training_targets(dataset)
     clients = [ClientState(client_id=cid, features=dataset.train_x[idx],
-                           labels=dataset.train_y[idx],
+                           labels=targets[idx],
                            rng=setup.root.substream("client", cid))
                for cid, idx in enumerate(setup.plan.client_indices)]
     return clients, LocalTrainConfig(config.local_epochs, config.eta,
@@ -319,7 +356,8 @@ class _AdapterRounds:
         The CKA operands are prepared (centred, self-HSIC computed) once: the
         incoming and stability probe representations once per round, each
         participant's once per client; each ``layer_averaged_cka`` call then
-        computes only the cross-HSIC of its pair.
+        computes only the cross-HSIC of its pair. A pair with a constant
+        representation on some layer has no CKA and is recorded as None.
         """
         incoming, stability = self.server.adapters, self.server.accumulated
         phase = self.server.schedule.phase
@@ -334,10 +372,10 @@ class _AdapterRounds:
         wd_sta, cka_sta, cka_pla = [], [], []
         for _, adp, _ in results:
             reps_local = prepare_representations(forward(base, adp, probe_x)[1])
-            cka_pla.append(layer_averaged_cka(reps_local, reps_incoming))
+            cka_pla.append(_cka_or_none(reps_local, reps_incoming))
             if stability is not None:
                 wd_sta.append(weight_distance(adp.dense(), stability))
-                cka_sta.append(layer_averaged_cka(reps_local, reps_stability))
+                cka_sta.append(_cka_or_none(reps_local, reps_stability))
         fields = dict(phase=phase, rank=outcome.rank,
                       consistency=outcome.consistency,
                       wd_stability=wd_sta or None,
@@ -345,6 +383,13 @@ class _AdapterRounds:
                       cka_stability=cka_sta or None, cka_plasticity=cka_pla,
                       dropped=outcome.dropped)
         return base, outcome.global_adapters, fields
+
+
+def _cka_or_none(reps_a, reps_b) -> float | None:
+    try:
+        return layer_averaged_cka(reps_a, reps_b)
+    except UndefinedMetricError:
+        return None
 
 
 class _FullModelRounds:
@@ -394,13 +439,15 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     participants per ``train_group`` call, given the round's local-training
     settings, returning each client's update and epoch losses, and folds the
     round's results and shard weights in ``close_round``, which returns the
-    base and adapters to score plus the mode's record fields.
+    base and adapters to score plus the mode's record fields. One
+    ``evaluate`` call scores the round's val and test splits.
     """
     config, root, dataset = setup.config, setup.root, setup.dataset
     sizes = [c.shard_size for c in mode.clients]
     ledger = CommLedger(_participant_count(config), config.bytes_per_param)
     records = []
     counter = OpCounter() if config.count_ops else None
+    splits = {name: dataset.split(name) for name in ("val", "test")}
 
     for t in range(1, config.rounds + 1):
         local = dataclasses.replace(mode.local, round_index=t,
@@ -419,12 +466,12 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
                        if all(l is not None for l in last_losses) else None)
 
         model, adapters, fields = mode.close_round(results, weights)
-        val = evaluate(model, adapters, dataset.split("val"), dataset.task, "val")
-        test = evaluate(model, adapters, dataset.split("test"), dataset.task, "test")
+        scores = evaluate(model, adapters, splits, dataset.task)
+        test = scores["test"]
         records.append(RoundRecord(
             round=t, global_loss=global_loss,
-            val_metric=_metric_scalar(val), test_metric=_metric_scalar(test),
-            cumulative_params=ledger.cumulative_transmitted()[-1], **fields,
+            val_metric=_metric_scalar(scores["val"]), test_metric=_metric_scalar(test),
+            cumulative_params=ledger.transmitted, **fields,
         ))
 
     best = max(range(len(records)),

@@ -26,6 +26,10 @@ CHECKPOINT_MAGIC = b"SPDL"
 # and 2 files still load.
 CHECKPOINT_VERSION = 3
 
+# "svd" keeps the accumulator's best low-rank approximation; "gaussian"
+# starts afresh (ablation). See ``reinit_at_rank``.
+REINIT_METHODS = ("svd", "gaussian")
+
 
 @dataclass(frozen=True)
 class LoRAAdapter:

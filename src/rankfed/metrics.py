@@ -107,17 +107,23 @@ class CommLedger:
 
     ``params_per_round[t]`` is the one-way per-client count for round t; the
     protocol sends each parameter down and back up for every client, hence
-    the 2 * S factor in the cost.
+    the 2 * S factor in the cost. ``transmitted`` is the running total
+    through the last round, the last entry of ``cumulative_transmitted()``.
     """
 
     num_clients: int
     bytes_per_param: int = 4
     params_per_round: list = field(default_factory=list)
+    transmitted: int = field(init=False)
+
+    def __post_init__(self):
+        self.transmitted = 2 * self.num_clients * sum(self.params_per_round)
 
     def add_round(self, param_count: int) -> None:
         if param_count < 0:
             raise InputError("parameter count must be nonnegative")
         self.params_per_round.append(int(param_count))
+        self.transmitted += 2 * self.num_clients * int(param_count)
 
     def cumulative_transmitted(self) -> list:
         """Running totals of 2 * S * sum(params) after each round."""

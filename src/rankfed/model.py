@@ -276,8 +276,10 @@ def _binary_cross_entropy(logits, targets):
 
 
 def _mean_per_client(m):
-    """Mean over the two trailing axes: the whole matrix, or each stacked one."""
-    return np.mean(m.reshape(*m.shape[:-2], -1), axis=-1)
+    """Mean over the two trailing axes: the whole matrix, or each stacked one.
+    The sum and division are np.mean's own, without its per-call wrapper."""
+    n, L = m.shape[-2:]
+    return np.add.reduce(m.reshape(*m.shape[:-2], n * L), axis=-1) / (n * L)
 
 
 def _sigmoid(z):
@@ -376,7 +378,7 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
         s_shift = s_logits / tau
         s_shift = s_shift - s_shift.max(axis=-1, keepdims=True)
         log_s = s_shift - np.log(np.exp(s_shift).sum(axis=-1, keepdims=True))
-        penalty = mu * np.mean(-np.sum(t * log_s, axis=-1), axis=-1)
+        penalty = mu * (np.add.reduce(-np.sum(t * log_s, axis=-1), axis=-1) / n)
         dz = mu * (softmax(s_logits / tau) - t) / (n * tau)
     else:
         t = _sigmoid(t_logits / tau)

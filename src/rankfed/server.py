@@ -18,10 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, InvariantError, ParameterError, ProtocolError, ShapeError
-from .lora import (AdapterSet, DenseDelta, LoRAAdapter, RankSchedule, accumulate,
-                   reinit_at_rank)
+from .lora import (REINIT_METHODS, AdapterSet, DenseDelta, LoRAAdapter, RankSchedule,
+                   accumulate, reinit_at_rank)
 from .metrics import frobenius_norm
 from .numerics import Rng, relu
+
+AGGREGATIONS = ("factor", "dense")
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ class ServerState:
     theta: float = 0.9            # EMA decay for pooled gradient components
     lam: float = 0.5              # accumulator decay at phase boundaries
     cooldown: float = 5           # min completed rounds in a phase before a drop
-    aggregation: str = "factor"   # "factor" or "dense" (ablation)
-    reinit_method: str = "svd"    # "svd" or "gaussian" (ablation)
+    aggregation: str = "factor"   # one of AGGREGATIONS; "dense" is an ablation
+    reinit_method: str = "svd"    # one of lora.REINIT_METHODS; "gaussian" is an ablation
     reinit_sigma: float = 0.02
     reinit_rng: Rng | None = None
     accumulated: DenseDelta | None = None
@@ -61,6 +63,12 @@ class ServerState:
             raise ParameterError(f"lam must lie in [0, 1], got {self.lam}")
         if not self.cooldown >= 0:
             raise ParameterError(f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
+        if self.aggregation not in AGGREGATIONS:
+            raise ParameterError(f"aggregation must be one of {AGGREGATIONS}, "
+                                 f"got {self.aggregation!r}")
+        if self.reinit_method not in REINIT_METHODS:
+            raise ParameterError(f"reinit_method must be one of {REINIT_METHODS}, "
+                                 f"got {self.reinit_method!r}")
 
 
 @dataclass(frozen=True)

@@ -197,9 +197,9 @@ def test_rank_rules_bind_only_the_modes_they_concern():
     RunConfig(cooldown=float("inf")).validate()
 
 
-def _server_state(cooldown):
+def _server_state(cooldown=5, **settings):
     return ServerState(init_adapter_set([(4, 3)], 2, 0.1, Rng(0)),
-                       RankSchedule(2, 1, 1), cooldown=cooldown)
+                       RankSchedule(2, 1, 1), cooldown=cooldown, **settings)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -218,6 +218,8 @@ CONSTRUCTOR_CHECKS = {
     "generate_synthetic-separation-nan": lambda: generate_synthetic(3, 4, 10, NAN, Rng(0)),
     "ServerState-cooldown-nan": lambda: _server_state(NAN),
     "ServerState-cooldown-negative": lambda: _server_state(-1),
+    "ServerState-aggregation-unknown": lambda: _server_state(aggregation="mean"),
+    "ServerState-reinit_method-unknown": lambda: _server_state(reinit_method="qr"),
 }
 
 

@@ -126,9 +126,18 @@ def test_permuted_group_gives_the_same_per_client_results():
 
 
 def test_full_weight_group_equals_each_client_alone():
-    config = RunConfig(mode="fedavg-full", scheme="iid", num_clients=3, classes=4,
-                       dim=8, n_per_class=30, pretrain_epochs=2, local_epochs=2,
-                       batch_size=8, count_ops=True).validate()
+    check_full_weight_group(dict(scheme="iid", classes=4, n_per_class=30))
+
+
+def test_multilabel_full_weight_group_equals_each_client_alone():
+    check_full_weight_group(dict(task="multilabel", num_labels=4, n_samples=150))
+
+
+def check_full_weight_group(data):
+    """Three equal shards of the ``data`` settings, trained as a group, as
+    groups of one and by a 2-D reference loop, give the same bytes."""
+    config = RunConfig(mode="fedavg-full", num_clients=3, dim=8, pretrain_epochs=2,
+                       local_epochs=2, batch_size=8, count_ops=True, **data).validate()
     setup = Setup(config)
     mode = _FullModelRounds(setup)
     assert len({len(idx) for idx in setup.plan.client_indices}) == 1
@@ -139,9 +148,11 @@ def test_full_weight_group_equals_each_client_alone():
     reference_ops = 0
     for cid in range(3):
         (solo,), (solo_losses,) = mode.train_group([cid], local, OpCounter())
-        # the reference: the same client's model trained on 2-D arrays
+        # the reference: the same client's model trained on 2-D arrays, with
+        # the dataset's own labels (int 0/1 targets for multilabel)
         client = mode.clients[cid]
-        x, y = client.features, client.labels
+        x = client.features
+        y = setup.dataset.train_y[setup.plan.client_indices[cid]]
         w = [m.copy() for m in mode.weights]
         b = [v.copy() for v in mode.biases]
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import linear_probe_accuracy
 
 from rankfed import harness
 from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
-from rankfed.errors import NumericError, ParameterError
+from rankfed.errors import InputError, NumericError, ParameterError
 from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
                              op_count_budget, pretrain_base, records_jsonl,
                              run_federated)
 from rankfed.lora import AdapterSet, init_adapter_set
-from rankfed.model import forward
+from rankfed.metrics import accuracy_score, column_aucs
+from rankfed.model import forward, random_base
 from rankfed.numerics import Rng
 
 TINY = dict(rounds=4, classes=4, dim=8, n_per_class=30, num_clients=2,
@@ -211,7 +214,7 @@ class TestEvaluate:
         result = run_federated(cfg)
         ds = result.dataset
         metrics = evaluate(result.base, result.final_adapters,
-                           (ds.val_x, ds.val_y), "multiclass")
+                           {"val": (ds.val_x, ds.val_y)}, "multiclass")["val"]
         assert metrics["accuracy"] == result.records[-1].val_metric
 
     def test_random_model_multilabel_auc_chance_band(self):
@@ -222,8 +225,8 @@ class TestEvaluate:
             base = pretrain_base(ds, 0, root.substream("base"))
             adapters = init_adapter_set(base.layer_shapes(), 2, 0.02,
                                         root.substream("a"))
-            metrics = evaluate(base, adapters, (ds.test_x, ds.test_y),
-                               "multilabel")
+            metrics = evaluate(base, adapters, {"test": (ds.test_x, ds.test_y)},
+                               "multilabel")["test"]
             aucs.extend(v for v in metrics["auc_per_label"] if v is not None)
         assert 0.4 <= float(np.mean(aucs)) <= 0.6
 
@@ -246,7 +249,7 @@ class TestEvaluate:
         x = ds.test_x.copy()
         x[0, 0] = np.nan
         with pytest.raises(NumericError, match="test split"):
-            evaluate(base, None, (x, ds.test_y), task, "test")
+            evaluate(base, None, {"test": (x, ds.test_y)}, task)
 
     def test_single_class_label_surfaced_per_label(self):
         root = Rng(3)
@@ -254,13 +257,107 @@ class TestEvaluate:
         base = pretrain_base(ds, 0, root.substream("base"))
         y = ds.test_y.copy()
         y[:, 1] = 1  # degenerate label: positives only
-        metrics = evaluate(base, None, (ds.test_x, y), "multilabel")
+        metrics = evaluate(base, None, {"test": (ds.test_x, y)}, "multilabel")["test"]
         assert metrics["auc_per_label"][1] is None
         assert metrics["undefined_labels"] == [1]
         assert metrics["auc_mean"] is not None
 
 
+def _scored_alone(base, adapters, split, task):
+    """One split's metrics through a plain 2-D forward pass and its own
+    ``column_aucs`` call: the evaluator as it was before splits grouped."""
+    x, y = split
+    logits, _ = forward(base, adapters, x)
+    if task == "multiclass":
+        return {"accuracy": accuracy_score(np.argmax(logits, axis=1), y)}
+    per_label = column_aucs(logits, y)
+    defined = [v for v in per_label if v is not None]
+    return {"auc_per_label": per_label,
+            "auc_mean": float(np.mean(defined)) if defined else None,
+            "undefined_labels": [l for l, v in enumerate(per_label) if v is None]}
+
+
+@st.composite
+def _evaluation_cases(draw):
+    """A small model and up to four named splits. Row counts come from a
+    short list, so equal counts (one group) and unequal ones both occur;
+    multilabel splits may hold a single-class label column."""
+    task = draw(st.sampled_from(["multiclass", "multilabel"]))
+    seed = draw(st.integers(0, 2**16))
+    out_dim = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.sampled_from([2, 3, 9]), min_size=1, max_size=4))
+    root = Rng(seed)
+    base = random_base([5, 6, out_dim], root.substream("base"))
+    adapters = (init_adapter_set(base.layer_shapes(), 2, 0.3, root.substream("a"))
+                if draw(st.booleans()) else None)
+    splits = {}
+    for i, n in enumerate(rows):
+        s = root.substream("split", i)
+        x = s.substream("x").normal(n, 5)
+        if task == "multiclass":
+            y = np.asarray(s.substream("y").integers(0, out_dim, n))
+        else:
+            y = np.asarray(s.substream("y").integers(0, 2, (n, out_dim)))
+            if draw(st.booleans()):
+                y[:, draw(st.integers(0, out_dim - 1))] = draw(st.integers(0, 1))
+        splits[f"split{i}"] = (x, y)
+    return base, adapters, splits, task
+
+
+class TestEvaluateMapping:
+    @settings(max_examples=60, deadline=None)
+    @given(_evaluation_cases())
+    def test_equals_each_split_scored_alone(self, case):
+        base, adapters, splits, task = case
+        scores = evaluate(base, adapters, splits, task)
+        assert list(scores) == list(splits)
+        for name, split in splits.items():
+            alone = evaluate(base, adapters, {name: split}, task)[name]
+            assert scores[name] == alone == _scored_alone(base, adapters, split, task)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_evaluation_cases(), st.data())
+    def test_first_non_finite_split_in_mapping_order_is_named(self, case, data):
+        base, adapters, splits, task = case
+        names = list(splits)
+        poisoned = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        for name in poisoned:
+            splits[name][0][0, 0] = np.nan
+        first = next(name for name in names if name in poisoned)
+        with pytest.raises(NumericError, match=f"the {first} split"):
+            evaluate(base, adapters, splits, task)
+
+    def test_round_loop_scores_val_and_test_in_one_call(self, monkeypatch):
+        calls = []
+        original = harness.evaluate
+
+        def recorded(base, adapters, splits, task_mode):
+            calls.append(list(splits))
+            return original(base, adapters, splits, task_mode)
+
+        monkeypatch.setattr(harness, "evaluate", recorded)
+        run_federated(RunConfig(mode="fedavg-full", seed=1, **TINY))
+        assert calls == [["val", "test"]] * TINY["rounds"]
+
+    def test_empty_split_and_empty_mapping_rejected(self):
+        base = random_base([3, 2], Rng(0))
+        with pytest.raises(InputError, match="the val split is empty"):
+            evaluate(base, None, {"val": (np.zeros((0, 3)), np.zeros(0, int))})
+        with pytest.raises(InputError, match="no split"):
+            evaluate(base, None, {})
+
+
 class TestCloseRound:
+    def test_undefined_cka_is_recorded_as_null(self):
+        """Saturated two-row probes leave every participant's representation
+        constant; CKA is undefined for the pair, and the run records None
+        instead of ending."""
+        cfg = RunConfig(classes=5, n_per_class=20, separation=1e6, probe_samples=2,
+                        rounds=3)
+        records = run_federated(cfg).records
+        assert [r.cka_plasticity for r in records] == [[None] * 5] * 3
+        assert all(r.val_metric is not None for r in records)
+
     def test_dense_products_formed_only_for_the_stability_distance(self, monkeypatch):
         """The plasticity distance comes from ``server_round``'s displacement
         norms; ``close_round`` itself forms a participant's dense product

@@ -270,6 +270,15 @@ class TestCommunicationCost:
         assert (c1, c2, c3) == (40, 120, 240)
         assert ledger.cumulative_transmitted() == [40, 120, 240]
 
+    def test_running_total_equals_the_last_cumulative_value(self):
+        ledger = CommLedger(num_clients=3)
+        assert ledger.transmitted == 0
+        for p in (7, 0, 120, 5):
+            ledger.add_round(p)
+            assert ledger.transmitted == ledger.cumulative_transmitted()[-1]
+        resumed = CommLedger(3, params_per_round=[7, 0, 120, 5])
+        assert resumed.transmitted == ledger.transmitted
+
     def test_linear_in_clients(self):
         a = CommLedger(num_clients=2)
         b = CommLedger(num_clients=6)

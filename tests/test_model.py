@@ -79,6 +79,32 @@ class TestSupervisedLoss:
             adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
+    def test_float_and_int_multilabel_targets_agree_bit_for_bit(self, rng):
+        """The run casts multilabel targets to float64 once; the loss still
+        accepts int targets and gives the same bytes for them."""
+        base, adapters, x, _ = make_model(rng)
+        y = np.asarray(rng.substream("ml").integers(0, 2, (x.shape[0], 4)))
+        stacked_x = np.stack([x, x[::-1]])
+        stacked_y = np.stack([y, y[::-1]])
+
+        def as_bytes(loss, grads):
+            return np.asarray(loss).tobytes(), [g.tobytes() for pair in grads for g in pair]
+
+        for xb, yb, adp in ((x, y, adapters), (stacked_x, stacked_y, adapters.stacked(2))):
+            as_int = supervised_loss_and_grads(base, adp, xb, yb, task="multilabel")
+            as_float = supervised_loss_and_grads(base, adp, xb, yb.astype(np.float64),
+                                                 task="multilabel")
+            assert as_bytes(*as_int) == as_bytes(*as_float)
+            weights = [w.copy() for w in base.weights]
+            biases = [b.copy() for b in base.biases]
+            if xb.ndim == 3:
+                weights = [np.stack([w, w]) for w in weights]
+                biases = [np.stack([b, b]) for b in biases]
+            loss_i, wg_i, bg_i = full_loss_and_grads(weights, biases, xb, yb, "multilabel")
+            loss_f, wg_f, bg_f = full_loss_and_grads(weights, biases, xb,
+                                                     yb.astype(np.float64), "multilabel")
+            assert as_bytes(loss_i, [wg_i, bg_i]) == as_bytes(loss_f, [wg_f, bg_f])
+
 
 class TestQuadraticPenalties:
     def _setup(self, rng):
