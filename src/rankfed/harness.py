@@ -231,8 +231,6 @@ def evaluate(base: FrozenBase, adapters, splits, task_mode: str = "multiclass") 
     """
     if task_mode not in ("multiclass", "multilabel"):
         raise ParameterError(f"unknown task mode: {task_mode}")
-    if not splits:
-        raise InputError("no split to evaluate")
     groups = {}
     for name, (x, _) in splits.items():
         if len(x) == 0:
@@ -252,9 +250,9 @@ def evaluate(base: FrozenBase, adapters, splits, task_mode: str = "multiclass") 
         if np.shape(y) != logits[name].shape:
             raise InputError(f"the {name} split's labels have shape {np.shape(y)}, "
                              f"its logits {logits[name].shape}")
-    width = logits[name].shape[1]  # every split's: one model made them all
     scored = {}
     for names in groups.values():
+        width = logits[names[0]].shape[1]  # one model: every split's logits are as wide
         per_label = column_aucs(np.concatenate([logits[n] for n in names], axis=1),
                                 np.concatenate([splits[n][1] for n in names], axis=1))
         for i, name in enumerate(names):

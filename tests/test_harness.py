@@ -339,12 +339,10 @@ class TestEvaluateMapping:
         run_federated(RunConfig(mode="fedavg-full", seed=1, **TINY))
         assert calls == [["val", "test"]] * TINY["rounds"]
 
-    def test_empty_split_and_empty_mapping_rejected(self):
+    def test_empty_split_rejected_by_name(self):
         base = random_base([3, 2], Rng(0))
         with pytest.raises(InputError, match="the val split is empty"):
             evaluate(base, None, {"val": (np.zeros((0, 3)), np.zeros(0, int))})
-        with pytest.raises(InputError, match="no split"):
-            evaluate(base, None, {})
 
 
 class TestCloseRound:
