@@ -465,10 +465,10 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
 
         model, adapters, fields = mode.close_round(results, weights)
         scores = evaluate(model, adapters, splits, dataset.task)
-        test = scores["test"]
+        val, test = scores["val"], scores["test"]
         records.append(RoundRecord(
             round=t, global_loss=global_loss,
-            val_metric=_metric_scalar(scores["val"]), test_metric=_metric_scalar(test),
+            val_metric=_metric_scalar(val), test_metric=_metric_scalar(test),
             cumulative_params=ledger.transmitted, **fields,
         ))
 

@@ -327,6 +327,17 @@ class TestEvaluateMapping:
         with pytest.raises(NumericError, match=f"the {first} split"):
             evaluate(base, adapters, splits, task)
 
+    def test_mapping_order_not_group_order_names_the_split(self):
+        """``a`` and ``c`` form one group ahead of ``b``; with ``b`` and ``c``
+        poisoned, ``b`` comes first in the mapping and is the one named."""
+        base = random_base([3, 2], Rng(0))
+        rows = {"a": 2, "b": 3, "c": 2}
+        splits = {name: (Rng(n).normal(n, 3), np.zeros(n, int)) for name, n in rows.items()}
+        for name in ("b", "c"):
+            splits[name][0][0, 0] = np.inf
+        with pytest.raises(NumericError, match="the b split"):
+            evaluate(base, None, splits)
+
     def test_round_loop_scores_val_and_test_in_one_call(self, monkeypatch):
         calls = []
         original = harness.evaluate
