@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields
 
 from .client import LocalTrainConfig
 from .errors import ParameterError, require_finite
-from .lora import REINIT_METHODS, RankSchedule, capped_rank
+from .lora import RankSchedule, capped_rank
 from .model import CLConfig
-from .server import AGGREGATIONS
+from .server import ServerSettings
 
 MODES = ("spd-cfl", "fixed-rank-lora", "fedavg-full")
 SCHEMES = ("iid", "overlap", "disjoint")
@@ -78,8 +78,9 @@ class RunConfig:
 
         Checks are written so that NaN fails them. Runs validate here, once,
         before any data is generated; the training kernels do not re-check.
-        The local-training settings, the rank schedule and the regularizer
-        own their rules; validate() builds them instead of restating them.
+        The local-training settings, the rank schedule, the server settings
+        and the regularizer own their rules; validate() builds them instead
+        of restating them.
         """
         def need(ok: bool, message: str):
             if not ok:
@@ -103,11 +104,7 @@ class RunConfig:
         need(self.mode != "spd-cfl" or schedule.can_drop,
              f"spd-cfl can never drop from r_init {self.r_init} by subtractor "
              f"{self.subtractor} without passing r_min {self.r_min}")
-        need(0 <= self.theta < 1, f"theta must lie in [0, 1), got {self.theta}")
-        need(0 <= self.lam <= 1, f"lam must lie in [0, 1], got {self.lam}")
-        need(self.cooldown >= 0, f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
-        one_of("reinit", REINIT_METHODS)
-        one_of("aggregation", AGGREGATIONS)
+        self.server_settings()
         CLConfig(self.cl_method, self.mu1, self.mu2, self.lwf_temperature)
         one_of("task", TASKS)
         need(self.classes >= 2, f"classes must be >= 2, got {self.classes}")
@@ -135,6 +132,11 @@ class RunConfig:
             self.check_rank_cap(self.dim, self.classes if self.task == "multiclass"
                                 else self.num_labels)
         return self
+
+    def server_settings(self) -> ServerSettings:
+        """The server's dropout rules (``theta`` .. ``aggregation``), checked."""
+        return ServerSettings(self.theta, self.lam, self.cooldown, self.reinit,
+                              self.aggregation)
 
     def check_rank_cap(self, dim: int, out_dim: int) -> None:
         """Reject an ``r_init`` above the largest per-layer rank cap of the

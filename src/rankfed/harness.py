@@ -317,9 +317,7 @@ class _AdapterRounds:
         adapters0 = init_adapter_set(base.layer_shapes(), schedule.current_rank,
                                      config.sigma_init, root.substream("adapters"))
         self.server = ServerState(
-            adapters=adapters0, schedule=schedule, theta=config.theta,
-            lam=config.lam, cooldown=config.cooldown,
-            aggregation=config.aggregation, reinit_method=config.reinit,
+            adapters=adapters0, schedule=schedule, settings=config.server_settings(),
             reinit_sigma=config.sigma_init,
             reinit_rng=root.substream("reinit") if config.reinit == "gaussian" else None,
         )

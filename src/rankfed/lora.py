@@ -65,9 +65,6 @@ class LoRAAdapter:
     def in_dim(self) -> int:
         return self.A.shape[-1]
 
-    def clone(self) -> "LoRAAdapter":
-        return LoRAAdapter(self.layer_id, self.B.copy(), self.A.copy())
-
 
 @dataclass(frozen=True)
 class AdapterSet:
@@ -104,9 +101,6 @@ class AdapterSet:
 
     def dense(self) -> DenseDelta:
         return [dense(a) for a in self.adapters]
-
-    def clone(self) -> "AdapterSet":
-        return AdapterSet(tuple(a.clone() for a in self.adapters), self.nominal_rank)
 
     def param_count(self) -> int:
         """Trainable (= transmitted) parameters across all layers."""
@@ -164,9 +158,8 @@ def accumulate(acc: DenseDelta | None, phase_final_global: AdapterSet,
 
     On the first event the accumulator is initialized with the observation
     itself; afterwards ``acc <- lam * acc + (1 - lam) * new`` per layer.
+    ``lam`` is a ``server.ServerSettings.lam``, checked there.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"lam must lie in [0, 1], got {lam}")
     new = phase_final_global.dense()
     if acc is None:
         return new

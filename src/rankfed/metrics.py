@@ -156,14 +156,13 @@ def frobenius_norm(arrays) -> float:
 
 
 def weight_distance(a, b) -> float:
-    """Frobenius norm of the difference, concatenated over layers."""
-    a_list = a if isinstance(a, (list, tuple)) else [a]
-    b_list = b if isinstance(b, (list, tuple)) else [b]
-    if len(a_list) != len(b_list):
-        raise ShapeError(f"layer count mismatch: {len(a_list)} vs {len(b_list)}")
+    """Frobenius norm of the difference of two per-layer array lists,
+    concatenated over layers."""
+    if len(a) != len(b):
+        raise ShapeError(f"layer count mismatch: {len(a)} vs {len(b)}")
 
     def differences():
-        for x, y in zip(a_list, b_list):
+        for x, y in zip(a, b):
             x = np.asarray(x, dtype=np.float64)
             y = np.asarray(y, dtype=np.float64)
             if x.shape != y.shape:
@@ -199,28 +198,15 @@ def _prepare(z) -> _Operand:
     return _Operand(c, _hsic(c, c.copy(), n), n)
 
 
-def _cross_hsic(p: _Operand, q: _Operand) -> float:
+def _cka(p: _Operand, q: _Operand) -> float:
+    """Linear CKA in [0, 1]; invariant to orthogonal maps and positive scaling."""
     if p.n != q.n:
         raise InputError(f"sample counts differ: {p.n} vs {q.n}")
-    return _hsic(p.centred, q.centred, p.n)
-
-
-def _cka(p: _Operand, q: _Operand) -> float:
-    h12 = _cross_hsic(p, q)
+    h12 = _hsic(p.centred, q.centred, p.n)
     if p.self_hsic <= 0 or q.self_hsic <= 0:
         raise UndefinedMetricError("CKA is undefined for constant representations")
     # sqrt(h11 * h22) keeps the self-comparison exactly 1.0
     return min(float(h12 / np.sqrt(p.self_hsic * q.self_hsic)), 1.0)
-
-
-def linear_hsic(z1, z2) -> float:
-    """Linear-kernel HSIC via the feature-space form |Z1c^T Z2c|_F^2 / (n-1)^2."""
-    return _cross_hsic(_prepare(z1), _prepare(z2))
-
-
-def cka(z1, z2) -> float:
-    """Linear CKA in [0, 1]; invariant to orthogonal maps and positive scaling."""
-    return _cka(_prepare(z1), _prepare(z2))
 
 
 def prepare_representations(reps) -> list:
@@ -231,7 +217,8 @@ def prepare_representations(reps) -> list:
 
 
 def layer_averaged_cka(reps_a, reps_b) -> float:
-    """Arithmetic mean of per-layer CKA over matched layer representations.
+    """Arithmetic mean of per-layer linear CKA over matched layer
+    representations; one layer gives that layer's CKA.
 
     Either side may be raw per-layer arrays or the output of
     ``prepare_representations``; the result is the same to the bit.

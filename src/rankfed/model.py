@@ -69,10 +69,6 @@ class FrozenBase:
         for b in self.biases:
             b.flags.writeable = False
 
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[1]
-
     def layer_shapes(self):
         return [w.shape for w in self.weights]
 
@@ -324,8 +320,7 @@ def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
                        lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2))
 
 
-def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x,
-                            y=None) -> ImportanceEstimate:
+def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x) -> ImportanceEstimate:
     """Update-magnitude importance: mean |gradient of squared output norm|."""
     return _importance(base, adapters_at_anchor, x, lambda logits: 2.0 * logits,
                        lambda g, h: np.einsum("ni,nj->ij", np.abs(g), np.abs(h)))

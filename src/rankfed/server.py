@@ -38,23 +38,15 @@ class ClientUpdate:
 
 
 @dataclass(frozen=True)
-class ServerState:
-    """Global adapters plus dropout bookkeeping; all fields are values."""
+class ServerSettings:
+    """The server's dropout rules, checked once here so that NaN fails; the
+    messages name the config keys. The round code does not re-check them."""
 
-    adapters: AdapterSet
-    schedule: RankSchedule
     theta: float = 0.9            # EMA decay for pooled gradient components
     lam: float = 0.5              # accumulator decay at phase boundaries
-    cooldown: float = 5           # min completed rounds in a phase before a drop
+    cooldown: float = 5           # min completed rounds in a phase before a drop; inf: never
+    reinit: str = "svd"           # one of lora.REINIT_METHODS; "gaussian" is an ablation
     aggregation: str = "factor"   # one of AGGREGATIONS; "dense" is an ablation
-    reinit_method: str = "svd"    # one of lora.REINIT_METHODS; "gaussian" is an ablation
-    reinit_sigma: float = 0.02
-    reinit_rng: Rng | None = None
-    accumulated: DenseDelta | None = None
-    ema_pos: list | None = None
-    ema_neg: list | None = None
-    consistency_prev: float | None = None
-    rounds_in_phase: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.theta < 1.0:
@@ -63,12 +55,29 @@ class ServerState:
             raise ParameterError(f"lam must lie in [0, 1], got {self.lam}")
         if not self.cooldown >= 0:
             raise ParameterError(f"cooldown must be >= 0 (inf: never drop), got {self.cooldown}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ParameterError(f"aggregation must be one of {AGGREGATIONS}, "
-                                 f"got {self.aggregation!r}")
-        if self.reinit_method not in REINIT_METHODS:
-            raise ParameterError(f"reinit_method must be one of {REINIT_METHODS}, "
-                                 f"got {self.reinit_method!r}")
+        for name, choices in (("reinit", REINIT_METHODS), ("aggregation", AGGREGATIONS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ParameterError(f"{name} must be one of {choices}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class ServerState:
+    """Global adapters plus dropout bookkeeping; all fields are values.
+
+    ``reinit_sigma`` follows ``sigma_init``'s rule, which adapter
+    initialization shares, so it is not one of the ``settings``."""
+
+    adapters: AdapterSet
+    schedule: RankSchedule
+    settings: ServerSettings = ServerSettings()
+    reinit_sigma: float = 0.02
+    reinit_rng: Rng | None = None
+    accumulated: DenseDelta | None = None
+    ema_pos: list | None = None
+    ema_neg: list | None = None
+    consistency_prev: float | None = None
+    rounds_in_phase: int = 0
 
 
 @dataclass(frozen=True)
@@ -180,9 +189,8 @@ def pool_gradients(grads_by_client, alpha):
 
 
 def ema_update(prev, current, theta: float):
-    """EMA with first-observation initialization: absent prev passes current through."""
-    if not 0.0 <= theta < 1.0:
-        raise ParameterError(f"theta must lie in [0, 1), got {theta}")
+    """EMA with first-observation initialization: absent prev passes current
+    through. ``theta`` is a ``ServerSettings.theta``, checked there."""
     current = np.asarray(current, dtype=np.float64)
     if prev is None:
         return current.copy()
@@ -199,14 +207,12 @@ def gradient_consistency(ema_pos, ema_neg) -> float:
     exact cancellation. A zero denominator (no gradient signal at all) is
     defined as full consistency, 1.
     """
-    pos_list = ema_pos if isinstance(ema_pos, (list, tuple)) else [ema_pos]
-    neg_list = ema_neg if isinstance(ema_neg, (list, tuple)) else [ema_neg]
-    if len(pos_list) != len(neg_list):
+    if len(ema_pos) != len(ema_neg):
         raise ShapeError("layer count mismatch")
     num_sq = 0.0
     pos_sq = 0.0
     neg_sq = 0.0
-    for p, n in zip(pos_list, neg_list):
+    for p, n in zip(ema_pos, ema_neg):
         p = np.asarray(p, dtype=np.float64)
         n = np.asarray(n, dtype=np.float64)
         if np.any(p < 0):
@@ -235,16 +241,16 @@ def maybe_dropout(state: ServerState, consistency: float):
         state.consistency_prev is not None
         and consistency >= state.consistency_prev
         and state.schedule.can_drop
-        and state.rounds_in_phase >= state.cooldown
+        and state.rounds_in_phase >= state.settings.cooldown
     )
     if not fire:
         return replace(state,
                        consistency_prev=consistency,
                        rounds_in_phase=state.rounds_in_phase + 1), False
-    acc = accumulate(state.accumulated, state.adapters, state.lam)
+    acc = accumulate(state.accumulated, state.adapters, state.settings.lam)
     schedule = state.schedule.dropped()
     adapters = reinit_at_rank(acc, schedule.current_rank,
-                              method=state.reinit_method,
+                              method=state.settings.reinit,
                               sigma=state.reinit_sigma,
                               rng=state.reinit_rng)
     return replace(state, adapters=adapters, schedule=schedule, accumulated=acc,
@@ -279,12 +285,12 @@ def server_round(state: ServerState, updates):
     grads, sens = zip(*(sensitivity(u.adapters.dense(), global_dense) for u in updates))
     alpha = normalize_sensitivities(sens)
     pos, neg = pool_gradients(grads, alpha)
-    ema_pos = [ema_update(p, c, state.theta)
+    ema_pos = [ema_update(p, c, state.settings.theta)
                for p, c in zip(state.ema_pos or [None] * len(pos), pos)]
-    ema_neg = [ema_update(p, c, state.theta)
+    ema_neg = [ema_update(p, c, state.settings.theta)
                for p, c in zip(state.ema_neg or [None] * len(neg), neg)]
     consistency = gradient_consistency(ema_pos, ema_neg)
-    global_adapters = aggregate(updates, state.aggregation)
+    global_adapters = aggregate(updates, state.settings.aggregation)
     new_state = replace(state, adapters=global_adapters,
                         ema_pos=ema_pos, ema_neg=ema_neg)
     new_state, dropped = maybe_dropout(new_state, consistency)

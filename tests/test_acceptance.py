@@ -5,6 +5,7 @@ lines. Trend criteria (9-11) execute real federated runs at fixed seeds and
 compare means, so they are deterministic in this environment.
 """
 
+import copy
 import functools
 import math
 import os
@@ -22,7 +23,7 @@ from rankfed.config import RunConfig
 from rankfed.data import generate_synthetic, partition
 from rankfed.harness import run_federated
 from rankfed.lora import AdapterSet, LoRAAdapter, reinit_at_rank
-from rankfed.metrics import auc, cka
+from rankfed.metrics import auc, layer_averaged_cka
 from rankfed.model import (CLConfig, ImportanceEstimate, lwf_penalty,
                            quadratic_penalty, random_base,
                            supervised_loss_and_grads, total_local_loss)
@@ -159,7 +160,7 @@ def test_criterion_04_aggregation():
     root = Rng(1004)
     shapes = [(6, 4), (3, 6)]
     x = warm_adapters(root.substream("x"), shapes, 2)
-    updates = [ClientUpdate(i, x.clone(), 7) for i in range(4)]
+    updates = [ClientUpdate(i, copy.deepcopy(x), 7) for i in range(4)]
     agg = aggregate(updates)
     for a, b in zip(agg, x):
         assert np.max(np.abs(a.B - b.B)) <= 1e-15
@@ -200,6 +201,9 @@ def test_criterion_05_auc_oracle():
 
 @report(6, "CKA self-similarity, invariances, and range on 100 pairs")
 def test_criterion_06_cka_properties():
+    def cka(a, b):  # one layer: the mean of one CKA is that CKA
+        return layer_averaged_cka([a], [b])
+
     root = Rng(1006)
     for i in range(100):
         s = root.substream("pair", i)

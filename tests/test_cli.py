@@ -16,7 +16,7 @@ from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
 from rankfed.model import CLConfig
 from rankfed.numerics import Rng, gaussian_matrix
-from rankfed.server import ServerState
+from rankfed.server import ServerSettings
 
 TINY_CONFIG = """
 [run]
@@ -197,11 +197,6 @@ def test_rank_rules_bind_only_the_modes_they_concern():
     RunConfig(cooldown=float("inf")).validate()
 
 
-def _server_state(cooldown=5, **settings):
-    return ServerState(init_adapter_set([(4, 3)], 2, 0.1, Rng(0)),
-                       RankSchedule(2, 1, 1), cooldown=cooldown, **settings)
-
-
 NAN, INF = float("nan"), float("inf")
 CONSTRUCTOR_CHECKS = {
     "CLConfig-mu1-nan": lambda: CLConfig("ewc", mu1=NAN),
@@ -216,10 +211,14 @@ CONSTRUCTOR_CHECKS = {
     "RankSchedule-phase-nan": lambda: RankSchedule(4, 2, 1, NAN),
     "gaussian_matrix-sigma-nan": lambda: gaussian_matrix(2, 2, NAN, Rng(0)),
     "generate_synthetic-separation-nan": lambda: generate_synthetic(3, 4, 10, NAN, Rng(0)),
-    "ServerState-cooldown-nan": lambda: _server_state(NAN),
-    "ServerState-cooldown-negative": lambda: _server_state(-1),
-    "ServerState-aggregation-unknown": lambda: _server_state(aggregation="mean"),
-    "ServerState-reinit_method-unknown": lambda: _server_state(reinit_method="qr"),
+    "ServerSettings-theta-nan": lambda: ServerSettings(theta=NAN),
+    "ServerSettings-theta-one": lambda: ServerSettings(theta=1.0),
+    "ServerSettings-lam-nan": lambda: ServerSettings(lam=NAN),
+    "ServerSettings-lam-above-one": lambda: ServerSettings(lam=1.5),
+    "ServerSettings-cooldown-nan": lambda: ServerSettings(cooldown=NAN),
+    "ServerSettings-cooldown-negative": lambda: ServerSettings(cooldown=-1),
+    "ServerSettings-aggregation-unknown": lambda: ServerSettings(aggregation="mean"),
+    "ServerSettings-reinit-unknown": lambda: ServerSettings(reinit="qr"),
 }
 
 
@@ -229,8 +228,20 @@ def test_library_constructor_rejects_what_validate_rejects(case):
         CONSTRUCTOR_CHECKS[case]()
 
 
-def test_server_state_accepts_infinite_cooldown():
-    assert _server_state(INF).cooldown == INF
+@pytest.mark.parametrize("key, value, message", [
+    ("theta", 1.0, "theta must lie in [0, 1), got 1.0"),
+    ("lam", NAN, "lam must lie in [0, 1], got nan"),
+    ("cooldown", -1, "cooldown must be >= 0 (inf: never drop), got -1"),
+    ("reinit", "qr", "reinit must be one of ('svd', 'gaussian'), got 'qr'"),
+    ("aggregation", "mean", "aggregation must be one of ('factor', 'dense'), got 'mean'"),
+])
+def test_validate_and_server_settings_raise_the_same_message(key, value, message):
+    # the owner's message names the config key, as validate() always has
+    for build in (lambda: RunConfig(**{key: value}).validate(),
+                  lambda: ServerSettings(**{key: value})):
+        with pytest.raises(ParameterError) as raised:
+            build()
+        assert str(raised.value) == message
 
 
 def test_empty_multilabel_shard_rejected_before_pretraining(tmp_path, monkeypatch,

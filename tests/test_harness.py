@@ -29,7 +29,7 @@ class TestPretrainBase:
         ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
         base = pretrain_base(ds, 0, Rng(0).substream("p"))
         assert base.layer_shapes()[-1][0] == 4
-        assert base.input_dim == 8
+        assert base.layer_shapes()[0][1] == 8
 
     def test_frozen_after_construction(self):
         ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))

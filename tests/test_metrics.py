@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
-from rankfed.metrics import (CommLedger, accuracy_score, auc, cka, column_aucs,
+from rankfed.metrics import (CommLedger, accuracy_score, auc, column_aucs,
                              communication_cost, frobenius_norm,
-                             layer_averaged_cka, linear_hsic,
-                             prepare_representations, weight_distance)
+                             layer_averaged_cka, prepare_representations,
+                             weight_distance)
 from rankfed.numerics import Rng
 
 
@@ -328,28 +328,33 @@ class TestWeightDistance:
         assert frobenius_norm([]) == 0.0
 
 
+def cka(z1, z2):
+    """Plain linear CKA of two representations: a one-layer
+    ``layer_averaged_cka``, whose mean of one value is that value."""
+    return layer_averaged_cka([z1], [z2])
+
+
 class TestHsic:
-    def test_constant_representation_is_zero(self, rng):
-        z1 = rng.normal(10, 4)
-        z2 = np.ones((10, 3))
-        assert linear_hsic(z1, z2) == pytest.approx(0.0, abs=1e-20)
+    """The HSIC terms behind CKA, read off prepared operands."""
+
+    def test_constant_representation_is_zero(self):
+        assert prepare_representations([np.ones((10, 3))])[0].self_hsic == 0.0
 
     def test_self_positive(self, rng):
-        z = rng.normal(12, 5)
-        assert linear_hsic(z, z) > 0
+        assert prepare_representations([rng.normal(12, 5)])[0].self_hsic > 0
 
     def test_matches_gram_oracle(self, rng):
         for i in range(10):
             s = rng.substream("pair", i)
             z1 = s.substream("z1").normal(9, 4)
             z2 = s.substream("z2").normal(9, 6)
-            feat = linear_hsic(z1, z2)
-            gram = gram_hsic(z1 - z1.mean(axis=0), z2 - z2.mean(axis=0))
-            assert feat == pytest.approx(gram, rel=1e-9)
+            c1, c2 = z1 - z1.mean(axis=0), z2 - z2.mean(axis=0)
+            gram = gram_hsic(c1, c2) / np.sqrt(gram_hsic(c1, c1) * gram_hsic(c2, c2))
+            assert cka(z1, z2) == pytest.approx(gram, rel=1e-9)
 
     def test_needs_two_samples(self, rng):
         with pytest.raises(InputError):
-            linear_hsic(rng.normal(1, 3), rng.normal(1, 3))
+            prepare_representations([rng.normal(1, 3)])
 
 
 class TestCka:
@@ -385,7 +390,7 @@ class TestLayerAveragedCka:
     def test_single_layer_equals_plain(self, rng):
         a = rng.substream("a").normal(10, 4)
         b = rng.substream("b").normal(10, 4)
-        assert layer_averaged_cka([a], [b]) == cka(a, b)
+        assert layer_averaged_cka([a], [b]) == reference_cka(a, b)
 
     def test_constructed_mean(self, rng):
         z = rng.substream("z").normal(30, 6)
@@ -410,7 +415,6 @@ class TestPreparedOperands:
         prep_b = prepare_representations(reps_b)
         for a, b, ref in zip(reps_a, reps_b, per_layer):
             assert cka(a, b) == ref
-            assert linear_hsic(a, b) == reference_hsic(a, b)
         assert layer_averaged_cka(reps_a, reps_b) == expected
         assert layer_averaged_cka(prep_a, prep_b) == expected
         assert layer_averaged_cka(prep_a, reps_b) == expected

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule,
                           init_adapter_set)
 from rankfed.metrics import weight_distance
 from rankfed.numerics import Rng, svd_truncate
-from rankfed.server import (ClientUpdate, ServerState, aggregate, ema_update,
-                            gradient_consistency, maybe_dropout,
+from rankfed.server import (ClientUpdate, ServerSettings, ServerState, aggregate,
+                            ema_update, gradient_consistency, maybe_dropout,
                             normalize_sensitivities, pool_gradients,
                             sensitivity, server_round)
 
@@ -32,7 +33,7 @@ def warm_set(rng, shapes=((6, 4), (3, 6)), rank=2, scale=0.3):
 class TestAggregate:
     def test_identical_updates_fixed_point(self, rng):
         x = warm_set(rng)
-        updates = [ClientUpdate(i, x.clone(), 10) for i in range(3)]
+        updates = [ClientUpdate(i, copy.deepcopy(x), 10) for i in range(3)]
         agg = aggregate(updates)
         for a, b in zip(agg, x):
             assert np.max(np.abs(a.B - b.B)) <= 1e-15
@@ -103,7 +104,7 @@ class TestAccumulatedGradient:
 
     def test_equal_sets_give_zero(self, rng):
         x = warm_set(rng)
-        grads, _ = sensitivity(x.dense(), x.clone().dense())
+        grads, _ = sensitivity(x.dense(), copy.deepcopy(x).dense())
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads)
 
     def test_zero_global(self, rng):
@@ -209,10 +210,6 @@ class TestEmaUpdate:
         cur = rng.normal(3, 3)
         assert np.array_equal(ema_update(None, cur, 0.9), cur)
 
-    def test_theta_validation(self):
-        with pytest.raises(ParameterError):
-            ema_update(None, np.zeros((1, 1)), 1.0)
-
 
 class TestGradientConsistency:
     def test_one_sided_full_consistency(self, rng):
@@ -245,11 +242,24 @@ class TestGradientConsistency:
             assert 0.0 <= m <= 1.0
 
 
-def make_state(rng, rank=4, r_min=2, cooldown=0, **kw):
+class TestServerSettings:
+    """The owner of the server's rules; tests/test_cli.py checks that it
+    rejects NaN and each out-of-range or unknown value with validate()'s
+    message."""
+
+    def test_theta_validation(self):
+        assert ServerSettings(theta=0.0).theta == 0.0  # [0, 1): 0 in, 1 out
+        with pytest.raises(ParameterError, match="theta must lie in"):
+            ServerSettings(theta=1.0)
+
+    def test_accepts_infinite_cooldown(self):
+        assert ServerSettings(cooldown=math.inf).cooldown == math.inf
+
+
+def make_state(rng, rank=4, r_min=2, settings=ServerSettings(cooldown=0)):
     adapters = init_adapter_set([(6, 4), (3, 6)], rank, 0.02, rng.substream("init"))
     return ServerState(adapters=adapters,
-                       schedule=RankSchedule(rank, r_min, 2),
-                       cooldown=cooldown, **kw)
+                       schedule=RankSchedule(rank, r_min, 2), settings=settings)
 
 
 class TestMaybeDropout:
@@ -286,7 +296,7 @@ class TestMaybeDropout:
         assert state.accumulated is not None
 
     def test_cooldown_suppresses(self, rng):
-        state = make_state(rng, cooldown=3)
+        state = make_state(rng, settings=ServerSettings(cooldown=3))
         for m in (0.5, 0.5, 0.5):
             state, dropped = maybe_dropout(state, m)
             assert not dropped
@@ -294,7 +304,7 @@ class TestMaybeDropout:
         assert dropped
 
     def test_infinite_cooldown_never_drops(self, rng):
-        state = make_state(rng, cooldown=math.inf)
+        state = make_state(rng, settings=ServerSettings(cooldown=math.inf))
         for _ in range(20):
             state, dropped = maybe_dropout(state, 0.5)
             assert not dropped
@@ -313,7 +323,7 @@ class TestServerRound:
 
     def test_stationary_round(self, rng):
         state = make_state(rng)
-        updates = [ClientUpdate(i, state.adapters.clone(), 10) for i in range(3)]
+        updates = [ClientUpdate(i, copy.deepcopy(state.adapters), 10) for i in range(3)]
         _, outcome = server_round(state, updates)
         assert outcome.consistency == 1.0  # degenerate rule: no signal at all
 
@@ -360,7 +370,7 @@ class TestServerRound:
 
     def test_matches_flat_scripted_oracle(self, rng):
         theta = 0.9
-        state = make_state(rng, theta=theta)
+        state = make_state(rng, settings=ServerSettings(theta=theta, cooldown=0))
         updates = [ClientUpdate(i, warm_set(rng.substream("u", i), rank=4), 10 + i)
                    for i in range(3)]
         prev_pos = [np.abs(rng.substream("pp", i).normal(*s))
@@ -414,7 +424,7 @@ class TestServerRound:
         assert sorted(ranks, reverse=True) == ranks
 
     def test_drop_reinitializes_from_accumulated_aggregate(self, rng):
-        state = make_state(rng, rank=4, r_min=2, cooldown=0)
+        state = make_state(rng, rank=4, r_min=2)
         from dataclasses import replace
         state = replace(state, consistency_prev=0.0)  # forces M >= M_prev
         updates = [ClientUpdate(i, warm_set(rng.substream("x", i), rank=4), 10)
@@ -476,7 +486,8 @@ class TestServerProperties:
         state = ServerState(
             adapters=init_adapter_set([(6, 4), (3, 6)], r_init, 0.02,
                                       rng.substream("init")),
-            schedule=RankSchedule(r_init, r_min, subtractor), cooldown=cooldown)
+            schedule=RankSchedule(r_init, r_min, subtractor),
+            settings=ServerSettings(cooldown=cooldown))
         ranks = []
         for t in range(rounds):
             rank = state.schedule.current_rank
