@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -275,7 +276,10 @@ def _metric_scalar(metrics: dict) -> float | None:
 # ---------------------------------------------------------------------------
 
 def _participant_count(config: RunConfig) -> int:
-    return max(1, math.ceil(config.participation * config.num_clients))
+    """Clients per round: the ceiling of participation x num_clients, taken
+    on the decimal as written, so 0.14 x 50 is 7, not the float 7.000...01."""
+    exact = Fraction(repr(float(config.participation))) * config.num_clients
+    return max(1, math.ceil(exact))
 
 
 def _participants(config: RunConfig, rng: Rng, round_index: int):

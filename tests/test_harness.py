@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,6 +141,17 @@ class TestRunFederated:
         result = run_federated(cfg)
         assert result.ledger.num_clients == 2
         assert len(result.records[0].wd_plasticity) == 2
+
+    @pytest.mark.parametrize("participation, num_clients, expected", [
+        (0.14, 50, 7), (0.28, 25, 7), (0.07, 100, 7), (0.56, 25, 14), (0.5, 5, 3)])
+    def test_participant_count_is_the_ceiling_of_the_written_decimal(
+            self, participation, num_clients, expected):
+        # 0.14 * 50 is 7.000000000000001 in floats; its ceiling would be 8
+        cfg = RunConfig(participation=participation, num_clients=num_clients,
+                        scheme="iid")
+        assert len(harness._participants(cfg, Rng(0), 1)) == expected
+        everyone = op_count_budget(dataclasses.replace(cfg, participation=1.0))
+        assert op_count_budget(cfg) * num_clients == everyone * expected
 
     def test_invalid_config_rejected_before_execution(self):
         with pytest.raises(ParameterError):
