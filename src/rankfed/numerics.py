@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import InputError, ParameterError, ShapeError, require_finite
 
@@ -23,6 +24,18 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     return m
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox a derived 128-bit key as its two little-endian 64-bit key
+    words. ``Philox(key=...)`` would give the same stream, but first builds a
+    ``SeedSequence`` from fresh OS entropy and then ignores it."""
+
+    def __init__(self, key: bytes):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.frombuffer(self.key, dtype="<u8")
 
 
 class Rng:
@@ -42,9 +55,7 @@ class Rng:
                 self.seed.to_bytes(8, "little"), digest_size=16
             ).digest()
         self._key = _key
-        self._gen = np.random.Generator(
-            np.random.Philox(key=int.from_bytes(_key, "little"))
-        )
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(_key)))
 
     def substream(self, *labels) -> "Rng":
         """Derive an independent stream for the given label path."""

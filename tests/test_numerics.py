@@ -1,3 +1,7 @@
+import copy
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +48,36 @@ class TestRng:
             Rng(5).substream("client", 2).substream("round", 9).normal(2, 2),
             Rng(5).substream("client", 2).substream("round", 9).normal(2, 2),
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.one_of(st.integers(-5, 500), st.text(max_size=8)), max_size=4))
+    def test_stream_is_philox_keyed_by_the_label_path(self, seed, labels):
+        key = hashlib.blake2b(seed.to_bytes(8, "little"), digest_size=16).digest()
+        rng = Rng(seed)
+        if labels:
+            tag = "/".join(str(l) for l in labels).encode("utf-8")
+            key = hashlib.blake2b(tag, key=key, digest_size=16).digest()
+            rng = rng.substream(*labels)
+        gen = np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
+        reference = (gen.permutation(23), gen.standard_normal((3, 4)), gen.random(5),
+                     gen.integers(0, 1000, 6))
+        for a, b in zip(rng_draws(rng), reference):
+            assert np.array_equal(a, b)
+
+    def test_copies_continue_the_stream(self):
+        rng = Rng(11).substream("client", 3)
+        rng.permutation(10)  # copy mid-stream
+        copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+        expected = rng_draws(rng)
+        for copied in copies:
+            for a, b in zip(rng_draws(copied), expected):
+                assert np.array_equal(a, b)
+
+
+def rng_draws(rng):
+    return (rng.permutation(23), rng.normal(3, 4), rng.uniform(5),
+            rng.integers(0, 1000, 6))
 
 
 class TestRelu:
