@@ -362,6 +362,14 @@ class TestRunCommand:
         assert len(lines) == 3
         assert json.loads(lines[0])["schema_version"] == 1
 
+    def test_stdout_summary_pinned(self, config_path, tmp_path, capsys):
+        # every byte of the summary line: key order, float repr, the newline
+        assert main(["run", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == (
+            '{"rounds": 3, "final_val_metric": 0.0625, "final_test_metric": 0.05, '
+            '"best_val_round": 1, "transmitted_params_at_best": 1216, '
+            '"transmitted_mb_at_best": 0.004638671875}\n')
+
     def test_reruns_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", str(config_path), "--out", str(out1)]) == 0
@@ -540,6 +548,23 @@ class TestSweepCommand:
         assert code == 0
         header, row = out.read_text().strip().splitlines()
         assert row.split(",")[header.split(",").index("lam")] == "1.0"
+
+    def test_csv_pinned(self, tmp_path):
+        # spd-cfl with LwF at eta 0.5, so that the mu2 axis moves the metrics
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY_CONFIG.replace("mode = fixed-rank-lora", "mode = spd-cfl")
+                        .replace("cl_method = none", "cl_method = lwf")
+                        .replace("eta = 0.1", "eta = 0.5"))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(path), "--mu2", "0,1", "--theta", "0.5,0.9",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"mu1,mu2,theta,lam,final_val_metric,final_test_metric,best_val_round,"
+            b"transmitted_params_at_best,transmitted_mb_at_best\r\n"
+            b"0.0,0.0,0.5,0.5,0.375,0.45,3,3648,0.013916015625\r\n"
+            b"0.0,0.0,0.9,0.5,0.375,0.45,3,3648,0.013916015625\r\n"
+            b"0.0,1.0,0.5,0.5,0.3125,0.4,3,3648,0.013916015625\r\n"
+            b"0.0,1.0,0.9,0.5,0.3125,0.4,3,3648,0.013916015625\r\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--mu1", "abc"),        # not a number
