@@ -3,7 +3,7 @@ dropout and continual-learning regularization."""
 
 from .config import RunConfig, load_config
 from .data import Dataset, PartitionPlan, generate_synthetic, ks_statistic, partition
-from .harness import RunResult, evaluate, op_count_budget, pretrain_base, run_federated
+from .harness import RunResult, evaluate, pretrain_base, run_federated
 from .lora import AdapterSet, LoRAAdapter, RankSchedule, init_adapter_set
 from .model import CLConfig, FrozenBase
 from .numerics import Rng
@@ -14,6 +14,5 @@ __all__ = [
     "AdapterSet", "CLConfig", "Dataset", "FrozenBase", "LoRAAdapter",
     "PartitionPlan", "RankSchedule", "Rng", "RunConfig", "RunResult",
     "evaluate", "generate_synthetic", "init_adapter_set", "ks_statistic",
-    "load_config", "op_count_budget", "partition", "pretrain_base",
-    "run_federated",
+    "load_config", "partition", "pretrain_base", "run_federated",
 ]

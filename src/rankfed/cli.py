@@ -23,6 +23,10 @@ from .harness import (Setup, evaluate, run_federated, write_records_jsonl,
 from .lora import load_adapters, save_adapters
 
 
+# The config fields ``sweep`` varies, in flag, grid and column order.
+SWEEP_AXES = ("mu1", "mu2", "theta", "lam")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rankfed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -46,12 +50,10 @@ def _build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("checkpoint", help="adapter checkpoint path")
     eval_p.add_argument("--split", default="test", choices=("train", "val", "test"))
 
-    sweep_p = sub.add_parser("sweep", help="grid over mu1/mu2/theta/lam")
+    sweep_p = sub.add_parser("sweep", help="grid over " + "/".join(SWEEP_AXES))
     sweep_p.add_argument("config", help="base config file")
-    sweep_p.add_argument("--mu1", default=None, help="comma-separated values")
-    sweep_p.add_argument("--mu2", default=None, help="comma-separated values")
-    sweep_p.add_argument("--theta", default=None, help="comma-separated values")
-    sweep_p.add_argument("--lam", default=None, help="comma-separated values")
+    for name in SWEEP_AXES:
+        sweep_p.add_argument(f"--{name}", default=None, help="comma-separated values")
     sweep_p.add_argument("--out", required=True, help="result CSV path")
     return parser
 
@@ -66,6 +68,15 @@ def _load(path, args=None, **flags) -> RunConfig:
     return load_config(path, **overrides)
 
 
+def _summary(result) -> dict:
+    """The numbers ``run`` prints and ``sweep`` writes after its axes."""
+    count, mb = result.cost_at_best
+    last = result.records[-1]
+    return {"final_val_metric": last.val_metric, "final_test_metric": last.test_metric,
+            "best_val_round": result.best_val_round,
+            "transmitted_params_at_best": count, "transmitted_mb_at_best": mb}
+
+
 def _cmd_run(args) -> int:
     config = _load(args.config, args, seed="seed", mode="mode")
     result = run_federated(config)
@@ -78,16 +89,7 @@ def _cmd_run(args) -> int:
     if result.final_adapters is not None:
         save_adapters(out / "adapters_final.ckpt", result.final_adapters,
                       result.base_checksum)
-    count, mb = result.cost_at_best
-    last = result.records[-1]
-    print(json.dumps({
-        "rounds": len(result.records),
-        "final_val_metric": last.val_metric,
-        "final_test_metric": last.test_metric,
-        "best_val_round": result.best_val_round,
-        "transmitted_params_at_best": count,
-        "transmitted_mb_at_best": mb,
-    }))
+    print(json.dumps({"rounds": len(result.records), **_summary(result)}))
     return 0
 
 
@@ -147,22 +149,17 @@ def _cmd_sweep(args) -> int:
 
     # Every grid point is validated before the first run and before the CSV
     # is opened, so a bad value costs no run and leaves no partial file.
-    grid = [replace(base_config, mu1=mu1, mu2=mu2, theta=theta, lam=lam).validate()
-            for mu1, mu2, theta, lam in product(
-                axis("mu1"), axis("mu2"), axis("theta"), axis("lam"))]
+    grid = [replace(base_config, **dict(zip(SWEEP_AXES, point))).validate()
+            for point in product(*map(axis, SWEEP_AXES))]
 
     with open(args.out, "w", newline="") as fh:
         writer = _csv.writer(fh)
-        writer.writerow(["mu1", "mu2", "theta", "lam", "final_val_metric",
-                         "final_test_metric", "best_val_round",
-                         "transmitted_params_at_best", "transmitted_mb_at_best"])
-        for cfg in grid:
-            result = run_federated(cfg)
-            count, mb = result.cost_at_best
-            last = result.records[-1]
-            writer.writerow([cfg.mu1, cfg.mu2, cfg.theta, cfg.lam,
-                             last.val_metric, last.test_metric,
-                             result.best_val_round, count, mb])
+        for i, cfg in enumerate(grid):
+            summary = _summary(run_federated(cfg))
+            if i == 0:
+                writer.writerow([*SWEEP_AXES, *summary])
+            writer.writerow([*(getattr(cfg, name) for name in SWEEP_AXES),
+                             *summary.values()])
     return 0
 
 

@@ -1,5 +1,5 @@
 """Run orchestration: base pretraining, the federated round loop for every
-mode, per-round logging, evaluation, and the operation-count budget.
+mode, per-round logging and evaluation.
 
 A run is fully determined by (RunConfig, seed): every random draw comes from
 a labeled sub-stream of the root seed. A round's participants with equal
@@ -27,7 +27,7 @@ from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
                    partition, partition_multilabel, relabeled)
 from .errors import InputError, NumericError, ParameterError, UndefinedMetricError
-from .lora import AdapterSet, RankSchedule, capped_rank, init_adapter_set
+from .lora import AdapterSet, RankSchedule, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, column_aucs, communication_cost,
                       layer_averaged_cka, prepare_representations,
                       weight_distance)
@@ -502,33 +502,6 @@ def run_federated(config: RunConfig) -> RunResult:
     if base.checksum() != checksum_before:
         raise InputError("frozen base was mutated during the run")
     return result
-
-
-# ---------------------------------------------------------------------------
-# Operation-count budget
-# ---------------------------------------------------------------------------
-
-def op_count_budget(config: RunConfig) -> int:
-    """Closed-form multiply estimate T * S * E * psi * batch.
-
-    ``psi`` counts per-sample forward+backward multiplies from the layer
-    dimensions and the initial rank (capped per layer). The formula models one
-    representative mini-batch per epoch, so instrumented comparisons are made
-    on runs whose shards are within a small factor of the batch size.
-    """
-    config.validate()
-    out_dim = config.classes if config.task == "multiclass" else config.num_labels
-    dims = [config.dim, *config.hidden, out_dim]
-    psi = 0
-    for l in range(len(dims) - 1):
-        h2, h1 = dims[l], dims[l + 1]
-        if config.mode == "fedavg-full":
-            psi += 3 * h1 * h2
-        else:
-            r = capped_rank(config.r_init, h1, h2)
-            psi += 2 * h1 * h2 + 3 * r * (h1 + h2)
-    return (config.rounds * _participant_count(config) * config.local_epochs
-            * psi * config.batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -195,9 +195,9 @@ def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
     return _Cache(weights, hs, hA, kind, items)
 
 
-def forward(base: FrozenBase, adapters, x: Matrix, counter=None):
+def forward(base: FrozenBase, adapters, x: Matrix):
     """Logits and the per-layer post-activation representations."""
-    cache = _forward_cache(base.weights, base.biases, adapters, x, counter)
+    cache = _forward_cache(base.weights, base.biases, adapters, x)
     return cache.hs[-1], cache.hs[1:]
 
 
