@@ -75,6 +75,13 @@ RECORD_FIELDS = ("schema_version",
 
 @dataclass
 class RunResult:
+    """A finished run. ``base`` and ``final_adapters`` are the model the last
+    record scored: the frozen pretrained base and the last round's global
+    adapters in the LoRA modes, the last round's averaged weights and None in
+    ``fedavg-full``. ``base_checksum`` names the pretrained base in every
+    mode, the one a checkpoint binds to and ``Setup(config).base`` rebuilds.
+    """
+
     config: RunConfig
     records: list
     dataset: Dataset
@@ -402,26 +409,25 @@ class _FullModelRounds:
                              dropped=False)
 
     def __init__(self, setup: Setup):
-        self.weights = [w.copy() for w in setup.base.weights]
-        self.biases = [b.copy() for b in setup.base.biases]
+        self.model = setup.base
         self.clients, self.local = _clients(setup)
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return sum(w.size + b.size for w, b in zip(self.model.weights, self.model.biases))
 
     def train_group(self, cids, local: LocalTrainConfig, counter):
         c = len(cids)
-        w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.weights]
-        b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.biases]
+        w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.model.weights]
+        b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.model.biases]
         losses = group_sgd([self.clients[cid] for cid in cids],
                            _full_model_step(w, b, local.task, local.eta, counter), local)
         return [([m[i] for m in w], [v[i] for v in b]) for i in range(c)], losses
 
     def close_round(self, results, weights):
         total = weighted_sum(weights, (w + b for _, (w, b), _ in results))
-        n = len(self.weights)
-        self.weights, self.biases = total[:n], total[n:]
-        return FrozenBase(self.weights, self.biases), None, self.NO_ADAPTER_FIELDS
+        n = len(self.model.weights)
+        self.model = FrozenBase(total[:n], total[n:])
+        return self.model, None, self.NO_ADAPTER_FIELDS
 
 
 def _groups(participants, sizes):
@@ -479,7 +485,7 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
                               if records[i].val_metric is not None else -np.inf))
     return RunResult(
         config=config, records=records, dataset=dataset, plan=setup.plan,
-        base=setup.base, base_checksum=setup.base.checksum(), final_adapters=adapters,
+        base=model, base_checksum=setup.base.checksum(), final_adapters=adapters,
         ledger=ledger, best_val_round=best + 1,
         cost_at_best=communication_cost(ledger, best + 1),
         final_metrics=test,

@@ -153,8 +153,8 @@ def check_full_weight_group(data):
         client = mode.clients[cid]
         x = client.features
         y = setup.dataset.train_y[setup.plan.client_indices[cid]]
-        w = [m.copy() for m in mode.weights]
-        b = [v.copy() for v in mode.biases]
+        w = [m.copy() for m in mode.model.weights]
+        b = [v.copy() for v in mode.model.biases]
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")
                   .permutation(len(x)) for e in range(config.local_epochs)]
         ref_counter = OpCounter()

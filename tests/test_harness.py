@@ -217,13 +217,18 @@ class TestRunFederated:
 
 class TestEvaluate:
     def test_matches_last_record(self):
-        cfg = RunConfig(mode="fixed-rank-lora", seed=12, cl_method="none",
-                        mu1=0, mu2=0, **TINY)
-        result = run_federated(cfg)
-        ds = result.dataset
-        metrics = evaluate(result.base, result.final_adapters,
-                           {"val": (ds.val_x, ds.val_y)}, "multiclass")["val"]
-        assert metrics["accuracy"] == result.records[-1].val_metric
+        # result.base and result.final_adapters are the model the last record
+        # scored in every mode: fedavg-full's is its averaged weights
+        for mode in ("fixed-rank-lora", "spd-cfl", "fedavg-full"):
+            cfg = RunConfig(mode=mode, seed=12, cl_method="ewc", **TINY)
+            result = run_federated(cfg)
+            ds = result.dataset
+            metrics = evaluate(result.base, result.final_adapters,
+                               {"val": ds.split("val"), "test": ds.split("test")},
+                               "multiclass")
+            last = result.records[-1]
+            assert metrics["val"]["accuracy"] == last.val_metric, mode
+            assert metrics["test"]["accuracy"] == last.test_metric, mode
 
     def test_random_model_multilabel_auc_chance_band(self):
         aucs = []
