@@ -329,9 +329,7 @@ class _AdapterRounds:
                                      config.sigma_init, root.substream("adapters"))
         self.server = ServerState(
             adapters=adapters0, schedule=schedule, settings=config.server_settings(),
-            reinit_sigma=config.sigma_init,
-            reinit_rng=root.substream("reinit") if config.reinit == "gaussian" else None,
-        )
+            reinit_sigma=config.sigma_init, reinit_rng=root.substream("reinit"))
         self.clients, self.local = _clients(setup, cl)
         val_x = setup.dataset.val_x
         probe_idx = root.substream("probe").permutation(len(val_x))[:config.probe_samples]

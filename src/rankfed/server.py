@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, InvariantError, ParameterError, ProtocolError, ShapeError
+from .errors import (InputError, InvariantError, ParameterError, ProtocolError, ShapeError,
+                     require_finite)
 from .lora import (REINIT_METHODS, AdapterSet, DenseDelta, LoRAAdapter, RankSchedule,
                    accumulate, reinit_at_rank)
 from .metrics import frobenius_norm
@@ -66,7 +67,10 @@ class ServerState:
     """Global adapters plus dropout bookkeeping; all fields are values.
 
     ``reinit_sigma`` follows ``sigma_init``'s rule, which adapter
-    initialization shares, so it is not one of the ``settings``."""
+    initialization shares, so it is not one of the ``settings``. Gaussian
+    re-initialization needs ``reinit_rng`` and a valid ``reinit_sigma``; both
+    are checked here, not at the first drop, which may come dozens of rounds
+    in."""
 
     adapters: AdapterSet
     schedule: RankSchedule
@@ -78,6 +82,12 @@ class ServerState:
     ema_neg: list | None = None
     consistency_prev: float | None = None
     rounds_in_phase: int = 0
+
+    def __post_init__(self):
+        if self.settings.reinit == "gaussian":
+            if self.reinit_rng is None:
+                raise ParameterError("gaussian re-initialization needs an rng")
+            require_finite("reinit_sigma", self.reinit_sigma, 0, strict=True)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
 from rankfed.model import CLConfig
 from rankfed.numerics import Rng, gaussian_matrix
-from rankfed.server import ServerSettings
+from rankfed.server import ServerSettings, ServerState
 
 TINY_CONFIG = """
 [run]
@@ -198,6 +198,7 @@ def test_rank_rules_bind_only_the_modes_they_concern():
 
 
 NAN, INF = float("nan"), float("inf")
+_ADAPTERS = init_adapter_set([(8, 8), (4, 8)], 4, 0.1, Rng(0))
 CONSTRUCTOR_CHECKS = {
     "CLConfig-mu1-nan": lambda: CLConfig("ewc", mu1=NAN),
     "CLConfig-mu1-inf": lambda: CLConfig("ewc", mu1=INF),
@@ -219,6 +220,11 @@ CONSTRUCTOR_CHECKS = {
     "ServerSettings-cooldown-negative": lambda: ServerSettings(cooldown=-1),
     "ServerSettings-aggregation-unknown": lambda: ServerSettings(aggregation="mean"),
     "ServerSettings-reinit-unknown": lambda: ServerSettings(reinit="qr"),
+    "ServerState-gaussian-no-rng": lambda: ServerState(
+        _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian")),
+    "ServerState-gaussian-sigma-nan": lambda: ServerState(
+        _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian"),
+        reinit_sigma=NAN, reinit_rng=Rng(0)),
 }
 
 
