@@ -148,9 +148,12 @@ def _cmd_sweep(args) -> int:
         return values
 
     # Every grid point is validated before the first run and before the CSV
-    # is opened, so a bad value costs no run and leaves no partial file.
+    # is opened, so a bad value costs no run and leaves no partial file. The
+    # axes change neither the data nor the partition, so the partition rules
+    # are checked once, on the base config, without pretraining.
     grid = [replace(base_config, **dict(zip(SWEEP_AXES, point))).validate()
             for point in product(*map(axis, SWEEP_AXES))]
+    Setup(base_config).plan
 
     with open(args.out, "w", newline="") as fh:
         writer = _csv.writer(fh)

@@ -540,6 +540,17 @@ class TestEvalCommand:
 
 
 class TestSweepCommand:
+    def test_bad_partition_exits_2_before_the_csv(self, config_path, tmp_path,
+                                                  no_pretraining, capsys):
+        # disjoint needs a class per client; the config has 4 classes
+        path = tmp_path / "eleven.cfg"
+        path.write_text(config_path.read_text().replace("num_clients = 2",
+                                                        "num_clients = 11"))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(path), "--mu1", "0,0.01", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_grid_cardinality(self, config_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", str(config_path), "--mu1", "0,0.01",
