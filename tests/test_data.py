@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import linear_probe_accuracy
 
-from rankfed.data import (dataset_from_arrays, generate_multilabel,
+from rankfed.data import (Dataset, dataset_from_arrays, generate_multilabel,
                           generate_synthetic, ks_statistic, load_csv,
                           manifest_text, partition,
                           partition_multilabel, relabeled)
@@ -190,6 +190,21 @@ class TestMultilabel:
         off = np.mean([hist[s, (s + 1) % 3] for s in range(3)])
         assert own > off
 
+
+    # The label matrix is drawn straight from Philox (no BLAS), so these
+    # hashes hold on every machine. 7 clients over 3 labels wrap the label
+    # preference, and 100 rows over 7 clients fill six shards to their cap.
+    @pytest.mark.parametrize("skew,sha256", [
+        (0.3, "325e57227c3a1b1db3b83d054a4fb5991f4499345db6e53304034a5ac6a8f897"),
+        (1.0, "492a37f0d6886d535f4f06c5a0cd4f71b20e580d248ecffba8c7e33a13928c7a"),
+    ])
+    def test_skewed_manifest_bytes_pinned(self, skew, sha256):
+        y = (Rng(7).uniform(size=(100, 3)) < 0.4).astype(np.int64)
+        x = np.zeros((100, 2))
+        dataset = Dataset(x, y, x[:0], y[:0], x[:0], y[:0], num_classes=3,
+                          task="multilabel")
+        plan = partition_multilabel(dataset, 7, Rng(3), prevalence_skew=skew)
+        assert hashlib.sha256(manifest_text(plan).encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("skew", [0.0, 2.0])
     def test_empty_shard_rejected(self, skew):
