@@ -249,9 +249,10 @@ def partition_multilabel(dataset: Dataset, num_clients: int, rng: Rng,
         score = affinity + noise
         cap = int(np.ceil(n / num_clients))
         shards = [[] for _ in range(num_clients)]
-        for i in order:
-            ranked = np.argsort(-score[i])
-            for s in ranked:
+        # each sample's clients, most preferred first, ranked in one call
+        ranked = np.argsort(-score[order], axis=1)
+        for i, clients in zip(order.tolist(), ranked.tolist()):
+            for s in clients:
                 if len(shards[s]) < cap:
                     shards[s].append(i)
                     break
