@@ -106,10 +106,10 @@ def _stacked_importance(states) -> ImportanceEstimate | None:
 def sgd_epochs(step, x, y, batch_size: int, orders):
     """Mini-batch SGD, one epoch per sample order in ``orders``.
 
-    ``step(epoch, xb, yb)`` takes one step on a mini-batch and returns its
-    loss. With one model, ``x`` is [n, d] and each order is [n]; with shards
-    stacked along a leading client axis, each order is [C, n] and every loss
-    holds one value per client. Returns the mean loss of each epoch.
+    ``step(epoch, xb, yb)`` takes one step on a mini-batch. With one model,
+    ``x`` is [n, d] and each order is [n]; with shards stacked along a
+    leading client axis, each order is [C, n]. Returns, per epoch, the list
+    of what ``step`` returned for each mini-batch, in order.
 
     The shards are flattened once, so that row ``c * n + i`` is row ``i`` of
     client ``c``; each epoch's orders are offset into that flat index once,
@@ -120,18 +120,15 @@ def sgd_epochs(step, x, y, batch_size: int, orders):
     x_flat = x.reshape(clients * n, x.shape[-1])
     y_flat = y.reshape(clients * n, *y.shape[x.ndim - 1:])
     offsets = np.arange(0, clients * n, n)[:, np.newaxis] if x.ndim == 3 else 0
-    epoch_losses = []
+    results = []
     for epoch, order in enumerate(orders):
         flat_order = order + offsets
-        batch_losses = []
+        steps = []
         for start in range(0, n, batch_size):
             idx = flat_order[..., start:start + batch_size]
-            batch_losses.append(step(epoch, x_flat.take(idx, axis=0),
-                                     y_flat.take(idx, axis=0)))
-        # np.mean's own arithmetic, without its wrapper
-        epoch_losses.append(np.add.reduce(np.stack(batch_losses, axis=-1), axis=-1)
-                            / len(batch_losses))
-    return epoch_losses
+            steps.append(step(epoch, x_flat.take(idx, axis=0), y_flat.take(idx, axis=0)))
+        results.append(steps)
+    return results
 
 
 def group_sgd(states, step, config: LocalTrainConfig):
@@ -140,8 +137,9 @@ def group_sgd(states, step, config: LocalTrainConfig):
     ``states`` must have equal shard sizes. Their shards are stacked along a
     leading client axis, and each epoch every client draws its own batch
     order from its stream's (round, epoch) sub-stream; ``step`` trains the
-    whole group on one stacked mini-batch (see ``sgd_epochs``). Returns each
-    client's mean loss per epoch, in the order of ``states``.
+    whole group on one stacked mini-batch (see ``sgd_epochs``) and returns
+    its loss, one value per client. Returns each client's mean loss per
+    epoch, in the order of ``states``.
     """
     n = states[0].shard_size
     for s in states:
@@ -154,7 +152,10 @@ def group_sgd(states, step, config: LocalTrainConfig):
                                         epoch, "shuffle").permutation(n)
                         for s in states])
               for epoch in range(config.epochs))
-    epoch_losses = sgd_epochs(step, features, labels, config.batch_size, orders)
+    # np.mean's own arithmetic, without its wrapper
+    epoch_losses = [np.add.reduce(np.stack(losses, axis=-1), axis=-1) / len(losses)
+                    for losses in sgd_epochs(step, features, labels,
+                                             config.batch_size, orders)]
     return [[float(e[i]) for e in epoch_losses] for i in range(len(states))]
 
 

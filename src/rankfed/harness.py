@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,7 +36,7 @@ from .metrics import (CommLedger, accuracy_score, column_aucs, communication_cos
 # ``metrics.auc`` layer, so the name stays importable until that target is
 # re-pointed at ``column_aucs``.
 from .metrics import auc  # noqa: F401
-from .model import (CLConfig, FrozenBase, OpCounter, forward,
+from .model import (CLConfig, FrozenBase, OpCounter, forward, full_grads,
                     full_loss_and_grads, random_base)
 from .numerics import Rng
 from .server import (ClientUpdate, ServerState, server_round, shard_weights,
@@ -153,6 +154,7 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
 
     With epochs=0 the base is the frozen random initialization. Multilabel
     targets are cast to float64 once here rather than by the loss every step.
+    Each step computes the gradients only: nothing reads a pretraining loss.
     """
     n = len(dataset.train_x)
     if n == 0:
@@ -162,8 +164,11 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     biases = [b.copy() for b in init.biases]
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
-    sgd_epochs(_full_model_step(weights, biases, dataset.task, eta),
-               dataset.train_x, _training_targets(dataset), batch_size, orders)
+
+    def step(epoch, xb, yb):
+        _descend(weights, biases, *full_grads(weights, biases, xb, yb, dataset.task), eta)
+
+    sgd_epochs(step, dataset.train_x, _training_targets(dataset), batch_size, orders)
     return FrozenBase(tuple(weights), tuple(biases))
 
 
@@ -202,18 +207,23 @@ class Setup:
 
 
 def _full_model_step(weights, biases, task, eta, counter=None):
-    """An ``sgd_epochs`` step that updates every weight and bias in place.
-    Weights [C, h1, h2] and biases [C, h1] train C client models on
-    client-stacked shards."""
+    """An ``sgd_epochs`` step that updates every weight and bias in place and
+    returns the mini-batch loss. Weights [C, h1, h2] and biases [C, h1] train
+    C client models on client-stacked shards."""
     def step(epoch, xb, yb):
         loss, w_grads, b_grads = full_loss_and_grads(weights, biases, xb, yb,
                                                      task, counter)
-        for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
-            w -= eta * gw
-            b -= eta * gb
+        _descend(weights, biases, w_grads, b_grads, eta)
         return loss
 
     return step
+
+
+def _descend(weights, biases, w_grads, b_grads, eta):
+    """One gradient-descent step on every weight and bias, in place."""
+    for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
+        w -= eta * gw
+        b -= eta * gb
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +299,12 @@ def _participant_count(config: RunConfig) -> int:
     return max(1, math.ceil(exact))
 
 
-def _participants(config: RunConfig, rng: Rng, round_index: int):
-    s, k = config.num_clients, _participant_count(config)
-    if k >= s:
-        return list(range(s))
-    perm = rng.substream("participation", round_index).permutation(s)
-    return sorted(int(c) for c in perm[:k])
+def _participants(num_clients: int, count: int, rng: Rng, round_index: int):
+    """The round's ``count`` participants of ``num_clients``, in id order."""
+    if count >= num_clients:
+        return list(range(num_clients))
+    perm = rng.substream("participation", round_index).permutation(num_clients)
+    return sorted(int(c) for c in perm[:count])
 
 
 def _clients(setup: Setup, cl: CLConfig = CLConfig()):
@@ -428,6 +438,20 @@ class _FullModelRounds:
         return self.model, None, self.NO_ADAPTER_FIELDS
 
 
+@contextmanager
+def _diverged(clients, round_index: int):
+    """Floating-point overflow or an invalid operation inside the block means
+    that the updates of ``clients`` diverged: raise ``NumericError`` naming
+    them, rather than record an infinity or a NaN (or warn and go on)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        who = "client" if len(clients) == 1 else "clients"
+        raise NumericError(f"{who} {', '.join(str(c) for c in clients)}: {exc} "
+                           f"at round {round_index} (training diverged)") from None
+
+
 def _groups(participants, sizes):
     """Participants with equal shard sizes, each group in client-id order."""
     groups = {}
@@ -448,7 +472,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     """
     config, root, dataset = setup.config, setup.root, setup.dataset
     sizes = [c.shard_size for c in mode.clients]
-    ledger = CommLedger(_participant_count(config), config.bytes_per_param)
+    count = _participant_count(config)
+    ledger = CommLedger(count, config.bytes_per_param)
     records = []
     counter = OpCounter() if config.count_ops else None
     splits = {name: dataset.split(name) for name in ("val", "test")}
@@ -456,21 +481,22 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     for t in range(1, config.rounds + 1):
         local = dataclasses.replace(mode.local, round_index=t,
                                     eta=config.eta * config.eta_decay ** (t - 1))
-        participants = _participants(config, root, t)
+        participants = _participants(config.num_clients, count, root, t)
         trained = {}
         for group in _groups(participants, sizes):
-            updates, losses = mode.train_group(group, local, counter)
+            with _diverged(group, t):
+                updates, losses = mode.train_group(group, local, counter)
             trained.update(zip(group, zip(updates, losses)))
         results = [(cid, *trained[cid]) for cid in participants]
         ledger.add_round(mode.param_count())
 
         weights = shard_weights([sizes[cid] for cid in participants])
         last_losses = [losses[-1] if losses else None for _, _, losses in results]
-        global_loss = (float(np.dot(weights, last_losses))
-                       if all(l is not None for l in last_losses) else None)
-
-        model, adapters, fields = mode.close_round(results, weights)
-        scores = evaluate(model, adapters, splits, dataset.task)
+        with _diverged(participants, t):
+            global_loss = (float(np.dot(weights, last_losses))
+                           if all(l is not None for l in last_losses) else None)
+            model, adapters, fields = mode.close_round(results, weights)
+            scores = evaluate(model, adapters, splits, dataset.task)
         val, test = scores["val"], scores["test"]
         records.append(RoundRecord(
             round=t, global_loss=global_loss,

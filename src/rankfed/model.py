@@ -32,7 +32,8 @@ import numpy as np
 from .errors import (InputError, InvariantError, NumericError, ParameterError,
                      ShapeError, require_finite)
 from .lora import AdapterSet, DenseDelta
-from .numerics import Matrix, Rng, as_matrix, softmax, softmax_cross_entropy
+from .numerics import (Matrix, Rng, as_matrix, softmax, softmax_cross_entropy,
+                       softmax_error)
 
 
 class OpCounter:
@@ -241,8 +242,30 @@ def _task_loss(logits, y, task: str):
     if task == "multiclass":
         return softmax_cross_entropy(logits, y)
     if task == "multilabel":
-        return _binary_cross_entropy(logits, y)
+        grad = _mean_loss_gradient(logits, y, task)  # checks the targets first
+        return _binary_cross_entropy(logits, y), grad
     raise ParameterError(f"unknown task: {task}")
+
+
+def _logit_error(logits, y, task: str):
+    """Each sample's error at the logits under the task's loss, unscaled:
+    softmax minus one-hot (multiclass) or sigmoid minus target (multilabel).
+    Labels and targets are checked against the logits."""
+    if task == "multiclass":
+        return softmax_error(logits, y)
+    if task == "multilabel":
+        return _sigmoid_error(logits, y)
+    raise ParameterError(f"unknown task: {task}")
+
+
+def _mean_loss_gradient(logits, y, task: str):
+    """The logit gradient of the task's mean loss, the one ``_task_loss``
+    returns: the logit error over the number of terms the mean averages (the
+    n rows, or the n x L labels of a multilabel batch)."""
+    dz = _logit_error(logits, y, task)
+    n, L = dz.shape[-2:]
+    dz /= n if task == "multiclass" else n * L
+    return dz
 
 
 def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
@@ -260,15 +283,19 @@ def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
 
 
 def _binary_cross_entropy(logits, targets):
-    """Mean per-label sigmoid cross-entropy and its logit gradient."""
+    """Mean per-label sigmoid cross-entropy, one value per client when
+    stacked; ``targets`` may be soft."""
+    # softplus(z) - y*z, stabilized
+    return _mean_per_client(np.logaddexp(0.0, logits) - targets * logits)
+
+
+def _sigmoid_error(logits, targets):
+    """``sigmoid(logits) - targets``: each label's logit error of its sigmoid
+    cross-entropy, unscaled."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ShapeError(f"targets shape {targets.shape} != logits shape {logits.shape}")
-    n, L = logits.shape[-2:]
-    # softplus(z) - y*z, stabilized
-    loss = _mean_per_client(np.logaddexp(0.0, logits) - targets * logits)
-    grad = (_sigmoid(logits) - targets) / (n * L)
-    return loss, grad
+    return _sigmoid(logits) - targets
 
 
 def _mean_per_client(m):
@@ -308,15 +335,10 @@ def _importance(base: FrozenBase, adapters_at_anchor, x, logit_error,
 
 def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
                  task: str = "multiclass") -> ImportanceEstimate:
-    """Diagonal Fisher proxy: mean squared per-sample dense-update gradient."""
-    def logit_error(logits):
-        if task == "multiclass":
-            dz = softmax(logits)
-            dz[np.arange(len(logits)), np.asarray(y)] -= 1.0
-            return dz
-        return _sigmoid(logits) - np.asarray(y, dtype=np.float64)
-
-    return _importance(base, adapters_at_anchor, x, logit_error,
+    """Diagonal Fisher proxy: mean squared per-sample dense-update gradient.
+    ``y`` is checked against the logits as the task's loss checks it."""
+    return _importance(base, adapters_at_anchor, x,
+                       lambda logits: _logit_error(logits, y, task),
                        lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2))
 
 
@@ -378,8 +400,8 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
     else:
         t = _sigmoid(t_logits / tau)
         z = s_logits / tau
-        penalty = mu * _mean_per_client(np.logaddexp(0.0, z) - t * z)
-        dz = mu * (_sigmoid(z) - t) / (n * L * tau)
+        penalty = mu * _binary_cross_entropy(z, t)
+        dz = mu * _sigmoid_error(z, t) / (n * L * tau)
     return penalty, _factor_grads(student, dz)
 
 
@@ -457,9 +479,20 @@ def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
     """
     cache = _forward_cache(weights, biases, None, x, counter)
     loss, dz = _task_loss(cache.hs[-1], y, task)
+    return (loss, *_full_weight_grads(cache, dz, counter))
 
+
+def full_grads(weights, biases, x, y, task: str = "multiclass"):
+    """The weight and bias gradients ``full_loss_and_grads`` returns, bit for
+    bit, without forming the loss."""
+    cache = _forward_cache(weights, biases, None, x)
+    return _full_weight_grads(cache, _mean_loss_gradient(cache.hs[-1], y, task))
+
+
+def _full_weight_grads(cache: _Cache, dz, counter=None):
+    """Gradients w.r.t. every weight and bias for a loss with logit gradient ``dz``."""
     def fold(l, dz, _):
         return _mm(dz.swapaxes(-1, -2), cache.hs[l], counter), dz.sum(axis=-2)
 
     w_grads, b_grads = zip(*_backward(cache, dz, fold, counter))
-    return loss, w_grads, b_grads
+    return w_grads, b_grads

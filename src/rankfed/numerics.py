@@ -96,11 +96,13 @@ def softmax(logits: Matrix) -> Matrix:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: Matrix, labels: np.ndarray):
-    """Mean cross-entropy over the batch and its exact logit gradient.
+def _softmax_terms(logits: Matrix, labels: np.ndarray):
+    """The checks and shared terms of the cross-entropy of every row.
 
-    Returns ``(loss, grad)`` where ``grad[i] = (softmax(logits)[i] - onehot[i]) / batch``.
-    Client-stacked logits [C, n, c] with labels [C, n] give one loss per client.
+    Returns ``(error, shifted, z, pick)``: the logit error
+    ``softmax(logits) - onehot(labels)`` of each row, unscaled, the
+    max-shifted logits, their row sums of exp [..., 1], and the flat
+    (row, label) positions of the labels.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -119,11 +121,29 @@ def softmax_cross_entropy(logits: Matrix, labels: np.ndarray):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
-    picked = shifted.reshape(-1, c)[pick].reshape(labels.shape)
+    error = e / z  # the softmax of ``logits``
+    error.reshape(-1, c)[pick] -= 1.0
+    return error, shifted, z, pick
+
+
+def softmax_error(logits: Matrix, labels: np.ndarray) -> Matrix:
+    """``softmax(logits) - onehot(labels)`` row by row: each sample's logit
+    error of its cross-entropy, unscaled. Checks the labels as
+    ``softmax_cross_entropy`` does."""
+    return _softmax_terms(logits, labels)[0]
+
+
+def softmax_cross_entropy(logits: Matrix, labels: np.ndarray):
+    """Mean cross-entropy over the batch and its exact logit gradient.
+
+    Returns ``(loss, grad)`` where ``grad[i] = (softmax(logits)[i] - onehot[i]) / batch``.
+    Client-stacked logits [C, n, c] with labels [C, n] give one loss per client.
+    """
+    grad, shifted, z, pick = _softmax_terms(logits, labels)
+    n, c = grad.shape[-2:]
+    picked = shifted.reshape(-1, c)[pick].reshape(grad.shape[:-1])
     # np.mean's own arithmetic, without its wrapper: this runs every step
     loss = np.add.reduce(np.log(z[..., 0]) - picked, axis=-1) / n
-    grad = e / z  # the softmax of ``logits``
-    grad.reshape(-1, c)[pick] -= 1.0
     grad /= n
     return loss, grad
 

@@ -164,7 +164,8 @@ def check_full_weight_group(data):
         (gw, gb), (sw, sb) = group_updates[cid], solo
         assert ([m.tobytes() for m in gw + gb] == [m.tobytes() for m in sw + sb]
                 == [m.tobytes() for m in w + b])
-        assert group_losses[cid] == solo_losses == [float(v) for v in ref_losses]
+        assert group_losses[cid] == solo_losses == [float(np.mean(losses))
+                                                    for losses in ref_losses]
     assert counter.multiplies == reference_ops
 
 

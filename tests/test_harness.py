@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import linear_probe_accuracy
@@ -15,7 +16,7 @@ from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
                              pretrain_base, records_jsonl, run_federated)
 from rankfed.lora import AdapterSet, init_adapter_set
 from rankfed.metrics import accuracy_score, column_aucs
-from rankfed.model import forward, random_base
+from rankfed.model import FrozenBase, forward, full_loss_and_grads, random_base
 from rankfed.numerics import Rng
 
 TINY = dict(rounds=4, classes=4, dim=8, n_per_class=30, num_clients=2,
@@ -29,6 +30,35 @@ class TestPretrainBase:
         base = pretrain_base(ds, 0, Rng(0).substream("p"))
         assert base.layer_shapes()[-1][0] == 4
         assert base.layer_shapes()[0][1] == 8
+
+    @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+    def test_equals_a_reference_loop_stepping_with_the_loss_kernel(self, task):
+        # pretraining steps with gradients only; the reference takes the same
+        # steps through full_loss_and_grads and discards its loss
+        if task == "multiclass":
+            ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
+            targets = ds.train_y
+        else:
+            ds = generate_multilabel(150, 8, 5, Rng(0).substream("d"))
+            targets = ds.train_y.astype(np.float64)
+        rng, epochs, eta, batch = Rng(0).substream("p"), 3, 0.05, 16
+        base = pretrain_base(ds, epochs, rng, eta, batch, hidden=(12,))
+
+        init = random_base([ds.dim, 12, ds.num_classes], rng)
+        weights = [w.copy() for w in init.weights]
+        biases = [b.copy() for b in init.biases]
+        n = len(ds.train_x)
+        assert n % batch != 0  # a short last batch
+        for epoch in range(epochs):
+            order = rng.substream("pretrain-shuffle", epoch).permutation(n)
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                _, w_grads, b_grads = full_loss_and_grads(
+                    weights, biases, ds.train_x[idx], targets[idx], task)
+                for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
+                    w -= eta * gw
+                    b -= eta * gb
+        assert base.checksum() == FrozenBase(tuple(weights), tuple(biases)).checksum()
 
     def test_frozen_after_construction(self):
         ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
@@ -147,7 +177,18 @@ class TestRunFederated:
         # 0.14 * 50 is 7.000000000000001 in floats; its ceiling would be 8
         cfg = RunConfig(participation=participation, num_clients=num_clients,
                         scheme="iid")
-        assert len(harness._participants(cfg, Rng(0), 1)) == expected
+        count = harness._participant_count(cfg)
+        assert len(harness._participants(num_clients, count, Rng(0), 1)) == expected
+
+    def test_diverged_run_names_its_clients(self):
+        # eta 1000 with EWC overflows in round 2; the run used to finish with
+        # NaN and Infinity in its records (or, with warnings as errors, stop
+        # on a RuntimeWarning)
+        cfg = RunConfig(cl_method="ewc", **{**TINY, "eta": 1000.0, "rounds": 2})
+        with pytest.raises(NumericError,
+                           match=r"^clients 0, 1: overflow encountered in \w+ at round 2 "
+                                 r"\(training diverged\)$"):
+            run_federated(cfg)
 
     def test_invalid_config_rejected_before_execution(self):
         with pytest.raises(ParameterError):
@@ -440,3 +481,67 @@ class TestDeterminism:
         cfg2 = RunConfig(seed=17, cl_method="none", mu1=0, mu2=0, **TINY)
         assert (records_jsonl(run_federated(cfg1).records)
                 != records_jsonl(run_federated(cfg2).records))
+
+
+def _tiny_configs():
+    """Tiny runs of 1-2 rounds over every mode and task, with extreme and
+    invalid values for the numeric settings."""
+    pick = st.sampled_from
+    return st.builds(
+        RunConfig,
+        mode=pick(["spd-cfl", "fixed-rank-lora", "fedavg-full"]),
+        seed=st.integers(0, 1000), rounds=st.integers(1, 2),
+        local_epochs=st.integers(0, 2),
+        eta=pick([0.0, 1e-3, 0.1, 10.0, 1e3, 1e6]),
+        eta_decay=pick([1e-3, 0.5, 1.0]), batch_size=st.integers(1, 40),
+        participation=pick([1e-3, 0.3, 1.0]), count_ops=st.booleans(),
+        r_init=st.integers(1, 5), r_min=st.integers(1, 3), subtractor=st.integers(1, 3),
+        theta=pick([0.0, 0.5, 0.999, 1.0]), lam=pick([0.0, 0.5, 1.0]),
+        cooldown=pick([0, 1, math.inf]), reinit=pick(["svd", "gaussian"]),
+        aggregation=pick(["factor", "dense"]),
+        cl_method=pick(["none", "ewc", "mas", "lwf"]),
+        mu1=pick([0.0, 1e-3, 1.0, 1e8]), mu2=pick([0.0, 1e-3, 1.0, 1e8]),
+        lwf_temperature=pick([1e-3, 1.0, 1e3]),
+        task=pick(["multiclass", "multilabel"]),
+        classes=st.integers(2, 6), dim=st.integers(2, 6),
+        n_per_class=st.integers(1, 20), separation=pick([0.0, 1.0, 1e3, 1e8]),
+        scheme=pick(["iid", "overlap", "disjoint"]),
+        classes_per_client=st.integers(1, 4), shared_classes=st.integers(0, 3),
+        num_clients=st.integers(1, 6), num_labels=st.integers(1, 4),
+        n_samples=st.integers(5, 100), multilabel_skew=pick([0.0, 0.5, 1.0]),
+        hidden=st.lists(st.integers(1, 8), min_size=1, max_size=2).map(tuple),
+        sigma_init=pick([1e-6, 0.02, 10.0, 1e4]),
+        pretrain_epochs=st.integers(0, 2), pretrain_eta=pick([0.0, 0.05, 10.0, 1e4]),
+        pretrain_batch=st.integers(1, 32), probe_samples=st.integers(2, 8),
+    )
+
+
+class _Pretrained(Exception):
+    """Raised by the pretraining stub: the run got past its up-front checks."""
+
+
+def _stub_pretraining(*_, **__):
+    raise _Pretrained
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(_tiny_configs())
+def test_config_search_ends_in_an_accepted_outcome(config):
+    """A run completes, or raises ParameterError before pretraining, or
+    raises NumericError naming a client or a split. Anything else fails and
+    hypothesis prints the config."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "pretrain_base", _stub_pretraining)
+        try:
+            run_federated(config)
+        except ParameterError:
+            event("ParameterError before pretraining")
+            return
+        except _Pretrained:
+            pass
+    try:
+        run_federated(config)
+        event("completed")
+    except NumericError as exc:
+        assert re.search(r"\bclients? \d+|\bthe \w+ split\b", str(exc)), str(exc)
+        event("NumericError")

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import fd_factor_grads, make_model, max_rel_err
 
-from rankfed.errors import InputError, InvariantError, NumericError
+from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate,
                            estimate_fim, estimate_mas_importance, forward,
@@ -172,6 +172,19 @@ class TestImportanceEstimates:
         y = np.array([0, 1])
         fim = estimate_fim(base, adapters, x, y)
         assert all(np.max(m) < 1e-12 for m in fim.matrices)
+
+    @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+    def test_fim_checks_labels_as_the_loss_does(self, task):
+        base = random_base([4, 6, 3], Rng(0))
+        x = Rng(1).normal(5, 4)
+        if task == "multiclass":
+            bad = [([0, 1, 2, 0, -1], InputError, "labels must lie in"),
+                   ([0, 1, 2, 0, 3], InputError, "labels must lie in")]
+        else:
+            bad = [(np.zeros((5, 2)), ShapeError, "targets shape")]
+        for y, error, message in bad:
+            with pytest.raises(error, match=message):
+                estimate_fim(base, None, x, np.asarray(y), task)
 
     def test_fim_nonnegative(self, rng):
         base, adapters, x, y = make_model(rng)
