@@ -244,14 +244,14 @@ def partition_multilabel(dataset: Dataset, num_clients: int, rng: Rng,
     order = rng.substream("multilabel-order").permutation(n)
     if prevalence_skew > 0:
         pref = np.arange(num_clients) % L
-        affinity = prevalence_skew * y[:, pref]  # [n, clients]
-        noise = rng.substream("multilabel-noise").uniform(size=affinity.shape)
-        score = affinity + noise
+        # each sample's affinity to each client's label, plus noise: [n, clients]
+        score = prevalence_skew * y[:, pref]
+        score += rng.substream("multilabel-noise").uniform(size=score.shape)
         cap = int(np.ceil(n / num_clients))
         shards = [[] for _ in range(num_clients)]
         # each sample's clients, most preferred first, ranked in one call
         ranked = np.argsort(-score[order], axis=1)
-        for i, clients in zip(order.tolist(), ranked.tolist()):
+        for i, clients in zip(order.tolist(), ranked):
             for s in clients:
                 if len(shards[s]) < cap:
                     shards[s].append(i)
