@@ -181,9 +181,8 @@ class TestRunFederated:
         assert len(harness._participants(num_clients, count, Rng(0), 1)) == expected
 
     def test_diverged_run_names_its_clients(self):
-        # eta 1000 with EWC overflows in round 2; the run used to finish with
-        # NaN and Infinity in its records (or, with warnings as errors, stop
-        # on a RuntimeWarning)
+        # eta 1000 with EWC overflows in round 2: the run stops there rather
+        # than record NaN or Infinity
         cfg = RunConfig(cl_method="ewc", **{**TINY, "eta": 1000.0, "rounds": 2})
         with pytest.raises(NumericError,
                            match=r"^clients 0, 1: overflow encountered in \w+ at round 2 "
