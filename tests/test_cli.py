@@ -150,6 +150,35 @@ class TestConfigFile:
         cfg = load_config(path)
         assert cfg.cooldown == float("inf")
 
+    @pytest.mark.parametrize("raw", ["Infinity", "INF", "+inf"])
+    def test_infinite_cooldown_spellings(self, raw, tmp_path):
+        path = tmp_path / "inf.cfg"
+        path.write_text(f"[dropout]\ncooldown = {raw}\n")
+        assert load_config(path).cooldown == float("inf")
+
+    @pytest.mark.parametrize("raw", ["nan", "-inf"])
+    def test_nan_or_negative_infinite_cooldown_exits_2(self, raw, tmp_path, capsys):
+        path = tmp_path / "cooldown.cfg"
+        path.write_text(f"[dropout]\ncooldown = {raw}\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "cooldown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("FALSE", False), ("no", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, raw, value, tmp_path):
+        path = tmp_path / "bool.cfg"
+        path.write_text(f"[run]\ncount_ops = {raw}\n")
+        assert load_config(path).count_ops is value
+
+    @pytest.mark.parametrize("raw", ["maybe", "2"])
+    def test_bad_boolean_exits_2(self, raw, tmp_path, capsys):
+        path = tmp_path / "bool.cfg"
+        path.write_text(f"[run]\ncount_ops = {raw}\n")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "bad value" in capsys.readouterr().err
+
 
 INVALID_VALUES = [
     dict(cooldown=float("nan")), dict(mu1=float("nan")), dict(eta=float("nan")),
