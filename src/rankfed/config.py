@@ -8,7 +8,6 @@ RunConfig field. Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, fields
 
 from .client import LocalTrainConfig
@@ -171,21 +170,15 @@ def _parse_value(name: str, raw: str, kind):
     raw = raw.strip()
     try:
         if kind is bool:
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         if kind is int:
             return int(raw)
         if kind is float:
-            if raw.lower() in ("inf", "infinity"):
-                return math.inf
             return float(raw)
         if kind is tuple:
             return tuple(int(v) for v in raw.split(",") if v.strip())
         return raw
-    except ValueError:
+    except (KeyError, ValueError):
         raise ParameterError(f"bad value for {name!r}: {raw!r}") from None
 
 

@@ -102,30 +102,30 @@ def generate_synthetic(num_classes: int, dim: int, n_per_class: int,
     return replace(dataset_from_arrays(x, y, rng), class_means=class_means)
 
 
-def relabeled(dataset: Dataset, shift: int = 1) -> Dataset:
-    """Same features, labels cyclically shifted: a sibling task over the
-    identical cluster geometry with a different readout."""
+def relabeled(dataset: Dataset) -> Dataset:
+    """Same features, labels cyclically shifted by one: a sibling task over
+    the identical cluster geometry with a different readout."""
     if dataset.task != "multiclass":
         raise ParameterError("relabeling applies to multiclass datasets")
     c = dataset.num_classes
     return Dataset(
-        dataset.train_x, (dataset.train_y + shift) % c,
-        dataset.val_x, (dataset.val_y + shift) % c,
-        dataset.test_x, (dataset.test_y + shift) % c,
+        dataset.train_x, (dataset.train_y + 1) % c,
+        dataset.val_x, (dataset.val_y + 1) % c,
+        dataset.test_x, (dataset.test_y + 1) % c,
         num_classes=c, class_means=dataset.class_means,
     )
 
 
-def generate_multilabel(n_samples: int, dim: int, num_labels: int, rng: Rng,
-                        signal_scale: float = 2.0) -> Dataset:
-    """Independent logistic ground truth per label over Gaussian features."""
+def generate_multilabel(n_samples: int, dim: int, num_labels: int, rng: Rng) -> Dataset:
+    """Independent logistic ground truth per label over Gaussian features,
+    each label's weight vector of norm 2."""
     if num_labels < 1:
         raise ParameterError(f"need >= 1 label, got {num_labels}")
     if dim < 2:
         raise ParameterError(f"need dim >= 2, got {dim}")
     x = rng.substream("features").normal(n_samples, dim)
     w = rng.substream("label-weights").normal(num_labels, dim)
-    w = signal_scale * w / np.linalg.norm(w, axis=1, keepdims=True)
+    w = 2.0 * w / np.linalg.norm(w, axis=1, keepdims=True)
     p = 0.5 * (1.0 + np.tanh(0.5 * (x @ w.T)))
     y = (rng.substream("label-noise").uniform(size=p.shape) < p).astype(np.int64)
     n_train, n_val, n_test = _split_counts(n_samples)

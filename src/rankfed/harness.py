@@ -130,12 +130,12 @@ def build_pretrain_dataset(config: RunConfig, dataset: Dataset, rng: Rng) -> Dat
     under the shifted labels.
     """
     if config.csv_path:
-        return relabeled(dataset, shift=1)
+        return relabeled(dataset)
     if config.task == "multiclass":
         sibling = generate_synthetic(config.classes, config.dim,
                                      config.n_per_class, config.separation,
                                      rng, class_means=dataset.class_means)
-        return relabeled(sibling, shift=1)
+        return relabeled(sibling)
     return generate_multilabel(config.n_samples, config.dim, config.num_labels, rng)
 
 

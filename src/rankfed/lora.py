@@ -3,8 +3,8 @@
 An adapter is a factor pair (B, A) whose product is a dense update
 ``delta = B @ A`` injected beside a frozen base weight. The module covers
 initialization, dense materialization, re-initialization
-at a lower rank from an accumulated dense update, decay-averaged accumulation
-of phase-final adapters, and a binary checkpoint format.
+at a lower rank from an accumulated dense update, and a binary checkpoint
+format.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class LoRAAdapter:
     leading client axis, [C, h1, r] and [C, r, h2], one pair per client.
     """
 
-    layer_id: int
     B: Matrix
     A: Matrix
 
@@ -68,7 +67,7 @@ class LoRAAdapter:
 
 @dataclass(frozen=True)
 class AdapterSet:
-    """Ordered adapters, one per adapted layer, sharing a nominal rank.
+    """One adapter per adapted layer, at that layer's index, sharing a nominal rank.
 
     The nominal rank is capped per layer at min(h1, h2); layers too small to
     host the full rank carry a full-rank adapter for their size instead.
@@ -83,14 +82,11 @@ class AdapterSet:
 
     def __post_init__(self):
         object.__setattr__(self, "adapters", tuple(self.adapters))
-        ids = [a.layer_id for a in self.adapters]
-        if len(set(ids)) != len(ids):
-            raise ParameterError(f"duplicate layer ids: {ids}")
-        for a in self.adapters:
+        for lid, a in enumerate(self.adapters):
             expected = capped_rank(self.nominal_rank, a.out_dim, a.in_dim)
             if a.rank != expected:
                 raise ParameterError(
-                    f"layer {a.layer_id}: rank {a.rank} != min(nominal, dims) = {expected}"
+                    f"layer {lid}: rank {a.rank} != min(nominal, dims) = {expected}"
                 )
 
     def __iter__(self):
@@ -112,13 +108,13 @@ class AdapterSet:
     def stacked(self, c: int) -> "AdapterSet":
         """``c`` copies of this set stacked along a leading client axis."""
         return AdapterSet(tuple(
-            LoRAAdapter(a.layer_id, np.repeat(a.B[np.newaxis], c, axis=0),
+            LoRAAdapter(np.repeat(a.B[np.newaxis], c, axis=0),
                         np.repeat(a.A[np.newaxis], c, axis=0))
             for a in self.adapters), self.nominal_rank)
 
     def client(self, i: int) -> "AdapterSet":
         """Client ``i``'s adapter set from a client-stacked one."""
-        return AdapterSet(tuple(LoRAAdapter(a.layer_id, a.B[i], a.A[i])
+        return AdapterSet(tuple(LoRAAdapter(a.B[i], a.A[i])
                                 for a in self.adapters), self.nominal_rank)
 
 
@@ -128,14 +124,13 @@ def capped_rank(rank: int, h1: int, h2: int) -> int:
     return min(rank, h1, h2)
 
 
-def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng,
-                 layer_id: int = 0) -> LoRAAdapter:
+def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng) -> LoRAAdapter:
     """Zero B, Gaussian A: the fresh adapter contributes exactly nothing."""
     if r < 1 or r > min(h1, h2):
         raise ParameterError(f"rank {r} out of range for a {h1}x{h2} layer")
     B = np.zeros((h1, r))
     A = gaussian_matrix(r, h2, sigma, rng)
-    return LoRAAdapter(layer_id, B, A)
+    return LoRAAdapter(B, A)
 
 
 def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> AdapterSet:
@@ -144,33 +139,12 @@ def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> Adapter
         raise ParameterError(f"rank must be >= 1, got {rank}")
     return AdapterSet(tuple(
         init_adapter(h1, h2, capped_rank(rank, h1, h2), sigma,
-                     rng.substream("adapter-init", lid), lid)
+                     rng.substream("adapter-init", lid))
         for lid, (h1, h2) in enumerate(layer_shapes)), rank)
 
 
 def dense(adapter: LoRAAdapter) -> Matrix:
     return adapter.B @ adapter.A
-
-
-def accumulate(acc: DenseDelta | None, phase_final_global: AdapterSet,
-               lam: float) -> DenseDelta:
-    """Decay-average the accumulator with the phase-final global dense update.
-
-    On the first event the accumulator is initialized with the observation
-    itself; afterwards ``acc <- lam * acc + (1 - lam) * new`` per layer.
-    ``lam`` is a ``server.ServerSettings.lam``, checked there.
-    """
-    new = phase_final_global.dense()
-    if acc is None:
-        return new
-    if len(acc) != len(new):
-        raise ShapeError(f"layer count mismatch: {len(acc)} vs {len(new)}")
-    out = []
-    for a, d in zip(acc, new):
-        if a.shape != d.shape:
-            raise ShapeError(f"layer shape mismatch: {a.shape} vs {d.shape}")
-        out.append(lam * a + (1.0 - lam) * d)
-    return out
 
 
 def reinit_at_rank(acc: DenseDelta, r_new: int, method: str = "svd",
@@ -193,13 +167,13 @@ def reinit_at_rank(acc: DenseDelta, r_new: int, method: str = "svd",
             root = np.sqrt(s)
             B = u * root[np.newaxis, :]
             A = root[:, np.newaxis] * v.T
-            adapters.append(LoRAAdapter(lid, B, A))
+            adapters.append(LoRAAdapter(B, A))
         elif method == "gaussian":
             if rng is None:
                 raise ParameterError("gaussian re-initialization needs an rng")
             h1, h2 = layer.shape
             adapters.append(init_adapter(h1, h2, r, sigma,
-                                         rng.substream("reinit", lid), lid))
+                                         rng.substream("reinit", lid)))
         else:
             raise ParameterError(f"unknown re-initialization method: {method}")
     return AdapterSet(tuple(adapters), r_new)
@@ -297,7 +271,7 @@ def load_adapters(path) -> tuple[AdapterSet, str | None]:
             raise ParameterError(f"layer {lid}: bad dimensions {h1}x{h2} at rank {r}")
         B = np.frombuffer(take(8 * h1 * r), dtype="<f8").reshape(h1, r)
         A = np.frombuffer(take(8 * r * h2), dtype="<f8").reshape(r, h2)
-        adapters.append(LoRAAdapter(lid, B.astype(np.float64), A.astype(np.float64)))
+        adapters.append(LoRAAdapter(B.astype(np.float64), A.astype(np.float64)))
     if pos != len(data):
         raise ParameterError(
             f"trailing checkpoint bytes: {len(data) - pos} after {count} layers")

@@ -81,13 +81,12 @@ class FrozenBase:
         return h.hexdigest()
 
 
-def random_base(layer_dims, rng: Rng, scale: float | None = None) -> FrozenBase:
-    """Gaussian base weights (std = scale or 1/sqrt(fan_in)), zero biases."""
+def random_base(layer_dims, rng: Rng) -> FrozenBase:
+    """Gaussian base weights (std = 1/sqrt(fan_in)), zero biases."""
     weights, biases = [], []
     for l in range(len(layer_dims) - 1):
         h2, h1 = layer_dims[l], layer_dims[l + 1]
-        s = scale if scale is not None else 1.0 / np.sqrt(h2)
-        weights.append(rng.substream("base-init", l).normal(h1, h2, s))
+        weights.append(rng.substream("base-init", l).normal(h1, h2, 1.0 / np.sqrt(h2)))
         biases.append(np.zeros(h1))
     return FrozenBase(tuple(weights), tuple(biases))
 
@@ -455,10 +454,10 @@ def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
     """
     if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
         for i, cid in enumerate(client_ids):
-            for a, (gB, gA) in zip(adapters, grads):
+            for lid, (gB, gA) in enumerate(grads):
                 if not (np.isfinite(gB[i]).all() and np.isfinite(gA[i]).all()):
                     raise NumericError(
-                        f"client {cid}: non-finite gradient at layer {a.layer_id}")
+                        f"client {cid}: non-finite gradient at layer {lid}")
     for a, (gB, gA) in zip(adapters, grads):
         B, A = a.B, a.A
         B -= eta * gB

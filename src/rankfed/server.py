@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (InputError, InvariantError, ParameterError, ProtocolError, ShapeError,
                      require_finite)
 from .lora import (REINIT_METHODS, AdapterSet, DenseDelta, LoRAAdapter, RankSchedule,
-                   accumulate, reinit_at_rank)
+                   reinit_at_rank)
 from .metrics import frobenius_norm
 from .numerics import Rng, relu
 
@@ -147,8 +147,8 @@ def aggregate(updates, mode: str = "factor") -> AdapterSet:
     if mode == "factor":
         factors = weighted_sum(weights, ([m for a in u.adapters for m in (a.B, a.A)]
                                          for u in updates))
-        return AdapterSet(tuple(LoRAAdapter(ref.layer_id, B, A) for ref, B, A
-                                in zip(first, factors[0::2], factors[1::2])),
+        return AdapterSet(tuple(LoRAAdapter(B, A) for B, A
+                                in zip(factors[0::2], factors[1::2])),
                           first.nominal_rank)
     if mode == "dense":
         return reinit_at_rank(weighted_sum(weights, (u.adapters.dense() for u in updates)),
@@ -200,7 +200,8 @@ def pool_gradients(grads_by_client, alpha):
 
 def ema_update(prev, current, theta: float):
     """EMA with first-observation initialization: absent prev passes current
-    through. ``theta`` is a ``ServerSettings.theta``, checked there."""
+    through. ``theta`` is a ``ServerSettings.theta`` (the pooled gradients)
+    or ``lam`` (the accumulator), checked there."""
     current = np.asarray(current, dtype=np.float64)
     if prev is None:
         return current.copy()
@@ -243,9 +244,10 @@ def maybe_dropout(state: ServerState, consistency: float):
 
     Drops when the score stopped decreasing, provided a previous score exists,
     the rank floor allows a full subtractor step, and the phase has outlived
-    the cooldown. On a drop: fold the phase-final global adapters into the
-    accumulator, lower the rank, re-initialize the global adapters from the
-    accumulator, and reset the EMA and consistency history.
+    the cooldown. On a drop: fold the phase-final global dense update into
+    the accumulator (an EMA with decay ``lam``), lower the rank,
+    re-initialize the global adapters from the accumulator, and reset the
+    gradient EMA and consistency history.
     """
     fire = (
         state.consistency_prev is not None
@@ -257,7 +259,9 @@ def maybe_dropout(state: ServerState, consistency: float):
         return replace(state,
                        consistency_prev=consistency,
                        rounds_in_phase=state.rounds_in_phase + 1), False
-    acc = accumulate(state.accumulated, state.adapters, state.settings.lam)
+    final = state.adapters.dense()
+    acc = [ema_update(p, d, state.settings.lam)
+           for p, d in zip(state.accumulated or [None] * len(final), final)]
     schedule = state.schedule.dropped()
     adapters = reinit_at_rank(acc, schedule.current_rank,
                               method=state.settings.reinit,

@@ -22,11 +22,10 @@ def make_model(rng, dims=(5, 7, 4), rank=3, batch=6, sigma=0.05, warm=True):
                                 rng.substream("adapters"))
     if warm:
         warmed = []
-        for a in adapters:
+        for lid, a in enumerate(adapters):
             warmed.append(LoRAAdapter(
-                a.layer_id,
-                a.B + rng.substream("warm-b", a.layer_id).normal(*a.B.shape, sigma),
-                a.A + rng.substream("warm-a", a.layer_id).normal(*a.A.shape, sigma),
+                a.B + rng.substream("warm-b", lid).normal(*a.B.shape, sigma),
+                a.A + rng.substream("warm-a", lid).normal(*a.A.shape, sigma),
             ))
         adapters = AdapterSet(tuple(warmed), adapters.nominal_rank)
     x = rng.substream("x").normal(batch, dims[0])
@@ -37,14 +36,14 @@ def make_model(rng, dims=(5, 7, 4), rank=3, batch=6, sigma=0.05, warm=True):
 def perturbed(adapters, layer, which, idx, eps):
     """Copy of the adapter set with one factor entry shifted by eps."""
     out = []
-    for a in adapters:
-        if a.layer_id == layer:
+    for lid, a in enumerate(adapters):
+        if lid == layer:
             B, A = a.B.copy(), a.A.copy()
             if which == "B":
                 B[idx] += eps
             else:
                 A[idx] += eps
-            out.append(LoRAAdapter(a.layer_id, B, A))
+            out.append(LoRAAdapter(B, A))
         else:
             out.append(a)
     return AdapterSet(tuple(out), adapters.nominal_rank)
@@ -53,13 +52,13 @@ def perturbed(adapters, layer, which, idx, eps):
 def fd_factor_grads(loss_fn, adapters, step=1e-5):
     """Central finite differences of loss_fn w.r.t. every adapter factor entry."""
     grads = []
-    for a in adapters:
+    for lid, a in enumerate(adapters):
         gB = np.zeros_like(a.B)
         gA = np.zeros_like(a.A)
         for which, g in (("B", gB), ("A", gA)):
             for idx in np.ndindex(g.shape):
-                up = loss_fn(perturbed(adapters, a.layer_id, which, idx, step))
-                dn = loss_fn(perturbed(adapters, a.layer_id, which, idx, -step))
+                up = loss_fn(perturbed(adapters, lid, which, idx, step))
+                dn = loss_fn(perturbed(adapters, lid, which, idx, -step))
                 g[idx] = (up - dn) / (2 * step)
         grads.append((gB, gA))
     return grads

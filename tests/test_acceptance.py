@@ -50,8 +50,7 @@ def warm_adapters(rng, shapes, rank, scale=0.2):
     out = []
     for lid, (h1, h2) in enumerate(shapes):
         r = min(rank, h1, h2)
-        out.append(LoRAAdapter(lid,
-                               rng.substream("b", lid).normal(h1, r, scale),
+        out.append(LoRAAdapter(rng.substream("b", lid).normal(h1, r, scale),
                                rng.substream("a", lid).normal(r, h2, scale)))
     return AdapterSet(tuple(out), rank)
 

@@ -25,10 +25,9 @@ def make_client(seed=0, n=40, dims=(6, 10, 4), warm=0.0):
     if warm > 0:
         from rankfed.lora import AdapterSet, LoRAAdapter
         adapters = AdapterSet(tuple(
-            LoRAAdapter(a.layer_id,
-                        a.B + root.substream("wb", a.layer_id).normal(*a.B.shape, warm),
-                        a.A + root.substream("wa", a.layer_id).normal(*a.A.shape, warm))
-            for a in adapters), adapters.nominal_rank)
+            LoRAAdapter(a.B + root.substream("wb", lid).normal(*a.B.shape, warm),
+                        a.A + root.substream("wa", lid).normal(*a.A.shape, warm))
+            for lid, a in enumerate(adapters)), adapters.nominal_rank)
     return state, base, adapters
 
 

@@ -54,7 +54,7 @@ class TestGenerateSynthetic:
 
     def test_relabeled_shares_features(self):
         ds = generate_synthetic(4, 8, 30, 2.0, Rng(5))
-        shifted = relabeled(ds, 1)
+        shifted = relabeled(ds)
         assert np.array_equal(ds.train_x, shifted.train_x)
         assert np.array_equal((ds.train_y + 1) % 4, shifted.train_y)
 

@@ -43,9 +43,8 @@ def make_group(cl, task="multiclass", clients=3, n=20, seed=0):
                                   rng=root.substream("client", cid)))
     fresh = init_adapter_set(base.layer_shapes(), 3, 0.05, root.substream("adapters"))
     adapters = AdapterSet(tuple(
-        LoRAAdapter(a.layer_id,
-                    a.B + root.substream("wb", a.layer_id).normal(*a.B.shape, 0.05),
-                    a.A) for a in fresh), fresh.nominal_rank)
+        LoRAAdapter(a.B + root.substream("wb", lid).normal(*a.B.shape, 0.05),
+                    a.A) for lid, a in enumerate(fresh)), fresh.nominal_rank)
     anchor = [d + root.substream("sta", l).normal(*d.shape, 0.05)
               for l, d in enumerate(adapters.dense())]
     for state in states:
@@ -75,7 +74,7 @@ def train_reference(state, base, cfg, adapters, anchor):
                 base, current, state.features[idx], state.labels[idx],
                 anchor, plasticity, state.importance, cfg.cl, cfg.task, counter)
             current = AdapterSet(tuple(
-                LoRAAdapter(a.layer_id, a.B - CFG.eta * gB, a.A - CFG.eta * gA)
+                LoRAAdapter(a.B - CFG.eta * gB, a.A - CFG.eta * gA)
                 for a, (gB, gA) in zip(current, grads)), current.nominal_rank)
             batch.append(loss)
         losses.append(float(np.mean(batch)))
@@ -83,7 +82,7 @@ def train_reference(state, base, cfg, adapters, anchor):
 
 
 def factor_bytes(adapter_set):
-    return [(a.layer_id, a.B.tobytes(), a.A.tobytes()) for a in adapter_set]
+    return [(a.B.tobytes(), a.A.tobytes()) for a in adapter_set]
 
 
 CASES = {

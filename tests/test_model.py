@@ -124,7 +124,7 @@ class TestQuadraticPenalties:
 
     def test_hand_value(self):
         # one 1x2 layer, dense - anchor = [[1, -1]], F = ones, mu = 2
-        adapter = LoRAAdapter(0, np.array([[1.0]]), np.array([[1.0, -1.0]]))
+        adapter = LoRAAdapter(np.array([[1.0]]), np.array([[1.0, -1.0]]))
         adapters = AdapterSet((adapter,), 1)
         anchor = [np.zeros((1, 2))]
         imp = ImportanceEstimate((np.ones((1, 2)),))
@@ -371,7 +371,7 @@ class TestSgdStep:
 
     def test_descent_on_quadratic(self):
         # single 1x1 layer: loss = (B*A*1 - 2)^2 through the quadratic penalty
-        adapter = LoRAAdapter(0, np.array([[1.0]]), np.array([[1.0]]))
+        adapter = LoRAAdapter(np.array([[1.0]]), np.array([[1.0]]))
         adapters = AdapterSet((adapter,), 1)
         anchor = [np.array([[2.0]])]
         imp = ImportanceEstimate((np.ones((1, 1)),))

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ def warm_set(rng, shapes=((6, 4), (3, 6)), rank=2, scale=0.3):
     for lid, (h1, h2) in enumerate(shapes):
         r = min(rank, h1, h2)
         adapters.append(LoRAAdapter(
-            lid,
             rng.substream("b", lid).normal(h1, r, scale),
             rng.substream("a", lid).normal(r, h2, scale),
         ))
@@ -42,7 +42,7 @@ class TestAggregate:
     def test_hand_weighted_mean(self):
         b = np.array([[1.0], [2.0]])
         a = np.array([[1.0, 1.0]])
-        mk = lambda s: AdapterSet((LoRAAdapter(0, s * b, a.copy()),), 1)
+        mk = lambda s: AdapterSet((LoRAAdapter(s * b, a.copy()),), 1)
         updates = [ClientUpdate(0, mk(1.0), 1), ClientUpdate(1, mk(3.0), 3)]
         agg = aggregate(updates)
         assert np.allclose(agg.adapters[0].B, 2.5 * b, atol=1e-15)
@@ -92,7 +92,7 @@ class TestAggregate:
         shapes = ((6, 4),)
         a_shared = rng.substream("a").normal(2, 4)
         mk = lambda i: AdapterSet(
-            (LoRAAdapter(0, rng.substream("b", i).normal(6, 2), a_shared.copy()),), 2)
+            (LoRAAdapter(rng.substream("b", i).normal(6, 2), a_shared.copy()),), 2)
         updates = [ClientUpdate(i, mk(i), 3) for i in range(3)]
         agg_dense = aggregate(updates).dense()[0]
         mean_dense = sum(u.adapters.dense()[0] for u in updates) / 3.0
@@ -210,6 +210,23 @@ class TestEmaUpdate:
         cur = rng.normal(3, 3)
         assert np.array_equal(ema_update(None, cur, 0.9), cur)
 
+    def test_midpoint(self):
+        assert np.allclose(ema_update(np.array([[0.0]]), np.array([[2.0]]), 0.5), [[1.0]])
+
+    def test_weight_one_keeps_previous(self, rng):
+        prev = rng.substream("prev").normal(3, 4)
+        out = ema_update(prev, rng.substream("cur").normal(3, 4), 1.0)
+        assert np.array_equal(out, prev)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31), st.floats(0.0, 1.0))
+    def test_affine_swap_symmetry(self, seed, lam):
+        r = Rng(seed)
+        x = r.substream("x").normal(4, 5)
+        y = r.substream("y").normal(4, 5)
+        # both are lam*x + (1-lam)*y up to the rounding of 1 - (1 - lam)
+        assert np.allclose(ema_update(x, y, lam), ema_update(y, x, 1.0 - lam), atol=1e-9)
+
 
 class TestGradientConsistency:
     def test_one_sided_full_consistency(self, rng):
@@ -308,6 +325,20 @@ class TestMaybeDropout:
         for _ in range(20):
             state, dropped = maybe_dropout(state, 0.5)
             assert not dropped
+
+    def test_accumulator_decay_averages_phase_final_adapters(self, rng):
+        state = make_state(rng, rank=6, settings=ServerSettings(lam=0.5, cooldown=0))
+        acc = None
+        for rank in (6, 4):
+            final = warm_set(rng.substream("final", rank), rank=rank)
+            state, dropped = maybe_dropout(
+                replace(state, adapters=final, consistency_prev=0.0), 0.5)
+            assert dropped
+            dense = final.dense()
+            acc = dense if acc is None else [0.5 * a + 0.5 * d for a, d in zip(acc, dense)]
+            assert len(state.accumulated) == len(acc)
+            assert all(np.array_equal(s, a) for s, a in zip(state.accumulated, acc))
+        assert state.schedule.current_rank == 2
 
 
 class TestServerRound:
