@@ -154,7 +154,8 @@ def reinit_at_rank(acc: DenseDelta, r_new: int, method: str = "svd",
     The default factorization truncates each layer's SVD and splits the
     singular values evenly (B = U sqrt(S), A = sqrt(S) V^T), so the new dense
     update is the best Frobenius rank-r approximation of the accumulator.
-    ``method="gaussian"`` instead re-initializes from scratch (ablation).
+    ``method="gaussian"`` instead re-initializes from scratch (ablation), from
+    a stream keyed by ``r_new`` and the layer, so each drop draws afresh.
     """
     if r_new < 1:
         raise ParameterError(f"rank must be >= 1, got {r_new}")
@@ -173,7 +174,7 @@ def reinit_at_rank(acc: DenseDelta, r_new: int, method: str = "svd",
                 raise ParameterError("gaussian re-initialization needs an rng")
             h1, h2 = layer.shape
             adapters.append(init_adapter(h1, h2, r, sigma,
-                                         rng.substream("reinit", lid)))
+                                         rng.substream("reinit", r_new, lid)))
         else:
             raise ParameterError(f"unknown re-initialization method: {method}")
     return AdapterSet(tuple(adapters), r_new)

@@ -111,6 +111,15 @@ class TestReinitAtRank:
                              rng=rng.substream("g"))
         assert np.array_equal(new.dense()[0], np.zeros((6, 4)))
 
+    def test_gaussian_draws_afresh_at_each_rank(self):
+        # the server passes one stream to every drop, and ranks strictly fall
+        acc = [np.zeros((8, 6)), np.zeros((7, 9))]
+        stream = Rng(0).substream("reinit")
+        high = reinit_at_rank(acc, 6, method="gaussian", rng=stream)
+        low = reinit_at_rank(acc, 4, method="gaussian", rng=stream)
+        for h, l in zip(high, low):
+            assert not np.allclose(l.A, h.A[:4])
+
     def test_rank_validation(self, rng):
         with pytest.raises(ParameterError):
             reinit_at_rank([rng.normal(4, 4)], 0)
