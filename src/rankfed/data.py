@@ -8,6 +8,7 @@ spans the IID (KS ~ 0), moderate-overlap, and fully-disjoint (KS = 1) regimes.
 from __future__ import annotations
 
 import csv as _csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,7 +283,8 @@ def load_csv(path, label_column: str = "label"):
 
     Returns ``(features, labels, label_names)`` with labels encoded as
     consecutive integers in sorted name order. A file that cannot be opened
-    or decoded, or whose content is malformed, raises ``ParameterError``.
+    or decoded, or whose content is malformed (a NaN or infinite feature
+    included), raises ``ParameterError``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -303,10 +305,14 @@ def load_csv(path, label_column: str = "label"):
         if len(row) != len(header):
             raise ParameterError(f"line {line_no}: expected {len(header)} fields")
         raw_labels.append(row[label_pos])
+        features = [v for i, v in enumerate(row) if i != label_pos]
         try:
-            rows.append([float(v) for i, v in enumerate(row) if i != label_pos])
+            rows.append([float(v) for v in features])
         except ValueError as exc:
             raise ParameterError(f"line {line_no}: non-numeric feature: {exc}") from None
+        for v, raw in zip(rows[-1], features):
+            if not math.isfinite(v):
+                raise ParameterError(f"line {line_no}: non-finite feature {raw!r}")
     if not rows:
         raise ParameterError("CSV file has no data rows")
     names = sorted(set(raw_labels))

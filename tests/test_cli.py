@@ -366,6 +366,26 @@ def test_malformed_csv_exits_2_before_pretraining(case, tmp_path, capsys, no_pre
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_csv_feature_exits_2_before_pretraining(value, tmp_path, capsys,
+                                                           no_pretraining):
+    # 60 rows, 8 features, 3 classes: valid for the default network but for
+    # one feature on line 7
+    rows = [[str((i * (j + 1)) % 11 / 10) for j in range(8)] + ["abc"[i % 3]]
+            for i in range(60)]
+    rows[5][3] = value
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in
+                            [[f"f{j}" for j in range(8)] + ["label"], *rows]))
+    cfg = RunConfig(csv_path=str(data), num_clients=2).validate()
+    with pytest.raises(ParameterError, match=f"line 7: non-finite feature '{value}'"):
+        run_federated(cfg)
+    path = tmp_path / "csv.cfg"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"line 7: non-finite feature '{value}'" in capsys.readouterr().err
+
+
 def test_r_init_above_csv_rank_cap_rejected_before_pretraining(tmp_path, no_pretraining):
     # two features and two classes: the 2x32x2 network hosts rank 2 at most,
     # which only reading the CSV reveals
