@@ -408,7 +408,6 @@ class TestServerRound:
                     for i, s in enumerate(((6, 4), (3, 6)))]
         prev_neg = [-np.abs(rng.substream("pn", i).normal(*s))
                     for i, s in enumerate(((6, 4), (3, 6)))]
-        from dataclasses import replace
         state = replace(state, ema_pos=prev_pos, ema_neg=prev_neg,
                         consistency_prev=0.1, rounds_in_phase=7)
 
@@ -456,7 +455,6 @@ class TestServerRound:
 
     def test_drop_reinitializes_from_accumulated_aggregate(self, rng):
         state = make_state(rng, rank=4, r_min=2)
-        from dataclasses import replace
         state = replace(state, consistency_prev=0.0)  # forces M >= M_prev
         updates = [ClientUpdate(i, warm_set(rng.substream("x", i), rank=4), 10)
                    for i in range(2)]
