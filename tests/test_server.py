@@ -340,6 +340,17 @@ class TestMaybeDropout:
             assert all(np.array_equal(s, a) for s, a in zip(state.accumulated, acc))
         assert state.schedule.current_rank == 2
 
+    def test_first_drop_initializes_accumulator_with_phase_final_dense(self, rng):
+        state = make_state(rng, rank=4, settings=ServerSettings(lam=0.5, cooldown=0))
+        assert state.accumulated is None
+        final = warm_set(rng.substream("final"), rank=4)
+        state, dropped = maybe_dropout(
+            replace(state, adapters=final, consistency_prev=0.0), 0.5)
+        assert dropped
+        # passed through, not decay-averaged against zero
+        assert len(state.accumulated) == len(final.adapters)
+        assert all(np.array_equal(s, d) for s, d in zip(state.accumulated, final.dense()))
+
 
 class TestServerRound:
     def test_single_client_degenerate(self, rng):
