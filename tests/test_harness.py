@@ -135,6 +135,24 @@ class TestRunFederated:
             cum += 2 * s * per_round
             assert rec.cumulative_params == cum
 
+    def test_cost_at_best_is_the_best_rounds_cumulative_params(self):
+        # the best validation round (6) comes after a drop (at round 3) and
+        # before the last (8), so neither the last record nor rounds times a
+        # constant count gives it
+        cfg = RunConfig(mode="spd-cfl", seed=0, cooldown=1, cl_method="ewc",
+                        bytes_per_param=2,
+                        **{**TINY, "rounds": 8, "scheme": "iid"})
+        result = run_federated(cfg)
+        best = result.best_val_round
+        assert best < cfg.rounds
+        assert result.records[best - 1].rank < cfg.r_init
+        sent = result.records[best - 1].cumulative_params
+        # by hand: 2 * S * sum(r * (h1 + h2)) over rounds 1..best
+        shapes = result.base.layer_shapes()
+        assert sent == sum(2 * cfg.num_clients * rec.rank * sum(h1 + h2 for h1, h2 in shapes)
+                           for rec in result.records[:best])
+        assert result.cost_at_best == (sent, sent * 2 / 2**20)
+
     def test_cumulative_params_nondecreasing(self):
         cfg = RunConfig(mode="spd-cfl", seed=6, cl_method="none",
                         mu1=0, mu2=0, **TINY)
