@@ -29,9 +29,8 @@ from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    partition, partition_multilabel, relabeled)
 from .errors import InputError, NumericError, ParameterError, UndefinedMetricError
 from .lora import AdapterSet, RankSchedule, init_adapter_set
-from .metrics import (CommLedger, accuracy_score, column_aucs, communication_cost,
-                      layer_averaged_cka, prepare_representations,
-                      weight_distance)
+from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_cka,
+                      prepare_representations, weight_distance)
 # Not called here. The benchmark's tracer wraps ``rankfed.harness.auc`` as its
 # ``metrics.auc`` layer, so the name stays importable until that target is
 # re-pointed at ``column_aucs``.
@@ -81,6 +80,7 @@ class RunResult:
     adapters in the LoRA modes, the last round's averaged weights and None in
     ``fedavg-full``. ``base_checksum`` names the pretrained base in every
     mode, the one a checkpoint binds to and ``Setup(config).base`` rebuilds.
+    ``cost_at_best`` is ``cumulative_params`` at ``best_val_round``, and in MB.
     """
 
     config: RunConfig
@@ -93,7 +93,6 @@ class RunResult:
     ledger: CommLedger
     best_val_round: int
     cost_at_best: tuple
-    final_metrics: dict
     op_count: int | None = None
 
 
@@ -473,7 +472,7 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     config, root, dataset = setup.config, setup.root, setup.dataset
     sizes = [c.shard_size for c in mode.clients]
     count = _participant_count(config)
-    ledger = CommLedger(count, config.bytes_per_param)
+    ledger = CommLedger(count)
     records = []
     counter = OpCounter() if config.count_ops else None
     splits = {name: dataset.split(name) for name in ("val", "test")}
@@ -507,12 +506,12 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     best = max(range(len(records)),
                key=lambda i: (records[i].val_metric
                               if records[i].val_metric is not None else -np.inf))
+    sent = records[best].cumulative_params
     return RunResult(
         config=config, records=records, dataset=dataset, plan=setup.plan,
         base=model, base_checksum=setup.base.checksum(), final_adapters=adapters,
         ledger=ledger, best_val_round=best + 1,
-        cost_at_best=communication_cost(ledger, best + 1),
-        final_metrics=test,
+        cost_at_best=(sent, sent * config.bytes_per_param / 2**20),
         op_count=counter.multiplies if counter is not None else None,
     )
 
@@ -520,8 +519,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
 def run_federated(config: RunConfig) -> RunResult:
     """Execute a full federated run for the configured mode.
 
-    The frozen base's checksum is verified after the round loop; a mutated
-    base aborts the run.
+    The frozen base's checksum is verified after the round loop, as the
+    result's ``base_checksum``; a mutated base aborts the run.
     """
     setup = Setup(config.validate())
     # partition first: a partition that cannot be built costs no pretraining
@@ -529,7 +528,7 @@ def run_federated(config: RunConfig) -> RunResult:
     checksum_before = base.checksum()
     mode_cls = _FullModelRounds if config.mode == "fedavg-full" else _AdapterRounds
     result = _run_rounds(setup, mode_cls(setup))
-    if base.checksum() != checksum_before:
+    if result.base_checksum != checksum_before:
         raise InputError("frozen base was mutated during the run")
     return result
 

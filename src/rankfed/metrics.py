@@ -1,5 +1,5 @@
-"""Evaluation metrics: accuracy, ROC AUC, communication cost, weight distance,
-and linear-kernel representation similarity (HSIC / CKA)."""
+"""Evaluation metrics: accuracy, ROC AUC, the communication ledger, weight
+distance, and linear-kernel representation similarity (HSIC / CKA)."""
 
 from __future__ import annotations
 
@@ -107,17 +107,13 @@ class CommLedger:
 
     ``params_per_round[t]`` is the one-way per-client count for round t; the
     protocol sends each parameter down and back up for every client, hence
-    the 2 * S factor in the cost. ``transmitted`` is the running total
-    through the last round, the last entry of ``cumulative_transmitted()``.
+    the 2 * S factor. ``transmitted`` is the running total through the last
+    round, the last entry of ``cumulative_transmitted()``.
     """
 
     num_clients: int
-    bytes_per_param: int = 4
-    params_per_round: list = field(default_factory=list)
-    transmitted: int = field(init=False)
-
-    def __post_init__(self):
-        self.transmitted = 2 * self.num_clients * sum(self.params_per_round)
+    params_per_round: list = field(default_factory=list, init=False)
+    transmitted: int = field(default=0, init=False)
 
     def add_round(self, param_count: int) -> None:
         if param_count < 0:
@@ -132,22 +128,6 @@ class CommLedger:
             total += 2 * self.num_clients * p
             out.append(total)
         return out
-
-
-def communication_cost(ledger: CommLedger, through_round: int | None = None):
-    """Total transmitted parameters and megabytes.
-
-    ``through_round`` counts rounds 1..k (1-based, typically the round with
-    the best validation metric); None counts every recorded round.
-    """
-    rounds = ledger.params_per_round
-    if through_round is not None:
-        if through_round < 0 or through_round > len(rounds):
-            raise InputError(f"through_round {through_round} out of range")
-        rounds = rounds[:through_round]
-    count = 2 * ledger.num_clients * int(np.sum(rounds, dtype=np.int64)) if rounds else 0
-    megabytes = count * ledger.bytes_per_param / 2**20
-    return count, megabytes
 
 
 def frobenius_norm(arrays) -> float:

@@ -267,7 +267,9 @@ class TestRunFederated:
             result = run_federated(cfg)
             assert result.records[-1].val_metric is not None
             assert 0.0 <= result.records[-1].val_metric <= 1.0
-            final = result.final_metrics
+            ds = result.dataset
+            final = evaluate(result.base, result.final_adapters,
+                             {"test": ds.split("test")}, "multilabel")["test"]
             assert len(final["auc_per_label"]) == 4
             assert final["undefined_labels"] == []
             assert final["auc_mean"] == result.records[-1].test_metric

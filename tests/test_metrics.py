@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
 from rankfed.metrics import (CommLedger, accuracy_score, auc, column_aucs,
-                             communication_cost, frobenius_norm,
-                             layer_averaged_cka, prepare_representations,
-                             weight_distance)
+                             frobenius_norm, layer_averaged_cka,
+                             prepare_representations, weight_distance)
 from rankfed.numerics import Rng
 
 
@@ -241,18 +240,12 @@ class TestCommunicationCost:
         ledger = CommLedger(num_clients=5)
         ledger.add_round(100)
         ledger.add_round(100)
-        count, _ = communication_cost(ledger)
-        assert count == 2 * 5 * 200
+        assert ledger.transmitted == 2 * 5 * 200
 
     def test_zero_rounds(self):
-        assert communication_cost(CommLedger(3)) == (0, 0.0)
-
-    def test_megabytes(self):
-        ledger = CommLedger(num_clients=1, bytes_per_param=4)
-        ledger.add_round(2**18)  # 2^20 bytes each way
-        count, mb = communication_cost(ledger)
-        assert count == 2**19
-        assert mb == 2.0
+        ledger = CommLedger(3)
+        assert ledger.transmitted == 0
+        assert ledger.cumulative_transmitted() == []
 
     def test_rank_halving_halves_per_layer_count(self):
         shapes = [(32, 16), (24, 20)]
@@ -264,10 +257,6 @@ class TestCommunicationCost:
         ledger = CommLedger(num_clients=2)
         for p in (10, 20, 30):
             ledger.add_round(p)
-        c1, _ = communication_cost(ledger, 1)
-        c2, _ = communication_cost(ledger, 2)
-        c3, _ = communication_cost(ledger, 3)
-        assert (c1, c2, c3) == (40, 120, 240)
         assert ledger.cumulative_transmitted() == [40, 120, 240]
 
     def test_running_total_equals_the_last_cumulative_value(self):
@@ -276,15 +265,13 @@ class TestCommunicationCost:
         for p in (7, 0, 120, 5):
             ledger.add_round(p)
             assert ledger.transmitted == ledger.cumulative_transmitted()[-1]
-        resumed = CommLedger(3, params_per_round=[7, 0, 120, 5])
-        assert resumed.transmitted == ledger.transmitted
 
     def test_linear_in_clients(self):
         a = CommLedger(num_clients=2)
         b = CommLedger(num_clients=6)
         for l in (a, b):
             l.add_round(50)
-        assert communication_cost(b)[0] == 3 * communication_cost(a)[0]
+        assert b.transmitted == 3 * a.transmitted
 
 
 class TestWeightDistance:
