@@ -393,9 +393,11 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
         t = softmax(t_logits / tau)
         s_shift = s_logits / tau
         s_shift = s_shift - s_shift.max(axis=-1, keepdims=True)
-        log_s = s_shift - np.log(np.exp(s_shift).sum(axis=-1, keepdims=True))
+        e = np.exp(s_shift)
+        total = e.sum(axis=-1, keepdims=True)
+        log_s = s_shift - np.log(total)
         penalty = mu * (np.add.reduce(-np.sum(t * log_s, axis=-1), axis=-1) / n)
-        dz = mu * (softmax(s_logits / tau) - t) / (n * tau)
+        dz = mu * (e / total - t) / (n * tau)
     else:
         t = _sigmoid(t_logits / tau)
         z = s_logits / tau
