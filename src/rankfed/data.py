@@ -283,8 +283,8 @@ def load_csv(path, label_column: str = "label"):
 
     Returns ``(features, labels, label_names)`` with labels encoded as
     consecutive integers in sorted name order. A file that cannot be opened
-    or decoded, or whose content is malformed (a NaN or infinite feature
-    included), raises ``ParameterError``.
+    or decoded, or whose content is malformed (a NaN or infinite feature or
+    a single label class included), raises ``ParameterError``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -316,6 +316,8 @@ def load_csv(path, label_column: str = "label"):
     if not rows:
         raise ParameterError("CSV file has no data rows")
     names = sorted(set(raw_labels))
+    if len(names) < 2:
+        raise ParameterError(f"label column {label_column!r} holds a single class, {names[0]!r}")
     index = {name: i for i, name in enumerate(names)}
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray([index[v] for v in raw_labels], dtype=np.int64)

@@ -386,6 +386,25 @@ def test_non_finite_csv_feature_exits_2_before_pretraining(value, tmp_path, caps
     assert f"line 7: non-finite feature '{value}'" in capsys.readouterr().err
 
 
+def test_single_class_csv_exits_2_before_pretraining(tmp_path, capsys, no_pretraining):
+    # every label is "cat": nothing to classify, yet the run would report a
+    # perfect score
+    rows = [[str((i * (j + 1)) % 11 / 10) for j in range(8)] + ["cat"]
+            for i in range(60)]
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in
+                            [[f"f{j}" for j in range(8)] + ["label"], *rows]))
+    cfg = RunConfig(csv_path=str(data), scheme="iid", num_clients=2, r_init=3,
+                    r_min=1, subtractor=1, rounds=2).validate()
+    message = "label column 'label' holds a single class, 'cat'"
+    with pytest.raises(ParameterError, match=message):
+        run_federated(cfg)
+    path = tmp_path / "csv.cfg"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_r_init_above_csv_rank_cap_rejected_before_pretraining(tmp_path, no_pretraining):
     # two features and two classes: the 2x32x2 network hosts rank 2 at most,
     # which only reading the CSV reveals
