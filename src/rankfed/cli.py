@@ -139,13 +139,10 @@ def _cmd_sweep(args) -> int:
         if raw is None:
             return [getattr(base_config, name)]
         try:
-            values = [float(v) for v in raw.split(",") if v.strip()]
+            return [float(v) for v in raw.split(",")]
         except ValueError:
             raise ParameterError(
                 f"--{name} must be comma-separated numbers, got {raw!r}") from None
-        if not values:
-            raise ParameterError(f"--{name} has no values")
-        return values
 
     # Every grid point is validated before the first run and before the CSV
     # is opened, so a bad value costs no run and leaves no partial file. The

@@ -176,7 +176,7 @@ def _parse_value(name: str, raw: str, kind):
         if kind is float:
             return float(raw)
         if kind is tuple:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
+            return tuple(int(v) for v in raw.split(","))
         return raw
     except (KeyError, ValueError):
         raise ParameterError(f"bad value for {name!r}: {raw!r}") from None

@@ -179,6 +179,21 @@ class TestConfigFile:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "bad value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["32,,16", ",32", "32,"])
+    def test_empty_hidden_entry_exits_2(self, raw, tmp_path, capsys):
+        # an empty entry was dropped: 8,,6 built an 8x6 network
+        path = tmp_path / "hidden.cfg"
+        path.write_text(f"[model]\nhidden = {raw}\n")
+        with pytest.raises(ParameterError, match="bad value for 'hidden'"):
+            load_config(path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "bad value for 'hidden'" in capsys.readouterr().err
+
+    def test_spaces_around_hidden_entries(self, tmp_path):
+        path = tmp_path / "hidden.cfg"
+        path.write_text("[model]\nhidden = 32 ,16 , 8\n")
+        assert load_config(path).hidden == (32, 16, 8)
+
 
 INVALID_VALUES = [
     dict(cooldown=float("nan")), dict(mu1=float("nan")), dict(eta=float("nan")),
@@ -666,4 +681,19 @@ class TestSweepCommand:
         code = main(["sweep", str(config_path), flag, value, "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0,,0.1", ",0.1", "0.1,"])
+    def test_empty_axis_entry_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
+                                      value):
+        # an empty entry was dropped: 0,,0.1 wrote two rows
+        def no_run(config):
+            raise AssertionError("a grid point ran before the grid was validated")
+
+        monkeypatch.setattr(rankfed.cli, "run_federated", no_run)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", str(config_path), "--mu1", value, "--out", str(out)])
+        assert code == 2
+        assert (f"--mu1 must be comma-separated numbers, got {value!r}"
+                in capsys.readouterr().err)
         assert not out.exists()
