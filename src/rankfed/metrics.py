@@ -153,46 +153,62 @@ def weight_distance(a, b) -> float:
 
 
 class _Operand(NamedTuple):
-    """A representation prepared for HSIC: centred columns, self-HSIC, n."""
+    """A representation prepared for HSIC: centred columns C, Gram matrix
+    K = C C^T when n <= d (else None), self-HSIC, n.
+
+    Both products take a copy as second operand: numpy runs syrk for a buffer
+    times its own transpose. In the feature form syrk may round unlike the
+    cross products, so a self-comparison would miss 1.0; for K it is slower."""
 
     centred: np.ndarray
+    gram: np.ndarray | None
     self_hsic: float
     n: int
 
 
-def _hsic(c1, c2, n) -> float:
-    """The feature-space HSIC of two centred matrices, |C1^T C2|_F^2 / (n-1)^2."""
-    return float(np.sum((c1.T @ c2) ** 2) / (n - 1) ** 2)
+def _hsic(p: _Operand, q: _Operand) -> float:
+    """HSIC of two prepared operands over (n-1)^2: the Gram form <K1, K2>_F
+    (n^2) when both hold K, else the feature form |C1^T C2|_F^2 (d1 * d2 * n).
+    einsum, not vdot or a flat dot: BLAS ddot's bits depend on its threads."""
+    if p.gram is not None and q.gram is not None:
+        s = np.einsum("ij,ij->", p.gram, q.gram)
+    else:
+        s = np.sum((p.centred.T @ q.centred) ** 2)
+    return float(s / (p.n - 1) ** 2)
 
 
 def _prepare(z) -> _Operand:
+    """Centre ``z`` and compute its self-HSIC in the form its shape picks:
+    Gram when n <= d, as K costs n^2 * d once and each pair then n^2, where
+    the feature form costs d^2 * n per pair. The syrk warning on ``_Operand``
+    applies to the feature form's self-HSIC."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
         raise InputError("representations must be 2-D (samples x features)")
-    n = z.shape[0]
+    n, d = z.shape
     if n < 2:
         raise InputError("HSIC needs at least 2 samples")
     c = z - z.mean(axis=0)
-    # Two buffers, never c.T @ c: numpy routes a product of one buffer with its
-    # own transpose to syrk, whose rounding may differ from the cross products'.
-    return _Operand(c, _hsic(c, c.copy(), n), n)
+    op = _Operand(c, c @ c.copy().T if n <= d else None, 0.0, n)
+    return op._replace(self_hsic=_hsic(op, op._replace(centred=c.copy())))
 
 
 def _cka(p: _Operand, q: _Operand) -> float:
     """Linear CKA in [0, 1]; invariant to orthogonal maps and positive scaling."""
     if p.n != q.n:
         raise InputError(f"sample counts differ: {p.n} vs {q.n}")
-    h12 = _hsic(p.centred, q.centred, p.n)
+    h12 = _hsic(p, q)
     if p.self_hsic <= 0 or q.self_hsic <= 0:
         raise UndefinedMetricError("CKA is undefined for constant representations")
-    # sqrt(h11 * h22) keeps the self-comparison exactly 1.0
-    return min(float(h12 / np.sqrt(p.self_hsic * q.self_hsic)), 1.0)
+    # sqrt(h11 * h22) keeps the self-comparison exactly 1.0; the Gram form's
+    # rounding can push an orthogonal pair just below 0
+    return min(max(float(h12 / np.sqrt(p.self_hsic * q.self_hsic)), 0.0), 1.0)
 
 
 def prepare_representations(reps) -> list:
     """Prepare per-layer representations once for many ``layer_averaged_cka``
-    calls: each layer is centred and its self-HSIC computed here, so a call
-    pays only the cross-HSIC."""
+    calls: each layer is centred, its Gram matrix formed when n <= d and its
+    self-HSIC computed here, so a call pays only the cross-HSIC."""
     return [_prepare(z) for z in reps]
 
 

@@ -1,4 +1,4 @@
-"""Golden-bytes regression: fifteen short runs must reproduce pinned hashes.
+"""Golden-bytes regression: sixteen short runs must reproduce pinned hashes.
 
 For each config the fixture ``golden.json`` stores the sha256 of the run's
 ``records.jsonl`` text, the sha256 of the final global adapters' ``B`` and
@@ -35,6 +35,9 @@ SMALL_NETWORK = {
     "spd-mas": dict(cl_method="mas"),
     "spd-lwf": dict(cl_method="lwf"),
     "spd-lwf-two-hidden": dict(cl_method="lwf", hidden=(12, 12)),
+    # 16 probe rows: the Gram-form CKA on the 24-wide layer, the feature
+    # form on the 4 logits
+    "spd-ewc-wide-hidden": dict(cl_method="ewc", hidden=(24,)),
     "spd-ewc-equal-shards": dict(cl_method="ewc", num_clients=2),
     "spd-dense-aggregation": dict(aggregation="dense"),
     "spd-gaussian-reinit": dict(reinit="gaussian"),

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankfed
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
 from rankfed.metrics import (CommLedger, accuracy_score, auc, column_aucs,
                              frobenius_norm, layer_averaged_cka,
@@ -386,28 +392,95 @@ class TestLayerAveragedCka:
         assert layer_averaged_cka([z, z], [z, w]) == pytest.approx(target, rel=1e-12)
 
 
+class TestGramForm:
+    """A layer whose n probe rows are no more than its width d takes the Gram
+    form <K1, K2>_F of HSIC, K = C C^T; a pair takes it when both operands
+    hold K and the feature form otherwise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31), st.integers(2, 60),
+           st.integers(-30, 30), st.integers(-30, 30),
+           st.floats(0, 1e4), st.integers(0, 3))
+    def test_agrees_with_the_feature_form(self, seed, n, da_off, db_off, offset, constant):
+        rng = Rng(seed)
+
+        def representation(name, d):
+            z = rng.substream(name).normal(n, d) + offset
+            z[:, :min(constant, d - 1)] = offset  # constant columns, one random kept
+            return z
+
+        a = representation("a", max(1, n + da_off))
+        b = representation("b", max(1, n + db_off))
+        value = cka(a, b)
+        assert value == pytest.approx(reference_cka(a, b), rel=0, abs=1e-12)
+        prep_a, prep_b = prepare_representations([a]), prepare_representations([b])
+        assert layer_averaged_cka(prep_a, prep_b) == value
+        assert layer_averaged_cka(prep_a, [b]) == value
+        assert layer_averaged_cka([a], prep_b) == value
+        assert cka(a, a) == 1.0
+        assert cka(b, b) == 1.0
+
+    def test_orthogonal_centred_pair_is_not_negative(self, rng):
+        """C1^T C2 = 0 gives CKA 0. The Gram form's rounding lands about half
+        of these pairs just below 0 before the clamp."""
+        n = 16
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(n, n - 1)]))
+        low, high = q[:, 1:8], q[:, 8:]  # orthogonal to each other and to the ones
+        for i in range(20):
+            s = rng.substream("pair", i)
+            v = cka(low @ s.substream("a").normal(7, 20), high @ s.substream("b").normal(8, 24))
+            assert 0.0 <= v <= 1e-12
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A run whose 128 probe rows meet a 128-wide layer (a 128 x 128 K)
+        writes the same records with OpenBLAS on one thread and on two."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[run]\nrounds = 2\n\n[model]\nhidden = 128\npretrain_epochs = 1\n")
+        src = str(Path(rankfed.__file__).resolve().parent.parent)
+        records = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "rankfed.cli", "run", str(cfg),
+                            "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            records.append((out / "records.jsonl").read_bytes())
+        assert records[0] == records[1]
+
+
 class TestPreparedOperands:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31), st.integers(2, 40),
            st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)),
                     min_size=1, max_size=3))
     def test_bit_identical_to_per_pair_reference(self, seed, n, widths):
+        """Bit for bit where both operands of a layer take the feature form
+        (n > d); within 1e-12 where either is wide enough for the Gram form,
+        whose self-HSIC sums in another order."""
         rng = Rng(seed)
         reps_a = [rng.substream("a", i).normal(n, da) for i, (da, _) in enumerate(widths)]
         reps_b = [3.0 * rng.substream("b", i).normal(n, db) + 1.0
                   for i, (_, db) in enumerate(widths)]
         per_layer = [reference_cka(a, b) for a, b in zip(reps_a, reps_b)]
+        feature_only = all(n > max(w) for w in widths)
         expected = float(np.mean(per_layer))
         prep_a = prepare_representations(reps_a)
         prep_b = prepare_representations(reps_b)
         for a, b, ref in zip(reps_a, reps_b, per_layer):
-            assert cka(a, b) == ref
-        assert layer_averaged_cka(reps_a, reps_b) == expected
-        assert layer_averaged_cka(prep_a, prep_b) == expected
-        assert layer_averaged_cka(prep_a, reps_b) == expected
-        assert layer_averaged_cka(reps_a, prep_b) == expected
+            if n > max(a.shape[1], b.shape[1]):
+                assert cka(a, b) == ref
+            else:
+                assert cka(a, b) == pytest.approx(ref, rel=0, abs=1e-12)
+        value = layer_averaged_cka(reps_a, reps_b)
+        if feature_only:
+            assert value == expected
+        else:
+            assert value == pytest.approx(expected, rel=0, abs=1e-12)
+        assert layer_averaged_cka(prep_a, prep_b) == value
+        assert layer_averaged_cka(prep_a, reps_b) == value
+        assert layer_averaged_cka(reps_a, prep_b) == value
         # a prepared operand is reusable: a second pairing gives the same bits
-        assert layer_averaged_cka(prep_a, prep_b) == expected
+        assert layer_averaged_cka(prep_a, prep_b) == value
 
     @pytest.mark.parametrize("constant_side", [0, 1])
     def test_constant_operand_rejected(self, rng, constant_side):
