@@ -112,11 +112,7 @@ def _cmd_eval(args) -> int:
     adapters, trained_on = load_adapters(args.checkpoint)
     setup = Setup(config)
     dataset, base = setup.dataset, setup.base
-    if trained_on is None:
-        print("warning: the checkpoint predates version 3 and stores no base "
-              "checksum; cannot check that it was trained on this base",
-              file=sys.stderr)
-    elif trained_on != base.checksum():
+    if trained_on != base.checksum():
         raise ParameterError(
             f"checkpoint was trained on base sha256 {trained_on}, but the config "
             f"builds base sha256 {base.checksum()}")

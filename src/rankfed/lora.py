@@ -22,8 +22,6 @@ from .numerics import Matrix, Rng, as_matrix, gaussian_matrix, svd_truncate
 DenseDelta = list
 
 CHECKPOINT_MAGIC = b"SPDL"
-# Version 2 added the nominal rank and version 3 the base's sha256; version 1
-# and 2 files still load.
 CHECKPOINT_VERSION = 3
 
 # "svd" keeps the accumulator's best low-rank approximation; "gaussian"
@@ -231,13 +229,13 @@ def save_adapters(path, adapter_set: AdapterSet, base_checksum: str) -> None:
             fh.write(np.ascontiguousarray(a.A, dtype="<f8").tobytes())
 
 
-def load_adapters(path) -> tuple[AdapterSet, str | None]:
+def load_adapters(path) -> tuple[AdapterSet, str]:
     """Read a checkpoint written by ``save_adapters``.
 
-    Returns the adapter set and the checksum of the base it was trained on,
-    or None for a version 1 or 2 file, which does not store it. A file that
-    cannot be opened, is truncated, carries trailing bytes or describes an
-    invalid adapter set raises ``ParameterError``.
+    Returns the adapter set and the checksum of the base it was trained on.
+    A file that cannot be opened, is of another version, is truncated,
+    carries trailing bytes or describes an invalid adapter set raises
+    ``ParameterError``.
     """
     try:
         with open(path, "rb") as fh:
@@ -258,11 +256,11 @@ def load_adapters(path) -> tuple[AdapterSet, str | None]:
     magic = take(4)
     if magic != CHECKPOINT_MAGIC:
         raise ParameterError(f"bad checkpoint magic: {magic!r}")
-    version, count = struct.unpack("<II", take(8))
-    if version not in (1, 2, CHECKPOINT_VERSION):
-        raise ParameterError(f"unsupported checkpoint version: {version}")
-    nominal = struct.unpack("<I", take(4))[0] if version >= 2 else None
-    base_checksum = take(32).hex() if version >= 3 else None
+    version, count, nominal = struct.unpack("<III", take(12))
+    if version != CHECKPOINT_VERSION:
+        raise ParameterError(f"unsupported checkpoint version {version}: only version "
+                             "3 names its base; rerun its run's config to rewrite it")
+    base_checksum = take(32).hex()
     if count < 1:
         raise ParameterError("checkpoint holds no adapters")
     dims = [struct.unpack("<III", take(12)) for _ in range(count)]
@@ -276,8 +274,4 @@ def load_adapters(path) -> tuple[AdapterSet, str | None]:
     if pos != len(data):
         raise ParameterError(
             f"trailing checkpoint bytes: {len(data) - pos} after {count} layers")
-    if nominal is None:
-        # Version 1 does not store the nominal rank; the largest per-layer
-        # rank recovers it whenever at least one layer is uncapped.
-        nominal = max(a.rank for a in adapters)
     return AdapterSet(tuple(adapters), nominal), base_checksum

@@ -562,36 +562,27 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: checkpoint was trained on base sha256")
 
-    def test_version_2_checkpoint_evaluates_with_a_warning(self, config_path,
-                                                           tmp_path, capsys):
-        out = tmp_path / "out"
-        main(["run", str(config_path), "--out", str(out)])
-        raw = (out / "adapters_final.ckpt").read_bytes()
-        v2 = tmp_path / "v2.ckpt"
+    def test_version_2_checkpoint_exits_2_before_pretraining(self, config_path, tmp_path,
+                                                             no_pretraining, capsys):
+        path = tmp_path / "v2.ckpt"
+        save_adapters(path, init_adapter_set([(32, 8), (4, 32)], 4, 0.1, Rng(0)), "00" * 32)
+        raw = path.read_bytes()
         # version 2: the v3 layout without the 32-byte base checksum
-        v2.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
-        capsys.readouterr()
-        assert main(["eval", str(config_path), str(out / "adapters_final.ckpt")]) == 0
-        current = capsys.readouterr()
-        assert current.err == ""
-        assert main(["eval", str(config_path), str(v2)]) == 0
-        legacy = capsys.readouterr()
-        assert legacy.out == current.out
-        assert len(legacy.err.splitlines()) == 1
-        assert "cannot check" in legacy.err
+        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
+        assert main(["eval", str(config_path), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unsupported checkpoint version 2: "
+                                       "only version 3 names its base")
 
-    @pytest.mark.parametrize("version", [2, 3])
     def test_checkpoint_that_does_not_fit_the_base_exits_2(self, config_path, tmp_path,
-                                                           capsys, version):
+                                                           capsys):
         # adapters for a hidden=(8,) network; the config's base has hidden=(32,)
         base = Setup(load_config(config_path)).base
         adapters = init_adapter_set([(8, 8), (4, 8)], 4, 0.1, Rng(0))
         path = tmp_path / "other.ckpt"
         # a v3 file carrying this base's checksum stands for a corrupted header
         save_adapters(path, adapters, base.checksum())
-        if version == 2:
-            raw = path.read_bytes()
-            path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
         capsys.readouterr()
         assert main(["eval", str(config_path), str(path)]) == 2
         err = capsys.readouterr().err.splitlines()[-1]

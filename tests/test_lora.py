@@ -212,34 +212,19 @@ class TestCheckpoint:
         assert loaded.nominal_rank == 8
         assert [a.rank for a in loaded] == [2, 3]
 
-    def test_version_1_file_loads_with_max_rank(self, rng, tmp_path):
-        s = init_adapter_set([(3, 2), (6, 5)], 4, 0.02, rng)
-        path = tmp_path / "v1.ckpt"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_versions_before_3_rejected(self, rng, tmp_path, version):
+        s = init_adapter_set([(3, 2), (4, 3)], 4, 0.02, rng)
+        path = tmp_path / f"v{version}.ckpt"
         save_adapters(path, s, BASE_SHA)
         raw = path.read_bytes()
-        # version 1: the same layout without the nominal rank and base checksum
-        path.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:12] + raw[48:])
-        loaded, base_sha = load_adapters(path)
-        assert base_sha is None
-        assert loaded.nominal_rank == 4
-        for a, b in zip(s, loaded):
-            assert a.B.tobytes() == b.B.tobytes()
-            assert a.A.tobytes() == b.A.tobytes()
-
-
-    def test_version_2_file_loads_without_base_checksum(self, rng, tmp_path):
-        s = init_adapter_set([(3, 2), (4, 3)], 8, 0.02, rng)
-        path = tmp_path / "v2.ckpt"
-        save_adapters(path, s, BASE_SHA)
-        raw = path.read_bytes()
-        # version 2: the same layout without the base checksum
-        path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
-        loaded, base_sha = load_adapters(path)
-        assert base_sha is None
-        assert loaded.nominal_rank == 8
-        for a, b in zip(s, loaded):
-            assert a.B.tobytes() == b.B.tobytes()
-            assert a.A.tobytes() == b.A.tobytes()
+        # version 1 lacks the nominal rank and the base checksum, version 2
+        # only the checksum
+        header = raw[8:12] if version == 1 else raw[8:16]
+        path.write_bytes(raw[:4] + version.to_bytes(4, "little") + header + raw[48:])
+        with pytest.raises(ParameterError, match=f"checkpoint version {version}: "
+                                                 "only version 3 names its base"):
+            load_adapters(path)
 
 
 class TestAdapterSetInvariants:
