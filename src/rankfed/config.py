@@ -8,6 +8,7 @@ RunConfig field. Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field, fields
 
 from .client import LocalTrainConfig
@@ -75,7 +76,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check every field; raise ``ParameterError`` on the first bad one.
 
-        Checks are written so that NaN fails them. Runs validate here, once,
+        Each field must first hold its annotated type: an int field any
+        integral number, a float field any real one, neither a bool. The
+        checks are written so that NaN fails them. Runs validate here, once,
         before any data is generated; the training kernels do not re-check.
         The local-training settings, the rank schedule, the server settings
         and the regularizer own their rules; validate() builds them instead
@@ -92,6 +95,11 @@ class RunConfig:
             v = getattr(self, name)
             need(v in choices, f"{name} must be one of {choices}, got {v!r}")
 
+        for name, kind in _TYPES.items():
+            v = getattr(self, name)
+            want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+            need(isinstance(v, want) and (kind is bool or not isinstance(v, bool)),
+                 f"{name} must be of type {kind.__name__}, got {v!r}")
         one_of("mode", MODES)
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         LocalTrainConfig(self.local_epochs, self.eta, self.batch_size)

@@ -2,6 +2,7 @@ import json
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rankfed.cli
@@ -207,8 +208,11 @@ INVALID_VALUES = [
     # spd-cfl cannot drop from 4 by 3 without passing r_min 2
     dict(r_init=4, r_min=2, subtractor=3),
     # rules that validate() leaves to LocalTrainConfig and RankSchedule
+    dict(local_epochs=-1), dict(batch_size=0), dict(subtractor=0),
+    dict(mode="fixed-rank-lora", r_init=2, r_min=4),
+    # NaN in an int field, which the type check rejects first
     dict(local_epochs=float("nan")), dict(batch_size=float("nan")),
-    dict(subtractor=float("nan")), dict(mode="fixed-rank-lora", r_init=2, r_min=4),
+    dict(subtractor=float("nan")),
     # a CSV has multiclass labels only
     dict(task="multilabel", csv_path="points.csv"),
 ]
@@ -230,6 +234,21 @@ def test_invalid_value_rejected_before_data_generation(bad, tmp_path, monkeypatc
         path = tmp_path / "bad.cfg"
         path.write_text(config_text(RunConfig(**bad)))
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("rounds", 2.5), ("rounds", True), ("num_clients", 5.0),
+    ("batch_size", 16.0), ("dim", 16.0), ("r_init", 8.0), ("probe_samples", 64.5),
+    ("count_ops", 1), ("eta", "0.1"),
+])
+def test_value_of_another_type_rejected(key, value):
+    with pytest.raises(ParameterError, match=f"^{key} must be of type "):
+        RunConfig(**{key: value}).validate()
+
+
+def test_numpy_scalars_and_an_int_for_a_float_validate():
+    RunConfig(seed=np.int64(3), rounds=np.int32(2), eta=np.float64(0.1),
+              cooldown=5).validate()
 
 
 def test_rank_rules_bind_only_the_modes_they_concern():
