@@ -83,7 +83,6 @@ class RunResult:
     ``cost_at_best`` is ``cumulative_params`` at ``best_val_round``, and in MB.
     """
 
-    config: RunConfig
     records: list
     dataset: Dataset
     plan: PartitionPlan
@@ -508,7 +507,7 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
                               if records[i].val_metric is not None else -np.inf))
     sent = records[best].cumulative_params
     return RunResult(
-        config=config, records=records, dataset=dataset, plan=setup.plan,
+        records=records, dataset=dataset, plan=setup.plan,
         base=model, base_checksum=setup.base.checksum(), final_adapters=adapters,
         ledger=ledger, best_val_round=best + 1,
         cost_at_best=(sent, sent * config.bytes_per_param / 2**20),
