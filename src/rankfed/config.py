@@ -124,8 +124,7 @@ class RunConfig:
         need(self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}")
         need(0 <= self.multilabel_skew <= 1,
              f"multilabel_skew must lie in [0, 1], got {self.multilabel_skew}")
-        need(isinstance(self.hidden, tuple) and len(self.hidden) >= 1
-             and all(type(h) is int and h >= 1 for h in self.hidden),
+        need(len(self.hidden) >= 1 and all(type(h) is int and h >= 1 for h in self.hidden),
              f"hidden must be a non-empty tuple of positive layer widths, got {self.hidden!r}")
         finite_at_least("sigma_init", 0, strict=True)
         need(self.pretrain_epochs >= 0, f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
@@ -169,7 +168,7 @@ def _sections() -> dict:
 
 
 _SECTIONS = _sections()
-# Parse type of each key, from its annotation.
+# Type of each key, from its annotation; parsing and validate() read it.
 _TYPES = {f.name: {"bool": bool, "int": int, "float": float, "str": str,
                    "tuple": tuple}[f.type] for f in fields(RunConfig)}
 

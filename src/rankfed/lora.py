@@ -259,7 +259,7 @@ def load_adapters(path) -> tuple[AdapterSet, str]:
     version, count, nominal = struct.unpack("<III", take(12))
     if version != CHECKPOINT_VERSION:
         raise ParameterError(f"unsupported checkpoint version {version}: only version "
-                             "3 names its base; rerun its run's config to rewrite it")
+                             "3 names its base; rerun the run's config to rewrite it")
     base_checksum = take(32).hex()
     if count < 1:
         raise ParameterError("checkpoint holds no adapters")

@@ -584,7 +584,7 @@ class TestEvalCommand:
     def test_version_2_checkpoint_exits_2_before_pretraining(self, config_path, tmp_path,
                                                              no_pretraining, capsys):
         path = tmp_path / "v2.ckpt"
-        save_adapters(path, init_adapter_set([(32, 8), (4, 32)], 4, 0.1, Rng(0)), "00" * 32)
+        save_adapters(path, init_adapter_set([(3, 2)], 2, 0.1, Rng(0)), "00" * 32)
         raw = path.read_bytes()
         # version 2: the v3 layout without the 32-byte base checksum
         path.write_bytes(raw[:4] + (2).to_bytes(4, "little") + raw[8:16] + raw[48:])
