@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from rankfed.client import LocalTrainConfig
 from rankfed.config import RunConfig, config_text, load_config
 from rankfed.data import generate_synthetic
 from rankfed.errors import ParameterError
-from rankfed.harness import Setup, run_federated
+from rankfed.harness import RECORD_FIELDS, Setup, run_federated
 from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
 from rankfed.model import CLConfig
@@ -484,6 +485,36 @@ class TestRunCommand:
         assert main(["run", str(config_path), "--out", str(out2)]) == 0
         for name in ("records.jsonl", "summary.csv", "adapters_final.ckpt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["spd-cfl", "fedavg-full"])
+    def test_summary_csv_is_the_records_in_csv_form(self, mode, tmp_path):
+        # spd-cfl drops its rank at round 3, so its stability fields go from
+        # empty to lists; fedavg-full leaves every adapter field empty
+        cfg = RunConfig(mode=mode, seed=3, rounds=5, cooldown=2, pretrain_epochs=2,
+                        classes=4, dim=8, n_per_class=20, num_clients=3,
+                        hidden=(12,))
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text(cfg))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        records = [json.loads(line)
+                   for line in (out / "records.jsonl").read_text().splitlines()]
+        assert tuple(header) == RECORD_FIELDS
+        assert all(tuple(r) == RECORD_FIELDS for r in records)
+
+        def cell(v):
+            if v is None:
+                return ""
+            return json.dumps(v) if isinstance(v, list) else str(v)
+
+        assert rows == [[cell(v) for v in r.values()] for r in records]
+        stability = [r["cka_stability"] for r in records]
+        if mode == "spd-cfl":
+            assert stability[0] is None and isinstance(stability[-1], list)
+        else:
+            assert stability == [None] * 5
 
     def test_seed_override_changes_output(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
