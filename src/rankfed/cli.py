@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .data import manifest_text
 from .errors import ParameterError, RankfedError
-from .harness import (Setup, evaluate, run_federated, write_records_jsonl,
+from .harness import (Setup, evaluate, records_jsonl, run_federated,
                       write_summary_csv)
 from .lora import load_adapters, save_adapters
 
@@ -82,7 +82,7 @@ def _cmd_run(args) -> int:
     result = run_federated(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_records_jsonl(result.records, out / "records.jsonl")
+    (out / "records.jsonl").write_text(records_jsonl(result.records))
     write_summary_csv(result.records, out / "summary.csv")
     with open(out / "partition.manifest", "w") as fh:
         fh.write(manifest_text(result.plan))

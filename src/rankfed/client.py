@@ -72,17 +72,17 @@ class LocalTrainConfig:
 
 def refresh_importances(state: ClientState, base: FrozenBase,
                         anchor_configuration, phase: int,
-                        config: LocalTrainConfig) -> ClientState:
+                        config: LocalTrainConfig) -> None:
     """Estimate and cache importance matrices once per (client, phase).
 
     ``anchor_configuration`` is the adapter configuration (AdapterSet or dense
     per-layer update) the estimates are evaluated at; ``config`` names the
-    regularizer and the task. Repeat calls within the same phase return the
+    regularizer and the task. Repeat calls within the same phase keep the
     cached values unchanged. Distillation needs no importance matrices, so
     only the quadratic methods populate the cache.
     """
     if state.importance_phase == phase:
-        return state
+        return
     if config.cl.method == "ewc":
         state.importance = estimate_fim(base, anchor_configuration,
                                         state.features, state.labels, config.task)
@@ -92,7 +92,6 @@ def refresh_importances(state: ClientState, base: FrozenBase,
     else:
         state.importance = None
     state.importance_phase = phase
-    return state
 
 
 def _stacked_importance(states) -> ImportanceEstimate | None:

@@ -164,10 +164,6 @@ def mean_pairwise_ks(histograms: np.ndarray) -> float:
     return float(np.mean(vals))
 
 
-def _class_indices(labels: np.ndarray, num_classes: int):
-    return [np.flatnonzero(labels == c) for c in range(num_classes)]
-
-
 def partition(dataset: Dataset, num_clients: int, scheme: str, rng: Rng,
               classes_per_client: int | None = None,
               shared_classes: int | None = None) -> PartitionPlan:
@@ -185,7 +181,7 @@ def partition(dataset: Dataset, num_clients: int, scheme: str, rng: Rng,
         raise ParameterError(f"need >= 2 clients, got {num_clients}")
     labels = dataset.train_y
     c = dataset.num_classes
-    per_class = _class_indices(labels, c)
+    per_class = (np.flatnonzero(labels == ci) for ci in range(c))
     shuffled = [idx[rng.substream("class-shuffle", ci).permutation(len(idx))]
                 for ci, idx in enumerate(per_class)]
 

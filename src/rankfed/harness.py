@@ -44,23 +44,24 @@ from .server import (ClientUpdate, ServerState, server_round, shard_weights,
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundRecord:
-    """One round's line of ``records.jsonl``, after its schema version."""
+    """One round's line of ``records.jsonl``, after its schema version. The
+    adapter fields keep their defaults in ``fedavg-full``."""
 
     round: int
-    phase: int | None
-    rank: int | None
-    consistency: float | None
+    phase: int | None = None
+    rank: int | None = None
+    consistency: float | None = None
     global_loss: float | None
     val_metric: float | None
     test_metric: float | None
-    wd_stability: list | None
-    wd_plasticity: list | None
-    cka_stability: list | None
-    cka_plasticity: list | None
+    wd_stability: list | None = None
+    wd_plasticity: list | None = None
+    cka_stability: list | None = None
+    cka_plasticity: list | None = None
     cumulative_params: int
-    dropped: bool
+    dropped: bool = False
 
     def to_dict(self) -> dict:
         d = {"schema_version": SCHEMA_VERSION}
@@ -409,11 +410,6 @@ class _FullModelRounds:
     """fedavg-full: clients train every weight and bias; the server takes
     their shard-weighted mean. No adapters, so no rank or diagnostics."""
 
-    NO_ADAPTER_FIELDS = dict(phase=None, rank=None, consistency=None,
-                             wd_stability=None, wd_plasticity=None,
-                             cka_stability=None, cka_plasticity=None,
-                             dropped=False)
-
     def __init__(self, setup: Setup):
         self.model = setup.base
         self.clients, self.local = _clients(setup)
@@ -433,7 +429,7 @@ class _FullModelRounds:
         total = weighted_sum(weights, (w + b for _, (w, b), _ in results))
         n = len(self.model.weights)
         self.model = FrozenBase(total[:n], total[n:])
-        return self.model, None, self.NO_ADAPTER_FIELDS
+        return self.model, None, {}
 
 
 @contextmanager
@@ -537,27 +533,13 @@ def run_federated(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def records_jsonl(records) -> str:
-    return "".join(json.dumps(r.to_dict(), sort_keys=False) + "\n" for r in records)
-
-
-def write_records_jsonl(records, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(records_jsonl(records))
+    return "".join(json.dumps(r.to_dict()) + "\n" for r in records)
 
 
 def write_summary_csv(records, path) -> None:
+    """The records as CSV: csv writes None as an empty field; lists are JSON."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
-        for r in records:
-            d = r.to_dict()
-            row = []
-            for name in RECORD_FIELDS:
-                v = d[name]
-                if v is None:
-                    row.append("")
-                elif isinstance(v, list):
-                    row.append(json.dumps(v))
-                else:
-                    row.append(v)
-            writer.writerow(row)
+        writer.writerows([json.dumps(v) if isinstance(v, list) else v
+                          for v in r.to_dict().values()] for r in records)

@@ -94,7 +94,7 @@ class AdapterSet:
         return len(self.adapters)
 
     def dense(self) -> DenseDelta:
-        return [dense(a) for a in self.adapters]
+        return [a.B @ a.A for a in self.adapters]
 
     def param_count(self) -> int:
         """Trainable (= transmitted) parameters across all layers."""
@@ -139,10 +139,6 @@ def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> Adapter
         init_adapter(h1, h2, capped_rank(rank, h1, h2), sigma,
                      rng.substream("adapter-init", lid))
         for lid, (h1, h2) in enumerate(layer_shapes)), rank)
-
-
-def dense(adapter: LoRAAdapter) -> Matrix:
-    return adapter.B @ adapter.A
 
 
 def reinit_at_rank(acc: DenseDelta, r_new: int, method: str = "svd",

@@ -36,14 +36,11 @@ from .numerics import (Matrix, Rng, as_matrix, softmax, softmax_cross_entropy,
                        softmax_error)
 
 
+@dataclass
 class OpCounter:
     """Accumulates multiply counts for the training-path matrix products."""
 
-    def __init__(self):
-        self.multiplies = 0
-
-    def add(self, n: int):
-        self.multiplies += int(n)
+    multiplies: int = 0
 
 
 def _mm(a, b, counter=None):
@@ -51,7 +48,7 @@ def _mm(a, b, counter=None):
     ``counter`` when one is given. The count is exact when ``b`` has no
     leading client axis that ``a`` lacks, as in every training product."""
     if counter is not None:
-        counter.add(a.size * b.shape[-1])
+        counter.multiplies += a.size * b.shape[-1]
     return a @ b
 
 
@@ -283,9 +280,11 @@ def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
 
 def _binary_cross_entropy(logits, targets):
     """Mean per-label sigmoid cross-entropy, one value per client when
-    stacked; ``targets`` may be soft."""
-    # softplus(z) - y*z, stabilized
-    return _mean_per_client(np.logaddexp(0.0, logits) - targets * logits)
+    stacked; ``targets`` may be soft. The mean over the two trailing axes sums
+    and divides as np.mean does, without its per-call wrapper."""
+    m = np.logaddexp(0.0, logits) - targets * logits  # softplus(z) - y*z, stabilized
+    n, L = m.shape[-2:]
+    return np.add.reduce(m.reshape(*m.shape[:-2], n * L), axis=-1) / (n * L)
 
 
 def _sigmoid_error(logits, targets):
@@ -295,13 +294,6 @@ def _sigmoid_error(logits, targets):
     if targets.shape != logits.shape:
         raise ShapeError(f"targets shape {targets.shape} != logits shape {logits.shape}")
     return _sigmoid(logits) - targets
-
-
-def _mean_per_client(m):
-    """Mean over the two trailing axes: the whole matrix, or each stacked one.
-    The sum and division are np.mean's own, without its per-call wrapper."""
-    n, L = m.shape[-2:]
-    return np.add.reduce(m.reshape(*m.shape[:-2], n * L), axis=-1) / (n * L)
 
 
 def _sigmoid(z):
