@@ -15,6 +15,7 @@ from .client import LocalTrainConfig
 from .errors import ParameterError, require_finite
 from .lora import RankSchedule, capped_rank
 from .model import CLConfig
+from .numerics import Rng
 from .server import ServerSettings
 
 MODES = ("spd-cfl", "fixed-rank-lora", "fedavg-full")
@@ -80,9 +81,9 @@ class RunConfig:
         integral number, a float field any real one, neither a bool. The
         checks are written so that NaN fails them. Runs validate here, once,
         before any data is generated; the training kernels do not re-check.
-        The local-training settings, the rank schedule, the server settings
-        and the regularizer own their rules; validate() builds them instead
-        of restating them.
+        The random stream (the seed's range), the local-training settings, the
+        rank schedule, the server settings and the regularizer own their
+        rules; validate() builds them instead of restating them.
         """
         def need(ok: bool, message: str):
             if not ok:
@@ -97,10 +98,9 @@ class RunConfig:
 
         for name, kind in _TYPES.items():
             v = getattr(self, name)
-            want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-            need(isinstance(v, want) and (kind is bool or not isinstance(v, bool)),
-                 f"{name} must be of type {kind.__name__}, got {v!r}")
+            need(_holds(kind, v), f"{name} must be of type {kind.__name__}, got {v!r}")
         one_of("mode", MODES)
+        Rng(self.seed)
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
         LocalTrainConfig(self.local_epochs, self.eta, self.batch_size)
         need(0 < self.eta_decay <= 1, f"eta_decay must lie in (0, 1], got {self.eta_decay}")
@@ -124,7 +124,7 @@ class RunConfig:
         need(self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}")
         need(0 <= self.multilabel_skew <= 1,
              f"multilabel_skew must lie in [0, 1], got {self.multilabel_skew}")
-        need(len(self.hidden) >= 1 and all(type(h) is int and h >= 1 for h in self.hidden),
+        need(len(self.hidden) >= 1 and all(_holds(int, h) and h >= 1 for h in self.hidden),
              f"hidden must be a non-empty tuple of positive layer widths, got {self.hidden!r}")
         finite_at_least("sigma_init", 0, strict=True)
         need(self.pretrain_epochs >= 0, f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
@@ -173,6 +173,13 @@ _TYPES = {f.name: {"bool": bool, "int": int, "float": float, "str": str,
                    "tuple": tuple}[f.type] for f in fields(RunConfig)}
 
 
+def _holds(kind, v) -> bool:
+    """``v`` is of ``kind``: an int any integral number and a float any real
+    one, neither a bool."""
+    want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(v, want) and (kind is bool or not isinstance(v, bool))
+
+
 def _parse_value(name: str, raw: str, kind):
     raw = raw.strip()
     try:
@@ -197,7 +204,7 @@ def load_config(path, **overrides) -> RunConfig:
     # section is an unknown section like any other instead of being dropped
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError:
         raise ParameterError(f"cannot read config file: {path}") from None

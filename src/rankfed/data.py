@@ -283,7 +283,7 @@ def load_csv(path, label_column: str = "label"):
     a single label class included), raises ``ParameterError``.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             lines = list(_csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc

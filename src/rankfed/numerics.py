@@ -49,7 +49,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, _key: bytes | None = None):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
+        if not 0 <= self.seed < 2**64:  # the key hashes the seed's 8 bytes
+            raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")
         if _key is None:
             _key = hashlib.blake2b(
                 self.seed.to_bytes(8, "little"), digest_size=16

@@ -13,7 +13,7 @@ from rankfed.client import LocalTrainConfig
 from rankfed.config import RunConfig, config_text, load_config
 from rankfed.data import generate_synthetic
 from rankfed.errors import ParameterError
-from rankfed.harness import RECORD_FIELDS, Setup, run_federated
+from rankfed.harness import RECORD_FIELDS, Setup, records_jsonl, run_federated
 from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
 from rankfed.model import CLConfig
@@ -250,6 +250,37 @@ def test_value_of_another_type_rejected(key, value):
 def test_numpy_scalars_and_an_int_for_a_float_validate():
     RunConfig(seed=np.int64(3), rounds=np.int32(2), eta=np.float64(0.1),
               cooldown=5).validate()
+
+
+def test_numpy_integer_layer_width_runs_as_an_int():
+    small = dict(rounds=2, pretrain_epochs=1, classes=4, dim=8, n_per_class=20,
+                 num_clients=2, r_init=4, r_min=2)
+    assert (records_jsonl(run_federated(RunConfig(hidden=(np.int64(12),), **small)).records)
+            == records_jsonl(run_federated(RunConfig(hidden=(12,), **small)).records))
+
+
+@pytest.mark.parametrize("width", [True, 0, 32.0])
+def test_layer_width_that_is_not_a_positive_int_rejected(width):
+    with pytest.raises(ParameterError, match="^hidden must be a non-empty tuple"):
+        RunConfig(hidden=(width,)).validate()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_exits_2(seed, config_path, tmp_path, capsys,
+                                      no_pretraining):
+    # masked to 64 bits, 2**64 would rerun seed 0 and -1 seed 2**64 - 1
+    assert main(["run", str(config_path), f"--seed={seed}",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+
+
+def test_config_file_with_a_byte_order_mark_runs_as_without(config_path, tmp_path):
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+    for path, out in ((config_path, "plain"), (bom, "bom")):
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == 0
+    assert ((tmp_path / "bom" / "records.jsonl").read_bytes()
+            == (tmp_path / "plain" / "records.jsonl").read_bytes())
 
 
 def test_rank_rules_bind_only_the_modes_they_concern():

@@ -228,6 +228,15 @@ class TestCsvLoader:
         assert np.array_equal(y, [0, 1, 0])
         assert np.array_equal(x, [[0.5, 1.25], [-1.0, 0.0], [2.5, -3.5]])
 
+    def test_byte_order_mark_loads_as_without(self, tmp_path):
+        text = "label,a,b\ncat,0.5,1.25\ndog,-1.0,0.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        (x, y, names), (bx, by, bnames) = load_csv(plain), load_csv(bom)
+        assert bnames == names == ["cat", "dog"]
+        assert np.array_equal(bx, x) and np.array_equal(by, y)
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n")

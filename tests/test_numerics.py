@@ -49,6 +49,13 @@ class TestRng:
             Rng(5).substream("client", 2).substream("round", 9).normal(2, 2),
         )
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # masking it would alias another seed's streams
+        message = rf"^seed must lie in \[0, 2\*\*64\), got {seed}$"
+        with pytest.raises(ParameterError, match=message):
+            Rng(seed)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**64 - 1),
            st.lists(st.one_of(st.integers(-5, 500), st.text(max_size=8)), max_size=4))
