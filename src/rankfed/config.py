@@ -98,7 +98,7 @@ class RunConfig:
 
         for name, kind in _TYPES.items():
             v = getattr(self, name)
-            need(_holds(kind, v), f"{name} must be of type {kind.__name__}, got {v!r}")
+            need(_of_type(v, kind), f"{name} must be of type {kind.__name__}, got {v!r}")
         one_of("mode", MODES)
         Rng(self.seed)
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
@@ -124,7 +124,7 @@ class RunConfig:
         need(self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}")
         need(0 <= self.multilabel_skew <= 1,
              f"multilabel_skew must lie in [0, 1], got {self.multilabel_skew}")
-        need(len(self.hidden) >= 1 and all(_holds(int, h) and h >= 1 for h in self.hidden),
+        need(len(self.hidden) >= 1 and all(_of_type(h, int) and h >= 1 for h in self.hidden),
              f"hidden must be a non-empty tuple of positive layer widths, got {self.hidden!r}")
         finite_at_least("sigma_init", 0, strict=True)
         need(self.pretrain_epochs >= 0, f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
@@ -173,8 +173,8 @@ _TYPES = {f.name: {"bool": bool, "int": int, "float": float, "str": str,
                    "tuple": tuple}[f.type] for f in fields(RunConfig)}
 
 
-def _holds(kind, v) -> bool:
-    """``v`` is of ``kind``: an int any integral number and a float any real
+def _of_type(v, kind) -> bool:
+    """``v`` is of ``kind``: for int any integral number, for float any real
     one, neither a bool."""
     want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
     return isinstance(v, want) and (kind is bool or not isinstance(v, bool))

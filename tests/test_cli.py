@@ -255,8 +255,11 @@ def test_numpy_scalars_and_an_int_for_a_float_validate():
 def test_numpy_integer_layer_width_runs_as_an_int():
     small = dict(rounds=2, pretrain_epochs=1, classes=4, dim=8, n_per_class=20,
                  num_clients=2, r_init=4, r_min=2)
-    assert (records_jsonl(run_federated(RunConfig(hidden=(np.int64(12),), **small)).records)
-            == records_jsonl(run_federated(RunConfig(hidden=(12,), **small)).records))
+
+    def records(width):
+        return records_jsonl(run_federated(RunConfig(hidden=(width,), **small)).records)
+
+    assert records(np.int64(12)) == records(12)
 
 
 @pytest.mark.parametrize("width", [True, 0, 32.0])
