@@ -1,4 +1,4 @@
-"""Golden-bytes regression: sixteen short runs must reproduce pinned hashes.
+"""Golden-bytes regression: seventeen short runs must reproduce pinned hashes.
 
 For each config the fixture ``golden.json`` stores the sha256 of the run's
 ``records.jsonl`` text, the sha256 of the final global adapters' ``B`` and
@@ -9,7 +9,9 @@ The hashes are pinned to the numpy/BLAS build the fixture was written on:
 another BLAS may sum in another order and change the last bits. A refactor
 that claims "same behaviour" must pass this test unchanged. Regenerating the
 fixture (``python tests/test_golden.py --write``) is a deliberate change of
-the numerics and is recorded in CHANGES.md with the reason.
+the numerics and is recorded in CHANGES.md with the reason; it prints
+each entry as ``unchanged``, ``moved`` or ``added`` against the fixture it
+replaces, so the record can name the entries that moved.
 """
 
 import hashlib
@@ -46,6 +48,8 @@ SMALL_NETWORK = {
     "spd-iid-half-participation-ops": dict(scheme="iid", num_clients=4,
                                            participation=0.5, count_ops=True),
     "spd-multilabel": dict(MULTILABEL),
+    # the sigmoid distillation path
+    "spd-lwf-multilabel": dict(MULTILABEL, cl_method="lwf"),
     "fedavg-multiclass-ops": dict(mode="fedavg-full", count_ops=True),
     "fedavg-multilabel-half-skew": dict(MULTILABEL, mode="fedavg-full",
                                         num_clients=4, participation=0.5,
@@ -101,6 +105,9 @@ def test_golden_bytes(name):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    FIXTURE.write_text(json.dumps({n: fingerprint(n) for n in sorted(CONFIGS)},
-                                  indent=2, sort_keys=True) + "\n")
+    old = json.loads(FIXTURE.read_text())
+    new = {n: fingerprint(n) for n in sorted(CONFIGS)}
+    for n, fp in new.items():
+        print(n, "added" if n not in old else "unchanged" if old[n] == fp else "moved")
+    FIXTURE.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
