@@ -9,6 +9,7 @@ row-wise kernels treat slice by slice. Operations never mutate their inputs.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -49,6 +50,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, _key: bytes | None = None):
+        # int() would truncate 1.5 or True to seed 1 and draw its streams
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ParameterError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         if not 0 <= self.seed < 2**64:  # the key hashes the seed's 8 bytes
             raise ParameterError(f"seed must lie in [0, 2**64), got {seed}")

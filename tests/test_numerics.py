@@ -56,6 +56,16 @@ class TestRng:
         with pytest.raises(ParameterError, match=message):
             Rng(seed)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, np.float64(1.0), np.bool_(True), "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        # int() would turn each into seed 1 and alias its streams
+        with pytest.raises(ParameterError, match=r"^seed must be an integer, got "):
+            Rng(seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.uint64(2**64 - 1)])
+    def test_numpy_integer_seed_draws_the_int_seed_streams(self, seed):
+        assert np.array_equal(Rng(seed).normal(2, 2), Rng(int(seed)).normal(2, 2))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**64 - 1),
            st.lists(st.one_of(st.integers(-5, 500), st.text(max_size=8)), max_size=4))
