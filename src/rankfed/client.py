@@ -165,15 +165,19 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
 
     ``states`` are clients with equal shard sizes; a single client is a group
     of one. Each step trains every client of the group on its own mini-batch
-    as one stacked computation. The plasticity anchor is the dense form of
-    the incoming global adapters, held fixed for the whole round. Returns
+    as one stacked computation. The plasticity anchor is the incoming global
+    adapters, held fixed for the whole round: as they are for the LwF
+    teacher, in dense form for the EWC/MAS quadratic anchor. Returns
     ``(adapters, epoch_losses)``: per client, in the order of ``states``, the
     resulting AdapterSet and the mean total loss of each epoch.
     """
     ids = [s.client_id for s in states]
     importance = _stacked_importance(states)
     adapters = global_adapters.stacked(len(states))
-    plasticity_anchor = global_adapters.dense() if config.cl.active else None
+    plasticity_anchor = None
+    if config.cl.active:
+        plasticity_anchor = (global_adapters if config.cl.method == "lwf"
+                             else global_adapters.dense())
 
     def step(epoch, x, y):
         loss, grads = total_local_loss(

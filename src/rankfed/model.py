@@ -8,8 +8,11 @@ base weights themselves); every gradient path is validated against finite
 differences in the test suite.
 
 Continual-learning regularizers (quadratic importance-weighted anchoring and
-logit distillation) operate on the dense product ``B @ A`` so that anchors
-computed at one rank remain comparable after a rank change.
+logit distillation) anchor to adapter configurations that may have another
+rank. The quadratic anchors are dense products ``B @ A``, so anchors computed
+at one rank remain comparable after a rank change; a distillation teacher
+only has to produce logits, so it may be a dense update or an AdapterSet of
+any rank (local training passes the incoming global one as it is).
 
 The training kernels are shape-agnostic: a batch is [n, d] for one client or
 [C, n, d] for a group of clients stacked along a leading axis (the adapter
@@ -19,7 +22,9 @@ trailing axes, so each client's slice of a stacked result equals, bit for
 bit, what the same call computes for that client alone; losses and
 penalties come back as one value per client. One backward walk
 (``_backward``) serves every gradient: factor, full-weight and bias
-gradients and the per-sample importance statistics are folds over it.
+gradients and the per-sample importance statistics are folds over it. The
+walk is linear in the logit error, so an LwF step sums the supervised and
+distillation errors at the logits and walks back once.
 """
 
 from __future__ import annotations
@@ -369,8 +374,9 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
 
     ``teacher`` may be an AdapterSet or a dense per-layer update. The penalty
     is ``mu`` times the mean cross-entropy between teacher and student output
-    distributions; gradients flow to the student adapters only. ``student``
-    reuses a forward pass of ``adapters_student`` on ``x``.
+    distributions. Returns it with its gradient at the student's logits;
+    ``total_local_loss`` adds that to the supervised one and walks back once.
+    ``student`` reuses a forward pass of ``adapters_student`` on ``x``.
     """
     t_logits = _forward_cache(base.weights, base.biases, teacher, x).hs[-1]
     if student is None:
@@ -395,7 +401,7 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
         z = s_logits / tau
         penalty = mu * _binary_cross_entropy(z, t)
         dz = mu * _sigmoid_error(z, t) / (n * L * tau)
-    return penalty, _factor_grads(student, dz)
+    return penalty, dz
 
 
 # ---------------------------------------------------------------------------
@@ -404,37 +410,40 @@ def lwf_penalty(base: FrozenBase, adapters_student, teacher,
 
 def total_local_loss(base: FrozenBase, adapters, x, y,
                      stability_anchor: DenseDelta | None,
-                     plasticity_anchor: DenseDelta | None,
+                     plasticity_anchor: DenseDelta | AdapterSet | None,
                      importance: ImportanceEstimate | None,
                      cl: CLConfig, task: str = "multiclass", counter=None):
     """Supervised loss plus stability and plasticity regularizers.
 
     An absent stability anchor (first phase) contributes nothing; zero
     strengths short-circuit so the disabled path is bit-identical to the
-    supervised loss alone. Penalty gradients are added into the supervised
-    ones in place.
+    supervised loss alone. LwF adds each active distillation term's logit
+    gradient to the supervised one, stability then plasticity, and walks
+    the sum back once; its anchors are teachers, dense or AdapterSet. EWC and
+    MAS add their penalty gradients into the supervised ones in place.
     """
     student = _forward_cache(base.weights, base.biases, adapters, x, counter)
+    terms = [(anchor, mu) for anchor, mu in ((stability_anchor, cl.mu1),
+                                             (plasticity_anchor, cl.mu2))
+             if cl.method != "none" and anchor is not None and mu > 0]
+    if cl.method == "lwf":
+        loss, dz = _task_loss(student.hs[-1], y, task)
+        for anchor, mu in terms:
+            p, dz_p = lwf_penalty(base, adapters, anchor, x, mu,
+                                  cl.lwf_temperature, task, student=student)
+            loss = loss + p
+            dz = dz + dz_p
+        return loss, _factor_grads(student, dz, counter)
     loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter,
                                             student=student)
-    if cl.method == "none":
-        return loss, grads
-
-    def penalty(anchor, mu):
-        if cl.method in ("ewc", "mas"):
-            if importance is None:
-                raise InputError(f"{cl.method} penalty requires importance estimates")
-            return quadratic_penalty(adapters, anchor, importance, mu)
-        return lwf_penalty(base, adapters, anchor, x, mu,
-                           cl.lwf_temperature, task, student=student)
-
-    for anchor, mu in ((stability_anchor, cl.mu1), (plasticity_anchor, cl.mu2)):
-        if anchor is not None and mu > 0:
-            p, g = penalty(anchor, mu)
-            loss = loss + p
-            for (gB, gA), (pB, pA) in zip(grads, g):
-                gB += pB
-                gA += pA
+    if terms and importance is None:
+        raise InputError(f"{cl.method} penalty requires importance estimates")
+    for anchor, mu in terms:
+        p, g = quadratic_penalty(adapters, anchor, importance, mu)
+        loss = loss + p
+        for (gB, gA), (pB, pA) in zip(grads, g):
+            gB += pB
+            gA += pA
     return loss, grads
 
 

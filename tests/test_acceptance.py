@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import fd_factor_grads, max_rel_err
+from conftest import fd_factor_grads, lwf_penalty_and_grads, max_rel_err
 
 import rankfed
 from rankfed.config import RunConfig
@@ -100,7 +100,7 @@ def test_criterion_01_gradient_correctness():
              lambda a: quadratic_penalty(a, sta, imp, 0.4)[0]),
             (lambda a: quadratic_penalty(a, pla, imp, 0.3),
              lambda a: quadratic_penalty(a, pla, imp, 0.3)[0]),
-            (lambda a: lwf_penalty(base, a, sta, x, 0.5),
+            (lambda a: lwf_penalty_and_grads(base, a, sta, x, 0.5),
              lambda a: lwf_penalty(base, a, sta, x, 0.5)[0]),
             (lambda a: total_local_loss(base, a, x, y, sta, pla, imp,
                                         CLConfig("ewc", 0.2, 0.1)),

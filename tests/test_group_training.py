@@ -61,7 +61,9 @@ def train(states, base, cfg, adapters, anchor):
 def train_reference(state, base, cfg, adapters, anchor):
     """One client on 2-D arrays, stepping a fresh AdapterSet each batch."""
     counter = OpCounter()
-    plasticity = adapters.dense() if cfg.cl.active else None
+    plasticity = None
+    if cfg.cl.active:
+        plasticity = adapters if cfg.cl.method == "lwf" else adapters.dense()
     current = adapters
     losses = []
     for epoch in range(CFG.epochs):

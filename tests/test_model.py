@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import fd_factor_grads, make_model, max_rel_err
+from conftest import fd_factor_grads, lwf_penalty_and_grads, make_model, max_rel_err
 
+from rankfed import model
 from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate,
@@ -249,26 +250,24 @@ class TestLwf:
         base, adapters, x, _ = make_model(rng)
         mu = 0.8
         # identical AdapterSet as teacher: both forwards share the float path
-        p, grads = lwf_penalty(base, adapters, adapters, x, mu)
+        p, dz = lwf_penalty(base, adapters, adapters, x, mu)
         probs = softmax(forward(base, adapters, x)[0])
         entropy = float(np.mean(-np.sum(probs * np.log(probs), axis=1)))
         assert p == pytest.approx(mu * entropy, rel=1e-10)
-        assert all(np.array_equal(gB, 0 * gB) and np.array_equal(gA, 0 * gA)
-                   for gB, gA in grads)
+        assert np.array_equal(dz, 0 * dz)
 
     def test_mu_zero(self, rng):
         base, adapters, x, _ = make_model(rng)
         teacher = [d + 0.1 for d in adapters.dense()]
-        p, grads = lwf_penalty(base, adapters, teacher, x, 0.0)
+        p, dz = lwf_penalty(base, adapters, teacher, x, 0.0)
         assert p == 0.0
-        assert all(np.max(np.abs(gB)) == 0 and np.max(np.abs(gA)) == 0
-                   for gB, gA in grads)
+        assert np.max(np.abs(dz)) == 0
 
     def test_grads_match_fd(self, rng):
         base, adapters, x, _ = make_model(rng)
         teacher = [d + rng.substream("t", i).normal(*d.shape, 0.2)
                    for i, d in enumerate(adapters.dense())]
-        _, grads = lwf_penalty(base, adapters, teacher, x, 0.6)
+        _, grads = lwf_penalty_and_grads(base, adapters, teacher, x, 0.6)
         fd = fd_factor_grads(
             lambda a: lwf_penalty(base, a, teacher, x, 0.6)[0], adapters)
         assert max_rel_err(grads, fd) < 1e-5
@@ -276,7 +275,8 @@ class TestLwf:
     def test_temperature_grads_match_fd(self, rng):
         base, adapters, x, _ = make_model(rng)
         teacher = [d + 0.15 for d in adapters.dense()]
-        _, grads = lwf_penalty(base, adapters, teacher, x, 0.6, temperature=2.0)
+        _, grads = lwf_penalty_and_grads(base, adapters, teacher, x, 0.6,
+                                         temperature=2.0)
         fd = fd_factor_grads(
             lambda a: lwf_penalty(base, a, teacher, x, 0.6, temperature=2.0)[0],
             adapters)
@@ -325,6 +325,40 @@ class TestTotalLocalLoss:
         for (eB, eA), (tB, tA) in zip(expected, tot_g):
             assert np.max(np.abs(eB - tB)) < 1e-12
             assert np.max(np.abs(eA - tA)) < 1e-12
+
+    def test_lwf_component_sum(self, rng):
+        # a dense stability teacher and an AdapterSet plasticity teacher, as
+        # local training passes them
+        base, adapters, x, y = make_model(rng)
+        sta, _, _ = self._anchors(rng, adapters)
+        pla = AdapterSet(tuple(
+            LoRAAdapter(a.B + rng.substream("pla", i).normal(*a.B.shape, 0.1), a.A)
+            for i, a in enumerate(adapters)), adapters.nominal_rank)
+        cl = CLConfig("lwf", 0.4, 0.2, lwf_temperature=1.5)
+        tot, tot_g = total_local_loss(base, adapters, x, y, sta, pla, None, cl)
+        sup, g0 = supervised_loss_and_grads(base, adapters, x, y)
+        p1, g1 = lwf_penalty_and_grads(base, adapters, sta, x, 0.4, temperature=1.5)
+        p2, g2 = lwf_penalty_and_grads(base, adapters, pla, x, 0.2, temperature=1.5)
+        assert tot == pytest.approx(sup + p1 + p2, rel=1e-12)
+        expected = [(b0 + b1 + b2, a0 + a1 + a2)
+                    for (b0, a0), (b1, a1), (b2, a2) in zip(g0, g1, g2)]
+        for (eB, eA), (tB, tA) in zip(expected, tot_g):
+            assert np.max(np.abs(eB - tB)) < 1e-12
+            assert np.max(np.abs(eA - tA)) < 1e-12
+
+    def test_two_teacher_lwf_step_walks_backward_once(self, rng, monkeypatch):
+        base, adapters, x, y = make_model(rng)
+        sta, pla, _ = self._anchors(rng, adapters)
+        calls = []
+        backward = model._backward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_backward", counted)
+        total_local_loss(base, adapters, x, y, sta, pla, None, CLConfig("lwf", 0.4, 0.2))
+        assert len(calls) == 1
 
     def test_absent_stability_anchor_skips_term(self, rng):
         base, adapters, x, y = make_model(rng)
