@@ -7,12 +7,10 @@ flow to the adapter factors only (or, for the full-model baseline, to the
 base weights themselves); every gradient path is validated against finite
 differences in the test suite.
 
-Continual-learning regularizers (quadratic importance-weighted anchoring and
-logit distillation) anchor to adapter configurations that may have another
-rank. The quadratic anchors are dense products ``B @ A``, so anchors computed
-at one rank remain comparable after a rank change; a distillation teacher
-only has to produce logits, so it may be a dense update or an AdapterSet of
-any rank (local training passes the incoming global one as it is).
+The quadratic importance-weighted regularizers (EWC, MAS) anchor to the
+dense product ``B @ A``, so that anchors computed at one rank remain
+comparable after a rank change. A distillation (LwF) teacher only yields
+logits, so it may be a dense update or an AdapterSet of any rank.
 
 The training kernels are shape-agnostic: a batch is [n, d] for one client or
 [C, n, d] for a group of clients stacked along a leading axis (the adapter
