@@ -1,4 +1,9 @@
-"""Golden-bytes regression: seventeen short runs must reproduce pinned hashes.
+"""Golden-bytes regression: twenty runs must reproduce pinned hashes.
+
+Seventeen are short runs at seed 3 that cover every mode, regularizer and
+ablation; three are the benchmark's canonical workloads at full length and
+seed 0, so their ``records_sha256`` is the ``records sha256`` that
+``bench/run.py`` prints for them.
 
 For each config the fixture ``golden.json`` stores the sha256 of the run's
 ``records.jsonl`` text, the sha256 of the final global adapters' ``B`` and
@@ -20,6 +25,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from workloads import WORKLOADS  # noqa: E402
 
 from rankfed.config import RunConfig
 from rankfed.harness import records_jsonl, run_federated
@@ -67,12 +75,17 @@ DEFAULT_NETWORK = {
     "defaults-fedavg-multilabel": dict(mode="fedavg-full", task="multilabel"),
 }
 
-CONFIGS = {**{n: {**SMALL, **o} for n, o in SMALL_NETWORK.items()},
-           **{n: {**SHORT, **o} for n, o in DEFAULT_NETWORK.items()}}
+# The benchmark's workloads, overrides read from the bench itself. The pool
+# workload (paper-ewc-pool2) writes paper-ewc's bytes and is not repeated.
+CANONICAL = ("paper-ewc", "wide-lwf", "fedavg-multilabel")
+
+CONFIGS = {**{n: {**SMALL, **o, "seed": 3} for n, o in SMALL_NETWORK.items()},
+           **{n: {**SHORT, **o, "seed": 3} for n, o in DEFAULT_NETWORK.items()},
+           **{n: {**WORKLOADS[n].overrides, "seed": 0} for n in CANONICAL}}
 
 
 def _config(name: str) -> RunConfig:
-    return RunConfig(seed=3, **CONFIGS[name]).validate()
+    return RunConfig(**CONFIGS[name]).validate()
 
 
 def fingerprint(name: str) -> dict:
