@@ -6,7 +6,7 @@ from conftest import fd_factor_grads, lwf_penalty_and_grads, make_model, max_rel
 from rankfed import model
 from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
-from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate,
+from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
                            estimate_fim, estimate_mas_importance, forward,
                            full_loss_and_grads, lwf_penalty, quadratic_penalty,
                            random_base, sgd_step, supervised_loss_and_grads,
@@ -475,3 +475,31 @@ class TestFullModelPath:
                 f_dn, _, _ = full_loss_and_grads(weights, dn, x, y)
                 fd = (f_up - f_dn) / (2 * step)
                 assert abs(bg[l][j] - fd) / max(abs(fd), 1e-6) < 1e-5
+
+
+class TestOpCounter:
+    # On make_model's 5-7-4 network, rank 3, batch 6, summed by hand from
+    # each product's shapes. A factor-path forward is 426 + 366 = 792
+    # (h W^T, h A^T, (h A^T) B^T per layer) and its backward walk is 906
+    # (dz B, both factor folds, dz W and (dz B) A); a full-model forward is
+    # 210 + 168 = 378 and its backward 168 + 168 + 210 = 546.
+    def test_supervised_pass_counts_its_backward_walk(self, rng):
+        base, adapters, x, y = make_model(rng)
+        counter = OpCounter()
+        supervised_loss_and_grads(base, adapters, x, y, counter=counter)
+        assert counter.multiplies == 792 + 906
+
+    def test_full_model_pass_counts_its_backward_walk(self, rng):
+        base, _, x, y = make_model(rng)
+        counter = OpCounter()
+        full_loss_and_grads(list(base.weights), list(base.biases), x, y,
+                            counter=counter)
+        assert counter.multiplies == 378 + 546
+
+    def test_lwf_teachers_forwards_are_not_counted(self, rng):
+        base, adapters, x, y = make_model(rng)
+        sta = [d + 0.1 for d in adapters.dense()]
+        counter = OpCounter()
+        total_local_loss(base, adapters, x, y, sta, adapters, None,
+                         CLConfig("lwf", 0.4, 0.2), counter=counter)
+        assert counter.multiplies == 792 + 906
