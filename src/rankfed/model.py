@@ -41,7 +41,8 @@ from .numerics import (Matrix, Rng, as_matrix, softmax, softmax_cross_entropy,
 
 @dataclass
 class OpCounter:
-    """Accumulates multiply counts for the training-path matrix products."""
+    """Accumulates multiply counts for the training-path matrix products. A
+    forward pass given one counts the backward walk made from its cache too."""
 
     multiplies: int = 0
 
@@ -160,14 +161,15 @@ def _layer_deltas(n: int, adapters):
 
 
 class _Cache:
-    __slots__ = ("weights", "hs", "hA", "kind", "items")
+    __slots__ = ("weights", "hs", "hA", "kind", "items", "counter")
 
-    def __init__(self, weights, hs, hA, kind, items):
+    def __init__(self, weights, hs, hA, kind, items, counter):
         self.weights = weights
         self.hs = hs        # post-activation per layer, hs[0] = input
         self.hA = hA        # cached h @ A.T per layer (factor path only)
         self.kind = kind
         self.items = items
+        self.counter = counter  # the forward's, so its backward counts too
 
 
 def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
@@ -192,7 +194,7 @@ def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
             z = z + _mm(h, item.swapaxes(-1, -2), counter)
         h = np.tanh(z) if l < n_layers - 1 else z
         hs.append(h)
-    return _Cache(weights, hs, hA, kind, items)
+    return _Cache(weights, hs, hA, kind, items, counter)
 
 
 def forward(base: FrozenBase, adapters, x: Matrix):
@@ -201,7 +203,7 @@ def forward(base: FrozenBase, adapters, x: Matrix):
     return cache.hs[-1], cache.hs[1:]
 
 
-def _backward(cache: _Cache, dz, fold, counter=None):
+def _backward(cache: _Cache, dz, fold):
     """Carry the logit error ``dz`` back through every layer, last to first.
 
     At each layer ``fold(l, dz, dzB)`` turns the error at that layer's output
@@ -212,6 +214,7 @@ def _backward(cache: _Cache, dz, fold, counter=None):
     folds' results in layer order.
     """
     out = [None] * len(cache.weights)
+    counter = cache.counter
     for l in reversed(range(len(cache.weights))):
         w, item = cache.weights[l], cache.items[l]
         dzB = _mm(dz, item[0], counter) if cache.kind == "factor" else None
@@ -227,13 +230,13 @@ def _backward(cache: _Cache, dz, fold, counter=None):
     return out
 
 
-def _factor_grads(cache: _Cache, dz, counter=None):
+def _factor_grads(cache: _Cache, dz):
     """Gradients w.r.t. (B, A) per layer for a loss with logit gradient ``dz``."""
     def fold(l, dz, dzB):
-        return (_mm(dz.swapaxes(-1, -2), cache.hA[l], counter),
-                _mm(dzB.swapaxes(-1, -2), cache.hs[l], counter))
+        return (_mm(dz.swapaxes(-1, -2), cache.hA[l], cache.counter),
+                _mm(dzB.swapaxes(-1, -2), cache.hs[l], cache.counter))
 
-    return _backward(cache, dz, fold, counter)
+    return _backward(cache, dz, fold)
 
 
 def _task_loss(logits, y, task: str):
@@ -268,17 +271,12 @@ def _mean_loss_gradient(logits, y, task: str):
 
 
 def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
-                              task: str = "multiclass", counter=None,
-                              student: _Cache | None = None):
+                              task: str = "multiclass", counter=None):
     """Mean supervised loss and analytic adapter-factor gradients.
-
-    ``adapters`` is an AdapterSet, client-stacked for a client-stacked batch;
-    ``student`` reuses a forward pass of it on ``x`` that the caller made.
-    """
-    if student is None:
-        student = _forward_cache(base.weights, base.biases, adapters, x, counter)
+    ``adapters`` is an AdapterSet, client-stacked for a client-stacked batch."""
+    student = _forward_cache(base.weights, base.biases, adapters, x, counter)
     loss, dz = _task_loss(student.hs[-1], y, task)
-    return loss, _factor_grads(student, dz, counter)
+    return loss, _factor_grads(student, dz)
 
 
 def _binary_cross_entropy(logits, targets):
@@ -365,21 +363,16 @@ def quadratic_penalty(adapters, anchor: DenseDelta,
     return penalty, grads
 
 
-def lwf_penalty(base: FrozenBase, adapters_student, teacher,
-                x, mu: float, temperature: float = 1.0,
-                task: str = "multiclass", student: _Cache | None = None):
-    """Distillation from the teacher configuration's logits (stop-gradient).
+def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
+                task: str = "multiclass"):
+    """Distillation of the student's logits toward the teacher's.
 
-    ``teacher`` may be an AdapterSet or a dense per-layer update. The penalty
-    is ``mu`` times the mean cross-entropy between teacher and student output
-    distributions. Returns it with its gradient at the student's logits;
-    ``total_local_loss`` adds that to the supervised one and walks back once.
-    ``student`` reuses a forward pass of ``adapters_student`` on ``x``.
+    The penalty is ``mu`` times the mean cross-entropy between the teacher's
+    and the student's output distributions at ``temperature``; the teacher's
+    logits are a stop-gradient target. Returns it with its gradient at the
+    student's logits; ``total_local_loss`` adds that to the supervised one
+    and walks back once.
     """
-    t_logits = _forward_cache(base.weights, base.biases, teacher, x).hs[-1]
-    if student is None:
-        student = _forward_cache(base.weights, base.biases, adapters_student, x)
-    s_logits = student.hs[-1]
     if t_logits.shape != s_logits.shape:
         raise ShapeError(
             f"teacher outputs {t_logits.shape} != student outputs {s_logits.shape}")
@@ -417,23 +410,24 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     strengths short-circuit so the disabled path is bit-identical to the
     supervised loss alone. LwF adds each active distillation term's logit
     gradient to the supervised one, stability then plasticity, and walks
-    the sum back once; its anchors are teachers, dense or AdapterSet. EWC and
-    MAS add their penalty gradients into the supervised ones in place.
+    the sum back once; its anchors are teachers, dense or AdapterSet, whose
+    uncounted forwards give the target logits. EWC and MAS add their penalty
+    gradients into the supervised ones in place.
     """
-    student = _forward_cache(base.weights, base.biases, adapters, x, counter)
     terms = [(anchor, mu) for anchor, mu in ((stability_anchor, cl.mu1),
                                              (plasticity_anchor, cl.mu2))
              if cl.method != "none" and anchor is not None and mu > 0]
     if cl.method == "lwf":
-        loss, dz = _task_loss(student.hs[-1], y, task)
-        for anchor, mu in terms:
-            p, dz_p = lwf_penalty(base, adapters, anchor, x, mu,
-                                  cl.lwf_temperature, task, student=student)
+        student = _forward_cache(base.weights, base.biases, adapters, x, counter)
+        s_logits = student.hs[-1]
+        loss, dz = _task_loss(s_logits, y, task)
+        for teacher, mu in terms:
+            p, dz_p = lwf_penalty(forward(base, teacher, x)[0], s_logits, mu,
+                                  cl.lwf_temperature, task)
             loss = loss + p
             dz = dz + dz_p
-        return loss, _factor_grads(student, dz, counter)
-    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter,
-                                            student=student)
+        return loss, _factor_grads(student, dz)
+    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter)
     if terms and importance is None:
         raise InputError(f"{cl.method} penalty requires importance estimates")
     for anchor, mu in terms:
@@ -479,7 +473,7 @@ def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
     """
     cache = _forward_cache(weights, biases, None, x, counter)
     loss, dz = _task_loss(cache.hs[-1], y, task)
-    return (loss, *_full_weight_grads(cache, dz, counter))
+    return (loss, *_full_weight_grads(cache, dz))
 
 
 def full_grads(weights, biases, x, y, task: str = "multiclass"):
@@ -489,10 +483,10 @@ def full_grads(weights, biases, x, y, task: str = "multiclass"):
     return _full_weight_grads(cache, _mean_loss_gradient(cache.hs[-1], y, task))
 
 
-def _full_weight_grads(cache: _Cache, dz, counter=None):
+def _full_weight_grads(cache: _Cache, dz):
     """Gradients w.r.t. every weight and bias for a loss with logit gradient ``dz``."""
     def fold(l, dz, _):
-        return _mm(dz.swapaxes(-1, -2), cache.hs[l], counter), dz.sum(axis=-2)
+        return _mm(dz.swapaxes(-1, -2), cache.hs[l], cache.counter), dz.sum(axis=-2)
 
-    w_grads, b_grads = zip(*_backward(cache, dz, fold, counter))
+    w_grads, b_grads = zip(*_backward(cache, dz, fold))
     return w_grads, b_grads

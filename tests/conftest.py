@@ -6,7 +6,8 @@ import pytest
 
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.metrics import accuracy_score
-from rankfed.model import _factor_grads, _forward_cache, lwf_penalty, random_base
+from rankfed.model import (_factor_grads, _forward_cache, forward, lwf_penalty,
+                           random_base)
 from rankfed.numerics import Rng, softmax
 
 
@@ -65,10 +66,12 @@ def fd_factor_grads(loss_fn, adapters, step=1e-5):
 
 
 def lwf_penalty_and_grads(base, adapters, teacher, x, mu, **kwargs):
-    """``lwf_penalty`` with its logit gradient carried back to the student's
-    factors, as ``total_local_loss`` carries it."""
+    """``lwf_penalty`` of the student ``adapters`` toward ``teacher`` on ``x``,
+    with its logit gradient carried back to the student's factors, as
+    ``total_local_loss`` carries it."""
     student = _forward_cache(base.weights, base.biases, adapters, x)
-    penalty, dz = lwf_penalty(base, adapters, teacher, x, mu, student=student, **kwargs)
+    penalty, dz = lwf_penalty(forward(base, teacher, x)[0], student.hs[-1], mu,
+                              **kwargs)
     return penalty, _factor_grads(student, dz)
 
 

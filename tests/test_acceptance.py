@@ -24,7 +24,7 @@ from rankfed.data import generate_synthetic, partition
 from rankfed.harness import run_federated
 from rankfed.lora import AdapterSet, LoRAAdapter, reinit_at_rank
 from rankfed.metrics import auc, layer_averaged_cka
-from rankfed.model import (CLConfig, ImportanceEstimate, lwf_penalty,
+from rankfed.model import (CLConfig, ImportanceEstimate, forward, lwf_penalty,
                            quadratic_penalty, random_base,
                            supervised_loss_and_grads, total_local_loss)
 from rankfed.numerics import Rng, svd_truncate
@@ -92,6 +92,7 @@ def test_criterion_01_gradient_correctness():
                for j, m in enumerate(dense)]
         imp = ImportanceEstimate(tuple(
             np.abs(s.substream("imp", j).normal(*m.shape)) for j, m in enumerate(dense)))
+        t_logits = forward(base, sta, x)[0]
 
         checks = [
             (lambda a: supervised_loss_and_grads(base, a, x, y),
@@ -101,7 +102,7 @@ def test_criterion_01_gradient_correctness():
             (lambda a: quadratic_penalty(a, pla, imp, 0.3),
              lambda a: quadratic_penalty(a, pla, imp, 0.3)[0]),
             (lambda a: lwf_penalty_and_grads(base, a, sta, x, 0.5),
-             lambda a: lwf_penalty(base, a, sta, x, 0.5)[0]),
+             lambda a: lwf_penalty(t_logits, forward(base, a, x)[0], 0.5)[0]),
             (lambda a: total_local_loss(base, a, x, y, sta, pla, imp,
                                         CLConfig("ewc", 0.2, 0.1)),
              lambda a: total_local_loss(base, a, x, y, sta, pla, imp,

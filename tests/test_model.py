@@ -250,7 +250,8 @@ class TestLwf:
         base, adapters, x, _ = make_model(rng)
         mu = 0.8
         # identical AdapterSet as teacher: both forwards share the float path
-        p, dz = lwf_penalty(base, adapters, adapters, x, mu)
+        p, dz = lwf_penalty(forward(base, adapters, x)[0],
+                            forward(base, adapters, x)[0], mu)
         probs = softmax(forward(base, adapters, x)[0])
         entropy = float(np.mean(-np.sum(probs * np.log(probs), axis=1)))
         assert p == pytest.approx(mu * entropy, rel=1e-10)
@@ -259,7 +260,8 @@ class TestLwf:
     def test_mu_zero(self, rng):
         base, adapters, x, _ = make_model(rng)
         teacher = [d + 0.1 for d in adapters.dense()]
-        p, dz = lwf_penalty(base, adapters, teacher, x, 0.0)
+        p, dz = lwf_penalty(forward(base, teacher, x)[0],
+                            forward(base, adapters, x)[0], 0.0)
         assert p == 0.0
         assert np.max(np.abs(dz)) == 0
 
@@ -268,8 +270,9 @@ class TestLwf:
         teacher = [d + rng.substream("t", i).normal(*d.shape, 0.2)
                    for i, d in enumerate(adapters.dense())]
         _, grads = lwf_penalty_and_grads(base, adapters, teacher, x, 0.6)
+        t_logits = forward(base, teacher, x)[0]
         fd = fd_factor_grads(
-            lambda a: lwf_penalty(base, a, teacher, x, 0.6)[0], adapters)
+            lambda a: lwf_penalty(t_logits, forward(base, a, x)[0], 0.6)[0], adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
     def test_temperature_grads_match_fd(self, rng):
@@ -277,8 +280,10 @@ class TestLwf:
         teacher = [d + 0.15 for d in adapters.dense()]
         _, grads = lwf_penalty_and_grads(base, adapters, teacher, x, 0.6,
                                          temperature=2.0)
+        t_logits = forward(base, teacher, x)[0]
         fd = fd_factor_grads(
-            lambda a: lwf_penalty(base, a, teacher, x, 0.6, temperature=2.0)[0],
+            lambda a: lwf_penalty(t_logits, forward(base, a, x)[0], 0.6,
+                                  temperature=2.0)[0],
             adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
