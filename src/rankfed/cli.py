@@ -68,6 +68,15 @@ def _load(path, args=None, **flags) -> RunConfig:
     return load_config(path, **overrides)
 
 
+def _output(path, make):
+    """``make(path)``, an output path that cannot be created or opened
+    raised as a ParameterError, so the command exits 2 before any work."""
+    try:
+        return make(path)
+    except OSError as exc:
+        raise ParameterError(f"output {path}: {exc.strerror or exc}") from None
+
+
 def _summary(result) -> dict:
     """The numbers ``run`` prints and ``sweep`` writes after its axes."""
     count, mb = result.cost_at_best
@@ -79,9 +88,9 @@ def _summary(result) -> dict:
 
 def _cmd_run(args) -> int:
     config = _load(args.config, args, seed="seed", mode="mode")
-    result = run_federated(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _output(out, lambda p: p.mkdir(parents=True, exist_ok=True))
+    result = run_federated(config)
     (out / "records.jsonl").write_text(records_jsonl(result.records))
     write_summary_csv(result.records, out / "summary.csv")
     with open(out / "partition.manifest", "w") as fh:
@@ -99,7 +108,7 @@ def _cmd_partition(args) -> int:
     plan = Setup(config).plan
     text = manifest_text(plan)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _output(args.out, lambda p: open(p, "w")) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -148,7 +157,7 @@ def _cmd_sweep(args) -> int:
             for point in product(*map(axis, SWEEP_AXES))]
     Setup(base_config).plan
 
-    with open(args.out, "w", newline="") as fh:
+    with _output(args.out, lambda p: open(p, "w", newline="")) as fh:
         writer = _csv.writer(fh)
         for i, cfg in enumerate(grid):
             summary = _summary(run_federated(cfg))

@@ -578,6 +578,15 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_pretraining(
+            self, out, config_path, tmp_path, no_pretraining, capsys):
+        (tmp_path / "afile").write_text("kept")
+        code = main(["run", str(config_path), "--out", str(tmp_path / out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: output ")
+        assert (tmp_path / "afile").read_text() == "kept"
+
 
 class TestPartitionCommand:
     def test_disjoint_manifest_reports_ks_one(self, tmp_path, capsys):
@@ -600,6 +609,12 @@ class TestPartitionCommand:
     def test_never_pretrains(self, config_path, tmp_path, no_pretraining):
         assert main(["partition", "--config", str(config_path), "--seed", "9",
                      "--out", str(tmp_path / "plan.manifest")]) == 0
+
+    def test_unopenable_out_exits_2(self, tmp_path, capsys):
+        code = main(["partition", "--scheme", "iid", "--classes", "4", "--clients", "2",
+                     "--out", str(tmp_path / "missing" / "plan.manifest")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: output ")
 
     def test_stdout_manifest(self, capsys):
         code = main(["partition", "--scheme", "iid", "--classes", "4",
@@ -759,3 +774,13 @@ class TestSweepCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_unopenable_out_exits_2_before_any_run(self, config_path, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("a grid point ran before the CSV was opened")
+
+        monkeypatch.setattr(rankfed.cli, "run_federated", no_run)
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(["sweep", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: output ")
