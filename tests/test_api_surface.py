@@ -4,7 +4,8 @@ that only tests (or an ``__all__`` re-export) reach is deleted, not kept
 beside the code that does the work. A name counts as called when it is
 used anywhere in ``src/`` outside its own definition, so a method that
 only forwards to a namesake (``self._gen.integers``) is not its own
-caller."""
+caller. A private module-level function or class that nothing in ``src/``
+uses outside its own definition is dead code and fails the same way."""
 
 import ast
 from collections import Counter
@@ -54,6 +55,15 @@ def _public_definitions(trees):
     return out
 
 
+def _private_definitions(trees):
+    """(module, name, node) of each private module-level function and class;
+    a dunder such as a module ``__getattr__`` is a protocol, not a helper."""
+    return [(module, node.name, node) for module, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
 def _bare(name):
     """A definition's name as a use spells it: a method's without its class."""
     return name.rpartition(".")[2]
@@ -72,11 +82,11 @@ def _uses(node):
     return used
 
 
-def _uncalled(trees):
-    """(module, name) of each public definition whose name is used in
+def _uncalled(trees, definitions=_public_definitions):
+    """(module, name) of each of ``definitions`` whose name is used in
     ``src/`` only inside that definition."""
     used = sum(map(_uses, trees.values()), Counter())
-    return [(module, name) for module, name, node in _public_definitions(trees)
+    return [(module, name) for module, name, node in definitions(trees)
             if used[_bare(name)] == _uses(node)[_bare(name)]]
 
 
@@ -84,6 +94,12 @@ def test_every_public_name_has_a_caller_in_src():
     uncalled = [f"{module}:{name}" for module, name in _uncalled(_trees())
                 if name not in ALLOWED_UNCALLED]
     assert not uncalled, f"public names nothing in src/ calls: {uncalled}"
+
+
+def test_every_private_definition_is_used_in_src():
+    unused = [f"{module}:{name}"
+              for module, name in _uncalled(_trees(), _private_definitions)]
+    assert not unused, f"private definitions nothing in src/ uses: {unused}"
 
 
 def test_allowlist_names_only_uncalled_definitions():
