@@ -69,8 +69,7 @@ def _load(path, args=None, **flags) -> RunConfig:
 
 
 def _output(path, make):
-    """``make(path)``, an output path that cannot be created or opened
-    raised as a ParameterError, so the command exits 2 before any work."""
+    """``make(path)``; an output path it cannot make is a ParameterError."""
     try:
         return make(path)
     except OSError as exc:
@@ -93,8 +92,7 @@ def _cmd_run(args) -> int:
     result = run_federated(config)
     (out / "records.jsonl").write_text(records_jsonl(result.records))
     write_summary_csv(result.records, out / "summary.csv")
-    with open(out / "partition.manifest", "w") as fh:
-        fh.write(manifest_text(result.plan))
+    (out / "partition.manifest").write_text(manifest_text(result.plan))
     if result.final_adapters is not None:
         save_adapters(out / "adapters_final.ckpt", result.final_adapters,
                       result.base_checksum)

@@ -214,18 +214,17 @@ def _backward(cache: _Cache, dz, fold):
     folds' results in layer order.
     """
     out = [None] * len(cache.weights)
-    counter = cache.counter
     for l in reversed(range(len(cache.weights))):
         w, item = cache.weights[l], cache.items[l]
-        dzB = _mm(dz, item[0], counter) if cache.kind == "factor" else None
+        dzB = _mm(dz, item[0], cache.counter) if cache.kind == "factor" else None
         out[l] = fold(l, dz, dzB)
         if l > 0:
             if cache.kind == "factor":
-                dh = _mm(dz, w, counter) + _mm(dzB, item[1], counter)
+                dh = _mm(dz, w, cache.counter) + _mm(dzB, item[1], cache.counter)
             elif cache.kind == "dense":
-                dh = _mm(dz, w + item, counter)
+                dh = _mm(dz, w + item, cache.counter)
             else:
-                dh = _mm(dz, w, counter)
+                dh = _mm(dz, w, cache.counter)
             dz = dh * (1.0 - cache.hs[l] ** 2)
     return out
 
@@ -419,10 +418,9 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
              if cl.method != "none" and anchor is not None and mu > 0]
     if cl.method == "lwf":
         student = _forward_cache(base.weights, base.biases, adapters, x, counter)
-        s_logits = student.hs[-1]
-        loss, dz = _task_loss(s_logits, y, task)
+        loss, dz = _task_loss(student.hs[-1], y, task)
         for teacher, mu in terms:
-            p, dz_p = lwf_penalty(forward(base, teacher, x)[0], s_logits, mu,
+            p, dz_p = lwf_penalty(forward(base, teacher, x)[0], student.hs[-1], mu,
                                   cl.lwf_temperature, task)
             loss = loss + p
             dz = dz + dz_p
