@@ -92,7 +92,8 @@ def _cmd_run(args) -> int:
     result = run_federated(config)
     (out / "records.jsonl").write_text(records_jsonl(result.records))
     write_summary_csv(result.records, out / "summary.csv")
-    (out / "partition.manifest").write_text(manifest_text(result.plan))
+    with open(out / "partition.manifest", "w") as fh:
+        fh.write(manifest_text(result.plan))
     if result.final_adapters is not None:
         save_adapters(out / "adapters_final.ckpt", result.final_adapters,
                       result.base_checksum)
