@@ -7,16 +7,20 @@ seed 0, so their ``records_sha256`` is the ``records sha256`` that
 
 For each config the fixture ``golden.json`` stores the sha256 of the run's
 ``records.jsonl`` text, the sha256 of the final global adapters' ``B`` and
-``A`` bytes in layer order (null when the mode has no adapters), and the
-instrumented multiply count (null unless ``count_ops`` is set).
+``A`` bytes in layer order (null when the mode has no adapters), the
+instrumented multiply count (null unless ``count_ops`` is set), and the
+sha256 of the run's decisions: the JSON list of every round's ``(round,
+rank, dropped, val_metric, test_metric)``. All are compared exactly.
 
 The hashes are pinned to the numpy/BLAS build the fixture was written on:
 another BLAS may sum in another order and change the last bits. A refactor
 that claims "same behaviour" must pass this test unchanged. Regenerating the
 fixture (``python tests/test_golden.py --write``) is a deliberate change of
 the numerics and is recorded in CHANGES.md with the reason; it prints
-each entry as ``unchanged``, ``moved`` or ``added`` against the fixture it
-replaces, so the record can name the entries that moved.
+each entry as ``unchanged``, ``moved (records only)``, ``moved (<keys>)`` or
+``added`` against the fixture it replaces, so the record can name the
+entries that moved. ``moved (records only)`` says that only the records and
+adapter bytes moved: no rank, drop or metric of any round did.
 """
 
 import hashlib
@@ -103,7 +107,22 @@ def fingerprint(name: str) -> dict:
         "adapters_sha256": adapters,
         "op_count": result.op_count,
         "rank_drops": sum(r.dropped for r in result.records),
+        "decisions_sha256": hashlib.sha256(json.dumps(
+            [[r.round, r.rank, r.dropped, r.val_metric, r.test_metric]
+             for r in result.records]).encode()).hexdigest(),
     }
+
+
+def _status(old, new) -> str:
+    """How an entry moved against the fixture it replaces."""
+    if old is None:
+        return "added"
+    moved = sorted(k for k in new if old.get(k) != new[k])
+    if not moved:
+        return "unchanged"
+    if set(moved) <= {"records_sha256", "adapters_sha256"}:
+        return "moved (records only)"
+    return f"moved ({', '.join(moved)})"
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -121,6 +140,6 @@ if __name__ == "__main__":
     old = json.loads(FIXTURE.read_text())
     new = {n: fingerprint(n) for n in sorted(CONFIGS)}
     for n, fp in new.items():
-        print(n, "added" if n not in old else "unchanged" if old[n] == fp else "moved")
+        print(n, _status(old.get(n), fp))
     FIXTURE.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}")
