@@ -7,8 +7,8 @@ plasticity regularizers, and returns the updated adapters. All randomness
 by round and epoch, so results are independent of scheduling.
 
 A ``ClientState`` holds only what is the client's own: its shard, its stream
-and its importance cache. The frozen base is an argument, and the regularizer
-and task are stated once for every client in ``LocalTrainConfig``.
+and its phase cache. The frozen base is an argument, and the regularizer and
+task are stated once for every client in ``LocalTrainConfig``.
 
 Clients with equal shard sizes train together: ``group_sgd`` stacks their
 shards along a leading client axis, draws each client's batch order and runs
@@ -17,6 +17,12 @@ whole group at once. ``local_train`` steps a client-stacked ``AdapterSet``;
 the full-weight FedAvg groups step client-stacked weights through the same
 path. Each client's slice is computed exactly as it would be alone, so a
 client's result does not depend on which group it trains in.
+
+An LwF teacher's logits depend on the rows only, not on the student, so they
+are formed once per shard and gathered per batch with the batch's own index:
+the stability teacher's once per (client, phase) into the phase cache
+(``refresh_importances``), the plasticity teacher's once per ``local_train``
+call, one client at a time.
 """
 
 from __future__ import annotations
@@ -28,20 +34,23 @@ import numpy as np
 from .errors import InputError, NumericError, ParameterError, require_finite
 from .lora import AdapterSet, DenseDelta
 from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
-                    estimate_fim, estimate_mas_importance, sgd_step,
+                    estimate_fim, estimate_mas_importance, forward, sgd_step,
                     total_local_loss)
 from .numerics import Rng
 
 
 @dataclass
 class ClientState:
-    """One client's shard, random stream, and cached importances."""
+    """One client's shard, random stream, and phase cache: the importances
+    (EWC/MAS) or the stability teacher's logits on the shard (LwF), filled
+    for the phase ``importance_phase`` by ``refresh_importances``."""
 
     client_id: int
     features: np.ndarray
     labels: np.ndarray
     rng: Rng
     importance: ImportanceEstimate | None = None
+    stability_logits: np.ndarray | None = None
     importance_phase: int | None = None
 
     def __post_init__(self):
@@ -73,24 +82,28 @@ class LocalTrainConfig:
 def refresh_importances(state: ClientState, base: FrozenBase,
                         anchor_configuration, phase: int,
                         config: LocalTrainConfig) -> None:
-    """Estimate and cache importance matrices once per (client, phase).
+    """Fill a client's phase cache once per (client, phase).
 
     ``anchor_configuration`` is the adapter configuration (AdapterSet or dense
-    per-layer update) the estimates are evaluated at; ``config`` names the
-    regularizer and the task. Repeat calls within the same phase keep the
-    cached values unchanged. Distillation needs no importance matrices, so
-    only the quadratic methods populate the cache.
+    per-layer update) the cache is formed at; ``config`` names the regularizer
+    and the task. EWC and MAS cache importance matrices estimated there. LwF
+    caches the stability teacher's logits on the whole shard, the forward of
+    ``anchor_configuration``, or None when there is no stability anchor
+    (phase 0) or its strength ``mu1`` is 0. Repeat calls within the same
+    phase keep the cache unchanged.
     """
     if state.importance_phase == phase:
         return
+    state.importance = state.stability_logits = None
     if config.cl.method == "ewc":
         state.importance = estimate_fim(base, anchor_configuration,
                                         state.features, state.labels, config.task)
     elif config.cl.method == "mas":
         state.importance = estimate_mas_importance(base, anchor_configuration,
                                                    state.features)
-    else:
-        state.importance = None
+    elif (config.cl.method == "lwf" and anchor_configuration is not None
+          and config.cl.mu1 > 0):
+        state.stability_logits = forward(base, anchor_configuration, state.features)[0]
     state.importance_phase = phase
 
 
@@ -102,22 +115,32 @@ def _stacked_importance(states) -> ImportanceEstimate | None:
     return ImportanceEstimate(tuple(np.stack(ms) for ms in per_layer))
 
 
-def sgd_epochs(step, x, y, batch_size: int, orders):
+def _stacked_stability_logits(states) -> np.ndarray:
+    """The group's cached stability-teacher logits, stacked along the client axis."""
+    for s in states:
+        if s.stability_logits is None:
+            raise InputError(f"client {s.client_id}: the LwF stability term needs the "
+                             f"teacher's logits that refresh_importances caches")
+    return np.stack([s.stability_logits for s in states])
+
+
+def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
     """Mini-batch SGD, one epoch per sample order in ``orders``.
 
-    ``step(epoch, xb, yb)`` takes one step on a mini-batch. With one model,
-    ``x`` is [n, d] and each order is [n]; with shards stacked along a
-    leading client axis, each order is [C, n]. Returns, per epoch, the list
-    of what ``step`` returned for each mini-batch, in order.
+    ``step(epoch, xb, yb, *rows_b)`` takes one step on a mini-batch. With one
+    model, ``x`` is [n, d] and each order is [n]; with shards stacked along a
+    leading client axis, each order is [C, n]. Each of ``rows`` is a further
+    per-row array laid out like ``x``, [n, ...] or [C, n, ...]; ``rows_b``
+    are their rows of the mini-batch. Returns, per epoch, the list of what
+    ``step`` returned for each mini-batch, in order.
 
-    The shards are flattened once, so that row ``c * n + i`` is row ``i`` of
+    The arrays are flattened once, so that row ``c * n + i`` is row ``i`` of
     client ``c``; each epoch's orders are offset into that flat index once,
     and each mini-batch is then one ``take`` per array.
     """
     n = x.shape[-2]
     clients = x.shape[0] if x.ndim == 3 else 1
-    x_flat = x.reshape(clients * n, x.shape[-1])
-    y_flat = y.reshape(clients * n, *y.shape[x.ndim - 1:])
+    flat = [a.reshape(clients * n, *a.shape[x.ndim - 1:]) for a in (x, y, *rows)]
     offsets = np.arange(0, clients * n, n)[:, np.newaxis] if x.ndim == 3 else 0
     results = []
     for epoch, order in enumerate(orders):
@@ -125,20 +148,21 @@ def sgd_epochs(step, x, y, batch_size: int, orders):
         steps = []
         for start in range(0, n, batch_size):
             idx = flat_order[..., start:start + batch_size]
-            steps.append(step(epoch, x_flat.take(idx, axis=0), y_flat.take(idx, axis=0)))
+            steps.append(step(epoch, *(a.take(idx, axis=0) for a in flat)))
         results.append(steps)
     return results
 
 
-def group_sgd(states, step, config: LocalTrainConfig):
+def group_sgd(states, step, config: LocalTrainConfig, *rows):
     """Run ``config.epochs`` epochs of ``step`` for a group of clients.
 
     ``states`` must have equal shard sizes. Their shards are stacked along a
     leading client axis, and each epoch every client draws its own batch
     order from its stream's (round, epoch) sub-stream; ``step`` trains the
-    whole group on one stacked mini-batch (see ``sgd_epochs``) and returns
-    its loss, one value per client. Returns each client's mean loss per
-    epoch, in the order of ``states``.
+    whole group on one stacked mini-batch (see ``sgd_epochs``, which also
+    gathers the batch's rows of each client-stacked array of ``rows``) and
+    returns its loss, one value per client. Returns each client's mean loss
+    per epoch, in the order of ``states``.
     """
     n = states[0].shard_size
     for s in states:
@@ -154,7 +178,7 @@ def group_sgd(states, step, config: LocalTrainConfig):
     # np.mean's own arithmetic, without its wrapper
     epoch_losses = [np.add.reduce(np.stack(losses, axis=-1), axis=-1) / len(losses)
                     for losses in sgd_epochs(step, features, labels,
-                                             config.batch_size, orders)]
+                                             config.batch_size, orders, *rows)]
     return [[float(e[i]) for e in epoch_losses] for i in range(len(states))]
 
 
@@ -166,23 +190,36 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
     ``states`` are clients with equal shard sizes; a single client is a group
     of one. Each step trains every client of the group on its own mini-batch
     as one stacked computation. The plasticity anchor is the incoming global
-    adapters, held fixed for the whole round: as they are for the LwF
-    teacher, in dense form for the EWC/MAS quadratic anchor. Returns
-    ``(adapters, epoch_losses)``: per client, in the order of ``states``, the
-    resulting AdapterSet and the mean total loss of each epoch.
+    adapters, held fixed for the whole round: in dense form for the EWC/MAS
+    quadratic anchor, and as the LwF teacher, whose logits on each client's
+    shard are formed here once, one client at a time. The LwF stability
+    teacher's logits come from each client's phase cache when
+    ``stability_anchor`` exists. Each step takes its batch's rows of the
+    teachers' logits. Returns ``(adapters, epoch_losses)``: per client, in
+    the order of ``states``, the resulting AdapterSet and the mean total loss
+    of each epoch.
     """
     ids = [s.client_id for s in states]
     importance = _stacked_importance(states)
     adapters = global_adapters.stacked(len(states))
-    plasticity_anchor = None
-    if config.cl.active:
-        plasticity_anchor = (global_adapters if config.cl.method == "lwf"
-                             else global_adapters.dense())
+    cl = config.cl
+    stability, plasticity, rows = stability_anchor, None, []
+    if cl.active and cl.method != "lwf":
+        plasticity = global_adapters.dense()
+    elif cl.active and config.epochs > 0:
+        stability = (_stacked_stability_logits(states)
+                     if stability_anchor is not None and cl.mu1 > 0 else None)
+        plasticity = (np.stack([forward(base, global_adapters, s.features)[0]
+                                for s in states]) if cl.mu2 > 0 else None)
+        rows = [t for t in (stability, plasticity) if t is not None]
 
-    def step(epoch, x, y):
+    def step(epoch, x, y, *batch_rows):
+        anchors = (stability, plasticity)
+        if batch_rows:  # the LwF teachers' logits for this batch
+            gathered = iter(batch_rows)
+            anchors = [None if a is None else next(gathered) for a in anchors]
         loss, grads = total_local_loss(
-            base, adapters, x, y, stability_anchor, plasticity_anchor,
-            importance, config.cl, config.task, counter,
+            base, adapters, x, y, *anchors, importance, cl, config.task, counter,
         )
         finite = np.isfinite(loss)
         if not finite.all():
@@ -193,5 +230,5 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
         sgd_step(adapters, grads, config.eta, ids)
         return loss
 
-    epoch_losses = group_sgd(states, step, config)
+    epoch_losses = group_sgd(states, step, config, *rows)
     return [adapters.client(i) for i in range(len(states))], epoch_losses

@@ -350,8 +350,12 @@ class _AdapterRounds:
 
     def train_group(self, cids, local: LocalTrainConfig, counter):
         states, server = [self.clients[cid] for cid in cids], self.server
-        if local.cl.active and local.cl.method in ("ewc", "mas"):
-            anchor = server.accumulated if server.accumulated is not None else server.adapters
+        if local.cl.active and local.epochs > 0:
+            # the quadratic methods take phase 0's importances at the incoming
+            # adapters; LwF has no stability teacher before the first drop
+            anchor = server.accumulated
+            if anchor is None and local.cl.method != "lwf":
+                anchor = server.adapters
             for state in states:
                 refresh_importances(state, self.base, anchor,
                                     server.schedule.phase, local)

@@ -10,7 +10,9 @@ differences in the test suite.
 The quadratic importance-weighted regularizers (EWC, MAS) anchor to the
 dense product ``B @ A``, so that anchors computed at one rank remain
 comparable after a rank change. A distillation (LwF) teacher only yields
-logits, so it may be a dense update or an AdapterSet of any rank.
+logits, so it may be a dense update or an AdapterSet of any rank; those
+logits depend on the rows only, so the LwF objective takes them as given
+(local training forms them once per shard) and runs the student alone.
 
 The training kernels are shape-agnostic: a batch is [n, d] for one client or
 [C, n, d] for a group of clients stacked along a leading axis (the adapter
@@ -399,19 +401,21 @@ def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def total_local_loss(base: FrozenBase, adapters, x, y,
-                     stability_anchor: DenseDelta | None,
-                     plasticity_anchor: DenseDelta | AdapterSet | None,
+                     stability_anchor: DenseDelta | np.ndarray | None,
+                     plasticity_anchor: DenseDelta | np.ndarray | None,
                      importance: ImportanceEstimate | None,
                      cl: CLConfig, task: str = "multiclass", counter=None):
     """Supervised loss plus stability and plasticity regularizers.
 
     An absent stability anchor (first phase) contributes nothing; zero
     strengths short-circuit so the disabled path is bit-identical to the
-    supervised loss alone. LwF adds each active distillation term's logit
-    gradient to the supervised one, stability then plasticity, and walks
-    the sum back once; its anchors are teachers, dense or AdapterSet, whose
-    uncounted forwards give the target logits. EWC and MAS add their penalty
-    gradients into the supervised ones in place.
+    supervised loss alone. For LwF the anchors are the teachers' logits on
+    this batch's rows, formed by the caller (local training forms them once
+    per shard and gathers each batch's), so the step runs no forward but the
+    student's; it adds each active distillation term's logit gradient to the
+    supervised one, stability then plasticity, and walks the sum back once.
+    EWC and MAS add their penalty gradients into the supervised ones in
+    place.
     """
     terms = [(anchor, mu) for anchor, mu in ((stability_anchor, cl.mu1),
                                              (plasticity_anchor, cl.mu2))
@@ -419,8 +423,8 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     if cl.method == "lwf":
         student = _forward_cache(base.weights, base.biases, adapters, x, counter)
         loss, dz = _task_loss(student.hs[-1], y, task)
-        for teacher, mu in terms:
-            p, dz_p = lwf_penalty(forward(base, teacher, x)[0], student.hs[-1], mu,
+        for t_logits, mu in terms:
+            p, dz_p = lwf_penalty(t_logits, student.hs[-1], mu,
                                   cl.lwf_temperature, task)
             loss = loss + p
             dz = dz + dz_p

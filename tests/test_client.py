@@ -1,14 +1,19 @@
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rankfed.client
+import rankfed.harness
 from rankfed.client import (ClientState, LocalTrainConfig, local_train,
-                            refresh_importances)
+                            refresh_importances, sgd_epochs)
+from rankfed.config import RunConfig
 from rankfed.errors import InputError
-from rankfed.lora import init_adapter_set
-from rankfed.model import CLConfig, estimate_fim, random_base
+from rankfed.harness import run_federated
+from rankfed.lora import AdapterSet, init_adapter_set
+from rankfed.model import CLConfig, estimate_fim, forward, random_base
 from rankfed.numerics import Rng
 
 
@@ -145,6 +150,28 @@ class TestRefreshImportances:
         assert state.importance is None
         assert state.importance_phase == 1
 
+    def test_lwf_caches_the_stability_teachers_logits(self):
+        state, base, adapters = make_client()
+        lwf = LocalTrainConfig(1, 0.1, 8, cl=CLConfig("lwf", 0.1, 0.1))
+        refresh_importances(state, base, None, 1, lwf)  # no anchor yet
+        assert state.stability_logits is None
+        anchor = [np.asarray(d) + 0.3 for d in adapters.dense()]
+        refresh_importances(state, base, anchor, 2, lwf)
+        expected = forward(base, anchor, state.features)[0]
+        assert state.stability_logits.tobytes() == expected.tobytes()
+        refresh_importances(state, base, adapters, 2, lwf)  # same phase: kept
+        assert state.stability_logits.tobytes() == expected.tobytes()
+        refresh_importances(state, base, anchor, 3,
+                            replace(lwf, cl=CLConfig("lwf", 0.0, 0.1)))
+        assert state.stability_logits is None and state.importance_phase == 3
+
+    def test_lwf_stability_term_needs_the_cache(self):
+        state, base, adapters = make_client()
+        anchor = [np.asarray(d) + 0.3 for d in adapters.dense()]
+        cfg = LocalTrainConfig(1, 0.1, 8, cl=CLConfig("lwf", 0.1, 0.1))
+        with pytest.raises(InputError, match="client 0: the LwF stability term"):
+            train_alone(state, base, adapters, anchor, cfg)
+
     def test_single_sample_shard_matches_fim(self):
         state, base, adapters = make_client(n=1)
         refresh_importances(state, base, adapters, 1, ewc_settings())
@@ -160,3 +187,114 @@ class TestClientState:
             ClientState(client_id=0,
                         features=np.zeros((0, 4)), labels=np.zeros(0, dtype=int),
                         rng=root)
+
+
+class TestSgdEpochs:
+    @pytest.mark.parametrize("clients", [None, 3])
+    def test_extra_rows_are_gathered_with_the_batch_index(self, clients):
+        # n = 11 with batches of 4: the last batch is short
+        n, batch_size, lead = 11, 4, () if clients is None else (clients,)
+        root = Rng(2)
+        c = clients or 1
+        x = root.substream("x").normal(c * n, 5).reshape(*lead, n, 5)
+        y = np.arange(c * n).reshape(*lead, n)
+        rows = root.substream("rows").normal(c * n, 3).reshape(*lead, n, 3)
+        perms = [[root.substream("order", e, i).permutation(n) for i in range(c)]
+                 for e in range(2)]
+        orders = [np.stack(p) if clients else p[0] for p in perms]
+        seen = []
+        sgd_epochs(lambda epoch, *batch: seen.append((epoch, batch)),
+                   x, y, batch_size, orders, rows)
+        starts = range(0, n, batch_size)
+        assert [e for e, _ in seen] == [e for e in range(2) for _ in starts]
+        for (epoch, (xb, yb, rb)), start in zip(seen, [*starts] * 2):
+            for i in range(c):
+                idx = perms[epoch][i][start:start + batch_size]
+                at = (i,) if clients else ()
+                assert xb[at].tobytes() == x[at][idx].tobytes()
+                assert yb[at].tobytes() == y[at][idx].tobytes()
+                assert rb[at].tobytes() == rows[at][idx].tobytes()
+
+
+# A short LwF run with one rank drop, at round 6 of 8, and half of four
+# clients in each round.
+LWF_RUN = dict(rounds=8, cooldown=2, pretrain_epochs=5, classes=4, dim=8,
+               n_per_class=30, num_clients=4, participation=0.5, scheme="iid",
+               r_init=6, r_min=2, subtractor=2, hidden=(12,), seed=3,
+               cl_method="lwf", mu1=0.3, mu2=0.2)
+
+
+def teacher_forwards(monkeypatch, **overrides):
+    """Run ``LWF_RUN`` with ``overrides``, counting the LwF teachers' forwards.
+
+    Returns the run's records, the (round, client) pairs that trained, and
+    per teacher a Counter of the clients whose shard it ran on, None for a
+    run on anything but a whole shard. The stability teacher is the dense
+    accumulated update, the plasticity teacher the global AdapterSet."""
+    calls, trained, shards = [], [], {}
+    teacher_forward, train = rankfed.client.forward, rankfed.harness.local_train
+
+    def counted_forward(base, adapters, x):
+        calls.append(("plasticity" if isinstance(adapters, AdapterSet)
+                      else "stability", x))
+        return teacher_forward(base, adapters, x)
+
+    def logged_train(states, *args):
+        trained.extend((args[3].round_index, s.client_id) for s in states)
+        shards.update((id(s.features), s.client_id) for s in states)
+        return train(states, *args)
+
+    monkeypatch.setattr(rankfed.client, "forward", counted_forward)
+    monkeypatch.setattr(rankfed.harness, "local_train", logged_train)
+    result = run_federated(RunConfig(**{**LWF_RUN, **overrides}).validate())
+    counts = {kind: Counter(shards.get(id(x)) for k, x in calls if k == kind)
+              for kind in ("stability", "plasticity")}
+    return result.records, trained, counts
+
+
+class TestTeacherForwards:
+    def test_each_teacher_runs_once_per_shard(self, monkeypatch):
+        records, trained, counts = teacher_forwards(monkeypatch)
+        assert sum(r.dropped for r in records) == 1
+        # the stability teacher: once per client and phase after the first
+        phases = {r.round: r.phase for r in records}
+        in_later_phases = [(t, cid) for t, cid in trained if phases[t] > 1]
+        later = Counter(cid for cid, _ in
+                        {(cid, phases[t]) for t, cid in in_later_phases})
+        assert counts["stability"] == later
+        # some client trained in more than one round of its phase
+        assert len(in_later_phases) > sum(later.values())
+        # the plasticity teacher: once per client and round
+        assert counts["plasticity"] == Counter(cid for _, cid in trained)
+
+    @pytest.mark.parametrize("overrides, ran", [
+        (dict(mu1=0.0), {"plasticity"}),
+        (dict(mu2=0.0), {"stability"}),
+        (dict(local_epochs=0), set()),
+    ])
+    def test_a_teacher_that_is_not_read_does_not_run(self, monkeypatch, overrides, ran):
+        records, _, counts = teacher_forwards(monkeypatch, **overrides)
+        assert any(r.phase > 1 for r in records)  # a stability anchor existed
+        assert {kind for kind, c in counts.items() if c} == ran
+
+    def test_the_cache_follows_the_accumulated_update(self, monkeypatch):
+        # drops at rounds 3 and 8: the cache is refilled at each
+        checked = Counter()
+        train = rankfed.harness.local_train
+
+        def checking_train(states, base, global_adapters, stability_anchor, *args):
+            for s in states:
+                if stability_anchor is None:
+                    assert s.stability_logits is None
+                else:
+                    expected = forward(base, stability_anchor, s.features)[0]
+                    assert s.stability_logits.tobytes() == expected.tobytes()
+                    checked[s.importance_phase] += 1
+            return train(states, base, global_adapters, stability_anchor, *args)
+
+        monkeypatch.setattr(rankfed.harness, "local_train", checking_train)
+        result = run_federated(RunConfig(**{**LWF_RUN, "num_clients": 3,
+                                            "participation": 1.0, "rounds": 9,
+                                            "scheme": "disjoint"}).validate())
+        assert sum(r.dropped for r in result.records) == 2
+        assert set(checked) == {2, 3}

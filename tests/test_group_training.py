@@ -18,7 +18,8 @@ from rankfed.config import RunConfig
 from rankfed.errors import InputError, NumericError
 from rankfed.harness import Setup, _full_model_step, _FullModelRounds
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
-from rankfed.model import CLConfig, OpCounter, random_base, sgd_step, total_local_loss
+from rankfed.model import (CLConfig, OpCounter, forward, random_base, sgd_step,
+                           total_local_loss)
 from rankfed.numerics import Rng
 
 DIMS = (6, 10, 9, 4)
@@ -59,11 +60,16 @@ def train(states, base, cfg, adapters, anchor):
 
 
 def train_reference(state, base, cfg, adapters, anchor):
-    """One client on 2-D arrays, stepping a fresh AdapterSet each batch."""
+    """One client on 2-D arrays, stepping a fresh AdapterSet each batch. Each
+    LwF teacher's logits are formed on the whole shard once and indexed per
+    batch."""
     counter = OpCounter()
     plasticity = None
     if cfg.cl.active:
         plasticity = adapters if cfg.cl.method == "lwf" else adapters.dense()
+    if cfg.cl.method == "lwf":
+        anchor, plasticity = (forward(base, teacher, state.features)[0]
+                              for teacher in (anchor, plasticity))
     current = adapters
     losses = []
     for epoch in range(CFG.epochs):
@@ -72,9 +78,11 @@ def train_reference(state, base, cfg, adapters, anchor):
         batch = []
         for start in range(0, state.shard_size, CFG.batch_size):
             idx = order[start:start + CFG.batch_size]
+            anchors = ((anchor[idx], plasticity[idx]) if cfg.cl.method == "lwf"
+                       else (anchor, plasticity))
             loss, grads = total_local_loss(
                 base, current, state.features[idx], state.labels[idx],
-                anchor, plasticity, state.importance, cfg.cl, cfg.task, counter)
+                *anchors, state.importance, cfg.cl, cfg.task, counter)
             current = AdapterSet(tuple(
                 LoRAAdapter(a.B - CFG.eta * gB, a.A - CFG.eta * gA)
                 for a, (gB, gA) in zip(current, grads)), current.nominal_rank)

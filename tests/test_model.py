@@ -340,7 +340,8 @@ class TestTotalLocalLoss:
             LoRAAdapter(a.B + rng.substream("pla", i).normal(*a.B.shape, 0.1), a.A)
             for i, a in enumerate(adapters)), adapters.nominal_rank)
         cl = CLConfig("lwf", 0.4, 0.2, lwf_temperature=1.5)
-        tot, tot_g = total_local_loss(base, adapters, x, y, sta, pla, None, cl)
+        tot, tot_g = total_local_loss(base, adapters, x, y, forward(base, sta, x)[0],
+                                      forward(base, pla, x)[0], None, cl)
         sup, g0 = supervised_loss_and_grads(base, adapters, x, y)
         p1, g1 = lwf_penalty_and_grads(base, adapters, sta, x, 0.4, temperature=1.5)
         p2, g2 = lwf_penalty_and_grads(base, adapters, pla, x, 0.2, temperature=1.5)
@@ -361,8 +362,9 @@ class TestTotalLocalLoss:
             calls.append(1)
             return backward(*args, **kwargs)
 
+        teachers = (forward(base, sta, x)[0], forward(base, pla, x)[0])
         monkeypatch.setattr(model, "_backward", counted)
-        total_local_loss(base, adapters, x, y, sta, pla, None, CLConfig("lwf", 0.4, 0.2))
+        total_local_loss(base, adapters, x, y, *teachers, None, CLConfig("lwf", 0.4, 0.2))
         assert len(calls) == 1
 
     def test_absent_stability_anchor_skips_term(self, rng):
@@ -379,6 +381,8 @@ class TestTotalLocalLoss:
         base, adapters, x, y = make_model(rng)
         sta, pla, imp = self._anchors(rng, adapters)
         cl = CLConfig(method, 0.3, 0.15)
+        if method == "lwf":  # the teachers' logits, not the teachers
+            sta, pla = forward(base, sta, x)[0], forward(base, pla, x)[0]
         _, grads = total_local_loss(base, adapters, x, y, sta, pla, imp, cl)
         fd = fd_factor_grads(
             lambda a: total_local_loss(base, a, x, y, sta, pla, imp, cl)[0],
@@ -505,6 +509,7 @@ class TestOpCounter:
         base, adapters, x, y = make_model(rng)
         sta = [d + 0.1 for d in adapters.dense()]
         counter = OpCounter()
-        total_local_loss(base, adapters, x, y, sta, adapters, None,
+        total_local_loss(base, adapters, x, y, forward(base, sta, x)[0],
+                         forward(base, adapters, x)[0], None,
                          CLConfig("lwf", 0.4, 0.2), counter=counter)
         assert counter.multiplies == 792 + 906
