@@ -89,8 +89,8 @@ def refresh_importances(state: ClientState, base: FrozenBase,
     and the task. EWC and MAS cache importance matrices estimated there. LwF
     caches the stability teacher's logits on the whole shard, the forward of
     ``anchor_configuration``, or None when there is no stability anchor
-    (phase 0) or its strength ``mu1`` is 0. Repeat calls within the same
-    phase keep the cache unchanged.
+    (the first phase) or its strength ``mu1`` is 0. Repeat calls within the
+    same phase keep the cache unchanged.
     """
     if state.importance_phase == phase:
         return

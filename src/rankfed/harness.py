@@ -351,8 +351,8 @@ class _AdapterRounds:
     def train_group(self, cids, local: LocalTrainConfig, counter):
         states, server = [self.clients[cid] for cid in cids], self.server
         if local.cl.active and local.epochs > 0:
-            # the quadratic methods take phase 0's importances at the incoming
-            # adapters; LwF has no stability teacher before the first drop
+            # the quadratic methods take the first phase's importances at the
+            # incoming adapters; LwF has no stability teacher before a drop
             anchor = server.accumulated
             if anchor is None and local.cl.method != "lwf":
                 anchor = server.adapters
