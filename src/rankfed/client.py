@@ -43,7 +43,10 @@ from .numerics import Rng
 class ClientState:
     """One client's shard, random stream, and phase cache: the importances
     (EWC/MAS) or the stability teacher's logits on the shard (LwF), filled
-    for the phase ``importance_phase`` by ``refresh_importances``."""
+    for the phase ``importance_phase`` by ``refresh_importances``.
+    ``labels`` are the shard's training targets in the loss's form, shaped
+    like the logits: one-hot rows (multiclass) or 0/1 float columns
+    (multilabel)."""
 
     client_id: int
     features: np.ndarray

@@ -321,9 +321,20 @@ def load_csv(path, label_column: str = "label"):
 
 
 def dataset_from_arrays(x: np.ndarray, y: np.ndarray, rng: Rng) -> Dataset:
-    """Stratified 70/15/15 dataset from raw multiclass arrays."""
+    """Stratified 70/15/15 dataset from raw multiclass arrays: features
+    [n, d] and one label per row, each a non-negative integer value. Any
+    other input raises ``InputError`` before a row is dealt, as a negative
+    label would never be dealt, a fractional one would be truncated and rows
+    beyond the labels would be dropped."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y) or len(y) == 0:
+        raise InputError(f"need features [n, d] and labels [n] with n >= 1, "
+                         f"got shapes {x.shape} and {y.shape}")
+    if y.dtype.kind not in "iuf" or not np.all(np.isfinite(y) & (y >= 0)
+                                               & (y == np.floor(y))):
+        raise InputError("labels must be non-negative integer values")
+    y = y.astype(np.int64)
     num_classes = int(y.max()) + 1
     parts = {"train": ([], []), "val": ([], []), "test": ([], [])}
     for c in range(num_classes):

@@ -139,11 +139,17 @@ def build_pretrain_dataset(config: RunConfig, dataset: Dataset, rng: Rng) -> Dat
 
 
 def _training_targets(dataset: Dataset) -> np.ndarray:
-    """The train split's labels as the loss consumes them: multilabel 0/1
-    targets as float64, multiclass class indices as they are."""
+    """The train split's labels in the form the loss consumes them, float64
+    rows shaped like the logits: multilabel 0/1 targets as they are,
+    multiclass labels as one-hot rows [n, num_classes]. The multiclass label
+    range is checked here, once, and by no training step."""
     if dataset.task == "multilabel":
         return dataset.train_y.astype(np.float64)
-    return dataset.train_y
+    y, c = dataset.train_y, dataset.num_classes
+    # np.eye(c)[-1] would pick the last class: the range comes first
+    if y.size and (y.min() < 0 or y.max() >= c):
+        raise InputError(f"labels must lie in [0, {c})")
+    return np.eye(c)[y]
 
 
 def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
@@ -151,8 +157,8 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
                   hidden=(32,)) -> FrozenBase:
     """Train all base weights on the given dataset, then freeze them.
 
-    With epochs=0 the base is the frozen random initialization. Multilabel
-    targets are cast to float64 once here rather than by the loss every step.
+    With epochs=0 the base is the frozen random initialization. The targets
+    are formed once here, in the loss's form, rather than by every step.
     Each step computes the gradients only: nothing reads a pretraining loss.
     """
     n = len(dataset.train_x)
@@ -173,9 +179,10 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
 
 class Setup:
     """A run's dataset, partition plan and frozen base, each drawn from its
-    own labeled stream of the config's seed. The plan and the base are built
-    on first use: scoring a checkpoint needs no partition, and printing a
-    partition needs no pretraining."""
+    own labeled stream of the config's seed, and the training targets. The
+    plan and the base are built on first use: scoring a checkpoint needs no
+    partition, and printing a partition needs no pretraining. The targets are
+    formed at once, so labels out of range fail before any work."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -183,6 +190,7 @@ class Setup:
         self.dataset = build_dataset(config, self.root.substream("data"))
         # validate() cannot check a CSV's network before the file is read
         config.check_rank_cap(self.dataset.dim, self.dataset.num_classes)
+        self.targets = _training_targets(self.dataset)
         # every round scores the validation split; the LoRA modes' CKA probe
         # draws its rows from it and needs two
         rows = len(self.dataset.val_x)
@@ -307,14 +315,13 @@ def _participants(num_clients: int, count: int, rng: Rng, round_index: int):
 
 
 def _clients(setup: Setup, cl: CLConfig = CLConfig()):
-    """Every client's record (its shard of the training split, with
-    multilabel targets as float64, and its stream) and the local-training
-    settings the clients share; the round loop fills in each round's index
-    and learning rate."""
+    """Every client's record (its shard of the training split, with the
+    run's training targets, and its stream) and the local-training settings
+    the clients share; the round loop fills in each round's index and
+    learning rate."""
     config, dataset = setup.config, setup.dataset
-    targets = _training_targets(dataset)
     clients = [ClientState(client_id=cid, features=dataset.train_x[idx],
-                           labels=targets[idx],
+                           labels=setup.targets[idx],
                            rng=setup.root.substream("client", cid))
                for cid, idx in enumerate(setup.plan.client_indices)]
     return clients, LocalTrainConfig(config.local_epochs, config.eta,

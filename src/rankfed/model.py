@@ -241,7 +241,10 @@ def _factor_grads(cache: _Cache, dz):
 
 
 def _task_loss(logits, y, task: str):
-    """Mean supervised loss (one per client when stacked) and its logit gradient."""
+    """Mean supervised loss (one per client when stacked) and its logit
+    gradient. ``y`` holds targets shaped like the logits: one-hot rows
+    (multiclass) or 0/1 label columns (multilabel), as
+    ``harness._training_targets`` forms them."""
     if task == "multiclass":
         return softmax_cross_entropy(logits, y)
     if task == "multilabel":
@@ -252,8 +255,8 @@ def _task_loss(logits, y, task: str):
 
 def _logit_error(logits, y, task: str):
     """Each sample's error at the logits under the task's loss, unscaled:
-    softmax minus one-hot (multiclass) or sigmoid minus target (multilabel).
-    Labels and targets are checked against the logits."""
+    ``softmax(z) - y`` (multiclass) or ``sigmoid(z) - y`` (multilabel). The
+    targets ``y`` must be shaped like the logits."""
     if task == "multiclass":
         return softmax_error(logits, y)
     if task == "multilabel":
@@ -329,7 +332,8 @@ def _importance(base: FrozenBase, adapters_at_anchor, x, logit_error,
 def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
                  task: str = "multiclass") -> ImportanceEstimate:
     """Diagonal Fisher proxy: mean squared per-sample dense-update gradient.
-    ``y`` is checked against the logits as the task's loss checks it."""
+    ``y`` holds the task's targets, shaped like the logits, as the loss
+    takes them."""
     return _importance(base, adapters_at_anchor, x,
                        lambda logits: _logit_error(logits, y, task),
                        lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2))

@@ -102,52 +102,47 @@ def softmax(logits: Matrix) -> Matrix:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_terms(logits: Matrix, labels: np.ndarray):
+def _softmax_terms(logits: Matrix, targets: Matrix):
     """The checks and shared terms of the cross-entropy of every row.
 
-    Returns ``(error, shifted, z, pick)``: the logit error
-    ``softmax(logits) - onehot(labels)`` of each row, unscaled, the
-    max-shifted logits, their row sums of exp [..., 1], and the flat
-    (row, label) positions of the labels.
+    Returns ``(error, shifted, z)``: the logit error ``softmax(logits) -
+    targets`` of each row, unscaled, the max-shifted logits and their row sums
+    of exp [..., 1]. ``targets`` are one-hot rows shaped like ``logits``; the
+    label range is checked where they are formed, not here.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     if logits.ndim not in (2, 3):
         raise ShapeError(f"logits must be 2-D or client-stacked 3-D, got {logits.shape}")
-    n, c = logits.shape[-2:]
-    if labels.shape != logits.shape[:-1]:
-        raise ShapeError(f"labels must have shape {logits.shape[:-1]}, got {labels.shape}")
-    if n == 0:
+    if np.shape(targets) != logits.shape:
+        raise ShapeError(f"targets shape {np.shape(targets)} != logits shape {logits.shape}")
+    if logits.shape[-2] == 0:
         raise InputError("empty batch")
-    if labels.min() < 0 or labels.max() >= c:
-        raise InputError(f"labels must lie in [0, {c})")
-    # Flat (row, label) positions address the picked logit of every row of
-    # every client at once.
-    pick = (np.arange(labels.size), labels.ravel())
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
-    error = e / z  # the softmax of ``logits``
-    error.reshape(-1, c)[pick] -= 1.0
-    return error, shifted, z, pick
+    # x - 0.0 is x, so a one-hot row changes the softmax at its label only
+    return e / z - targets, shifted, z
 
 
-def softmax_error(logits: Matrix, labels: np.ndarray) -> Matrix:
-    """``softmax(logits) - onehot(labels)`` row by row: each sample's logit
-    error of its cross-entropy, unscaled. Checks the labels as
-    ``softmax_cross_entropy`` does."""
-    return _softmax_terms(logits, labels)[0]
+def softmax_error(logits: Matrix, targets: Matrix) -> Matrix:
+    """``softmax(logits) - targets`` row by row: each sample's logit error of
+    its cross-entropy, unscaled. ``targets`` are one-hot rows shaped like
+    ``logits``, checked as ``softmax_cross_entropy`` checks them."""
+    return _softmax_terms(logits, targets)[0]
 
 
-def softmax_cross_entropy(logits: Matrix, labels: np.ndarray):
+def softmax_cross_entropy(logits: Matrix, targets: Matrix):
     """Mean cross-entropy over the batch and its exact logit gradient.
 
-    Returns ``(loss, grad)`` where ``grad[i] = (softmax(logits)[i] - onehot[i]) / batch``.
-    Client-stacked logits [C, n, c] with labels [C, n] give one loss per client.
+    ``targets`` are one-hot rows shaped like ``logits``. Returns ``(loss,
+    grad)`` where ``grad[i] = (softmax(logits)[i] - targets[i]) / batch``.
+    Client-stacked logits and targets [C, n, c] give one loss per client.
     """
-    grad, shifted, z, pick = _softmax_terms(logits, labels)
-    n, c = grad.shape[-2:]
-    picked = shifted.reshape(-1, c)[pick].reshape(grad.shape[:-1])
+    grad, shifted, z = _softmax_terms(logits, targets)
+    n = grad.shape[-2]
+    # the picked logit is each row's one nonzero product; adding the zeros
+    # of the other classes to it is exact
+    picked = np.add.reduce(targets * shifted, axis=-1)
     # np.mean's own arithmetic, without its wrapper: this runs every step
     loss = np.add.reduce(np.log(z[..., 0]) - picked, axis=-1) / n
     grad /= n

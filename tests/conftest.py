@@ -1,5 +1,5 @@
-"""Shared test helpers: random model construction, finite-difference oracles
-and a linear probe."""
+"""Shared test helpers: random model construction, one-hot training targets,
+finite-difference oracles and a linear probe."""
 
 import numpy as np
 import pytest
@@ -16,8 +16,15 @@ def rng():
     return Rng(12345)
 
 
+def one_hot(labels, classes: int) -> np.ndarray:
+    """Integer class labels as the float64 one-hot rows the multiclass loss
+    takes, one row per label ([..., classes] for labels [...])."""
+    return np.eye(classes)[np.asarray(labels)]
+
+
 def make_model(rng, dims=(5, 7, 4), rank=3, batch=6, sigma=0.05, warm=True):
-    """Small base + adapter set + batch; warm adapters have nonzero B."""
+    """Small base + adapter set + batch with one-hot targets; warm adapters
+    have nonzero B."""
     base = random_base(list(dims), rng.substream("base"))
     adapters = init_adapter_set(base.layer_shapes(), rank, sigma,
                                 rng.substream("adapters"))
@@ -31,7 +38,7 @@ def make_model(rng, dims=(5, 7, 4), rank=3, batch=6, sigma=0.05, warm=True):
         adapters = AdapterSet(tuple(warmed), adapters.nominal_rank)
     x = rng.substream("x").normal(batch, dims[0])
     y = rng.substream("y").integers(0, dims[-1], batch)
-    return base, adapters, x, np.asarray(y)
+    return base, adapters, x, one_hot(y, dims[-1])
 
 
 def perturbed(adapters, layer, which, idx, eps):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import fd_factor_grads, lwf_penalty_and_grads, max_rel_err
+from conftest import fd_factor_grads, lwf_penalty_and_grads, max_rel_err, one_hot
 
 import rankfed
 from rankfed.config import RunConfig
@@ -84,7 +84,7 @@ def test_criterion_01_gradient_correctness():
         n_params = sum(a.B.size + a.A.size for a in adapters)
         assert n_params <= 500
         x = s.substream("x").normal(5, d)
-        y = np.asarray(s.substream("y").integers(0, c, 5))
+        y = one_hot(s.substream("y").integers(0, c, 5), c)
         dense = adapters.dense()
         sta = [m + s.substream("sta", j).normal(*m.shape, 0.1)
                for j, m in enumerate(dense)]

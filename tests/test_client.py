@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import one_hot
 
 import rankfed.client
 import rankfed.harness
@@ -22,7 +23,7 @@ def make_client(seed=0, n=40, dims=(6, 10, 4), warm=0.0):
     root = Rng(seed)
     base = random_base(list(dims), root.substream("base"))
     x = root.substream("x").normal(n, dims[0])
-    y = np.asarray(root.substream("y").integers(0, dims[-1], n))
+    y = one_hot(root.substream("y").integers(0, dims[-1], n), dims[-1])
     state = ClientState(client_id=0, features=x, labels=y,
                         rng=root.substream("client", 0))
     adapters = init_adapter_set(base.layer_shapes(), 3, 0.02,

@@ -268,3 +268,26 @@ class TestCsvLoader:
             assert set(ys.tolist()) == {0, 1, 2}
         total = len(ds.train_y) + len(ds.val_y) + len(ds.test_y)
         assert total == 90
+
+    @pytest.mark.parametrize("case", ["negative", "fractional", "extra rows",
+                                      "2-D labels", "non-finite", "empty"])
+    def test_dataset_from_arrays_rejects_rows_it_would_lose(self, case):
+        # each case used to split silently: the -1 rows were never dealt,
+        # 0.5 became class 0, the 20 rows past the labels were dropped
+        rng = Rng(3)
+        x = rng.substream("x").normal(60, 4)
+        y = np.repeat(np.arange(3), 20)
+        if case == "negative":
+            y = y - 1
+        elif case == "fractional":
+            y = np.where(y == 1, 0.5, y)
+        elif case == "extra rows":
+            x = rng.substream("x").normal(80, 4)
+        elif case == "2-D labels":
+            y = y[:, np.newaxis]
+        elif case == "non-finite":
+            y = np.where(y == 1, np.inf, y)
+        else:
+            x, y = x[:0], y[:0]
+        with pytest.raises(InputError):
+            dataset_from_arrays(x, y, rng.substream("split"))

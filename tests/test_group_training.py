@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import one_hot
 
 from rankfed.client import (ClientState, LocalTrainConfig, local_train,
                             refresh_importances, sgd_epochs)
@@ -37,7 +38,7 @@ def make_group(cl, task="multiclass", clients=3, n=20, seed=0):
         s = root.substream("client-data", cid)
         x = s.substream("x").normal(n, DIMS[0])
         if task == "multiclass":
-            y = np.asarray(s.substream("y").integers(0, DIMS[-1], n))
+            y = one_hot(s.substream("y").integers(0, DIMS[-1], n), DIMS[-1])
         else:
             y = np.asarray(s.substream("y").integers(0, 2, (n, DIMS[-1])))
         states.append(ClientState(client_id=cid, features=x, labels=y,
@@ -158,10 +159,13 @@ def check_full_weight_group(data):
     for cid in range(3):
         (solo,), (solo_losses,) = mode.train_group([cid], local, OpCounter())
         # the reference: the same client's model trained on 2-D arrays, with
-        # the dataset's own labels (int 0/1 targets for multilabel)
+        # the dataset's own labels, as one-hot rows for multiclass (int 0/1
+        # targets for multilabel)
         client = mode.clients[cid]
         x = client.features
         y = setup.dataset.train_y[setup.plan.client_indices[cid]]
+        if setup.dataset.task == "multiclass":
+            y = one_hot(y, setup.dataset.num_classes)
         w = [m.copy() for m in mode.model.weights]
         b = [v.copy() for v in mode.model.biases]
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")

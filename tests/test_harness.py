@@ -1,12 +1,13 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import linear_probe_accuracy
+from conftest import linear_probe_accuracy, one_hot
 
 from rankfed import harness
 from rankfed.config import RunConfig
@@ -37,7 +38,7 @@ class TestPretrainBase:
         # steps through full_loss_and_grads and discards its loss
         if task == "multiclass":
             ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
-            targets = ds.train_y
+            targets = one_hot(ds.train_y, ds.num_classes)
         else:
             ds = generate_multilabel(150, 8, 5, Rng(0).substream("d"))
             targets = ds.train_y.astype(np.float64)
@@ -59,6 +60,24 @@ class TestPretrainBase:
                     w -= eta * gw
                     b -= eta * gb
         assert base.checksum() == FrozenBase(tuple(weights), tuple(biases)).checksum()
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_train_label_out_of_range_fails_before_pretraining(self, monkeypatch, bad):
+        # np.eye(4)[-1] would be class 3's row, and at the kernel a one-hot
+        # row cannot be out of range: the run checks its labels once, where
+        # it forms the targets, before any pretraining step
+        good = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
+        train_y = good.train_y.copy()
+        train_y[5] = bad
+        monkeypatch.setattr(harness, "build_dataset",
+                            lambda config, rng: replace(good, train_y=train_y))
+
+        def pretrain_stub(*args, **kwargs):
+            raise AssertionError("pretraining began before the labels were checked")
+
+        monkeypatch.setattr(harness, "pretrain_base", pretrain_stub)
+        with pytest.raises(InputError, match=r"labels must lie in \[0, 4\)"):
+            run_federated(RunConfig(mode="spd-cfl", **TINY))
 
     def test_frozen_after_construction(self):
         ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))

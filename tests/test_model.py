@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import fd_factor_grads, lwf_penalty_and_grads, make_model, max_rel_err
+from conftest import (fd_factor_grads, lwf_penalty_and_grads, make_model, max_rel_err,
+                      one_hot)
 
 from rankfed import model
 from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
@@ -141,7 +142,7 @@ class TestQuadraticPenalties:
     def test_mas_equals_ewc_given_same_importance(self, rng):
         base, adapters, anchor, imp = self._setup(rng)
         x = rng.substream("x").normal(6, 5)
-        y = np.asarray(rng.substream("y").integers(0, 4, 6))
+        y = one_hot(rng.substream("y").integers(0, 4, 6), 4)
         pe, ge = total_local_loss(base, adapters, x, y, anchor, None, imp,
                                   CLConfig("ewc", 0.3, 0.0))
         pm, gm = total_local_loss(base, adapters, x, y, anchor, None, imp,
@@ -170,7 +171,7 @@ class TestImportanceEstimates:
         base = FrozenBase((np.eye(2) * 50.0,), (np.zeros(2),))
         adapters = init_adapter_set(base.layer_shapes(), 1, 0.02, Rng(0))
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        y = np.array([0, 1])
+        y = one_hot([0, 1], 2)
         fim = estimate_fim(base, adapters, x, y)
         assert all(np.max(m) < 1e-12 for m in fim.matrices)
 
@@ -178,13 +179,13 @@ class TestImportanceEstimates:
     def test_fim_checks_labels_as_the_loss_does(self, task):
         base = random_base([4, 6, 3], Rng(0))
         x = Rng(1).normal(5, 4)
+        # the label range is checked where the targets are formed
+        # (harness._training_targets); a kernel checks their shape
+        bad = [np.zeros((5, 2)), np.zeros((5, 4))]
         if task == "multiclass":
-            bad = [([0, 1, 2, 0, -1], InputError, "labels must lie in"),
-                   ([0, 1, 2, 0, 3], InputError, "labels must lie in")]
-        else:
-            bad = [(np.zeros((5, 2)), ShapeError, "targets shape")]
-        for y, error, message in bad:
-            with pytest.raises(error, match=message):
+            bad += [[0, 1, 2, 0, -1], [0, 1, 2, 0, 3]]  # integer labels
+        for y in bad:
+            with pytest.raises(ShapeError, match="targets shape"):
                 estimate_fim(base, None, x, np.asarray(y), task)
 
     def test_fim_nonnegative(self, rng):
@@ -461,7 +462,7 @@ class TestFullModelPath:
         weights = [w.copy() for w in base.weights]
         biases = [b.copy() for b in base.biases]
         x = rng.substream("x").normal(6, 4)
-        y = np.asarray(rng.substream("y").integers(0, 3, 6))
+        y = one_hot(rng.substream("y").integers(0, 3, 6), 3)
         _, wg, bg = full_loss_and_grads(weights, biases, x, y)
         step = 1e-5
         for l in range(len(weights)):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankfed.errors import InputError, ParameterError
+from conftest import one_hot
+
+from rankfed.errors import InputError, ParameterError, ShapeError
 from rankfed.numerics import (Rng, gaussian_matrix, relu, softmax_cross_entropy,
-                              svd_truncate)
+                              softmax_error, svd_truncate)
 
 
 class TestGaussianMatrix:
@@ -130,7 +132,7 @@ class TestFrobeniusNorm:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, _ = softmax_cross_entropy(np.zeros((5, 4)), np.array([0, 1, 2, 3, 0]))
+        loss, _ = softmax_cross_entropy(np.zeros((5, 4)), one_hot([0, 1, 2, 3, 0], 4))
         assert loss == pytest.approx(np.log(4), abs=1e-12)
 
     def test_margin_limit(self):
@@ -138,22 +140,25 @@ class TestSoftmaxCrossEntropy:
         for margin in (5.0, 20.0):
             logits = np.zeros((1, 3))
             logits[0, 1] = margin
-            loss, _ = softmax_cross_entropy(logits, np.array([1]))
+            loss, _ = softmax_cross_entropy(logits, one_hot([1], 3))
             losses.append(loss)
         assert losses[1] < losses[0]
         assert losses[1] < 1e-8
 
     def test_large_logits_stable(self):
-        loss, grad = softmax_cross_entropy(np.array([[1e4, 0.0]]), np.array([0]))
+        loss, grad = softmax_cross_entropy(np.array([[1e4, 0.0]]), one_hot([0], 2))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
 
     def test_out_of_range_label(self):
-        with pytest.raises(InputError):
-            softmax_cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        # the range is checked where the targets are formed; at the kernel
+        # integer labels, in range or not, are the wrong shape
+        for labels in ([0, 3], [0, 2], [[1.0, 0.0], [0.0, 1.0]]):
+            with pytest.raises(ShapeError, match="targets shape"):
+                softmax_cross_entropy(np.zeros((2, 3)), np.asarray(labels))
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.substream("logits").normal(4, 5)
-        labels = np.asarray(rng.substream("labels").integers(0, 5, 4))
+        labels = one_hot(rng.substream("labels").integers(0, 5, 4), 5)
         _, grad = softmax_cross_entropy(logits, labels)
         step = 1e-5
         worst = 0.0
@@ -166,6 +171,59 @@ class TestSoftmaxCrossEntropy:
                   - softmax_cross_entropy(dn, labels)[0]) / (2 * step)
             worst = max(worst, abs(grad[idx] - fd) / max(abs(fd), 1e-6))
         assert worst < 1e-6
+
+
+def _fancy_index_terms(logits, labels):
+    """The integer-label kernels' shared terms as they were before the
+    targets became one-hot rows: the reference the one-hot kernels must
+    reproduce bit for bit."""
+    c = logits.shape[-1]
+    pick = (np.arange(labels.size), labels.ravel())
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=-1, keepdims=True)
+    error = e / z
+    error.reshape(-1, c)[pick] -= 1.0
+    return error, shifted, z, pick
+
+
+def _fancy_index_cross_entropy(logits, labels):
+    grad, shifted, z, pick = _fancy_index_terms(logits, labels)
+    n, c = grad.shape[-2:]
+    picked = shifted.reshape(-1, c)[pick].reshape(grad.shape[:-1])
+    loss = np.add.reduce(np.log(z[..., 0]) - picked, axis=-1) / n
+    grad /= n
+    return loss, grad
+
+
+class TestOneHotKernelsEqualFancyIndex:
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2-D", "client-stacked"])
+    @pytest.mark.parametrize("classes", [2, 10])
+    @pytest.mark.parametrize("scale", [1.0, 30.0])
+    def test_bit_for_bit(self, lead, classes, scale):
+        s = Rng(77).substream(len(lead), classes, scale)
+        shape = (*lead, 40, classes)
+        logits = s.substream("logits").normal(int(np.prod(shape[:-1])), classes,
+                                              scale).reshape(shape)
+        labels = s.substream("labels").integers(0, classes, shape[:-1])
+        # every other row's label is its argmax, where the picked shifted
+        # logit is 0.0 and the loss sums it with the other classes' zeros
+        labels[..., ::2] = logits.argmax(axis=-1)[..., ::2]
+        targets = one_hot(labels, classes)
+        ref_error = _fancy_index_terms(logits, labels)[0]
+        ref_loss, ref_grad = _fancy_index_cross_entropy(logits, labels)
+        loss, grad = softmax_cross_entropy(logits, targets)
+        assert softmax_error(logits, targets).tobytes() == ref_error.tobytes()
+        assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_checks(self):
+        logits = np.zeros((4, 3))
+        for kernel in (softmax_error, softmax_cross_entropy):
+            with pytest.raises(ShapeError, match="targets shape"):
+                kernel(logits, np.zeros((4, 2)))
+            with pytest.raises(InputError, match="empty batch"):
+                kernel(logits[:0], np.zeros((0, 3)))
 
 
 class TestSvdTruncate:
