@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .data import (Dataset, PartitionPlan, dataset_from_arrays,
 from .errors import InputError, NumericError, ParameterError, UndefinedMetricError
 from .lora import AdapterSet, RankSchedule, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_cka,
-                      prepare_representations, weight_distance)
+                      prepare_labels, prepare_representations, weight_distance)
 # Not called here. The benchmark's tracer wraps ``rankfed.harness.auc`` as its
 # ``metrics.auc`` layer, so the name stays importable until that target is
 # re-pointed at ``column_aucs``.
@@ -237,58 +238,119 @@ def _descend(weights, biases, w_grads, b_grads, eta):
 # Evaluation
 # ---------------------------------------------------------------------------
 
+class _SplitGroup(NamedTuple):
+    """Prepared splits of one feature shape: their names in mapping order,
+    their features stacked [g, rows, dim], their labels as given, and for
+    multilabel their label columns side by side, prepared (else None)."""
+
+    names: tuple
+    features: np.ndarray
+    labels: tuple
+    columns: object  # metrics.prepare_labels output, or None
+
+
+@dataclass(frozen=True)
+class _PreparedSplits:
+    """Evaluation splits prepared by ``prepare_splits`` for one task.
+    Iterating it gives the split names in the order they were given."""
+
+    task: str
+    names: tuple
+    groups: tuple
+
+    def __iter__(self):
+        return iter(self.names)
+
+
+def prepare_splits(splits, task: str) -> _PreparedSplits:
+    """Prepare ``splits``, a mapping from split name to (features, labels),
+    once for many ``evaluate`` calls of the ``task`` given.
+
+    Splits of equal feature shape form one group, as equal shards train as
+    one: its features are stacked here, so each call makes one
+    client-stacked forward pass per group. For multilabel, each group's
+    label columns are checked and prepared side by side for ``column_aucs``.
+    An empty split, or multilabel labels that are not one row per sample,
+    fail here, naming the split. The set holds the arrays as they are now:
+    prepare again after changing them.
+    """
+    if task not in ("multiclass", "multilabel"):
+        raise ParameterError(f"unknown task mode: {task}")
+    groups = {}
+    for name, (x, y) in splits.items():
+        if len(x) == 0:
+            raise InputError(f"the {name} split is empty")
+        if task == "multilabel" and (np.ndim(y) != 2 or len(y) != len(x)):
+            raise InputError(f"the {name} split's labels have shape {np.shape(y)}, "
+                             f"its features {np.shape(x)}")
+        groups.setdefault(np.shape(x), []).append(name)
+    prepared = []
+    for names in groups.values():
+        labels = tuple(splits[n][1] for n in names)
+        columns = (prepare_labels(np.concatenate(labels, axis=1))
+                   if task == "multilabel" else None)
+        prepared.append(_SplitGroup(tuple(names), np.stack([splits[n][0] for n in names]),
+                                    labels, columns))
+    return _PreparedSplits(task, tuple(splits), tuple(prepared))
+
+
 def evaluate(base: FrozenBase, adapters, splits, task_mode: str = "multiclass") -> dict:
     """Metrics of the adapted model on every split of ``splits``, a mapping
-    from split name to (features, labels); returns name -> metrics in the
-    mapping's order.
+    from split name to (features, labels) or the output of
+    ``prepare_splits`` for ``task_mode``; returns name -> metrics in the
+    splits' order, the same bits either way.
 
     Multiclass: accuracy of argmax predictions. Multilabel: the ROC AUC of
     every label's raw logits plus the macro mean; labels whose split
     contains a single class are reported as undefined (None) rather than
     failing the whole evaluation. Non-finite logits raise ``NumericError``
-    naming the first such split in mapping order: no metric is defined for
-    them.
+    naming the first such split in the splits' order: no metric is defined
+    for them.
 
-    Splits of equal shape are scored as one group, as equal shards train
-    as one: one client-stacked forward pass, and for multilabel one
-    ``column_aucs`` pass over the group's label columns side by side. Each
-    split's metrics are the bits it gets scored alone.
+    Splits of equal shape are scored as one group: one client-stacked
+    forward pass, and for multilabel one ``column_aucs`` pass over the
+    group's label columns side by side. Each split's metrics are the bits it
+    gets scored alone.
     """
-    if task_mode not in ("multiclass", "multilabel"):
-        raise ParameterError(f"unknown task mode: {task_mode}")
-    groups = {}
-    for name, (x, _) in splits.items():
-        if len(x) == 0:
-            raise InputError(f"the {name} split is empty")
-        groups.setdefault(np.shape(x), []).append(name)
-    logits = {}
-    for names in groups.values():
-        stacked, _ = forward(base, adapters, np.stack([splits[n][0] for n in names]))
-        logits.update(zip(names, stacked))
-    for name in splits:
-        if not np.all(np.isfinite(logits[name])):
-            raise NumericError(f"the model's logits on the {name} split are not finite")
-    if task_mode == "multiclass":
-        return {name: {"accuracy": accuracy_score(np.argmax(logits[name], axis=1), y)}
-                for name, (_, y) in splits.items()}
-    for name, (_, y) in splits.items():
-        if np.shape(y) != logits[name].shape:
-            raise InputError(f"the {name} split's labels have shape {np.shape(y)}, "
-                             f"its logits {logits[name].shape}")
+    if not isinstance(splits, _PreparedSplits):
+        splits = prepare_splits(splits, task_mode)
+    elif splits.task != task_mode:
+        raise ParameterError(f"the splits were prepared for {splits.task}, "
+                             f"not {task_mode}")
+    outputs = [forward(base, adapters, group.features)[0] for group in splits.groups]
+    if not all(np.all(np.isfinite(stacked)) for stacked in outputs):
+        logits = {name: z for group, stacked in zip(splits.groups, outputs)
+                  for name, z in zip(group.names, stacked)}
+        first = next(name for name in splits if not np.all(np.isfinite(logits[name])))
+        raise NumericError(f"the model's logits on the {first} split are not finite")
     scored = {}
-    for names in groups.values():
-        width = logits[names[0]].shape[1]  # one model: every split's logits are as wide
-        per_label = column_aucs(np.concatenate([logits[n] for n in names], axis=1),
-                                np.concatenate([splits[n][1] for n in names], axis=1))
-        for i, name in enumerate(names):
-            aucs = per_label[i * width:(i + 1) * width]
-            defined = [v for v in aucs if v is not None]
-            scored[name] = {
-                "auc_per_label": aucs,
-                "auc_mean": float(np.mean(defined)) if defined else None,
-                "undefined_labels": [l for l, v in enumerate(aucs) if v is None],
-            }
+    for group, stacked in zip(splits.groups, outputs):
+        if splits.task == "multiclass":
+            scored.update((name, {"accuracy": accuracy_score(np.argmax(z, axis=1), y)})
+                          for name, z, y in zip(group.names, stacked, group.labels))
+        else:
+            scored.update(_auc_metrics(group, stacked))
     return {name: scored[name] for name in splits}
+
+
+def _auc_metrics(group: _SplitGroup, stacked):
+    """(name, metrics) of each multilabel split of ``group`` from its stacked
+    logits [g, rows, L]: one ``column_aucs`` pass over the group's prepared
+    label columns side by side."""
+    for name, z, y in zip(group.names, stacked, group.labels):
+        if np.shape(y) != z.shape:
+            raise InputError(f"the {name} split's labels have shape {np.shape(y)}, "
+                             f"its logits {z.shape}")
+    width = stacked.shape[2]
+    per_label = column_aucs(np.concatenate(stacked, axis=1), group.columns)
+    for i, name in enumerate(group.names):
+        aucs = per_label[i * width:(i + 1) * width]
+        defined = [v for v in aucs if v is not None]
+        yield name, {
+            "auc_per_label": aucs,
+            "auc_mean": float(np.mean(defined)) if defined else None,
+            "undefined_labels": [l for l, v in enumerate(aucs) if v is None],
+        }
 
 
 def _metric_scalar(metrics: dict) -> float | None:
@@ -473,7 +535,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     settings, returning each client's update and epoch losses, and folds the
     round's results and shard weights in ``close_round``, which returns the
     base and adapters to score plus the mode's record fields. One
-    ``evaluate`` call scores the round's val and test splits.
+    ``evaluate`` call scores the round's val and test splits, prepared once
+    before round 1.
     """
     config, root, dataset = setup.config, setup.root, setup.dataset
     sizes = [c.shard_size for c in mode.clients]
@@ -481,7 +544,8 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     ledger = CommLedger(count)
     records = []
     counter = OpCounter() if config.count_ops else None
-    splits = {name: dataset.split(name) for name in ("val", "test")}
+    splits = prepare_splits({name: dataset.split(name) for name in ("val", "test")},
+                            dataset.task)
 
     for t in range(1, config.rounds + 1):
         local = dataclasses.replace(mode.local, round_index=t,

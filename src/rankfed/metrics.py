@@ -22,9 +22,49 @@ def accuracy_score(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
+class _Labels(NamedTuple):
+    """0/1 label columns [n, L] prepared for ``column_aucs``: the indices of
+    the columns holding both classes, their positive and negative counts
+    [k, 1], their positive rows [k, n], each row's flat offset into [k, n]
+    and the ranks 1..n."""
+
+    shape: tuple
+    defined: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    positive: np.ndarray
+    offsets: np.ndarray
+    ranks: np.ndarray
+
+
+def prepare_labels(labels) -> _Labels:
+    """Prepare 0/1 ``labels`` [n, L] once for many ``column_aucs`` calls:
+    the 0/1 check, the class counts, the defined columns and their
+    transposed positive rows are done here, so a call pays only for the
+    sort, the counts and the trapezoid of its scores."""
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise InputError(f"labels must be an [n, L] array, got shape {labels.shape}")
+    positive = labels == 1
+    pos = positive.sum(axis=0)
+    neg = (labels == 0).sum(axis=0)
+    if np.any(pos + neg != len(labels)):
+        raise InputError("labels must be 0 or 1")
+    defined = np.flatnonzero((pos > 0) & (neg > 0))
+    n, k = labels.shape[0], len(defined)
+    # float64, the dtype of the curves, so no call converts them
+    return _Labels(labels.shape, defined,
+                   pos[defined, np.newaxis].astype(np.float64),
+                   neg[defined, np.newaxis].astype(np.float64),
+                   positive.T[defined].astype(np.float64),
+                   (np.arange(k) * n)[:, np.newaxis], np.arange(1.0, n + 1))
+
+
 def column_aucs(scores, labels) -> list:
     """Area under the ROC curve of every column of ``scores`` [n, L] against
     the 0/1 ``labels`` [n, L]; None for a column holding a single class.
+    ``labels`` may be raw or the output of ``prepare_labels``; the result is
+    the same to the bit.
 
     Each column's curve is trapezoidal over its distinct score thresholds.
     Tied scores are grouped at a single threshold, so the trapezoid across a
@@ -34,41 +74,55 @@ def column_aucs(scores, labels) -> list:
     All columns are sorted and counted in one pass. A column's trapezoid
     terms are those of ``np.trapezoid(tpr, fpr)`` and are summed as one
     contiguous run, so each value equals the column's 1-D trapezoid bit for
-    bit. The sort need not be stable: the positives counted at the end of a
-    tie block do not depend on the order inside it.
+    bit. When no column has a tied score, as with continuous logits, every
+    score closes a block and the runs are the rows of the [k, n] curves as
+    they lie; otherwise each column's block ends are selected first. The
+    sort need not be stable: the positives counted at the end of a tie
+    block do not depend on the order inside it.
     """
+    if not isinstance(labels, _Labels):
+        labels = prepare_labels(labels)
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 2:
+    if scores.shape != labels.shape:
         raise InputError(f"scores and labels must be equal-shape [n, L] arrays, "
                          f"got {scores.shape} and {labels.shape}")
-    positive = labels == 1
-    pos = positive.sum(axis=0)
-    neg = (labels == 0).sum(axis=0)
-    if np.any(pos + neg != len(labels)):
-        raise InputError("labels must be 0 or 1")
     if not np.all(np.isfinite(scores)):
         raise InputError("scores must be finite")
-    defined = np.flatnonzero((pos > 0) & (neg > 0))
     out = [None] * scores.shape[1]
+    defined = labels.defined
     if len(defined) == 0:
         return out
 
-    k, n = len(defined), len(labels)
-    pos, neg = pos[defined, np.newaxis], neg[defined, np.newaxis]
+    k, n = len(defined), len(scores)
     neg_s = -scores.T[defined]
     order = np.argsort(neg_s, axis=1)
-    order += np.arange(0, k * n, n)[:, np.newaxis]  # flat indices into [k, n]
+    order += labels.offsets  # flat indices into [k, n]
     neg_s = neg_s.take(order)
     # positives among each column's top 1..n scores, exact in float64
-    tps = np.cumsum(positive.T[defined].take(order), axis=1, dtype=np.float64)
+    tps = np.cumsum(labels.positive.take(order), axis=1)
+    # each column's curve: one point per score after its start at (0, 0)
+    curves = np.empty((2, k, n + 1))
+    curves[:, :, 0] = 0.0
+    fpr, tpr = curves[:, :, 1:]
+    np.subtract(labels.ranks, tps, out=fpr)
+    fpr /= labels.neg
+    np.divide(tps, labels.pos, out=tpr)
+    tied = neg_s[:, 1:] == neg_s[:, :-1]
+    if not tied.any():
+        # every score is a threshold, so each row is a column's whole curve
+        f, t = curves
+        terms = f[:, 1:] - f[:, :-1]
+        terms *= t[:, 1:] + t[:, :-1]
+        terms /= 2.0
+        for i, value in zip(defined.tolist(), terms.sum(axis=1).tolist()):
+            out[i] = value
+        return out
+
     # a threshold closes each block of equal scores
-    closes = np.empty((k, n), dtype=bool)
-    closes[:, :-1] = neg_s[:, 1:] != neg_s[:, :-1]
-    closes[:, -1] = True
+    closes = np.ones((k, n), dtype=bool)
+    np.logical_not(tied, out=closes[:, :-1])
     # row-major selection: each column's thresholds form one run
-    tpr = (tps / pos)[closes]
-    fpr = ((np.arange(1, n + 1) - tps) / neg)[closes]
+    tpr, fpr = tpr[closes], fpr[closes]
     counts = closes.sum(axis=1)
     starts = np.cumsum(counts) - counts
     # each threshold's predecessor on its column's curve, which starts at (0, 0)

@@ -638,6 +638,22 @@ class TestEvalCommand:
         last = json.loads(records[-1])
         assert metrics["accuracy"] == pytest.approx(last["test_metric"], abs=1e-12)
 
+    def test_eval_multilabel_checkpoint_gives_the_last_records_bits(self, tmp_path,
+                                                                     capsys):
+        """The run scores val and test as one group from splits prepared once;
+        eval scores the test split alone, and its mean AUC has the same bits."""
+        path = tmp_path / "multilabel.cfg"
+        path.write_text(TINY_CONFIG.replace("mode = fixed-rank-lora", "mode = spd-cfl")
+                        .replace("classes = 4", "task = multilabel\nn_samples = 200"))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(path), str(out / "adapters_final.ckpt"),
+                     "--split", "test"]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        last = json.loads((out / "records.jsonl").read_text().splitlines()[-1])
+        assert metrics["auc_mean"].hex() == last["test_metric"].hex()
+
     def test_never_partitions(self, config_path, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         assert main(["run", str(config_path), "--out", str(out)]) == 0

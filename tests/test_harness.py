@@ -14,7 +14,8 @@ from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
 from rankfed.errors import InputError, NumericError, ParameterError
 from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
-                             pretrain_base, records_jsonl, run_federated)
+                             prepare_splits, pretrain_base, records_jsonl,
+                             run_federated)
 from rankfed.lora import AdapterSet, init_adapter_set
 from rankfed.metrics import accuracy_score, column_aucs
 from rankfed.model import FrozenBase, forward, full_loss_and_grads, random_base
@@ -403,6 +404,9 @@ class TestEvaluateMapping:
         base, adapters, splits, task = case
         scores = evaluate(base, adapters, splits, task)
         assert list(scores) == list(splits)
+        prepared = evaluate(base, adapters, prepare_splits(splits, task), task)
+        assert list(prepared) == list(splits)
+        assert prepared == scores
         for name, split in splits.items():
             alone = evaluate(base, adapters, {name: split}, task)[name]
             assert scores[name] == alone == _scored_alone(base, adapters, split, task)
@@ -418,6 +422,8 @@ class TestEvaluateMapping:
         first = next(name for name in names if name in poisoned)
         with pytest.raises(NumericError, match=f"the {first} split"):
             evaluate(base, adapters, splits, task)
+        with pytest.raises(NumericError, match=f"the {first} split"):
+            evaluate(base, adapters, prepare_splits(splits, task), task)
 
     def test_mapping_order_not_group_order_names_the_split(self):
         """``a`` and ``c`` form one group ahead of ``b``; with ``b`` and ``c``
@@ -441,6 +447,29 @@ class TestEvaluateMapping:
         monkeypatch.setattr(harness, "evaluate", recorded)
         run_federated(RunConfig(mode="fedavg-full", seed=1, **TINY))
         assert calls == [["val", "test"]] * TINY["rounds"]
+
+    def test_round_loop_prepares_the_splits_once(self, monkeypatch):
+        calls = []
+        original = harness.prepare_splits
+
+        def recorded(splits, task):
+            calls.append((list(splits), task))
+            return original(splits, task)
+
+        monkeypatch.setattr(harness, "prepare_splits", recorded)
+        run_federated(RunConfig(mode="fedavg-full", task="multilabel", n_samples=120,
+                                **dict(TINY, rounds=3)))
+        assert calls == [(["val", "test"], "multilabel")]
+
+    @pytest.mark.parametrize("task, other", [("multiclass", "multilabel"),
+                                             ("multilabel", "multiclass")])
+    def test_prepared_splits_refuse_another_task(self, task, other):
+        base = random_base([3, 2], Rng(0))
+        y = np.zeros(4, int) if task == "multiclass" else np.eye(2, dtype=int)[[0, 1, 0, 1]]
+        prepared = prepare_splits({"val": (Rng(1).normal(4, 3), y)}, task)
+        assert list(evaluate(base, None, prepared, task)) == ["val"]
+        with pytest.raises(ParameterError, match=f"prepared for {task}, not {other}"):
+            evaluate(base, None, prepared, other)
 
     def test_empty_split_rejected_by_name(self):
         base = random_base([3, 2], Rng(0))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import rankfed
 from rankfed.errors import InputError, ShapeError, UndefinedMetricError
 from rankfed.metrics import (CommLedger, accuracy_score, auc, column_aucs,
-                             frobenius_norm, layer_averaged_cka,
+                             frobenius_norm, layer_averaged_cka, prepare_labels,
                              prepare_representations, weight_distance)
 from rankfed.numerics import Rng
 
@@ -60,9 +60,11 @@ def bits(values):
 
 
 def assert_matches_reference(scores, labels):
+    """Raw and prepared labels both give ``reference_auc``'s bits."""
     expected = [reference_auc(scores[:, l], labels[:, l])
                 for l in range(scores.shape[1])]
     assert bits(column_aucs(scores, labels)) == bits(expected)
+    assert bits(column_aucs(scores, prepare_labels(labels))) == bits(expected)
 
 
 def random_columns(rng, n, width, levels, label_dtype=np.int64):
@@ -184,7 +186,9 @@ class TestAuc:
 
 class TestColumnAucs:
     """``column_aucs`` against ``reference_auc``, the per-column algorithm it
-    replaced, to the bit."""
+    replaced, to the bit, with raw and with prepared labels. Grid scores
+    (``levels`` > 0) tie and take the tie-block route; continuous scores do
+    not, and take the route over whole curves."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**31), st.integers(1, 300), st.integers(1, 6),
