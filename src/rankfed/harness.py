@@ -36,8 +36,8 @@ from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_ck
 # ``metrics.auc`` layer, so the name stays importable until that target is
 # re-pointed at ``column_aucs``.
 from .metrics import auc  # noqa: F401
-from .model import (CLConfig, FrozenBase, OpCounter, forward, full_grads,
-                    full_loss_and_grads, random_base)
+from .model import (CLConfig, FrozenBase, OpCounter, base_preactivation, forward,
+                    full_grads, full_loss_and_grads, random_base)
 from .numerics import Rng
 from .server import (ClientUpdate, ServerState, server_round, shard_weights,
                      weighted_sum)
@@ -228,10 +228,11 @@ def _full_model_step(weights, biases, task, eta, counter=None):
 
 
 def _descend(weights, biases, w_grads, b_grads, eta):
-    """One gradient-descent step on every weight and bias, in place."""
+    """One gradient-descent step on every weight and bias, in place. The
+    gradients are the walk's own fresh arrays, scaled by ``eta`` in place."""
     for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
-        w -= eta * gw
-        b -= eta * gb
+        w -= np.multiply(gw, eta, out=gw)
+        b -= np.multiply(gb, eta, out=gb)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,9 @@ class _AdapterRounds:
         val_x = setup.dataset.val_x
         probe_idx = root.substream("probe").permutation(len(val_x))[:config.probe_samples]
         self.probe_x = val_x[probe_idx]
+        self.probe_z0 = base_preactivation(base, self.probe_x)
         self.base = base
+        self.stability_reps = (None, None)  # (phase, prepared anchor representations)
 
     def param_count(self) -> int:
         return self.server.adapters.param_count()
@@ -440,11 +443,13 @@ class _AdapterRounds:
         so a participant's dense product is formed here only for the
         stability distance, when an anchor exists.
 
-        The CKA operands are prepared (centred, self-HSIC computed) once: the
-        incoming and stability probe representations once per round, each
-        participant's once per client; each ``layer_averaged_cka`` call then
-        computes only the cross-HSIC of its pair. A pair with a constant
-        representation on some layer has no CKA and is recorded as None.
+        The probe's layer-0 base pre-activation is formed once per run. The
+        CKA operands are prepared (centred, self-HSIC computed) once: the
+        stability anchor's once per phase (it changes only at a drop), the
+        incoming ones once per round, each participant's once per client;
+        each ``layer_averaged_cka`` call then computes only the cross-HSIC of
+        its pair. A pair with a constant representation on some layer has no
+        CKA and is recorded as None.
         """
         incoming, stability = self.server.adapters, self.server.accumulated
         phase = self.server.schedule.phase
@@ -452,13 +457,18 @@ class _AdapterRounds:
                    for cid, adp, _ in results]
         self.server, outcome = server_round(self.server, updates)
 
-        base, probe_x = self.base, self.probe_x
-        reps_incoming = prepare_representations(forward(base, incoming, probe_x)[1])
-        reps_stability = (prepare_representations(forward(base, stability, probe_x)[1])
-                          if stability is not None else None)
+        base, probe_x, z0 = self.base, self.probe_x, self.probe_z0
+
+        def probe_reps(adapters):
+            return prepare_representations(forward(base, adapters, probe_x, z0)[1])
+
+        reps_incoming = probe_reps(incoming)
+        if stability is not None and self.stability_reps[0] != phase:
+            self.stability_reps = (phase, probe_reps(stability))
+        reps_stability = self.stability_reps[1]
         wd_sta, cka_sta, cka_pla = [], [], []
         for _, adp, _ in results:
-            reps_local = prepare_representations(forward(base, adp, probe_x)[1])
+            reps_local = probe_reps(adp)
             cka_pla.append(_cka_or_none(reps_local, reps_incoming))
             if stability is not None:
                 wd_sta.append(weight_distance(adp.dense(), stability))

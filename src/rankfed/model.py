@@ -174,34 +174,51 @@ class _Cache:
         self.counter = counter  # the forward's, so its backward counts too
 
 
-def _forward_cache(weights, biases, adapters, x, counter=None) -> _Cache:
+def _forward_cache(weights, biases, adapters, x, counter=None, z0=None) -> _Cache:
     """Forward pass over the layer stack ``weights``/``biases`` (the frozen
-    base, or the trainable weights of the full-model path) plus adapters."""
+    base, or the trainable weights of the full-model path) plus adapters,
+    each layer in one buffer. ``z0`` is as ``forward`` takes it."""
     x = _as_batch(x)
     n_layers = len(weights)
     items, kind = _layer_deltas(n_layers, adapters)
+    if kind == "factor" and items[0][0].ndim > x.ndim:  # the sums below are in place
+        raise ShapeError("a client-stacked adapter set needs a client-stacked batch")
     if x.shape[-1] != weights[0].shape[-1]:
         raise ShapeError(f"input dim {x.shape[-1]} != base input dim {weights[0].shape[-1]}")
     h = x
     hs = [x]
     hA = [None] * n_layers
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = _mm(h, w.swapaxes(-1, -2), counter) + b[..., np.newaxis, :]
+        if l == 0 and z0 is not None:
+            z = z0.copy()
+        else:
+            z = _mm(h, w.swapaxes(-1, -2), counter)
+            z += b[..., np.newaxis, :]
         item = items[l]
         if kind == "factor":
             B, A = item
             hA[l] = _mm(h, A.swapaxes(-1, -2), counter)
-            z = z + _mm(hA[l], B.swapaxes(-1, -2), counter)
+            z += _mm(hA[l], B.swapaxes(-1, -2), counter)
         elif kind == "dense":
-            z = z + _mm(h, item.swapaxes(-1, -2), counter)
-        h = np.tanh(z) if l < n_layers - 1 else z
+            z += _mm(h, item.swapaxes(-1, -2), counter)
+        h = np.tanh(z, out=z) if l < n_layers - 1 else z
         hs.append(h)
     return _Cache(weights, hs, hA, kind, items, counter)
 
 
-def forward(base: FrozenBase, adapters, x: Matrix):
-    """Logits and the per-layer post-activation representations."""
-    cache = _forward_cache(base.weights, base.biases, adapters, x)
+def base_preactivation(base: FrozenBase, x: Matrix) -> np.ndarray:
+    """Layer 0's base pre-activation ``x @ W0.T + b0``, formed as the forward
+    pass forms it, read-only: for a batch that ``forward`` runs many times."""
+    z0 = _mm(_as_batch(x), base.weights[0].swapaxes(-1, -2))
+    z0 += base.biases[0][..., np.newaxis, :]
+    z0.flags.writeable = False
+    return z0
+
+
+def forward(base: FrozenBase, adapters, x: Matrix, z0=None):
+    """Logits and the per-layer post-activation representations. ``z0`` is
+    ``base_preactivation(base, x)``, or None to form it here."""
+    cache = _forward_cache(base.weights, base.biases, adapters, x, z0=z0)
     return cache.hs[-1], cache.hs[1:]
 
 
@@ -221,13 +238,13 @@ def _backward(cache: _Cache, dz, fold):
         dzB = _mm(dz, item[0], cache.counter) if cache.kind == "factor" else None
         out[l] = fold(l, dz, dzB)
         if l > 0:
+            dh = _mm(dz, w + item if cache.kind == "dense" else w, cache.counter)
             if cache.kind == "factor":
-                dh = _mm(dz, w, cache.counter) + _mm(dzB, item[1], cache.counter)
-            elif cache.kind == "dense":
-                dh = _mm(dz, w + item, cache.counter)
-            else:
-                dh = _mm(dz, w, cache.counter)
-            dz = dh * (1.0 - cache.hs[l] ** 2)
+                dh += _mm(dzB, item[1], cache.counter)
+            slope = cache.hs[l] ** 2  # tanh's 1 - h^2, in one buffer
+            np.subtract(1.0, slope, out=slope)
+            dh *= slope
+            dz = dh
     return out
 
 
@@ -451,7 +468,7 @@ def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
     ``client_ids`` name the set's client slices in order. ``eta`` is not
     re-checked: ``LocalTrainConfig`` owns its rule. A non-finite gradient
     raises ``NumericError`` naming the first offending client and its first
-    offending layer; the set is then left unchanged.
+    offending layer; the set is then left unchanged. It scales ``grads`` in place.
     """
     if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
         for i, cid in enumerate(client_ids):
@@ -461,8 +478,8 @@ def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
                         f"client {cid}: non-finite gradient at layer {lid}")
     for a, (gB, gA) in zip(adapters, grads):
         B, A = a.B, a.A
-        B -= eta * gB
-        A -= eta * gA
+        B -= np.multiply(gB, eta, out=gB)
+        A -= np.multiply(gA, eta, out=gA)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +509,7 @@ def full_grads(weights, biases, x, y, task: str = "multiclass"):
 def _full_weight_grads(cache: _Cache, dz):
     """Gradients w.r.t. every weight and bias for a loss with logit gradient ``dz``."""
     def fold(l, dz, _):
-        return _mm(dz.swapaxes(-1, -2), cache.hs[l], cache.counter), dz.sum(axis=-2)
+        return _mm(dz.swapaxes(-1, -2), cache.hs[l], cache.counter), np.add.reduce(dz, axis=-2)
 
     w_grads, b_grads = zip(*_backward(cache, dz, fold))
     return w_grads, b_grads

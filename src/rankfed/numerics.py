@@ -90,8 +90,8 @@ def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
     return rng.normal(rows, cols, sigma)
 
 
-def relu(m: Matrix) -> Matrix:
-    return np.maximum(np.asarray(m, dtype=np.float64), 0.0)
+def relu(m: Matrix, out=None) -> Matrix:
+    return np.maximum(np.asarray(m, dtype=np.float64), 0.0, out=out)
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -121,7 +121,9 @@ def _softmax_terms(logits: Matrix, targets: Matrix):
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
     # x - 0.0 is x, so a one-hot row changes the softmax at its label only
-    return e / z - targets, shifted, z
+    e /= z
+    e -= targets
+    return e, shifted, z
 
 
 def softmax_error(logits: Matrix, targets: Matrix) -> Matrix:

@@ -161,7 +161,8 @@ def sensitivity(local_dense, global_dense) -> tuple[list, float]:
     adapters, and its sensitivity: the magnitude-sum of the elementwise
     product of its dense update and that displacement."""
     grad = [dl - dg for dl, dg in zip(local_dense, global_dense)]
-    return grad, sum(float(np.sum(np.abs(d * g))) for d, g in zip(local_dense, grad))
+    return grad, sum(float(np.add.reduce(np.abs(d * g), axis=None))
+                     for d, g in zip(local_dense, grad))
 
 
 def normalize_sensitivities(values) -> np.ndarray:
@@ -179,7 +180,8 @@ def pool_gradients(grads_by_client, alpha):
     """Sensitivity-weighted positive and negative pooled components per layer.
 
     Each client's gradient splits exactly as relu(g) - relu(-g) = g; pooling
-    keeps the two signs separate so later cancellation is observable.
+    keeps the two signs separate so later cancellation is observable. Both
+    weighted parts of a client's layer are formed in one buffer.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if abs(alpha.sum() - 1.0) > 1e-12:
@@ -193,8 +195,10 @@ def pool_gradients(grads_by_client, alpha):
         if len(grads) != n_layers:
             raise ShapeError("layer count mismatch across clients")
         for l, g in enumerate(grads):
-            pos[l] += a * relu(g)
-            neg[l] -= a * relu(-g)
+            part = relu(g)
+            pos[l] += np.multiply(part, a, out=part)
+            relu(np.negative(g, out=part), out=part)
+            neg[l] -= np.multiply(part, a, out=part)
     return pos, neg
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import linear_probe_accuracy, one_hot
 
-from rankfed import harness
+from rankfed import harness, model
 from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
 from rankfed.errors import InputError, NumericError, ParameterError
@@ -525,6 +525,52 @@ class TestCloseRound:
         assert [anchored for anchored, _, _ in per_round] == [False, False, True, True, True]
         for anchored, participants, own in per_round:
             assert own == (participants if anchored else 0)
+
+
+    @pytest.mark.parametrize("r_init, drops", [(4, 1), (6, 2)])
+    def test_probe_work_once_per_run_and_stability_work_once_per_phase(
+            self, monkeypatch, r_init, drops):
+        """The probe's layer-0 base product is formed once per run; the
+        stability anchor's probe forward and representations once per phase
+        that has an anchor, afresh after each drop; the incoming and each
+        participant's representations once per round."""
+        rows, products, prepared, stability = [], [], [], []
+        init, mm = harness._AdapterRounds.__init__, model._mm
+        forward, prepare = harness.forward, harness.prepare_representations
+
+        def recorded_init(self, setup):
+            init(self, setup)
+            rows.append((self.probe_x, setup.base.weights[0]))
+
+        def recorded_mm(a, b, counter=None):
+            if a.ndim == 2 and a.shape[0] == 7:  # candidate probe products
+                products.append((a.copy(), b.base))
+            return mm(a, b, counter)
+
+        def recorded_forward(base, adapters, x, *args):
+            if isinstance(adapters, list):  # the accumulated dense anchor
+                stability.append(adapters)
+            return forward(base, adapters, x, *args)
+
+        def recorded_prepare(reps):
+            prepared.append(1)
+            return prepare(reps)
+
+        monkeypatch.setattr(harness._AdapterRounds, "__init__", recorded_init)
+        monkeypatch.setattr(model, "_mm", recorded_mm)
+        monkeypatch.setattr(harness, "forward", recorded_forward)
+        monkeypatch.setattr(harness, "prepare_representations", recorded_prepare)
+        cfg = RunConfig(mode="spd-cfl", seed=1, cl_method="lwf", mu1=0.01, mu2=0.01,
+                        **dict(TINY, rounds=7, cooldown=1, r_init=r_init, probe_samples=7))
+        records = run_federated(cfg).records
+        assert sum(r.dropped for r in records) == drops and not records[-1].dropped
+        anchored = {r.phase for r in records if r.phase > 1}
+        assert len(anchored) == drops
+        (probe_x, w0), = rows
+        assert sum(np.array_equal(a, probe_x) and w is w0 for a, w in products) == 1
+        assert len(prepared) == sum(1 + len(r.cka_plasticity) for r in records) + drops
+        assert len(stability) == drops
+        assert all(s is not t for s, t in zip(stability, stability[1:]))
 
 
 class TestOpCount:

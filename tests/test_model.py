@@ -8,7 +8,7 @@ from rankfed import model
 from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
-                           estimate_fim, estimate_mas_importance, forward,
+                           base_preactivation, estimate_fim, estimate_mas_importance, forward,
                            full_loss_and_grads, lwf_penalty, quadratic_penalty,
                            random_base, sgd_step, supervised_loss_and_grads,
                            total_local_loss)
@@ -42,6 +42,36 @@ class TestForward:
         logits, reps = forward(base, adapters, x)
         assert [r.shape[1] for r in reps] == [9, 7, 4]
         assert np.array_equal(reps[-1], logits)
+
+    @pytest.mark.parametrize("kind", ["none", "factor", "dense"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "client-stacked"])
+    def test_cached_base_preactivation_gives_the_same_bits(self, rng, kind, stacked):
+        base, adapters, x, _ = make_model(rng, dims=(5, 9, 7, 4), rank=2)
+        if stacked:
+            x = np.stack([x, -2.0 * x, x[::-1]])
+        given = {"none": None, "dense": adapters.dense(),
+                 "factor": adapters.stacked(3) if stacked else adapters}[kind]
+        z0 = base_preactivation(base, x)
+        cached_logits, cached_reps = forward(base, given, x, z0)
+        logits, reps = forward(base, given, x)
+        for a, b in zip([cached_logits, *cached_reps], [logits, *reps]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # no in-place step wrote to the cache: with no adapters, layer 0's
+        # pre-activation is the cache itself
+        assert z0.tobytes() == base_preactivation(base, x).tobytes()
+
+    def test_client_stacked_set_needs_a_client_stacked_batch(self, rng):
+        base, adapters, x, _ = make_model(rng)
+        with pytest.raises(ShapeError, match="needs a client-stacked batch"):
+            forward(base, adapters.stacked(2), x)
+
+    def test_cached_base_preactivation_is_read_only(self, rng):
+        base, _, x, _ = make_model(rng)
+        z0 = base_preactivation(base, x)
+        with pytest.raises(ValueError, match="read-only"):
+            z0 += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.tanh(z0, out=z0)
 
 
 class TestSupervisedLoss:
