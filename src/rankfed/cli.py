@@ -18,8 +18,8 @@ from pathlib import Path
 from .config import RunConfig, load_config
 from .data import manifest_text
 from .errors import ParameterError, RankfedError
-from .harness import (Setup, evaluate, records_jsonl, run_federated,
-                      write_summary_csv)
+from .harness import (Setup, evaluate, prepare_splits, records_jsonl,
+                      run_federated, write_summary_csv)
 from .lora import load_adapters, save_adapters
 
 
@@ -127,8 +127,8 @@ def _cmd_eval(args) -> int:
     if adapters.shapes() != base.layer_shapes():
         raise ParameterError(f"checkpoint layer shapes {adapters.shapes()} do not fit "
                              f"the config's base layer shapes {base.layer_shapes()}")
-    metrics = evaluate(base, adapters, {args.split: dataset.split(args.split)},
-                       dataset.task)
+    split = prepare_splits({args.split: dataset.split(args.split)}, dataset.task)
+    metrics = evaluate(base, adapters, split)
     print(json.dumps(metrics[args.split]))
     return 0
 

@@ -5,24 +5,6 @@ mini-batch SGD on its shard with the supervised loss plus the stability and
 plasticity regularizers, and returns the updated adapters. All randomness
 (mini-batch order) comes from a labeled sub-stream of the client's RNG keyed
 by round and epoch, so results are independent of scheduling.
-
-A ``ClientState`` holds only what is the client's own: its shard, its stream
-and its phase cache. The frozen base is an argument, and the regularizer and
-task are stated once for every client in ``LocalTrainConfig``.
-
-Clients with equal shard sizes train together: ``group_sgd`` stacks their
-shards along a leading client axis, draws each client's batch order and runs
-``sgd_epochs``, the one mini-batch epoch loop, with a step that trains the
-whole group at once. ``local_train`` steps a client-stacked ``AdapterSet``;
-the full-weight FedAvg groups step client-stacked weights through the same
-path. Each client's slice is computed exactly as it would be alone, so a
-client's result does not depend on which group it trains in.
-
-An LwF teacher's logits depend on the rows only, not on the student, so they
-are formed once per shard and gathered per batch with the batch's own index:
-the stability teacher's once per (client, phase) into the phase cache
-(``refresh_importances``), the plasticity teacher's once per ``local_train``
-call, one client at a time.
 """
 
 from __future__ import annotations
@@ -44,9 +26,7 @@ class ClientState:
     """One client's shard, random stream, and phase cache: the importances
     (EWC/MAS) or the stability teacher's logits on the shard (LwF), filled
     for the phase ``importance_phase`` by ``refresh_importances``.
-    ``labels`` are the shard's training targets in the loss's form, shaped
-    like the logits: one-hot rows (multiclass) or 0/1 float columns
-    (multilabel)."""
+    ``labels`` are the shard's training targets, shaped like the logits."""
 
     client_id: int
     features: np.ndarray
@@ -85,15 +65,11 @@ class LocalTrainConfig:
 def refresh_importances(state: ClientState, base: FrozenBase,
                         anchor_configuration, phase: int,
                         config: LocalTrainConfig) -> None:
-    """Fill a client's phase cache once per (client, phase).
-
-    ``anchor_configuration`` is the adapter configuration (AdapterSet or dense
-    per-layer update) the cache is formed at; ``config`` names the regularizer
-    and the task. EWC and MAS cache importance matrices estimated there. LwF
-    caches the stability teacher's logits on the whole shard, the forward of
-    ``anchor_configuration``, or None when there is no stability anchor
-    (the first phase) or its strength ``mu1`` is 0. Repeat calls within the
-    same phase keep the cache unchanged.
+    """Fill a client's phase cache once per (client, phase), at
+    ``anchor_configuration`` (an AdapterSet or dense per-layer update): EWC
+    and MAS importance matrices, or LwF's stability-teacher logits on the
+    whole shard (None without an anchor or with ``mu1`` 0). Repeat calls
+    within the same phase keep the cache unchanged.
     """
     if state.importance_phase == phase:
         return
@@ -136,10 +112,6 @@ def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
     per-row array laid out like ``x``, [n, ...] or [C, n, ...]; ``rows_b``
     are their rows of the mini-batch. Returns, per epoch, the list of what
     ``step`` returned for each mini-batch, in order.
-
-    The arrays are flattened once, so that row ``c * n + i`` is row ``i`` of
-    client ``c``; each epoch's orders are offset into that flat index once,
-    and each mini-batch is then one ``take`` per array.
     """
     n = x.shape[-2]
     clients = x.shape[0] if x.ndim == 3 else 1
@@ -159,13 +131,11 @@ def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
 def group_sgd(states, step, config: LocalTrainConfig, *rows):
     """Run ``config.epochs`` epochs of ``step`` for a group of clients.
 
-    ``states`` must have equal shard sizes. Their shards are stacked along a
-    leading client axis, and each epoch every client draws its own batch
-    order from its stream's (round, epoch) sub-stream; ``step`` trains the
-    whole group on one stacked mini-batch (see ``sgd_epochs``, which also
-    gathers the batch's rows of each client-stacked array of ``rows``) and
-    returns its loss, one value per client. Returns each client's mean loss
-    per epoch, in the order of ``states``.
+    ``states`` must have equal shard sizes; each epoch every client draws its
+    own batch order from its stream's (round, epoch) sub-stream. ``step``
+    trains the whole group on one stacked mini-batch, as ``sgd_epochs`` calls
+    it, and returns its loss, one value per client. Returns each client's
+    mean loss per epoch, in the order of ``states``.
     """
     n = states[0].shard_size
     for s in states:
@@ -191,14 +161,8 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
     """Run E local epochs for a group of clients from the distributed adapters.
 
     ``states`` are clients with equal shard sizes; a single client is a group
-    of one. Each step trains every client of the group on its own mini-batch
-    as one stacked computation. The plasticity anchor is the incoming global
-    adapters, held fixed for the whole round: in dense form for the EWC/MAS
-    quadratic anchor, and as the LwF teacher, whose logits on each client's
-    shard are formed here once, one client at a time. The LwF stability
-    teacher's logits come from each client's phase cache when
-    ``stability_anchor`` exists. Each step takes its batch's rows of the
-    teachers' logits. Returns ``(adapters, epoch_losses)``: per client, in
+    of one. The plasticity anchor is the incoming global adapters, held fixed
+    for the whole round. Returns ``(adapters, epoch_losses)``: per client, in
     the order of ``states``, the resulting AdapterSet and the mean total loss
     of each epoch.
     """

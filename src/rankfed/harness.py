@@ -1,12 +1,7 @@
 """Run orchestration: base pretraining, the federated round loop for every
-mode, per-round logging and evaluation.
-
-A run is fully determined by (RunConfig, seed): every random draw comes from
-a labeled sub-stream of the root seed. A round's participants with equal
-shard sizes train together as one client-stacked group (see
-``client.group_sgd``); each client's result is the one it would get alone,
-and the server receives the results in client-id order.
-"""
+mode, per-round logging and evaluation. A run is fully determined by
+(RunConfig, seed): every random draw comes from a labeled sub-stream of the
+root seed."""
 
 from __future__ import annotations
 
@@ -36,8 +31,8 @@ from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_ck
 # ``metrics.auc`` layer, so the name stays importable until that target is
 # re-pointed at ``column_aucs``.
 from .metrics import auc  # noqa: F401
-from .model import (CLConfig, FrozenBase, OpCounter, base_preactivation, forward,
-                    full_grads, full_loss_and_grads, random_base)
+from .model import (CLConfig, FrozenBase, OpCounter, _descend, base_preactivation,
+                    forward, full_grads, full_loss_and_grads, random_base)
 from .numerics import Rng
 from .server import (ClientUpdate, ServerState, server_round, shard_weights,
                      weighted_sum)
@@ -78,12 +73,10 @@ RECORD_FIELDS = ("schema_version",
 @dataclass
 class RunResult:
     """A finished run. ``base`` and ``final_adapters`` are the model the last
-    record scored: the frozen pretrained base and the last round's global
-    adapters in the LoRA modes, the last round's averaged weights and None in
-    ``fedavg-full``. ``base_checksum`` names the pretrained base in every
-    mode, the one a checkpoint binds to and ``Setup(config).base`` rebuilds.
-    ``cost_at_best`` is ``cumulative_params`` at ``best_val_round``, and in MB.
-    """
+    record scored: the frozen base and the last global adapters in the LoRA
+    modes, the averaged weights and None in ``fedavg-full``. ``base_checksum``
+    names the pretrained base in every mode. ``cost_at_best`` is
+    ``cumulative_params`` at ``best_val_round``, and in MB."""
 
     records: list
     dataset: Dataset
@@ -156,12 +149,8 @@ def _training_targets(dataset: Dataset) -> np.ndarray:
 def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
                   eta: float = 0.05, batch_size: int = 32,
                   hidden=(32,)) -> FrozenBase:
-    """Train all base weights on the given dataset, then freeze them.
-
-    With epochs=0 the base is the frozen random initialization. The targets
-    are formed once here, in the loss's form, rather than by every step.
-    Each step computes the gradients only: nothing reads a pretraining loss.
-    """
+    """Train all base weights on the given dataset, then freeze them. With
+    epochs=0 the base is the frozen random initialization."""
     n = len(dataset.train_x)
     if n == 0:
         raise InputError("pretraining dataset is empty")
@@ -172,7 +161,8 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
               for epoch in range(epochs))
 
     def step(epoch, xb, yb):
-        _descend(weights, biases, *full_grads(weights, biases, xb, yb, dataset.task), eta)
+        w_grads, b_grads = full_grads(weights, biases, xb, yb, dataset.task)
+        _descend(weights + biases, w_grads + b_grads, eta)
 
     sgd_epochs(step, dataset.train_x, _training_targets(dataset), batch_size, orders)
     return FrozenBase(tuple(weights), tuple(biases))
@@ -182,8 +172,7 @@ class Setup:
     """A run's dataset, partition plan and frozen base, each drawn from its
     own labeled stream of the config's seed, and the training targets. The
     plan and the base are built on first use: scoring a checkpoint needs no
-    partition, and printing a partition needs no pretraining. The targets are
-    formed at once, so labels out of range fail before any work."""
+    partition, and printing a partition needs no pretraining."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -221,18 +210,10 @@ def _full_model_step(weights, biases, task, eta, counter=None):
     def step(epoch, xb, yb):
         loss, w_grads, b_grads = full_loss_and_grads(weights, biases, xb, yb,
                                                      task, counter)
-        _descend(weights, biases, w_grads, b_grads, eta)
+        _descend(weights + biases, w_grads + b_grads, eta)
         return loss
 
     return step
-
-
-def _descend(weights, biases, w_grads, b_grads, eta):
-    """One gradient-descent step on every weight and bias, in place. The
-    gradients are the walk's own fresh arrays, scaled by ``eta`` in place."""
-    for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
-        w -= np.multiply(gw, eta, out=gw)
-        b -= np.multiply(gb, eta, out=gb)
 
 
 # ---------------------------------------------------------------------------
@@ -252,28 +233,21 @@ class _SplitGroup(NamedTuple):
 
 @dataclass(frozen=True)
 class _PreparedSplits:
-    """Evaluation splits prepared by ``prepare_splits`` for one task.
-    Iterating it gives the split names in the order they were given."""
+    """Evaluation splits prepared by ``prepare_splits`` for one task."""
 
     task: str
     names: tuple
     groups: tuple
 
-    def __iter__(self):
-        return iter(self.names)
-
 
 def prepare_splits(splits, task: str) -> _PreparedSplits:
     """Prepare ``splits``, a mapping from split name to (features, labels),
-    once for many ``evaluate`` calls of the ``task`` given.
-
-    Splits of equal feature shape form one group, as equal shards train as
-    one: its features are stacked here, so each call makes one
-    client-stacked forward pass per group. For multilabel, each group's
-    label columns are checked and prepared side by side for ``column_aucs``.
+    once for many ``evaluate`` calls of the ``task`` given. Splits of equal
+    feature shape form one group, scored by one client-stacked forward pass.
     An empty split, or multilabel labels that are not one row per sample,
-    fail here, naming the split. The set holds the arrays as they are now:
-    prepare again after changing them.
+    raise ``InputError`` naming the split; labels that are not 0/1 raise it
+    too. The set holds the arrays as they are now: prepare again after
+    changing them.
     """
     if task not in ("multiclass", "multilabel"):
         raise ParameterError(f"unknown task mode: {task}")
@@ -295,34 +269,24 @@ def prepare_splits(splits, task: str) -> _PreparedSplits:
     return _PreparedSplits(task, tuple(splits), tuple(prepared))
 
 
-def evaluate(base: FrozenBase, adapters, splits, task_mode: str = "multiclass") -> dict:
-    """Metrics of the adapted model on every split of ``splits``, a mapping
-    from split name to (features, labels) or the output of
-    ``prepare_splits`` for ``task_mode``; returns name -> metrics in the
-    splits' order, the same bits either way.
+def evaluate(base: FrozenBase, adapters, splits) -> dict:
+    """Metrics of the adapted model on every split of ``splits``, the output
+    of ``prepare_splits`` (raw splits raise ``ParameterError``); returns
+    name -> metrics in the splits' order. Each split's metrics are the bits
+    it gets when prepared and scored alone.
 
     Multiclass: accuracy of argmax predictions. Multilabel: the ROC AUC of
-    every label's raw logits plus the macro mean; labels whose split
-    contains a single class are reported as undefined (None) rather than
-    failing the whole evaluation. Non-finite logits raise ``NumericError``
-    naming the first such split in the splits' order: no metric is defined
-    for them.
-
-    Splits of equal shape are scored as one group: one client-stacked
-    forward pass, and for multilabel one ``column_aucs`` pass over the
-    group's label columns side by side. Each split's metrics are the bits it
-    gets scored alone.
+    every label's raw logits plus the macro mean; labels whose split contains
+    a single class are reported as undefined (None). Non-finite logits raise
+    ``NumericError`` naming the first such split in the splits' order.
     """
     if not isinstance(splits, _PreparedSplits):
-        splits = prepare_splits(splits, task_mode)
-    elif splits.task != task_mode:
-        raise ParameterError(f"the splits were prepared for {splits.task}, "
-                             f"not {task_mode}")
+        raise ParameterError("evaluate takes prepare_splits output")
     outputs = [forward(base, adapters, group.features)[0] for group in splits.groups]
     if not all(np.all(np.isfinite(stacked)) for stacked in outputs):
         logits = {name: z for group, stacked in zip(splits.groups, outputs)
                   for name, z in zip(group.names, stacked)}
-        first = next(name for name in splits if not np.all(np.isfinite(logits[name])))
+        first = next(n for n in splits.names if not np.all(np.isfinite(logits[n])))
         raise NumericError(f"the model's logits on the {first} split are not finite")
     scored = {}
     for group, stacked in zip(splits.groups, outputs):
@@ -331,7 +295,7 @@ def evaluate(base: FrozenBase, adapters, splits, task_mode: str = "multiclass") 
                           for name, z, y in zip(group.names, stacked, group.labels))
         else:
             scored.update(_auc_metrics(group, stacked))
-    return {name: scored[name] for name in splits}
+    return {name: scored[name] for name in splits.names}
 
 
 def _auc_metrics(group: _SplitGroup, stacked):
@@ -378,10 +342,8 @@ def _participants(num_clients: int, count: int, rng: Rng, round_index: int):
 
 
 def _clients(setup: Setup, cl: CLConfig = CLConfig()):
-    """Every client's record (its shard of the training split, with the
-    run's training targets, and its stream) and the local-training settings
-    the clients share; the round loop fills in each round's index and
-    learning rate."""
+    """Every client's record and the local-training settings the clients
+    share; the round loop fills in each round's index and learning rate."""
     config, dataset = setup.config, setup.dataset
     clients = [ClientState(client_id=cid, features=dataset.train_x[idx],
                            labels=setup.targets[idx],
@@ -437,19 +399,10 @@ class _AdapterRounds:
     def close_round(self, results, weights):
         """Run the server round, then score each participant's adapters
         against the incoming global adapters (plasticity) and the stability
-        anchor (stability) by weight distance and layer-averaged CKA.
-
-        The plasticity distances are the server round's displacement norms,
-        so a participant's dense product is formed here only for the
-        stability distance, when an anchor exists.
-
-        The probe's layer-0 base pre-activation is formed once per run. The
-        CKA operands are prepared (centred, self-HSIC computed) once: the
-        stability anchor's once per phase (it changes only at a drop), the
-        incoming ones once per round, each participant's once per client;
-        each ``layer_averaged_cka`` call then computes only the cross-HSIC of
-        its pair. A pair with a constant representation on some layer has no
-        CKA and is recorded as None.
+        anchor (stability) by weight distance and layer-averaged CKA. The
+        plasticity distances are the server round's displacement norms. The
+        stability anchor's CKA operands are kept for the phase: it changes
+        only at a drop. A pair with no CKA is recorded as None.
         """
         incoming, stability = self.server.adapters, self.server.accumulated
         phase = self.server.schedule.phase
@@ -538,15 +491,11 @@ def _groups(participants, sizes):
 
 
 def _run_rounds(setup: Setup, mode) -> RunResult:
-    """The round loop of every mode.
-
-    ``mode`` (one of the classes above) trains one group of equal-shard
-    participants per ``train_group`` call, given the round's local-training
-    settings, returning each client's update and epoch losses, and folds the
-    round's results and shard weights in ``close_round``, which returns the
-    base and adapters to score plus the mode's record fields. One
-    ``evaluate`` call scores the round's val and test splits, prepared once
-    before round 1.
+    """The round loop of every mode. ``mode`` (one of the classes above)
+    trains one group of equal-shard participants per ``train_group`` call,
+    returning each client's update and epoch losses, and folds the round's
+    results and shard weights in ``close_round``, which returns the base and
+    adapters to score plus the mode's record fields.
     """
     config, root, dataset = setup.config, setup.root, setup.dataset
     sizes = [c.shard_size for c in mode.clients]
@@ -575,7 +524,7 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
             global_loss = (float(np.dot(weights, last_losses))
                            if all(l is not None for l in last_losses) else None)
             model, adapters, fields = mode.close_round(results, weights)
-            scores = evaluate(model, adapters, splits, dataset.task)
+            scores = evaluate(model, adapters, splits)
         val, test = scores["val"], scores["test"]
         records.append(RoundRecord(
             round=t, global_loss=global_loss,

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ShapeError, UndefinedMetricError
+from .errors import InputError, ParameterError, ShapeError, UndefinedMetricError
 
 
 def accuracy_score(predictions, labels) -> float:
@@ -62,26 +62,22 @@ def prepare_labels(labels) -> _Labels:
 
 def column_aucs(scores, labels) -> list:
     """Area under the ROC curve of every column of ``scores`` [n, L] against
-    the 0/1 ``labels`` [n, L]; None for a column holding a single class.
-    ``labels`` may be raw or the output of ``prepare_labels``; the result is
-    the same to the bit.
+    the 0/1 labels [n, L] that ``prepare_labels`` prepared as ``labels``;
+    None for a column holding a single class. Raw labels raise
+    ``ParameterError``.
 
     Each column's curve is trapezoidal over its distinct score thresholds.
     Tied scores are grouped at a single threshold, so the trapezoid across a
     tie block credits half, matching the pairwise probability
     P(score+ > score-) + 0.5 * P(tie).
 
-    All columns are sorted and counted in one pass. A column's trapezoid
-    terms are those of ``np.trapezoid(tpr, fpr)`` and are summed as one
-    contiguous run, so each value equals the column's 1-D trapezoid bit for
-    bit. When no column has a tied score, as with continuous logits, every
-    score closes a block and the runs are the rows of the [k, n] curves as
-    they lie; otherwise each column's block ends are selected first. The
-    sort need not be stable: the positives counted at the end of a tie
-    block do not depend on the order inside it.
+    A column's trapezoid terms are those of ``np.trapezoid(tpr, fpr)``,
+    summed as one contiguous run, so each value equals the column's 1-D
+    trapezoid bit for bit. The sort need not be stable: the positives
+    counted at the end of a tie block do not depend on the order inside it.
     """
     if not isinstance(labels, _Labels):
-        labels = prepare_labels(labels)
+        raise ParameterError("column_aucs takes prepare_labels output")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != labels.shape:
         raise InputError(f"scores and labels must be equal-shape [n, L] arrays, "
@@ -149,7 +145,7 @@ def auc(scores, labels) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise InputError("scores and labels must be equal-length 1-D sequences")
-    value = column_aucs(scores[:, np.newaxis], labels[:, np.newaxis])[0]
+    value = column_aucs(scores[:, np.newaxis], prepare_labels(labels[:, np.newaxis]))[0]
     if value is None:
         raise UndefinedMetricError("AUC needs both classes present")
     return value
@@ -268,17 +264,13 @@ def prepare_representations(reps) -> list:
 
 def layer_averaged_cka(reps_a, reps_b) -> float:
     """Arithmetic mean of per-layer linear CKA over matched layer
-    representations; one layer gives that layer's CKA.
-
-    Either side may be raw per-layer arrays or the output of
-    ``prepare_representations``; the result is the same to the bit.
+    representations, each side the output of ``prepare_representations``;
+    one layer gives that layer's CKA. Raw arrays raise ``ParameterError``.
     """
+    if not all(isinstance(op, _Operand) for op in (*reps_a, *reps_b)):
+        raise ParameterError("layer_averaged_cka takes prepare_representations output")
     if len(reps_a) != len(reps_b):
         raise InputError(f"layer count mismatch: {len(reps_a)} vs {len(reps_b)}")
     if not reps_a:
         raise InputError("need at least one layer")
-    return float(np.mean([
-        _cka(a if isinstance(a, _Operand) else _prepare(a),
-             b if isinstance(b, _Operand) else _prepare(b))
-        for a, b in zip(reps_a, reps_b)
-    ]))
+    return float(np.mean([_cka(a, b) for a, b in zip(reps_a, reps_b)]))

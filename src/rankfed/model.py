@@ -4,27 +4,14 @@ The base is a stack of linear layers (tanh hidden activations, linear output)
 whose weights are never updated after pretraining. Adapters add a dense
 update ``B @ A`` to each layer's weight. All gradients here are analytic and
 flow to the adapter factors only (or, for the full-model baseline, to the
-base weights themselves); every gradient path is validated against finite
-differences in the test suite.
+base weights themselves). EWC and MAS anchor to the dense product ``B @ A``,
+so that anchors computed at one rank remain comparable after a rank change.
 
-The quadratic importance-weighted regularizers (EWC, MAS) anchor to the
-dense product ``B @ A``, so that anchors computed at one rank remain
-comparable after a rank change. A distillation (LwF) teacher only yields
-logits, so it may be a dense update or an AdapterSet of any rank; those
-logits depend on the rows only, so the LwF objective takes them as given
-(local training forms them once per shard) and runs the student alone.
-
-The training kernels are shape-agnostic: a batch is [n, d] for one client or
-[C, n, d] for a group of clients stacked along a leading axis (the adapter
-set is then client-stacked too, see ``AdapterSet.stacked``, and full-model
-weights are [C, h1, h2]). Every product and reduction acts on the two
-trailing axes, so each client's slice of a stacked result equals, bit for
-bit, what the same call computes for that client alone; losses and
-penalties come back as one value per client. One backward walk
-(``_backward``) serves every gradient: factor, full-weight and bias
-gradients and the per-sample importance statistics are folds over it. The
-walk is linear in the logit error, so an LwF step sums the supervised and
-distillation errors at the logits and walks back once.
+A batch is [n, d] for one client or [C, n, d] for a client-stacked group
+(with a client-stacked ``AdapterSet``, or full-model weights [C, h1, h2]).
+Each client's slice of a stacked result equals, bit for bit, what the same
+call computes for that client alone; losses and penalties come back as one
+value per client.
 """
 
 from __future__ import annotations
@@ -223,15 +210,11 @@ def forward(base: FrozenBase, adapters, x: Matrix, z0=None):
 
 
 def _backward(cache: _Cache, dz, fold):
-    """Carry the logit error ``dz`` back through every layer, last to first.
-
-    At each layer ``fold(l, dz, dzB)`` turns the error at that layer's output
-    into what the caller needs; ``dzB`` is ``dz @ B`` on the factor path and
-    None otherwise. The error passes to the layer below through the
-    effective weight: ``dz @ W`` without adapters, ``dz @ W + (dz @ B) @ A``
-    for a factor pair, ``dz @ (W + D)`` for a dense update ``D``. Returns the
-    folds' results in layer order.
-    """
+    """Carry the logit error ``dz`` back through every layer's effective
+    weight, last to first. At each layer ``fold(l, dz, dzB)`` turns the error
+    at that layer's output into what the caller needs; ``dzB`` is ``dz @ B``
+    on the factor path and None otherwise. Returns the folds' results in
+    layer order."""
     out = [None] * len(cache.weights)
     for l in reversed(range(len(cache.weights))):
         w, item = cache.weights[l], cache.items[l]
@@ -259,8 +242,7 @@ def _factor_grads(cache: _Cache, dz):
 
 def _task_loss(logits, y, task: str):
     """Mean supervised loss (one per client when stacked) and its logit
-    gradient. ``y`` holds targets shaped like the logits: one-hot rows
-    (multiclass) or 0/1 label columns (multilabel), as
+    gradient. ``y`` holds targets shaped like the logits, as
     ``harness._training_targets`` forms them."""
     if task == "multiclass":
         return softmax_cross_entropy(logits, y)
@@ -392,8 +374,7 @@ def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
     The penalty is ``mu`` times the mean cross-entropy between the teacher's
     and the student's output distributions at ``temperature``; the teacher's
     logits are a stop-gradient target. Returns it with its gradient at the
-    student's logits; ``total_local_loss`` adds that to the supervised one
-    and walks back once.
+    student's logits.
     """
     if t_logits.shape != s_logits.shape:
         raise ShapeError(
@@ -431,12 +412,8 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     An absent stability anchor (first phase) contributes nothing; zero
     strengths short-circuit so the disabled path is bit-identical to the
     supervised loss alone. For LwF the anchors are the teachers' logits on
-    this batch's rows, formed by the caller (local training forms them once
-    per shard and gathers each batch's), so the step runs no forward but the
-    student's; it adds each active distillation term's logit gradient to the
-    supervised one, stability then plasticity, and walks the sum back once.
-    EWC and MAS add their penalty gradients into the supervised ones in
-    place.
+    this batch's rows; the distillation errors, stability then plasticity,
+    are added to the supervised one at the logits and walked back once.
     """
     terms = [(anchor, mu) for anchor, mu in ((stability_anchor, cl.mu1),
                                              (plasticity_anchor, cl.mu2))
@@ -463,12 +440,11 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
 
 
 def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
-    """One gradient-descent step on every factor of a client-stacked set, in place.
-
-    ``client_ids`` name the set's client slices in order. ``eta`` is not
-    re-checked: ``LocalTrainConfig`` owns its rule. A non-finite gradient
-    raises ``NumericError`` naming the first offending client and its first
-    offending layer; the set is then left unchanged. It scales ``grads`` in place.
+    """One gradient-descent step on every factor of a client-stacked set, in
+    place; it scales ``grads`` in place. ``client_ids`` name the set's client
+    slices in order. A non-finite gradient raises ``NumericError`` naming the
+    first offending client and its first offending layer; the set is then
+    left unchanged. ``eta`` is not re-checked: ``LocalTrainConfig`` owns it.
     """
     if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
         for i, cid in enumerate(client_ids):
@@ -476,10 +452,15 @@ def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
                 if not (np.isfinite(gB[i]).all() and np.isfinite(gA[i]).all()):
                     raise NumericError(
                         f"client {cid}: non-finite gradient at layer {lid}")
-    for a, (gB, gA) in zip(adapters, grads):
-        B, A = a.B, a.A
-        B -= np.multiply(gB, eta, out=gB)
-        A -= np.multiply(gA, eta, out=gA)
+    _descend([m for a in adapters for m in (a.B, a.A)],
+             [g for pair in grads for g in pair], eta)
+
+
+def _descend(params, grads, eta) -> None:
+    """``p -= eta * g`` for each array and its gradient, in place: the
+    gradients are the walk's own fresh arrays, so each is scaled in place."""
+    for p, g in zip(params, grads):
+        p -= np.multiply(g, eta, out=g)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +469,9 @@ def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
 
 def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
                         counter=None):
-    """Supervised loss and gradients w.r.t. every weight matrix and bias.
-
-    Weights [h1, h2] and biases [h1] train one model on an [n, d] batch;
-    weights [C, h1, h2] and biases [C, h1] train C client models on a
-    client-stacked [C, n, d] batch.
-    """
+    """Supervised loss and gradients w.r.t. every weight matrix and bias:
+    weights [h1, h2] and biases [h1] for one model on an [n, d] batch, or
+    [C, h1, h2] and [C, h1] for C client models on a [C, n, d] batch."""
     cache = _forward_cache(weights, biases, None, x, counter)
     loss, dz = _task_loss(cache.hs[-1], y, task)
     return (loss, *_full_weight_grads(cache, dz))

@@ -23,7 +23,7 @@ from rankfed.config import RunConfig
 from rankfed.data import generate_synthetic, partition
 from rankfed.harness import run_federated
 from rankfed.lora import AdapterSet, LoRAAdapter, reinit_at_rank
-from rankfed.metrics import auc, layer_averaged_cka
+from rankfed.metrics import auc, layer_averaged_cka, prepare_representations
 from rankfed.model import (CLConfig, ImportanceEstimate, forward, lwf_penalty,
                            quadratic_penalty, random_base,
                            supervised_loss_and_grads, total_local_loss)
@@ -202,7 +202,7 @@ def test_criterion_05_auc_oracle():
 @report(6, "CKA self-similarity, invariances, and range on 100 pairs")
 def test_criterion_06_cka_properties():
     def cka(a, b):  # one layer: the mean of one CKA is that CKA
-        return layer_averaged_cka([a], [b])
+        return layer_averaged_cka(prepare_representations([a]), prepare_representations([b]))
 
     root = Rng(1006)
     for i in range(100):

@@ -17,7 +17,7 @@ from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
                              prepare_splits, pretrain_base, records_jsonl,
                              run_federated)
 from rankfed.lora import AdapterSet, init_adapter_set
-from rankfed.metrics import accuracy_score, column_aucs
+from rankfed.metrics import accuracy_score, column_aucs, prepare_labels
 from rankfed.model import FrozenBase, forward, full_loss_and_grads, random_base
 from rankfed.numerics import Rng
 
@@ -289,7 +289,7 @@ class TestRunFederated:
             assert 0.0 <= result.records[-1].val_metric <= 1.0
             ds = result.dataset
             final = evaluate(result.base, result.final_adapters,
-                             {"test": ds.split("test")}, "multilabel")["test"]
+                             prepare_splits({"test": ds.split("test")}, "multilabel"))["test"]
             assert len(final["auc_per_label"]) == 4
             assert final["undefined_labels"] == []
             assert final["auc_mean"] == result.records[-1].test_metric
@@ -303,9 +303,9 @@ class TestEvaluate:
             cfg = RunConfig(mode=mode, seed=12, cl_method="ewc", **TINY)
             result = run_federated(cfg)
             ds = result.dataset
+            splits = {"val": ds.split("val"), "test": ds.split("test")}
             metrics = evaluate(result.base, result.final_adapters,
-                               {"val": ds.split("val"), "test": ds.split("test")},
-                               "multiclass")
+                               prepare_splits(splits, "multiclass"))
             last = result.records[-1]
             assert metrics["val"]["accuracy"] == last.val_metric, mode
             assert metrics["test"]["accuracy"] == last.test_metric, mode
@@ -318,8 +318,8 @@ class TestEvaluate:
             base = pretrain_base(ds, 0, root.substream("base"))
             adapters = init_adapter_set(base.layer_shapes(), 2, 0.02,
                                         root.substream("a"))
-            metrics = evaluate(base, adapters, {"test": (ds.test_x, ds.test_y)},
-                               "multilabel")["test"]
+            splits = prepare_splits({"test": (ds.test_x, ds.test_y)}, "multilabel")
+            metrics = evaluate(base, adapters, splits)["test"]
             aucs.extend(v for v in metrics["auc_per_label"] if v is not None)
         assert 0.4 <= float(np.mean(aucs)) <= 0.6
 
@@ -342,7 +342,7 @@ class TestEvaluate:
         x = ds.test_x.copy()
         x[0, 0] = np.nan
         with pytest.raises(NumericError, match="test split"):
-            evaluate(base, None, {"test": (x, ds.test_y)}, task)
+            evaluate(base, None, prepare_splits({"test": (x, ds.test_y)}, task))
 
     def test_single_class_label_surfaced_per_label(self):
         root = Rng(3)
@@ -350,7 +350,8 @@ class TestEvaluate:
         base = pretrain_base(ds, 0, root.substream("base"))
         y = ds.test_y.copy()
         y[:, 1] = 1  # degenerate label: positives only
-        metrics = evaluate(base, None, {"test": (ds.test_x, y)}, "multilabel")["test"]
+        splits = prepare_splits({"test": (ds.test_x, y)}, "multilabel")
+        metrics = evaluate(base, None, splits)["test"]
         assert metrics["auc_per_label"][1] is None
         assert metrics["undefined_labels"] == [1]
         assert metrics["auc_mean"] is not None
@@ -363,7 +364,7 @@ def _scored_alone(base, adapters, split, task):
     logits, _ = forward(base, adapters, x)
     if task == "multiclass":
         return {"accuracy": accuracy_score(np.argmax(logits, axis=1), y)}
-    per_label = column_aucs(logits, y)
+    per_label = column_aucs(logits, prepare_labels(y))
     defined = [v for v in per_label if v is not None]
     return {"auc_per_label": per_label,
             "auc_mean": float(np.mean(defined)) if defined else None,
@@ -402,13 +403,10 @@ class TestEvaluateMapping:
     @given(_evaluation_cases())
     def test_equals_each_split_scored_alone(self, case):
         base, adapters, splits, task = case
-        scores = evaluate(base, adapters, splits, task)
+        scores = evaluate(base, adapters, prepare_splits(splits, task))
         assert list(scores) == list(splits)
-        prepared = evaluate(base, adapters, prepare_splits(splits, task), task)
-        assert list(prepared) == list(splits)
-        assert prepared == scores
         for name, split in splits.items():
-            alone = evaluate(base, adapters, {name: split}, task)[name]
+            alone = evaluate(base, adapters, prepare_splits({name: split}, task))[name]
             assert scores[name] == alone == _scored_alone(base, adapters, split, task)
 
     @settings(max_examples=30, deadline=None)
@@ -421,9 +419,7 @@ class TestEvaluateMapping:
             splits[name][0][0, 0] = np.nan
         first = next(name for name in names if name in poisoned)
         with pytest.raises(NumericError, match=f"the {first} split"):
-            evaluate(base, adapters, splits, task)
-        with pytest.raises(NumericError, match=f"the {first} split"):
-            evaluate(base, adapters, prepare_splits(splits, task), task)
+            evaluate(base, adapters, prepare_splits(splits, task))
 
     def test_mapping_order_not_group_order_names_the_split(self):
         """``a`` and ``c`` form one group ahead of ``b``; with ``b`` and ``c``
@@ -434,15 +430,15 @@ class TestEvaluateMapping:
         for name in ("b", "c"):
             splits[name][0][0, 0] = np.inf
         with pytest.raises(NumericError, match="the b split"):
-            evaluate(base, None, splits)
+            evaluate(base, None, prepare_splits(splits, "multiclass"))
 
     def test_round_loop_scores_val_and_test_in_one_call(self, monkeypatch):
         calls = []
         original = harness.evaluate
 
-        def recorded(base, adapters, splits, task_mode):
-            calls.append(list(splits))
-            return original(base, adapters, splits, task_mode)
+        def recorded(base, adapters, splits):
+            calls.append(list(splits.names))
+            return original(base, adapters, splits)
 
         monkeypatch.setattr(harness, "evaluate", recorded)
         run_federated(RunConfig(mode="fedavg-full", seed=1, **TINY))
@@ -461,20 +457,14 @@ class TestEvaluateMapping:
                                 **dict(TINY, rounds=3)))
         assert calls == [(["val", "test"], "multilabel")]
 
-    @pytest.mark.parametrize("task, other", [("multiclass", "multilabel"),
-                                             ("multilabel", "multiclass")])
-    def test_prepared_splits_refuse_another_task(self, task, other):
+    def test_raw_splits_rejected_naming_prepare_splits(self):
         base = random_base([3, 2], Rng(0))
-        y = np.zeros(4, int) if task == "multiclass" else np.eye(2, dtype=int)[[0, 1, 0, 1]]
-        prepared = prepare_splits({"val": (Rng(1).normal(4, 3), y)}, task)
-        assert list(evaluate(base, None, prepared, task)) == ["val"]
-        with pytest.raises(ParameterError, match=f"prepared for {task}, not {other}"):
-            evaluate(base, None, prepared, other)
+        with pytest.raises(ParameterError, match="prepare_splits"):
+            evaluate(base, None, {"val": (Rng(1).normal(4, 3), np.zeros(4, int))})
 
     def test_empty_split_rejected_by_name(self):
-        base = random_base([3, 2], Rng(0))
         with pytest.raises(InputError, match="the val split is empty"):
-            evaluate(base, None, {"val": (np.zeros((0, 3)), np.zeros(0, int))})
+            prepare_splits({"val": (np.zeros((0, 3)), np.zeros(0, int))}, "multiclass")
 
 
 class TestCloseRound:

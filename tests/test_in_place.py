@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rankfed.harness import _descend
 from rankfed.lora import AdapterSet, LoRAAdapter
-from rankfed.model import sgd_step
+from rankfed.model import _descend, sgd_step
 from rankfed.numerics import relu, softmax_error
 from rankfed.server import pool_gradients, sensitivity
 
@@ -105,7 +104,7 @@ def test_descend_equals_its_reference(weights, biases, w_grads, b_grads, eta):
     with np.errstate(all="ignore"):
         expected = step_reference(weights + biases, w_grads + b_grads, eta)
         w, b = [m.copy() for m in weights], [v.copy() for v in biases]
-        _descend(w, b, [g.copy() for g in w_grads], [g.copy() for g in b_grads], eta)
+        _descend(w + b, [g.copy() for g in w_grads + b_grads], eta)
     assert all(same_bits(e, g) for e, g in zip(expected, w + b))
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankfed
-from rankfed.errors import InputError, ShapeError, UndefinedMetricError
+from rankfed.errors import InputError, ParameterError, ShapeError, UndefinedMetricError
 from rankfed.metrics import (CommLedger, accuracy_score, auc, column_aucs,
                              frobenius_norm, layer_averaged_cka, prepare_labels,
                              prepare_representations, weight_distance)
@@ -60,10 +60,9 @@ def bits(values):
 
 
 def assert_matches_reference(scores, labels):
-    """Raw and prepared labels both give ``reference_auc``'s bits."""
+    """Prepared labels give ``reference_auc``'s bits."""
     expected = [reference_auc(scores[:, l], labels[:, l])
                 for l in range(scores.shape[1])]
-    assert bits(column_aucs(scores, labels)) == bits(expected)
     assert bits(column_aucs(scores, prepare_labels(labels))) == bits(expected)
 
 
@@ -186,7 +185,7 @@ class TestAuc:
 
 class TestColumnAucs:
     """``column_aucs`` against ``reference_auc``, the per-column algorithm it
-    replaced, to the bit, with raw and with prepared labels. Grid scores
+    replaced, to the bit, with prepared labels. Grid scores
     (``levels`` > 0) tie and take the tie-block route; continuous scores do
     not, and take the route over whole curves."""
 
@@ -214,18 +213,18 @@ class TestColumnAucs:
                            np.full(200, 0.25)], axis=1)
         labels = rng.substream("y").integers(0, 2, (200, 3))
         assert_matches_reference(scores, labels)
-        assert column_aucs(scores, labels)[2] == 0.5
+        assert column_aucs(scores, prepare_labels(labels))[2] == 0.5
 
     def test_one_class_columns_are_none(self):
         scores = np.array([[0.9, 0.1, 0.3], [0.2, 0.4, 0.6], [0.5, 0.5, 0.5]])
         labels = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 0]])
-        values = column_aucs(scores, labels)
+        values = column_aucs(scores, prepare_labels(labels))
         assert values[1] is None and values[2] is None
         assert values[0] == 1.0
 
     def test_one_sample_and_no_samples(self):
-        assert column_aucs([[0.3, 0.4]], [[1, 0]]) == [None, None]
-        assert column_aucs(np.zeros((0, 3)), np.zeros((0, 3))) == [None] * 3
+        assert column_aucs([[0.3, 0.4]], prepare_labels([[1, 0]])) == [None, None]
+        assert column_aucs(np.zeros((0, 3)), prepare_labels(np.zeros((0, 3)))) == [None] * 3
 
     @pytest.mark.parametrize("scores, labels", [
         (np.zeros((3, 2)), np.zeros((3, 3))),
@@ -234,6 +233,11 @@ class TestColumnAucs:
     ], ids=["shape", "1-D", "label-2"])
     def test_bad_input_rejected(self, scores, labels):
         with pytest.raises(InputError):
+            column_aucs(scores, prepare_labels(labels))
+
+    def test_raw_labels_rejected_naming_prepare_labels(self):
+        scores, labels = random_columns(Rng(2), 20, 3, 0)
+        with pytest.raises(ParameterError, match="prepare_labels"):
             column_aucs(scores, labels)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -242,7 +246,7 @@ class TestColumnAucs:
         scores[7, 2] = bad
         labels[:, 2] = 1  # even in a column whose AUC is undefined
         with pytest.raises(InputError, match="finite"):
-            column_aucs(scores, labels)
+            column_aucs(scores, prepare_labels(labels))
 
 
 class TestCommunicationCost:
@@ -328,7 +332,7 @@ class TestWeightDistance:
 def cka(z1, z2):
     """Plain linear CKA of two representations: a one-layer
     ``layer_averaged_cka``, whose mean of one value is that value."""
-    return layer_averaged_cka([z1], [z2])
+    return layer_averaged_cka(prepare_representations([z1]), prepare_representations([z2]))
 
 
 class TestHsic:
@@ -382,18 +386,21 @@ class TestCka:
 class TestLayerAveragedCka:
     def test_identical_models(self, rng):
         reps = [rng.substream("l", i).normal(12, 5) for i in range(3)]
-        assert layer_averaged_cka(reps, [r.copy() for r in reps]) == 1.0
+        assert layer_averaged_cka(prepare_representations(reps),
+                                  prepare_representations([r.copy() for r in reps])) == 1.0
 
     def test_single_layer_equals_plain(self, rng):
         a = rng.substream("a").normal(10, 4)
         b = rng.substream("b").normal(10, 4)
-        assert layer_averaged_cka([a], [b]) == reference_cka(a, b)
+        assert cka(a, b) == reference_cka(a, b)
 
     def test_constructed_mean(self, rng):
         z = rng.substream("z").normal(30, 6)
         w = rng.substream("w").normal(30, 6)
         target = 0.5 * (1.0 + cka(z, w))
-        assert layer_averaged_cka([z, z], [z, w]) == pytest.approx(target, rel=1e-12)
+        value = layer_averaged_cka(prepare_representations([z, z]),
+                                   prepare_representations([z, w]))
+        assert value == pytest.approx(target, rel=1e-12)
 
 
 class TestGramForm:
@@ -419,8 +426,6 @@ class TestGramForm:
         assert value == pytest.approx(reference_cka(a, b), rel=0, abs=1e-12)
         prep_a, prep_b = prepare_representations([a]), prepare_representations([b])
         assert layer_averaged_cka(prep_a, prep_b) == value
-        assert layer_averaged_cka(prep_a, [b]) == value
-        assert layer_averaged_cka([a], prep_b) == value
         assert cka(a, a) == 1.0
         assert cka(b, b) == 1.0
 
@@ -471,11 +476,8 @@ class TestPreparedOperands:
         prep_b = prepare_representations(reps_b)
         for (da, db), a, b, ref in zip(widths, reps_a, reps_b, per_layer):
             assert abs(cka(a, b) - ref) <= (0.0 if n > max(da, db) else 1e-12)
-        value = layer_averaged_cka(reps_a, reps_b)
+        value = layer_averaged_cka(prep_a, prep_b)
         assert abs(value - expected) <= (0.0 if n > max(map(max, widths)) else 1e-12)
-        assert layer_averaged_cka(prep_a, prep_b) == value
-        assert layer_averaged_cka(prep_a, reps_b) == value
-        assert layer_averaged_cka(reps_a, prep_b) == value
         # a prepared operand is reusable: a second pairing gives the same bits
         assert layer_averaged_cka(prep_a, prep_b) == value
 
@@ -486,6 +488,13 @@ class TestPreparedOperands:
         prepared = [prepare_representations(r) for r in reps]
         with pytest.raises(UndefinedMetricError):
             layer_averaged_cka(*prepared)
+
+    @pytest.mark.parametrize("raw_side", [0, 1])
+    def test_raw_representations_rejected_naming_the_prepare_function(self, rng, raw_side):
+        reps = [prepare_representations([rng.normal(8, 3)]) for _ in range(2)]
+        reps[raw_side] = [rng.normal(8, 3)]
+        with pytest.raises(ParameterError, match="prepare_representations"):
+            layer_averaged_cka(*reps)
 
     def test_sample_count_mismatch_rejected(self, rng):
         a = prepare_representations([rng.normal(8, 3)])
