@@ -168,7 +168,8 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
     """
     ids = [s.client_id for s in states]
     importance = _stacked_importance(states)
-    adapters = global_adapters.stacked(len(states))
+    adapters, params, grads = global_adapters.stacked(len(states))
+    out = list(zip(grads.views[::2], grads.views[1::2]))
     cl = config.cl
     stability, plasticity, rows = stability_anchor, None, []
     if cl.active and cl.method != "lwf":
@@ -185,8 +186,8 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
         if batch_rows:  # the LwF teachers' logits for this batch
             gathered = iter(batch_rows)
             anchors = [None if a is None else next(gathered) for a in anchors]
-        loss, grads = total_local_loss(
-            base, adapters, x, y, *anchors, importance, cl, config.task, counter,
+        loss, _ = total_local_loss(
+            base, adapters, x, y, *anchors, importance, cl, config.task, counter, out,
         )
         finite = np.isfinite(loss)
         if not finite.all():
@@ -194,7 +195,7 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
                 f"client {ids[int(np.argmin(finite))]}: non-finite loss at "
                 f"round {config.round_index}, epoch {epoch}"
             )
-        sgd_step(adapters, grads, config.eta, ids)
+        sgd_step(params, grads, config.eta, ids)
         return loss
 
     epoch_losses = group_sgd(states, step, config, *rows)

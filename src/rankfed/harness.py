@@ -33,7 +33,7 @@ from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_ck
 from .metrics import auc  # noqa: F401
 from .model import (CLConfig, FrozenBase, OpCounter, _descend, base_preactivation,
                     forward, full_grads, full_loss_and_grads, random_base)
-from .numerics import Rng
+from .numerics import Rng, aligned_params
 from .server import (ClientUpdate, ServerState, server_round, shard_weights,
                      weighted_sum)
 
@@ -155,17 +155,24 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     if n == 0:
         raise InputError("pretraining dataset is empty")
     init = random_base([dataset.dim, *hidden, dataset.num_classes], rng)
-    weights = [w.copy() for w in init.weights]
-    biases = [b.copy() for b in init.biases]
+    params, grads = aligned_params(init.weights + init.biases)
+    model, out = _layers(params), _layers(grads)
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
 
     def step(epoch, xb, yb):
-        w_grads, b_grads = full_grads(weights, biases, xb, yb, dataset.task)
-        _descend(weights + biases, w_grads + b_grads, eta)
+        full_grads(*model, xb, yb, dataset.task, out)
+        _descend(params.buf, grads.buf, eta)
 
     sgd_epochs(step, dataset.train_x, _training_targets(dataset), batch_size, orders)
-    return FrozenBase(tuple(weights), tuple(biases))
+    return FrozenBase(*model)
+
+
+def _layers(flat):
+    """The weight views and the bias views of an ``aligned_params`` result
+    laid out weights first, then biases."""
+    n = len(flat.views) // 2
+    return flat.views[:n], flat.views[n:]
 
 
 class Setup:
@@ -203,14 +210,18 @@ class Setup:
             config.pretrain_batch, config.hidden)
 
 
-def _full_model_step(weights, biases, task, eta, counter=None):
+def _full_model_step(params, grads, task, eta, counter=None):
     """An ``sgd_epochs`` step that updates every weight and bias in place and
-    returns the mini-batch loss. Weights [C, h1, h2] and biases [C, h1] train
-    C client models on client-stacked shards."""
+    returns the mini-batch loss. ``params`` and ``grads`` are an
+    ``aligned_params`` pair laid out weights first, then biases; weights
+    [C, h1, h2] and biases [C, h1] train C client models on client-stacked
+    shards."""
+    weights, biases = _layers(params)
+    out = _layers(grads)
+
     def step(epoch, xb, yb):
-        loss, w_grads, b_grads = full_loss_and_grads(weights, biases, xb, yb,
-                                                     task, counter)
-        _descend(weights + biases, w_grads + b_grads, eta)
+        loss, _, _ = full_loss_and_grads(weights, biases, xb, yb, task, counter, out)
+        _descend(params.buf, grads.buf, eta)
         return loss
 
     return step
@@ -455,10 +466,11 @@ class _FullModelRounds:
 
     def train_group(self, cids, local: LocalTrainConfig, counter):
         c = len(cids)
-        w = [np.repeat(m[np.newaxis], c, axis=0) for m in self.model.weights]
-        b = [np.repeat(v[np.newaxis], c, axis=0) for v in self.model.biases]
+        params, grads = aligned_params(self.model.weights + self.model.biases, c)
         losses = group_sgd([self.clients[cid] for cid in cids],
-                           _full_model_step(w, b, local.task, local.eta, counter), local)
+                           _full_model_step(params, grads, local.task, local.eta, counter),
+                           local)
+        w, b = _layers(params)
         return [([m[i] for m in w], [v[i] for v in b]) for i in range(c)], losses
 
     def close_round(self, results, weights):

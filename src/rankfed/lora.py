@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .numerics import Matrix, Rng, as_matrix, gaussian_matrix, svd_truncate
+from .numerics import (Matrix, Rng, aligned_params, as_matrix, gaussian_matrix,
+                       svd_truncate)
 
 # The dense, rank-free counterpart of an adapter set: one matrix per adapted
 # layer, in layer order.
@@ -103,12 +104,14 @@ class AdapterSet:
     def shapes(self):
         return [(a.out_dim, a.in_dim) for a in self.adapters]
 
-    def stacked(self, c: int) -> "AdapterSet":
-        """``c`` copies of this set stacked along a leading client axis."""
-        return AdapterSet(tuple(
-            LoRAAdapter(np.repeat(a.B[np.newaxis], c, axis=0),
-                        np.repeat(a.A[np.newaxis], c, axis=0))
-            for a in self.adapters), self.nominal_rank)
+    def stacked(self, c: int):
+        """``c`` copies of this set stacked along a leading client axis, to
+        train: ``(stack, params, grads)``, the stacked set and the
+        ``aligned_params`` pair that holds its factors, B then A per layer."""
+        params, grads = aligned_params([m for a in self.adapters for m in (a.B, a.A)], c)
+        views = params.views
+        return (AdapterSet(tuple(LoRAAdapter(B, A) for B, A in zip(views[::2], views[1::2])),
+                           self.nominal_rank), params, grads)
 
     def client(self, i: int) -> "AdapterSet":
         """Client ``i``'s adapter set from a client-stacked one."""

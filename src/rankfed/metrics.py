@@ -240,7 +240,9 @@ def _prepare(z) -> _Operand:
         raise InputError("HSIC needs at least 2 samples")
     c = z - z.mean(axis=0)
     op = _Operand(c, c @ c.copy().T if n <= d else None, 0.0, n)
-    return op._replace(self_hsic=_hsic(op, op._replace(centred=c.copy())))
+    # the Gram form reads K alone; only the feature form needs the copy
+    twin = op if op.gram is not None else op._replace(centred=c.copy())
+    return op._replace(self_hsic=_hsic(op, twin))
 
 
 def _cka(p: _Operand, q: _Operand) -> float:

@@ -11,7 +11,8 @@ A batch is [n, d] for one client or [C, n, d] for a client-stacked group
 (with a client-stacked ``AdapterSet``, or full-model weights [C, h1, h2]).
 Each client's slice of a stacked result equals, bit for bit, what the same
 call computes for that client alone; losses and penalties come back as one
-value per client.
+value per client. A gradient function given ``out``, laid out as it returns
+its gradients, writes them there; without it, it allocates them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import (InputError, InvariantError, NumericError, ParameterError,
                      ShapeError, require_finite)
 from .lora import AdapterSet, DenseDelta
-from .numerics import (Matrix, Rng, as_matrix, softmax, softmax_cross_entropy,
+from .numerics import (Flat, Matrix, Rng, as_matrix, softmax, softmax_cross_entropy,
                        softmax_error)
 
 
@@ -36,18 +37,19 @@ class OpCounter:
     multiplies: int = 0
 
 
-def _mm(a, b, counter=None):
-    """``a @ b``, adding its ``a.size * b.shape[-1]`` multiplies to
-    ``counter`` when one is given. The count is exact when ``b`` has no
+def _mm(a, b, counter=None, out=None):
+    """``a @ b`` (into ``out``), adding its ``a.size * b.shape[-1]`` multiplies
+    to ``counter`` when one is given. The count is exact when ``b`` has no
     leading client axis that ``a`` lacks, as in every training product."""
     if counter is not None:
         counter.multiplies += a.size * b.shape[-1]
-    return a @ b
+    return a @ b if out is None else np.matmul(a, b, out=out)
 
 
 @dataclass(frozen=True)
 class FrozenBase:
-    """Immutable linear stack: weights[l] is [h1, h2], mapping h2 -> h1."""
+    """Immutable linear stack: weights[l] is [h1, h2], mapping h2 -> h1.
+    Each array, and the array it views if any, becomes read-only."""
 
     weights: tuple
     biases: tuple
@@ -55,10 +57,10 @@ class FrozenBase:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "biases", tuple(self.biases))
-        for w in self.weights:
-            w.flags.writeable = False
-        for b in self.biases:
-            b.flags.writeable = False
+        for a in (*self.weights, *self.biases):
+            while isinstance(a, np.ndarray):  # a view's owner is a path to it
+                a.flags.writeable = False
+                a = a.base
 
     def layer_shapes(self):
         return [w.shape for w in self.weights]
@@ -231,11 +233,12 @@ def _backward(cache: _Cache, dz, fold):
     return out
 
 
-def _factor_grads(cache: _Cache, dz):
+def _factor_grads(cache: _Cache, dz, out=None):
     """Gradients w.r.t. (B, A) per layer for a loss with logit gradient ``dz``."""
     def fold(l, dz, dzB):
-        return (_mm(dz.swapaxes(-1, -2), cache.hA[l], cache.counter),
-                _mm(dzB.swapaxes(-1, -2), cache.hs[l], cache.counter))
+        gB, gA = (None, None) if out is None else out[l]
+        return (_mm(dz.swapaxes(-1, -2), cache.hA[l], cache.counter, gB),
+                _mm(dzB.swapaxes(-1, -2), cache.hs[l], cache.counter, gA))
 
     return _backward(cache, dz, fold)
 
@@ -274,12 +277,12 @@ def _mean_loss_gradient(logits, y, task: str):
 
 
 def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
-                              task: str = "multiclass", counter=None):
+                              task: str = "multiclass", counter=None, out=None):
     """Mean supervised loss and analytic adapter-factor gradients.
     ``adapters`` is an AdapterSet, client-stacked for a client-stacked batch."""
     student = _forward_cache(base.weights, base.biases, adapters, x, counter)
     loss, dz = _task_loss(student.hs[-1], y, task)
-    return loss, _factor_grads(student, dz)
+    return loss, _factor_grads(student, dz, out)
 
 
 def _binary_cross_entropy(logits, targets):
@@ -406,7 +409,8 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
                      stability_anchor: DenseDelta | np.ndarray | None,
                      plasticity_anchor: DenseDelta | np.ndarray | None,
                      importance: ImportanceEstimate | None,
-                     cl: CLConfig, task: str = "multiclass", counter=None):
+                     cl: CLConfig, task: str = "multiclass", counter=None,
+                     out=None):
     """Supervised loss plus stability and plasticity regularizers.
 
     An absent stability anchor (first phase) contributes nothing; zero
@@ -426,8 +430,8 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
                                   cl.lwf_temperature, task)
             loss = loss + p
             dz = dz + dz_p
-        return loss, _factor_grads(student, dz)
-    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter)
+        return loss, _factor_grads(student, dz, out)
+    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter, out)
     if terms and importance is None:
         raise InputError(f"{cl.method} penalty requires importance estimates")
     for anchor, mu in terms:
@@ -439,28 +443,28 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     return loss, grads
 
 
-def sgd_step(adapters: AdapterSet, grads, eta: float, client_ids) -> None:
-    """One gradient-descent step on every factor of a client-stacked set, in
-    place; it scales ``grads`` in place. ``client_ids`` name the set's client
-    slices in order. A non-finite gradient raises ``NumericError`` naming the
-    first offending client and its first offending layer; the set is then
-    left unchanged. ``eta`` is not re-checked: ``LocalTrainConfig`` owns it.
+def sgd_step(params: Flat, grads: Flat, eta: float, client_ids) -> None:
+    """One gradient-descent step on a client-stacked factor set, in place;
+    it scales ``grads`` in place. ``params`` and ``grads`` are the set's
+    ``aligned_params`` pair, views B, A per layer; ``client_ids`` name the
+    client slices in order. A non-finite gradient raises ``NumericError``
+    naming the first offending client and its first offending layer; the set
+    is then left unchanged. ``eta`` is not re-checked: ``LocalTrainConfig``
+    owns it.
     """
-    if not all(np.isfinite(gB).all() and np.isfinite(gA).all() for gB, gA in grads):
+    if not np.isfinite(grads.buf).all():
+        pairs = list(zip(grads.views[::2], grads.views[1::2]))
         for i, cid in enumerate(client_ids):
-            for lid, (gB, gA) in enumerate(grads):
+            for lid, (gB, gA) in enumerate(pairs):
                 if not (np.isfinite(gB[i]).all() and np.isfinite(gA[i]).all()):
                     raise NumericError(
                         f"client {cid}: non-finite gradient at layer {lid}")
-    _descend([m for a in adapters for m in (a.B, a.A)],
-             [g for pair in grads for g in pair], eta)
+    _descend(params.buf, grads.buf, eta)
 
 
-def _descend(params, grads, eta) -> None:
-    """``p -= eta * g`` for each array and its gradient, in place: the
-    gradients are the walk's own fresh arrays, so each is scaled in place."""
-    for p, g in zip(params, grads):
-        p -= np.multiply(g, eta, out=g)
+def _descend(buf, grad_buf, eta) -> None:
+    """``buf -= eta * grad_buf`` in place, scaling the gradients in place."""
+    buf -= np.multiply(grad_buf, eta, out=grad_buf)
 
 
 # ---------------------------------------------------------------------------
@@ -468,26 +472,28 @@ def _descend(params, grads, eta) -> None:
 # ---------------------------------------------------------------------------
 
 def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
-                        counter=None):
+                        counter=None, out=None):
     """Supervised loss and gradients w.r.t. every weight matrix and bias:
     weights [h1, h2] and biases [h1] for one model on an [n, d] batch, or
     [C, h1, h2] and [C, h1] for C client models on a [C, n, d] batch."""
     cache = _forward_cache(weights, biases, None, x, counter)
     loss, dz = _task_loss(cache.hs[-1], y, task)
-    return (loss, *_full_weight_grads(cache, dz))
+    return (loss, *_full_weight_grads(cache, dz, out))
 
 
-def full_grads(weights, biases, x, y, task: str = "multiclass"):
+def full_grads(weights, biases, x, y, task: str = "multiclass", out=None):
     """The weight and bias gradients ``full_loss_and_grads`` returns, bit for
     bit, without forming the loss."""
     cache = _forward_cache(weights, biases, None, x)
-    return _full_weight_grads(cache, _mean_loss_gradient(cache.hs[-1], y, task))
+    return _full_weight_grads(cache, _mean_loss_gradient(cache.hs[-1], y, task), out)
 
 
-def _full_weight_grads(cache: _Cache, dz):
+def _full_weight_grads(cache: _Cache, dz, out=None):
     """Gradients w.r.t. every weight and bias for a loss with logit gradient ``dz``."""
     def fold(l, dz, _):
-        return _mm(dz.swapaxes(-1, -2), cache.hs[l], cache.counter), np.add.reduce(dz, axis=-2)
+        gw, gb = (None, None) if out is None else (out[0][l], out[1][l])
+        return (_mm(dz.swapaxes(-1, -2), cache.hs[l], cache.counter, gw),
+                np.add.reduce(dz, axis=-2, out=gb))
 
     w_grads, b_grads = zip(*_backward(cache, dz, fold))
     return w_grads, b_grads

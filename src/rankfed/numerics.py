@@ -9,7 +9,9 @@ row-wise kernels treat slice by slice. Operations never mutate their inputs.
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -88,6 +90,47 @@ def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
     if rows < 1 or cols < 1:
         raise ParameterError(f"matrix dimensions must be positive, got {rows}x{cols}")
     return rng.normal(rows, cols, sigma)
+
+
+class Flat(NamedTuple):
+    """A 64-byte-aligned float64 buffer and its arrays, views of it: one
+    elementwise call on ``buf`` gives each array the bits it would get alone."""
+
+    buf: np.ndarray
+    views: list
+
+
+_LINE = 8  # float64s per 64-byte cache line
+
+
+def _flat(shapes, clients) -> Flat:
+    """A zeroed ``Flat`` with a view per shape, [clients, *shape] when
+    ``clients`` is given, each view and each client's slice on its own line."""
+    sizes = [math.prod(s) for s in shapes]
+    spans = [-(-n // _LINE) * _LINE * (clients or 1) for n in sizes]
+    raw = np.zeros(sum(spans) + _LINE - 1)
+    start = -(raw.ctypes.data // 8) % _LINE
+    buf = raw[start:start + sum(spans)]
+    views, offset = [], 0
+    for shape, n, span in zip(shapes, sizes, spans):
+        segment = buf[offset:offset + span]
+        views.append(segment[:n].reshape(shape) if clients is None else
+                     segment.reshape(clients, -1)[:, :n].reshape(clients, *shape))
+        offset += span
+    return Flat(buf, views)
+
+
+def aligned_params(arrays, clients=None):
+    """Trainable copies of ``arrays`` and a zeroed twin for their gradients,
+    ``(params, grads)``, each a ``Flat`` laid out alike: with ``clients``,
+    each array is copied to every client's slice of a [clients, ...] view.
+    Every array, and every client's slice, starts on a 64-byte line, where
+    BLAS's NN product reads its right operand fastest."""
+    shapes = [np.shape(a) for a in arrays]
+    params = _flat(shapes, clients)
+    for view, a in zip(params.views, arrays):
+        view[...] = a
+    return params, _flat(shapes, clients)
 
 
 def relu(m: Matrix, out=None) -> Matrix:

@@ -21,7 +21,7 @@ from rankfed.harness import Setup, _full_model_step, _FullModelRounds
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, OpCounter, forward, random_base, sgd_step,
                            total_local_loss)
-from rankfed.numerics import Rng
+from rankfed.numerics import Rng, aligned_params
 
 DIMS = (6, 10, 9, 4)
 CFG = LocalTrainConfig(epochs=2, eta=0.1, batch_size=8, round_index=3)
@@ -166,17 +166,17 @@ def check_full_weight_group(data):
         y = setup.dataset.train_y[setup.plan.client_indices[cid]]
         if setup.dataset.task == "multiclass":
             y = one_hot(y, setup.dataset.num_classes)
-        w = [m.copy() for m in mode.model.weights]
-        b = [v.copy() for v in mode.model.biases]
+        params, grads = aligned_params(mode.model.weights + mode.model.biases)
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")
                   .permutation(len(x)) for e in range(config.local_epochs)]
         ref_counter = OpCounter()
-        ref_losses = sgd_epochs(_full_model_step(w, b, setup.dataset.task, 0.1, ref_counter),
-                                x, y, config.batch_size, orders)
+        ref_losses = sgd_epochs(
+            _full_model_step(params, grads, setup.dataset.task, 0.1, ref_counter),
+            x, y, config.batch_size, orders)
         reference_ops += ref_counter.multiplies
         (gw, gb), (sw, sb) = group_updates[cid], solo
         assert ([m.tobytes() for m in gw + gb] == [m.tobytes() for m in sw + sb]
-                == [m.tobytes() for m in w + b])
+                == [m.tobytes() for m in params.views])
         assert group_losses[cid] == solo_losses == [float(np.mean(losses))
                                                     for losses in ref_losses]
     assert counter.multiplies == reference_ops
@@ -191,14 +191,13 @@ def test_poisoned_client_loss_names_that_client():
 
 def test_poisoned_gradient_names_first_offending_client_and_layer():
     states, _, _, adapters, _ = make_group(CLConfig("none"))
-    stack = adapters.stacked(3)
-    grads = [(np.zeros_like(a.B), np.zeros_like(a.A)) for a in stack]
-    grads[2][1][1, 0, 0] = np.inf   # client 7, layer 2
-    grads[1][0][2, 0, 0] = np.nan   # client 9, layer 1
-    before = [a.B.copy() for a in stack]
+    stack, params, grads = adapters.stacked(3)
+    grads.views[5][1, 0, 0] = np.inf   # client 7, layer 2's A
+    grads.views[2][2, 0, 0] = np.nan   # client 9, layer 1's B
+    before = params.buf.copy()
     with pytest.raises(NumericError, match=r"client 7: non-finite gradient at layer 2"):
-        sgd_step(stack, grads, 0.1, [4, 7, 9])
-    assert all(np.array_equal(b, a.B) for b, a in zip(before, stack))
+        sgd_step(params, grads, 0.1, [4, 7, 9])
+    assert params.buf.tobytes() == before.tobytes()
 
 
 def test_group_needs_equal_shards():

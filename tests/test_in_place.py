@@ -1,5 +1,6 @@
 """The in-place update kernels against the out-of-place expressions they
-replaced, bit for bit.
+replaced, bit for bit, and the backward walk that writes into given gradient
+buffers against the allocating walk and a reference of fresh products.
 
 Each reference below is the kernel's former expression, with a fresh
 temporary per elementwise step. The kernels now scale or split into one
@@ -9,13 +10,18 @@ enough to overflow, where a reordered or fused operation would show.
 """
 
 import numpy as np
+import pytest
+from conftest import make_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rankfed.lora import AdapterSet, LoRAAdapter
-from rankfed.model import _descend, sgd_step
-from rankfed.numerics import relu, softmax_error
+from rankfed.model import (CLConfig, ImportanceEstimate, _descend, _forward_cache,
+                           _task_loss, estimate_fim, estimate_mas_importance, forward,
+                           full_grads, full_loss_and_grads, random_base, sgd_step,
+                           total_local_loss)
+from rankfed.numerics import Rng, aligned_params, relu, softmax_error
 from rankfed.server import pool_gradients, sensitivity
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
@@ -55,6 +61,14 @@ def step_reference(params, grads, eta):
     return [p - eta * g for p, g in zip(params, grads)]
 
 
+def flat_pair(params, grads):
+    """``params`` and ``grads`` copied into an ``aligned_params`` pair."""
+    flat, flat_grads = aligned_params(params)
+    for view, g in zip(flat_grads.views, grads):
+        view[...] = g
+    return flat, flat_grads
+
+
 # --- oracles -----------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -86,14 +100,11 @@ def test_sensitivity_equals_its_reference(local, global_):
 @given(factors=matrices(4, (2, 3, 3)), grads=matrices(4, (2, 3, 3)),
        eta=st.one_of(st.sampled_from([0.0, 1e-3, 0.05, 1.0]), st.floats(0.0, 10.0)))
 def test_sgd_step_equals_its_reference(factors, grads, eta):
-    adapters = AdapterSet((LoRAAdapter(factors[0], factors[1]),
-                           LoRAAdapter(factors[2], factors[3])), 3)
+    params, flat_grads = flat_pair(factors, grads)  # two layers' B, A for 2 clients
     with np.errstate(all="ignore"):
         expected = step_reference(factors, grads, eta)
-        sgd_step(adapters, [(grads[0].copy(), grads[1].copy()),
-                            (grads[2].copy(), grads[3].copy())], eta, [0, 1])
-    got = [m for a in adapters for m in (a.B, a.A)]
-    assert all(same_bits(e, g) for e, g in zip(expected, got))
+        sgd_step(params, flat_grads, eta, [0, 1])
+    assert all(same_bits(e, g) for e, g in zip(expected, params.views))
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,11 +112,11 @@ def test_sgd_step_equals_its_reference(factors, grads, eta):
        w_grads=matrices(2, (4, 3)), b_grads=matrices(2, (4,)),
        eta=st.one_of(st.sampled_from([0.0, 0.05, 1.0]), st.floats(0.0, 10.0)))
 def test_descend_equals_its_reference(weights, biases, w_grads, b_grads, eta):
+    params, grads = flat_pair(weights + biases, w_grads + b_grads)
     with np.errstate(all="ignore"):
         expected = step_reference(weights + biases, w_grads + b_grads, eta)
-        w, b = [m.copy() for m in weights], [v.copy() for v in biases]
-        _descend(w + b, [g.copy() for g in w_grads + b_grads], eta)
-    assert all(same_bits(e, g) for e, g in zip(expected, w + b))
+        _descend(params.buf, grads.buf, eta)
+    assert all(same_bits(e, g) for e, g in zip(expected, params.views))
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,3 +130,91 @@ def test_softmax_error_equals_its_reference(logits, labels):
         expected = e / e.sum(axis=-1, keepdims=True) - targets
         got = softmax_error(logits, targets)
     assert same_bits(expected, got)
+
+
+# --- the backward walk into given buffers ---------------------------------------
+
+def walk_reference(cache, dz):
+    """The backward walk as fresh products: per layer, the (B, A) gradients
+    on the factor path, else the (weight, bias) gradients."""
+    grads = [None] * len(cache.weights)
+    for l in reversed(range(len(cache.weights))):
+        h = cache.hs[l]
+        if cache.kind == "factor":
+            B, A = cache.items[l]
+            dzB = dz @ B
+            grads[l] = (dz.swapaxes(-1, -2) @ cache.hA[l], dzB.swapaxes(-1, -2) @ h)
+            dh = dz @ cache.weights[l] + dzB @ A
+        else:
+            grads[l] = (dz.swapaxes(-1, -2) @ h, np.sum(dz, axis=-2))
+            dh = dz @ cache.weights[l]
+        dz = dh * (1.0 - h ** 2)
+    return grads
+
+
+def poison(flat):
+    """Fill every view of ``flat`` with NaN, so that an unwritten entry shows."""
+    for view in flat.views:
+        view[...] = np.nan
+
+
+@pytest.mark.parametrize("task", ["multiclass", "multilabel"])
+@pytest.mark.parametrize("clients", [None, 3], ids=["one", "client-stacked"])
+def test_full_gradients_into_buffers_equal_the_allocating_path(task, clients):
+    rng = Rng(11)
+    init = random_base([5, 9, 7, 4], rng.substream("base"))
+    params, grads = aligned_params(init.weights + init.biases, clients)
+    layers = len(init.weights)
+    weights, biases = params.views[:layers], params.views[layers:]
+    out = (grads.views[:layers], grads.views[layers:])
+    rows = (clients, 6) if clients else (6,)
+    x = rng.substream("x").normal(6 * (clients or 1), 5).reshape(*rows, 5)
+    y = (np.eye(4)[rng.substream("y").integers(0, 4, rows)] if task == "multiclass"
+         else (rng.substream("y").uniform(rows + (4,)) < 0.5) * 1.0)
+
+    cache = _forward_cache(weights, biases, None, x)
+    reference = walk_reference(cache, _task_loss(cache.hs[-1], y, task)[1])
+    expected = [g.tobytes() for pair in zip(*reference) for g in pair]
+    assert [g.tobytes() for side in full_grads(weights, biases, x, y, task)
+            for g in side] == expected
+    poison(grads)
+    full_grads(weights, biases, x, y, task, out)
+    assert [g.tobytes() for g in grads.views] == expected
+    loss, *allocated = full_loss_and_grads(weights, biases, x, y, task)
+    assert [g.tobytes() for side in allocated for g in side] == expected
+    poison(grads)
+    in_place_loss, *_ = full_loss_and_grads(weights, biases, x, y, task, None, out)
+    assert [g.tobytes() for g in grads.views] == expected
+    assert np.asarray(in_place_loss).tobytes() == np.asarray(loss).tobytes()
+
+
+@pytest.mark.parametrize("method", ["none", "ewc", "mas", "lwf"])
+def test_total_local_loss_into_buffers_equals_the_allocating_path(rng, method):
+    base, adapters, x, y = make_model(rng, dims=(5, 9, 7, 4))
+    stack, _, grads = adapters.stacked(2)
+    xs, ys = np.stack([x, -0.5 * x]), np.stack([y, y[::-1]])
+    teacher = AdapterSet(tuple(LoRAAdapter(a.B + 0.1, a.A) for a in adapters),
+                         adapters.nominal_rank)
+    importance = None
+    if method == "lwf":
+        anchors = forward(base, teacher, xs)[0], forward(base, adapters, xs)[0]
+    else:
+        anchors = teacher.dense(), adapters.dense()
+        estimate = (estimate_fim(base, teacher, x, y) if method == "ewc"
+                    else estimate_mas_importance(base, teacher, x))
+        importance = ImportanceEstimate(tuple(np.stack([m, 2.0 * m])
+                                              for m in estimate.matrices))
+    cl = CLConfig(method, 0.4, 0.3, lwf_temperature=2.0)
+    out = list(zip(grads.views[::2], grads.views[1::2]))
+
+    loss, allocated = total_local_loss(base, stack, xs, ys, *anchors, importance, cl)
+    expected = [g.tobytes() for pair in allocated for g in pair]
+    poison(grads)
+    in_place_loss, _ = total_local_loss(base, stack, xs, ys, *anchors, importance, cl,
+                                        "multiclass", None, out)
+    assert [g.tobytes() for g in grads.views] == expected
+    assert in_place_loss.tobytes() == loss.tobytes()
+    if method == "none":
+        cache = _forward_cache(base.weights, base.biases, stack, xs)
+        reference = walk_reference(cache, _task_loss(cache.hs[-1], ys, "multiclass")[1])
+        assert [g.tobytes() for pair in reference for g in pair] == expected

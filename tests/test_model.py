@@ -50,7 +50,7 @@ class TestForward:
         if stacked:
             x = np.stack([x, -2.0 * x, x[::-1]])
         given = {"none": None, "dense": adapters.dense(),
-                 "factor": adapters.stacked(3) if stacked else adapters}[kind]
+                 "factor": adapters.stacked(3)[0] if stacked else adapters}[kind]
         z0 = base_preactivation(base, x)
         cached_logits, cached_reps = forward(base, given, x, z0)
         logits, reps = forward(base, given, x)
@@ -63,7 +63,7 @@ class TestForward:
     def test_client_stacked_set_needs_a_client_stacked_batch(self, rng):
         base, adapters, x, _ = make_model(rng)
         with pytest.raises(ShapeError, match="needs a client-stacked batch"):
-            forward(base, adapters.stacked(2), x)
+            forward(base, adapters.stacked(2)[0], x)
 
     def test_cached_base_preactivation_is_read_only(self, rng):
         base, _, x, _ = make_model(rng)
@@ -122,7 +122,7 @@ class TestSupervisedLoss:
         def as_bytes(loss, grads):
             return np.asarray(loss).tobytes(), [g.tobytes() for pair in grads for g in pair]
 
-        for xb, yb, adp in ((x, y, adapters), (stacked_x, stacked_y, adapters.stacked(2))):
+        for xb, yb, adp in ((x, y, adapters), (stacked_x, stacked_y, adapters.stacked(2)[0])):
             as_int = supervised_loss_and_grads(base, adp, xb, yb, task="multilabel")
             as_float = supervised_loss_and_grads(base, adp, xb, yb.astype(np.float64),
                                                  task="multilabel")
@@ -423,8 +423,10 @@ class TestTotalLocalLoss:
 
 def sgd_alone(adapters, grads, eta):
     """``sgd_step`` on a stack of one client; returns the stepped adapters."""
-    stack = adapters.stacked(1)
-    sgd_step(stack, [(gB[np.newaxis], gA[np.newaxis]) for gB, gA in grads], eta, [0])
+    stack, params, flat_grads = adapters.stacked(1)
+    for view, g in zip(flat_grads.views, (g for pair in grads for g in pair)):
+        view[0] = g
+    sgd_step(params, flat_grads, eta, [0])
     return stack.client(0)
 
 
