@@ -3,6 +3,7 @@ distance, and linear-kernel representation similarity (HSIC / CKA)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -216,15 +217,15 @@ class _Operand(NamedTuple):
     n: int
 
 
-def _hsic(p: _Operand, q: _Operand) -> float:
-    """HSIC of two prepared operands over (n-1)^2: the Gram form <K1, K2>_F
-    (n^2) when both hold K, else the feature form |C1^T C2|_F^2 (d1 * d2 * n).
+def _hsic(c1, k1, c2, k2, n) -> float:
+    """HSIC of centred C1, C2 over (n-1)^2: the Gram form <K1, K2>_F (n^2)
+    when both hold K, else the feature form |C1^T C2|_F^2 (d1 * d2 * n).
     einsum, not vdot or a flat dot: BLAS ddot's bits depend on its threads."""
-    if p.gram is not None and q.gram is not None:
-        s = np.einsum("ij,ij->", p.gram, q.gram)
+    if k1 is not None and k2 is not None:
+        s = np.einsum("ij,ij->", k1, k2)
     else:
-        s = np.sum((p.centred.T @ q.centred) ** 2)
-    return float(s / (p.n - 1) ** 2)
+        s = np.add.reduce((c1.T @ c2) ** 2, axis=None)
+    return float(s / (n - 1) ** 2)
 
 
 def _prepare(z) -> _Operand:
@@ -238,23 +239,23 @@ def _prepare(z) -> _Operand:
     n, d = z.shape
     if n < 2:
         raise InputError("HSIC needs at least 2 samples")
-    c = z - z.mean(axis=0)
-    op = _Operand(c, c @ c.copy().T if n <= d else None, 0.0, n)
+    c = z - np.add.reduce(z, axis=0) / n
+    k = c @ c.copy().T if n <= d else None
     # the Gram form reads K alone; only the feature form needs the copy
-    twin = op if op.gram is not None else op._replace(centred=c.copy())
-    return op._replace(self_hsic=_hsic(op, twin))
+    twin = c if k is not None else c.copy()
+    return _Operand(c, k, _hsic(c, k, twin, k, n), n)
 
 
 def _cka(p: _Operand, q: _Operand) -> float:
     """Linear CKA in [0, 1]; invariant to orthogonal maps and positive scaling."""
     if p.n != q.n:
         raise InputError(f"sample counts differ: {p.n} vs {q.n}")
-    h12 = _hsic(p, q)
+    h12 = _hsic(p.centred, p.gram, q.centred, q.gram, p.n)
     if p.self_hsic <= 0 or q.self_hsic <= 0:
         raise UndefinedMetricError("CKA is undefined for constant representations")
     # sqrt(h11 * h22) keeps the self-comparison exactly 1.0; the Gram form's
     # rounding can push an orthogonal pair just below 0
-    return min(max(float(h12 / np.sqrt(p.self_hsic * q.self_hsic)), 0.0), 1.0)
+    return min(max(h12 / math.sqrt(p.self_hsic * q.self_hsic), 0.0), 1.0)
 
 
 def prepare_representations(reps) -> list:
@@ -275,4 +276,5 @@ def layer_averaged_cka(reps_a, reps_b) -> float:
         raise InputError(f"layer count mismatch: {len(reps_a)} vs {len(reps_b)}")
     if not reps_a:
         raise InputError("need at least one layer")
-    return float(np.mean([_cka(a, b) for a, b in zip(reps_a, reps_b)]))
+    # np.mean's arithmetic: from eight layers on numpy sums pairwise, unlike sum()
+    return float(np.add.reduce([_cka(a, b) for a, b in zip(reps_a, reps_b)]) / len(reps_a))

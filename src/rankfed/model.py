@@ -115,10 +115,11 @@ class ImportanceEstimate:
     matrices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "matrices", tuple(self.matrices))
-        for m in self.matrices:
-            if np.any(np.asarray(m) < 0):
-                raise InvariantError("importance entries must be nonnegative")
+        matrices = tuple(np.asarray(m, dtype=np.float64) for m in self.matrices)
+        object.__setattr__(self, "matrices", matrices)
+        for m in matrices:
+            if not (np.isfinite(m).all() and (m >= 0).all()):
+                raise InvariantError("importance entries must be finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +352,35 @@ def estimate_mas_importance(base: FrozenBase, adapters_at_anchor, x) -> Importan
 # Regularization penalties
 # ---------------------------------------------------------------------------
 
-def quadratic_penalty(adapters, anchor: DenseDelta,
-                      importance: ImportanceEstimate, mu: float):
-    """(mu/2) * sum I * (dense - anchor)^2 and its factor gradients.
-
-    The EWC and MAS penalties share this form; they differ only in the
-    importance matrices ``I`` (Fisher proxy vs. update magnitude). For a
-    client-stacked set the importances are stacked per client as well.
-    """
-    items, _ = _layer_deltas(len(anchor), adapters)
-    penalty = 0.0
-    grads = []
-    for (B, A), anchor_l, imp in zip(items, anchor, importance.matrices):
-        diff = (B @ A) - anchor_l
-        penalty += 0.5 * mu * np.sum(imp * diff * diff, axis=(-2, -1))
-        d_dense = mu * imp * diff
-        grads.append((d_dense @ A.swapaxes(-1, -2), B.swapaxes(-1, -2) @ d_dense))
-    return penalty, grads
+def quadratic_penalty(adapters, terms, importance: ImportanceEstimate):
+    """(mu/2) * sum I * (dense - anchor)^2 and its factor gradients for each
+    (anchor, mu) of ``terms``, in order: [(penalty, [(dB, dA) per layer])],
+    each layer's ``B @ A`` formed once for all terms. The EWC and MAS
+    penalties share this form; they differ only in the importances ``I``
+    (Fisher proxy vs. update magnitude), shaped like the dense updates."""
+    items = [(a.B, a.A) for a in adapters]
+    n = len(items)
+    for what, m in [("importance", len(importance.matrices)),
+                    *(("anchor", len(anchor)) for anchor, _ in terms)]:
+        if m != n:
+            raise ShapeError(f"{what} holds {m} matrices for {n} layers: "
+                             f"layer {min(m, n)} is unmatched")
+    penalties = [0.0] * len(terms)
+    grads = [[] for _ in terms]
+    for l, ((B, A), imp) in enumerate(zip(items, importance.matrices)):
+        if imp.shape != B.shape[:-1] + A.shape[-1:]:
+            raise ShapeError(f"layer {l}: importance shape {imp.shape} != dense "
+                             f"shape {B.shape[:-1] + A.shape[-1:]}")
+        dense = B @ A
+        for t, (anchor, mu) in enumerate(terms):
+            diff = dense - anchor[l]
+            q = imp * diff
+            q *= diff
+            penalties[t] += 0.5 * mu * np.add.reduce(q, axis=(-2, -1))
+            d_dense = mu * imp
+            d_dense *= diff
+            grads[t].append((d_dense @ A.swapaxes(-1, -2), B.swapaxes(-1, -2) @ d_dense))
+    return list(zip(penalties, grads))
 
 
 def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
@@ -432,10 +445,11 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
             dz = dz + dz_p
         return loss, _factor_grads(student, dz, out)
     loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter, out)
-    if terms and importance is None:
+    if not terms:
+        return loss, grads
+    if importance is None:
         raise InputError(f"{cl.method} penalty requires importance estimates")
-    for anchor, mu in terms:
-        p, g = quadratic_penalty(adapters, anchor, importance, mu)
+    for p, g in quadratic_penalty(adapters, terms, importance):
         loss = loss + p
         for (gB, gA), (pB, pA) in zip(grads, g):
             gB += pB

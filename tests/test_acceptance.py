@@ -97,10 +97,10 @@ def test_criterion_01_gradient_correctness():
         checks = [
             (lambda a: supervised_loss_and_grads(base, a, x, y),
              lambda a: supervised_loss_and_grads(base, a, x, y)[0]),
-            (lambda a: quadratic_penalty(a, sta, imp, 0.4),
-             lambda a: quadratic_penalty(a, sta, imp, 0.4)[0]),
-            (lambda a: quadratic_penalty(a, pla, imp, 0.3),
-             lambda a: quadratic_penalty(a, pla, imp, 0.3)[0]),
+            (lambda a: quadratic_penalty(a, [(sta, 0.4)], imp)[0],
+             lambda a: quadratic_penalty(a, [(sta, 0.4)], imp)[0][0]),
+            (lambda a: quadratic_penalty(a, [(pla, 0.3)], imp)[0],
+             lambda a: quadratic_penalty(a, [(pla, 0.3)], imp)[0][0]),
             (lambda a: lwf_penalty_and_grads(base, a, sta, x, 0.5),
              lambda a: lwf_penalty(t_logits, forward(base, a, x)[0], 0.5)[0]),
             (lambda a: total_local_loss(base, a, x, y, sta, pla, imp,

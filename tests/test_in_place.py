@@ -19,8 +19,8 @@ from hypothesis.extra.numpy import arrays
 from rankfed.lora import AdapterSet, LoRAAdapter
 from rankfed.model import (CLConfig, ImportanceEstimate, _descend, _forward_cache,
                            _task_loss, estimate_fim, estimate_mas_importance, forward,
-                           full_grads, full_loss_and_grads, random_base, sgd_step,
-                           total_local_loss)
+                           full_grads, full_loss_and_grads, quadratic_penalty,
+                           random_base, sgd_step, total_local_loss)
 from rankfed.numerics import Rng, aligned_params, relu, softmax_error
 from rankfed.server import pool_gradients, sensitivity
 
@@ -59,6 +59,18 @@ def sensitivity_reference(local_dense, global_dense):
 
 def step_reference(params, grads, eta):
     return [p - eta * g for p, g in zip(params, grads)]
+
+
+def quadratic_reference(adapters, anchor, mu, importance):
+    """One (anchor, mu) term's penalty and factor gradients with B @ A formed
+    for that term alone."""
+    penalty, grads = 0.0, []
+    for a, anchor_l, imp in zip(adapters, anchor, importance.matrices):
+        diff = (a.B @ a.A) - anchor_l
+        penalty += 0.5 * mu * np.sum(imp * diff * diff, axis=(-2, -1))
+        d_dense = mu * imp * diff
+        grads.append((d_dense @ a.A.swapaxes(-1, -2), a.B.swapaxes(-1, -2) @ d_dense))
+    return penalty, grads
 
 
 def flat_pair(params, grads):
@@ -130,6 +142,24 @@ def test_softmax_error_equals_its_reference(logits, labels):
         expected = e / e.sum(axis=-1, keepdims=True) - targets
         got = softmax_error(logits, targets)
     assert same_bits(expected, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bs=matrices(2, (2, 3, 2)), as_=matrices(2, (2, 2, 4)), imps=matrices(2, (2, 3, 4)),
+       stability=matrices(2, (3, 4)), plasticity=matrices(2, (3, 4)),
+       mus=st.tuples(st.floats(1e-3, 10.0), st.floats(1e-3, 10.0)))
+def test_quadratic_penalty_equals_its_reference(bs, as_, imps, stability, plasticity, mus):
+    # two layers of a set stacked for 2 clients, both terms in one call
+    adapters = AdapterSet(tuple(LoRAAdapter(B, A) for B, A in zip(bs, as_)), 2)
+    importance = ImportanceEstimate(tuple(np.abs(m) for m in imps))
+    terms = [(stability, mus[0]), (plasticity, mus[1])]
+    with np.errstate(all="ignore"):
+        expected = [quadratic_reference(adapters, *term, importance) for term in terms]
+        got = quadratic_penalty(adapters, terms, importance)
+    for (p_e, grads_e), (p_g, grads_g) in zip(expected, got):
+        assert same_bits(p_e, p_g)
+        assert all(same_bits(e, g) for pair_e, pair_g in zip(grads_e, grads_g)
+                   for e, g in zip(pair_e, pair_g))
 
 
 # --- the backward walk into given buffers ---------------------------------------

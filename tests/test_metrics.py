@@ -481,6 +481,18 @@ class TestPreparedOperands:
         # a prepared operand is reusable: a second pairing gives the same bits
         assert layer_averaged_cka(prep_a, prep_b) == value
 
+    def test_layer_mean_sums_in_np_mean_order(self):
+        # nine layers, where numpy sums pairwise and sum() left to right, and
+        # here the two round differently
+        rng = Rng(4)
+        reps_a = [rng.substream("a", i).normal(12, 3) for i in range(9)]
+        reps_b = [rng.substream("b", i).normal(12, 3) for i in range(9)]
+        per_layer = [cka(a, b) for a, b in zip(reps_a, reps_b)]
+        assert sum(per_layer) / 9 != float(np.mean(per_layer))
+        value = layer_averaged_cka(prepare_representations(reps_a),
+                                   prepare_representations(reps_b))
+        assert value == float(np.mean(per_layer))
+
     @pytest.mark.parametrize("constant_side", [0, 1])
     def test_constant_operand_rejected(self, rng, constant_side):
         reps = [[rng.normal(8, 3)], [rng.normal(8, 3)]]

@@ -149,7 +149,7 @@ class TestQuadraticPenalties:
 
     def test_anchor_match_is_zero(self, rng):
         _, adapters, _, imp = self._setup(rng)
-        p, grads = quadratic_penalty(adapters, adapters.dense(), imp, 2.0)
+        p, grads = quadratic_penalty(adapters, [(adapters.dense(), 2.0)], imp)[0]
         assert p == 0.0
         assert all(np.array_equal(gB, 0 * gB) and np.array_equal(gA, 0 * gA)
                    for gB, gA in grads)
@@ -160,13 +160,14 @@ class TestQuadraticPenalties:
         adapters = AdapterSet((adapter,), 1)
         anchor = [np.zeros((1, 2))]
         imp = ImportanceEstimate((np.ones((1, 2)),))
-        p, _ = quadratic_penalty(adapters, anchor, imp, 2.0)
+        p, _ = quadratic_penalty(adapters, [(anchor, 2.0)], imp)[0]
         assert p == pytest.approx(2.0, abs=1e-15)
 
     def test_grads_match_fd(self, rng):
         base, adapters, anchor, imp = self._setup(rng)
-        _, grads = quadratic_penalty(adapters, anchor, imp, 0.7)
-        fd = fd_factor_grads(lambda a: quadratic_penalty(a, anchor, imp, 0.7)[0], adapters)
+        _, grads = quadratic_penalty(adapters, [(anchor, 0.7)], imp)[0]
+        fd = fd_factor_grads(lambda a: quadratic_penalty(a, [(anchor, 0.7)], imp)[0][0],
+                             adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
     def test_mas_equals_ewc_given_same_importance(self, rng):
@@ -186,13 +187,28 @@ class TestQuadraticPenalties:
         anchor = adapters.dense()
         for t in (0.5, 2.0, 3.0):
             shifted = [a - t * np.ones_like(a) for a in anchor]
-            p1, _ = quadratic_penalty(adapters, [a - np.ones_like(a) for a in anchor], imp, 1.0)
-            pt, _ = quadratic_penalty(adapters, shifted, imp, 1.0)
+            once = [a - np.ones_like(a) for a in anchor]
+            p1, _ = quadratic_penalty(adapters, [(once, 1.0)], imp)[0]
+            pt, _ = quadratic_penalty(adapters, [(shifted, 1.0)], imp)[0]
             assert pt == pytest.approx(t * t * p1, rel=1e-12)
 
-    def test_negative_importance_rejected(self):
-        with pytest.raises(InvariantError):
-            ImportanceEstimate((np.array([[-1.0]]),))
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_importance_rejected(self, bad):
+        with pytest.raises(InvariantError, match="finite and nonnegative"):
+            ImportanceEstimate((np.array([[bad, 1.0]]),))
+
+    @pytest.mark.parametrize("case", ["one matrix for two layers", "1x1 for a 7x5 layer"])
+    def test_importance_that_does_not_fit_the_layers_rejected(self, rng, case):
+        base, adapters, anchor, imp = self._setup(rng)
+        x = rng.substream("x").normal(6, 5)
+        y = one_hot(rng.substream("y").integers(0, 4, 6), 4)
+        first, second = imp.matrices
+        matrices, layer = {"one matrix for two layers": ((first,), 1),
+                           "1x1 for a 7x5 layer": ((np.ones((1, 1)), second), 0)}[case]
+        with pytest.raises(ShapeError, match=f"layer {layer}"):
+            total_local_loss(base, adapters, x, y, anchor, anchor,
+                             ImportanceEstimate(matrices),
+                             CLConfig("ewc", 0.3, 0.2))
 
 
 class TestImportanceEstimates:
@@ -347,20 +363,26 @@ class TestTotalLocalLoss:
                                   CLConfig("ewc", 0.0, 0.0))
         assert abs(tot - sup) < 1e-15
 
-    def test_component_sum(self, rng):
+    @pytest.mark.parametrize("method", ["ewc", "mas"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "client-stacked"])
+    def test_component_sum(self, rng, method, stacked):
+        # bit for bit: the supervised result, plus the stability term, then
+        # the plasticity term, each as quadratic_penalty gives it alone
         base, adapters, x, y = make_model(rng)
         sta, pla, imp = self._anchors(rng, adapters)
-        cl = CLConfig("ewc", 0.4, 0.2)
-        tot, tot_g = total_local_loss(base, adapters, x, y, sta, pla, imp, cl)
+        if stacked:
+            adapters = adapters.stacked(2)[0]
+            x, y = np.stack([x, -0.5 * x]), np.stack([y, y[::-1]])
+            imp = ImportanceEstimate(tuple(np.stack([m, 2.0 * m]) for m in imp.matrices))
+        tot, tot_g = total_local_loss(base, adapters, x, y, sta, pla, imp,
+                                      CLConfig(method, 0.4, 0.2))
         sup, g0 = supervised_loss_and_grads(base, adapters, x, y)
-        p1, g1 = quadratic_penalty(adapters, sta, imp, 0.4)
-        p2, g2 = quadratic_penalty(adapters, pla, imp, 0.2)
-        assert tot == pytest.approx(sup + p1 + p2, rel=1e-12)
-        expected = [(b0 + b1 + b2, a0 + a1 + a2)
-                    for (b0, a0), (b1, a1), (b2, a2) in zip(g0, g1, g2)]
-        for (eB, eA), (tB, tA) in zip(expected, tot_g):
-            assert np.max(np.abs(eB - tB)) < 1e-12
-            assert np.max(np.abs(eA - tA)) < 1e-12
+        p1, g1 = quadratic_penalty(adapters, [(sta, 0.4)], imp)[0]
+        p2, g2 = quadratic_penalty(adapters, [(pla, 0.2)], imp)[0]
+        assert np.asarray(tot).tobytes() == np.asarray(sup + p1 + p2).tobytes()
+        expected = [g.tobytes() for (b0, a0), (b1, a1), (b2, a2) in zip(g0, g1, g2)
+                    for g in (b0 + b1 + b2, a0 + a1 + a2)]
+        assert [g.tobytes() for pair in tot_g for g in pair] == expected
 
     def test_lwf_component_sum(self, rng):
         # a dense stability teacher and an AdapterSet plasticity teacher, as
@@ -404,7 +426,7 @@ class TestTotalLocalLoss:
         cl = CLConfig("ewc", 5.0, 0.3)
         tot, _ = total_local_loss(base, adapters, x, y, None, pla, imp, cl)
         sup, _ = supervised_loss_and_grads(base, adapters, x, y)
-        p2, _ = quadratic_penalty(adapters, pla, imp, 0.3)
+        p2, _ = quadratic_penalty(adapters, [(pla, 0.3)], imp)[0]
         assert tot == pytest.approx(sup + p2, rel=1e-12)
 
     @pytest.mark.parametrize("method", ["ewc", "mas", "lwf"])
@@ -451,9 +473,9 @@ class TestSgdStep:
         adapters = AdapterSet((adapter,), 1)
         anchor = [np.array([[2.0]])]
         imp = ImportanceEstimate((np.ones((1, 1)),))
-        loss0, grads = quadratic_penalty(adapters, anchor, imp, 2.0)
+        loss0, grads = quadratic_penalty(adapters, [(anchor, 2.0)], imp)[0]
         stepped = sgd_alone(adapters, grads, 0.05)
-        loss1, _ = quadratic_penalty(stepped, anchor, imp, 2.0)
+        loss1, _ = quadratic_penalty(stepped, [(anchor, 2.0)], imp)[0]
         assert loss1 < loss0
 
     def test_non_finite_gradient_rejected(self, rng):
