@@ -27,12 +27,13 @@ from .errors import InputError, NumericError, ParameterError, UndefinedMetricErr
 from .lora import AdapterSet, RankSchedule, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_cka,
                       prepare_labels, prepare_representations, weight_distance)
-# Not called here. The benchmark's tracer wraps ``rankfed.harness.auc`` as its
-# ``metrics.auc`` layer, so the name stays importable until that target is
-# re-pointed at ``column_aucs``.
+# Not called here. The benchmark's tracer wraps these names as its ``metrics.auc``
+# and ``model.full_loss_and_grads`` layers, so they stay importable until those
+# targets are re-pointed at ``column_aucs`` and the training walk.
 from .metrics import auc  # noqa: F401
-from .model import (CLConfig, FrozenBase, OpCounter, _descend, base_preactivation,
-                    forward, full_grads, full_loss_and_grads, random_base)
+from .model import full_loss_and_grads  # noqa: F401
+from .model import (CLConfig, FrozenBase, OpCounter, _descend, _mean_loss_gradient,
+                    _task_loss, _Walk, base_preactivation, forward, random_base)
 from .numerics import Rng, aligned_params
 from .server import (ClientUpdate, ServerState, server_round, shard_weights,
                      weighted_sum)
@@ -156,12 +157,13 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
         raise InputError("pretraining dataset is empty")
     init = random_base([dataset.dim, *hidden, dataset.num_classes], rng)
     params, grads = aligned_params(init.weights + init.biases)
-    model, out = _layers(params), _layers(grads)
+    model, out = _layers(params), list(zip(*_layers(grads)))
+    walk = _Walk(*model)
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
 
     def step(epoch, xb, yb):
-        full_grads(*model, xb, yb, dataset.task, out)
+        walk.backward(_mean_loss_gradient(walk.forward(xb), yb, dataset.task), out)
         _descend(params.buf, grads.buf, eta)
 
     sgd_epochs(step, dataset.train_x, _training_targets(dataset), batch_size, orders)
@@ -216,11 +218,12 @@ def _full_model_step(params, grads, task, eta, counter=None):
     ``aligned_params`` pair laid out weights first, then biases; weights
     [C, h1, h2] and biases [C, h1] train C client models on client-stacked
     shards."""
-    weights, biases = _layers(params)
-    out = _layers(grads)
+    walk = _Walk(*_layers(params), counter=counter)
+    out = list(zip(*_layers(grads)))
 
     def step(epoch, xb, yb):
-        loss, _, _ = full_loss_and_grads(weights, biases, xb, yb, task, counter, out)
+        loss, dz = _task_loss(walk.forward(xb), yb, task)
+        walk.backward(dz, out)
         _descend(params.buf, grads.buf, eta)
         return loss
 

@@ -31,8 +31,8 @@ from .numerics import (Flat, Matrix, Rng, as_matrix, softmax, softmax_cross_entr
 
 @dataclass
 class OpCounter:
-    """Accumulates multiply counts for the training-path matrix products. A
-    forward pass given one counts the backward walk made from its cache too."""
+    """Accumulates multiply counts for the training-path matrix products: a
+    walk given one counts its forward passes and its backward walks."""
 
     multiplies: int = 0
 
@@ -137,63 +137,86 @@ def _as_batch(x) -> np.ndarray:
     return x
 
 
-def _layer_deltas(n: int, adapters):
-    """Normalize the adapter argument to per-layer items and their kind:
-    ``(B, A)`` factor pairs from an AdapterSet (client-stacked or not), dense
-    updates from a per-layer list, or nothing."""
-    if adapters is None:
-        return [None] * n, None
-    if isinstance(adapters, AdapterSet):
-        items, kind = [(a.B, a.A) for a in adapters], "factor"
-    else:
-        items, kind = [as_matrix(d, "delta") for d in adapters], "dense"
-    if len(items) != n:
-        raise ShapeError(f"{kind} layer count {len(items)} != layer count {n}")
-    return items, kind
+class _Walk:
+    """The forward pass and backward walk over the layer stack ``weights``/
+    ``biases`` (the frozen base, or the full-model path's trainable weights)
+    plus adapters: ``(B, A)`` factor pairs from an AdapterSet (client-stacked
+    or not), dense updates from a per-layer list, or none. A training loop
+    builds one per trained set: every descent updates the set in place, so
+    the views held here stay valid. ``counter`` counts both passes' products."""
 
+    __slots__ = ("items", "kind", "counter", "wT", "rows", "itemsT", "weights", "hs", "hA")
 
-class _Cache:
-    __slots__ = ("weights", "hs", "hA", "kind", "items", "counter")
-
-    def __init__(self, weights, hs, hA, kind, items, counter):
+    def __init__(self, weights, biases, adapters=None, counter=None):
+        n, self.kind, self.counter = len(weights), None, counter
+        self.items = [None] * n
+        if isinstance(adapters, AdapterSet):
+            self.items, self.kind = [(a.B, a.A) for a in adapters], "factor"
+        elif adapters is not None:
+            self.items, self.kind = [as_matrix(d, "delta") for d in adapters], "dense"
+        if len(self.items) != n:
+            raise ShapeError(f"{self.kind} layer count {len(self.items)} != layer count {n}")
+        self.wT = [w.swapaxes(-1, -2) for w in weights]
+        self.rows = [b[..., np.newaxis, :] for b in biases]
+        self.itemsT = [tuple(m.swapaxes(-1, -2) for m in item) if self.kind == "factor"
+                       else item.swapaxes(-1, -2) for item in self.items if item is not None]
         self.weights = weights
-        self.hs = hs        # post-activation per layer, hs[0] = input
-        self.hA = hA        # cached h @ A.T per layer (factor path only)
-        self.kind = kind
-        self.items = items
-        self.counter = counter  # the forward's, so its backward counts too
 
+    def forward(self, x, z0=None):
+        """The logits of batch ``x``, each layer in one buffer, keeping the
+        activations for ``backward``. ``z0`` is as ``forward`` takes it."""
+        x = _as_batch(x)
+        if self.kind == "factor" and self.items[0][0].ndim > x.ndim:  # the sums are in place
+            raise ShapeError("a client-stacked adapter set needs a client-stacked batch")
+        if x.shape[-1] != self.wT[0].shape[-2]:
+            raise ShapeError(f"input dim {x.shape[-1]} != base input dim {self.wT[0].shape[-2]}")
+        c, last = self.counter, len(self.wT) - 1
+        h, self.hs, self.hA = x, [x], []  # post-activations (hs[0] = x); h @ A.T
+        for l, wT in enumerate(self.wT):
+            if l == 0 and z0 is not None:
+                z = z0.copy()
+            else:
+                z = _mm(h, wT, c)
+                z += self.rows[l]
+            if self.kind == "factor":
+                BT, AT = self.itemsT[l]
+                self.hA.append(_mm(h, AT, c))
+                z += _mm(self.hA[l], BT, c)
+            elif self.kind == "dense":
+                z += _mm(h, self.itemsT[l], c)
+            h = np.tanh(z, out=z) if l < last else z
+            self.hs.append(h)
+        return h
 
-def _forward_cache(weights, biases, adapters, x, counter=None, z0=None) -> _Cache:
-    """Forward pass over the layer stack ``weights``/``biases`` (the frozen
-    base, or the trainable weights of the full-model path) plus adapters,
-    each layer in one buffer. ``z0`` is as ``forward`` takes it."""
-    x = _as_batch(x)
-    n_layers = len(weights)
-    items, kind = _layer_deltas(n_layers, adapters)
-    if kind == "factor" and items[0][0].ndim > x.ndim:  # the sums below are in place
-        raise ShapeError("a client-stacked adapter set needs a client-stacked batch")
-    if x.shape[-1] != weights[0].shape[-1]:
-        raise ShapeError(f"input dim {x.shape[-1]} != base input dim {weights[0].shape[-1]}")
-    h = x
-    hs = [x]
-    hA = [None] * n_layers
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        if l == 0 and z0 is not None:
-            z = z0.copy()
-        else:
-            z = _mm(h, w.swapaxes(-1, -2), counter)
-            z += b[..., np.newaxis, :]
-        item = items[l]
-        if kind == "factor":
-            B, A = item
-            hA[l] = _mm(h, A.swapaxes(-1, -2), counter)
-            z += _mm(hA[l], B.swapaxes(-1, -2), counter)
-        elif kind == "dense":
-            z += _mm(h, item.swapaxes(-1, -2), counter)
-        h = np.tanh(z, out=z) if l < n_layers - 1 else z
-        hs.append(h)
-    return _Cache(weights, hs, hA, kind, items, counter)
+    def backward(self, dz, out=None, combine=None):
+        """Carry the logit error ``dz`` of the last forward pass back through
+        every layer, last to first, and return per layer, in layer order,
+        ``combine(error, input)`` when given, else the factor gradients
+        ``(dB, dA)``, or without adapters the weight and bias gradients. Given
+        ``out`` (per layer, laid out as the result), it writes them there."""
+        hs, hA, items, c = self.hs, self.hA, self.items, self.counter
+        factor = self.kind == "factor"
+        grads = [None] * len(self.weights)
+        for l in reversed(range(len(grads))):
+            h = hs[l]
+            dzB = _mm(dz, items[l][0], c) if factor else None
+            if combine is not None:
+                grads[l] = combine(dz, h)
+            else:
+                g1, g2 = (None, None) if out is None else out[l]
+                grads[l] = (_mm(dz.swapaxes(-1, -2), hA[l] if factor else h, c, g1),
+                            _mm(dzB.swapaxes(-1, -2), h, c, g2) if factor
+                            else np.add.reduce(dz, axis=-2, out=g2))
+            if l > 0:
+                w = self.weights[l]
+                dh = _mm(dz, w + items[l] if self.kind == "dense" else w, c)
+                if factor:
+                    dh += _mm(dzB, items[l][1], c)
+                slope = h ** 2  # tanh's 1 - h^2, in one buffer
+                np.subtract(1.0, slope, out=slope)
+                dh *= slope
+                dz = dh
+        return grads
 
 
 def base_preactivation(base: FrozenBase, x: Matrix) -> np.ndarray:
@@ -208,40 +231,8 @@ def base_preactivation(base: FrozenBase, x: Matrix) -> np.ndarray:
 def forward(base: FrozenBase, adapters, x: Matrix, z0=None):
     """Logits and the per-layer post-activation representations. ``z0`` is
     ``base_preactivation(base, x)``, or None to form it here."""
-    cache = _forward_cache(base.weights, base.biases, adapters, x, z0=z0)
-    return cache.hs[-1], cache.hs[1:]
-
-
-def _backward(cache: _Cache, dz, fold):
-    """Carry the logit error ``dz`` back through every layer's effective
-    weight, last to first. At each layer ``fold(l, dz, dzB)`` turns the error
-    at that layer's output into what the caller needs; ``dzB`` is ``dz @ B``
-    on the factor path and None otherwise. Returns the folds' results in
-    layer order."""
-    out = [None] * len(cache.weights)
-    for l in reversed(range(len(cache.weights))):
-        w, item = cache.weights[l], cache.items[l]
-        dzB = _mm(dz, item[0], cache.counter) if cache.kind == "factor" else None
-        out[l] = fold(l, dz, dzB)
-        if l > 0:
-            dh = _mm(dz, w + item if cache.kind == "dense" else w, cache.counter)
-            if cache.kind == "factor":
-                dh += _mm(dzB, item[1], cache.counter)
-            slope = cache.hs[l] ** 2  # tanh's 1 - h^2, in one buffer
-            np.subtract(1.0, slope, out=slope)
-            dh *= slope
-            dz = dh
-    return out
-
-
-def _factor_grads(cache: _Cache, dz, out=None):
-    """Gradients w.r.t. (B, A) per layer for a loss with logit gradient ``dz``."""
-    def fold(l, dz, dzB):
-        gB, gA = (None, None) if out is None else out[l]
-        return (_mm(dz.swapaxes(-1, -2), cache.hA[l], cache.counter, gB),
-                _mm(dzB.swapaxes(-1, -2), cache.hs[l], cache.counter, gA))
-
-    return _backward(cache, dz, fold)
+    walk = _Walk(base.weights, base.biases, adapters)
+    return walk.forward(x, z0), walk.hs[1:]
 
 
 def _task_loss(logits, y, task: str):
@@ -281,9 +272,9 @@ def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
                               task: str = "multiclass", counter=None, out=None):
     """Mean supervised loss and analytic adapter-factor gradients.
     ``adapters`` is an AdapterSet, client-stacked for a client-stacked batch."""
-    student = _forward_cache(base.weights, base.biases, adapters, x, counter)
-    loss, dz = _task_loss(student.hs[-1], y, task)
-    return loss, _factor_grads(student, dz, out)
+    walk = _Walk(base.weights, base.biases, adapters, counter)
+    loss, dz = _task_loss(walk.forward(x), y, task)
+    return loss, walk.backward(dz, out)
 
 
 def _binary_cross_entropy(logits, targets):
@@ -298,14 +289,20 @@ def _binary_cross_entropy(logits, targets):
 def _sigmoid_error(logits, targets):
     """``sigmoid(logits) - targets``: each label's logit error of its sigmoid
     cross-entropy, unscaled."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ShapeError(f"targets shape {targets.shape} != logits shape {logits.shape}")
-    return _sigmoid(logits) - targets
+    if np.shape(targets) != logits.shape:
+        raise ShapeError(f"targets shape {np.shape(targets)} != logits shape {logits.shape}")
+    e = _sigmoid(logits)
+    e -= targets
+    return e
 
 
 def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    """``0.5 * (1 + tanh(0.5 * z))`` in one buffer."""
+    s = np.multiply(z, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +323,9 @@ def _importance(base: FrozenBase, adapters_at_anchor, x, logit_error,
     n = x.shape[0]
     if n == 0:
         raise InputError("empty shard")
-    cache = _forward_cache(base.weights, base.biases, adapters_at_anchor, x)
-    dz = logit_error(cache.hs[-1])
-    stats = _backward(cache, dz, lambda l, g, _: combine(g, cache.hs[l]) / n)
-    return ImportanceEstimate(tuple(stats))
+    walk = _Walk(base.weights, base.biases, adapters_at_anchor)
+    stats = walk.backward(logit_error(walk.forward(x)), combine=combine)
+    return ImportanceEstimate(tuple(s / n for s in stats))
 
 
 def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
@@ -397,15 +393,20 @@ def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
             f"teacher outputs {t_logits.shape} != student outputs {s_logits.shape}")
     tau = temperature
     n, L = s_logits.shape[-2:]
-    if task == "multiclass":
+    if task == "multiclass":  # each step in place, in the textbook expression's order
         t = softmax(t_logits / tau)
-        s_shift = s_logits / tau
-        s_shift = s_shift - s_shift.max(axis=-1, keepdims=True)
-        e = np.exp(s_shift)
-        total = e.sum(axis=-1, keepdims=True)
-        log_s = s_shift - np.log(total)
-        penalty = mu * (np.add.reduce(-np.sum(t * log_s, axis=-1), axis=-1) / n)
-        dz = mu * (e / total - t) / (n * tau)
+        log_s = s_logits / tau
+        log_s -= log_s.max(axis=-1, keepdims=True)
+        dz = np.exp(log_s)
+        total = dz.sum(axis=-1, keepdims=True)
+        log_s -= np.log(total)
+        log_s *= t
+        rows = np.add.reduce(log_s, axis=-1)
+        penalty = mu * (np.add.reduce(np.negative(rows, out=rows), axis=-1) / n)
+        dz /= total
+        dz -= t
+        dz *= mu
+        dz /= n * tau
     else:
         t = _sigmoid(t_logits / tau)
         z = s_logits / tau
@@ -432,19 +433,25 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     this batch's rows; the distillation errors, stability then plasticity,
     are added to the supervised one at the logits and walked back once.
     """
+    return _local_loss(_Walk(base.weights, base.biases, adapters, counter), adapters,
+                       x, y, stability_anchor, plasticity_anchor, importance, cl, task, out)
+
+
+def _local_loss(walk: _Walk, adapters, x, y, stability_anchor, plasticity_anchor,
+                importance, cl, task, out):
+    """``total_local_loss`` through ``walk``, built on ``adapters``."""
     terms = [(anchor, mu) for anchor, mu in ((stability_anchor, cl.mu1),
                                              (plasticity_anchor, cl.mu2))
              if cl.method != "none" and anchor is not None and mu > 0]
+    logits = walk.forward(x)
+    loss, dz = _task_loss(logits, y, task)
     if cl.method == "lwf":
-        student = _forward_cache(base.weights, base.biases, adapters, x, counter)
-        loss, dz = _task_loss(student.hs[-1], y, task)
         for t_logits, mu in terms:
-            p, dz_p = lwf_penalty(t_logits, student.hs[-1], mu,
-                                  cl.lwf_temperature, task)
+            p, dz_p = lwf_penalty(t_logits, logits, mu, cl.lwf_temperature, task)
             loss = loss + p
             dz = dz + dz_p
-        return loss, _factor_grads(student, dz, out)
-    loss, grads = supervised_loss_and_grads(base, adapters, x, y, task, counter, out)
+        return loss, walk.backward(dz, out)
+    grads = walk.backward(dz, out)
     if not terms:
         return loss, grads
     if importance is None:
@@ -490,24 +497,14 @@ def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
     """Supervised loss and gradients w.r.t. every weight matrix and bias:
     weights [h1, h2] and biases [h1] for one model on an [n, d] batch, or
     [C, h1, h2] and [C, h1] for C client models on a [C, n, d] batch."""
-    cache = _forward_cache(weights, biases, None, x, counter)
-    loss, dz = _task_loss(cache.hs[-1], y, task)
-    return (loss, *_full_weight_grads(cache, dz, out))
+    walk = _Walk(weights, biases, counter=counter)
+    loss, dz = _task_loss(walk.forward(x), y, task)
+    return (loss, *zip(*walk.backward(dz, out and list(zip(*out)))))
 
 
 def full_grads(weights, biases, x, y, task: str = "multiclass", out=None):
     """The weight and bias gradients ``full_loss_and_grads`` returns, bit for
     bit, without forming the loss."""
-    cache = _forward_cache(weights, biases, None, x)
-    return _full_weight_grads(cache, _mean_loss_gradient(cache.hs[-1], y, task), out)
-
-
-def _full_weight_grads(cache: _Cache, dz, out=None):
-    """Gradients w.r.t. every weight and bias for a loss with logit gradient ``dz``."""
-    def fold(l, dz, _):
-        gw, gb = (None, None) if out is None else (out[0][l], out[1][l])
-        return (_mm(dz.swapaxes(-1, -2), cache.hs[l], cache.counter, gw),
-                np.add.reduce(dz, axis=-2, out=gb))
-
-    w_grads, b_grads = zip(*_backward(cache, dz, fold))
-    return w_grads, b_grads
+    walk = _Walk(weights, biases)
+    dz = _mean_loss_gradient(walk.forward(x), y, task)
+    return tuple(zip(*walk.backward(dz, out and list(zip(*out)))))

@@ -140,19 +140,15 @@ def relu(m: Matrix, out=None) -> Matrix:
 def softmax(logits: Matrix) -> Matrix:
     """Row-wise softmax, stabilized by max subtraction."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def _softmax_terms(logits: Matrix, targets: Matrix):
-    """The checks and shared terms of the cross-entropy of every row.
-
-    Returns ``(error, shifted, z)``: the logit error ``softmax(logits) -
-    targets`` of each row, unscaled, the max-shifted logits and their row sums
-    of exp [..., 1]. ``targets`` are one-hot rows shaped like ``logits``; the
-    label range is checked where they are formed, not here.
-    """
+def _checked_logits(logits: Matrix, targets: Matrix) -> Matrix:
+    """``logits`` as float64, checked against their one-hot rows ``targets``;
+    the label range is checked where those are formed, not here."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
         raise ShapeError(f"logits must be 2-D or client-stacked 3-D, got {logits.shape}")
@@ -160,6 +156,14 @@ def _softmax_terms(logits: Matrix, targets: Matrix):
         raise ShapeError(f"targets shape {np.shape(targets)} != logits shape {logits.shape}")
     if logits.shape[-2] == 0:
         raise InputError("empty batch")
+    return logits
+
+
+def _softmax_terms(logits: Matrix, targets: Matrix):
+    """The shared terms of the cross-entropy of every row: ``(error, shifted,
+    z)``, the logit error ``softmax(logits) - targets`` of each row, unscaled,
+    the max-shifted logits and their row sums of exp [..., 1]."""
+    logits = _checked_logits(logits, targets)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     z = e.sum(axis=-1, keepdims=True)
@@ -171,9 +175,13 @@ def _softmax_terms(logits: Matrix, targets: Matrix):
 
 def softmax_error(logits: Matrix, targets: Matrix) -> Matrix:
     """``softmax(logits) - targets`` row by row: each sample's logit error of
-    its cross-entropy, unscaled. ``targets`` are one-hot rows shaped like
-    ``logits``, checked as ``softmax_cross_entropy`` checks them."""
-    return _softmax_terms(logits, targets)[0]
+    its cross-entropy, unscaled, as ``softmax_cross_entropy`` forms it."""
+    e = _checked_logits(logits, targets)
+    e = e - e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    e -= targets
+    return e
 
 
 def softmax_cross_entropy(logits: Matrix, targets: Matrix):

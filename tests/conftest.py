@@ -6,8 +6,7 @@ import pytest
 
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.metrics import accuracy_score
-from rankfed.model import (_factor_grads, _forward_cache, forward, lwf_penalty,
-                           random_base)
+from rankfed.model import _Walk, forward, lwf_penalty, random_base
 from rankfed.numerics import Rng, softmax
 
 
@@ -76,10 +75,10 @@ def lwf_penalty_and_grads(base, adapters, teacher, x, mu, **kwargs):
     """``lwf_penalty`` of the student ``adapters`` toward ``teacher`` on ``x``,
     with its logit gradient carried back to the student's factors, as
     ``total_local_loss`` carries it."""
-    student = _forward_cache(base.weights, base.biases, adapters, x)
-    penalty, dz = lwf_penalty(forward(base, teacher, x)[0], student.hs[-1], mu,
+    student = _Walk(base.weights, base.biases, adapters)
+    penalty, dz = lwf_penalty(forward(base, teacher, x)[0], student.forward(x), mu,
                               **kwargs)
-    return penalty, _factor_grads(student, dz)
+    return penalty, student.backward(dz)
 
 
 def max_rel_err(analytic, fd, floor=1e-6):

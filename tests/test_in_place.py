@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rankfed.lora import AdapterSet, LoRAAdapter
-from rankfed.model import (CLConfig, ImportanceEstimate, _descend, _forward_cache,
-                           _task_loss, estimate_fim, estimate_mas_importance, forward,
-                           full_grads, full_loss_and_grads, quadratic_penalty,
-                           random_base, sgd_step, total_local_loss)
+from rankfed.model import (CLConfig, ImportanceEstimate, _binary_cross_entropy, _descend,
+                           _task_loss, _Walk, estimate_fim, estimate_mas_importance,
+                           forward, full_grads, full_loss_and_grads, lwf_penalty,
+                           quadratic_penalty, random_base, sgd_step, total_local_loss)
 from rankfed.numerics import Rng, aligned_params, relu, softmax_error
 from rankfed.server import pool_gradients, sensitivity
 
@@ -71,6 +71,27 @@ def quadratic_reference(adapters, anchor, mu, importance):
         d_dense = mu * imp * diff
         grads.append((d_dense @ a.A.swapaxes(-1, -2), a.B.swapaxes(-1, -2) @ d_dense))
     return penalty, grads
+
+
+def lwf_reference(t_logits, s_logits, mu, tau, task):
+    """``lwf_penalty``'s former expressions, a fresh temporary per step."""
+    n, L = s_logits.shape[-2:]
+    if task == "multiclass":
+        t = t_logits / tau
+        t = t - t.max(axis=-1, keepdims=True)
+        t = np.exp(t)
+        t = t / t.sum(axis=-1, keepdims=True)
+        s_shift = s_logits / tau
+        s_shift = s_shift - s_shift.max(axis=-1, keepdims=True)
+        e = np.exp(s_shift)
+        total = e.sum(axis=-1, keepdims=True)
+        log_s = s_shift - np.log(total)
+        penalty = mu * (np.add.reduce(-np.sum(t * log_s, axis=-1), axis=-1) / n)
+        return penalty, mu * (e / total - t) / (n * tau)
+    t = 0.5 * (1.0 + np.tanh(0.5 * (t_logits / tau)))
+    z = s_logits / tau
+    penalty = mu * _binary_cross_entropy(z, t)
+    return penalty, mu * (0.5 * (1.0 + np.tanh(0.5 * z)) - t) / (n * L * tau)
 
 
 def flat_pair(params, grads):
@@ -162,22 +183,36 @@ def test_quadratic_penalty_equals_its_reference(bs, as_, imps, stability, plasti
                    for e, g in zip(pair_e, pair_g))
 
 
+@settings(max_examples=80, deadline=None)
+@given(shape=st.sampled_from([(3, 4), (2, 3, 4)]), data=st.data(),
+       mu=st.floats(1e-3, 10.0), tau=st.sampled_from([1.0, 1.5]),
+       task=st.sampled_from(["multiclass", "multilabel"]))
+def test_lwf_penalty_equals_its_reference(shape, data, mu, tau, task):
+    # 2-D and client-stacked logits of teacher and student
+    t_logits, s_logits = (data.draw(arrays(np.float64, shape, elements=FLOATS))
+                          for _ in range(2))
+    with np.errstate(all="ignore"):
+        expected = lwf_reference(t_logits, s_logits, mu, tau, task)
+        got = lwf_penalty(t_logits, s_logits, mu, tau, task)
+    assert all(same_bits(e, g) for e, g in zip(expected, got))
+
+
 # --- the backward walk into given buffers ---------------------------------------
 
-def walk_reference(cache, dz):
+def walk_reference(walk, dz):
     """The backward walk as fresh products: per layer, the (B, A) gradients
     on the factor path, else the (weight, bias) gradients."""
-    grads = [None] * len(cache.weights)
-    for l in reversed(range(len(cache.weights))):
-        h = cache.hs[l]
-        if cache.kind == "factor":
-            B, A = cache.items[l]
+    grads = [None] * len(walk.weights)
+    for l in reversed(range(len(walk.weights))):
+        h = walk.hs[l]
+        if walk.kind == "factor":
+            B, A = walk.items[l]
             dzB = dz @ B
-            grads[l] = (dz.swapaxes(-1, -2) @ cache.hA[l], dzB.swapaxes(-1, -2) @ h)
-            dh = dz @ cache.weights[l] + dzB @ A
+            grads[l] = (dz.swapaxes(-1, -2) @ walk.hA[l], dzB.swapaxes(-1, -2) @ h)
+            dh = dz @ walk.weights[l] + dzB @ A
         else:
             grads[l] = (dz.swapaxes(-1, -2) @ h, np.sum(dz, axis=-2))
-            dh = dz @ cache.weights[l]
+            dh = dz @ walk.weights[l]
         dz = dh * (1.0 - h ** 2)
     return grads
 
@@ -202,8 +237,8 @@ def test_full_gradients_into_buffers_equal_the_allocating_path(task, clients):
     y = (np.eye(4)[rng.substream("y").integers(0, 4, rows)] if task == "multiclass"
          else (rng.substream("y").uniform(rows + (4,)) < 0.5) * 1.0)
 
-    cache = _forward_cache(weights, biases, None, x)
-    reference = walk_reference(cache, _task_loss(cache.hs[-1], y, task)[1])
+    walk = _Walk(weights, biases)
+    reference = walk_reference(walk, _task_loss(walk.forward(x), y, task)[1])
     expected = [g.tobytes() for pair in zip(*reference) for g in pair]
     assert [g.tobytes() for side in full_grads(weights, biases, x, y, task)
             for g in side] == expected
@@ -245,6 +280,6 @@ def test_total_local_loss_into_buffers_equals_the_allocating_path(rng, method):
     assert [g.tobytes() for g in grads.views] == expected
     assert in_place_loss.tobytes() == loss.tobytes()
     if method == "none":
-        cache = _forward_cache(base.weights, base.biases, stack, xs)
-        reference = walk_reference(cache, _task_loss(cache.hs[-1], ys, "multiclass")[1])
+        walk = _Walk(base.weights, base.biases, stack)
+        reference = walk_reference(walk, _task_loss(walk.forward(xs), ys, "multiclass")[1])
         assert [g.tobytes() for pair in reference for g in pair] == expected

@@ -409,14 +409,14 @@ class TestTotalLocalLoss:
         base, adapters, x, y = make_model(rng)
         sta, pla, _ = self._anchors(rng, adapters)
         calls = []
-        backward = model._backward
+        backward = model._Walk.backward
 
         def counted(*args, **kwargs):
             calls.append(1)
             return backward(*args, **kwargs)
 
         teachers = (forward(base, sta, x)[0], forward(base, pla, x)[0])
-        monkeypatch.setattr(model, "_backward", counted)
+        monkeypatch.setattr(model._Walk, "backward", counted)
         total_local_loss(base, adapters, x, y, *teachers, None, CLConfig("lwf", 0.4, 0.2))
         assert len(calls) == 1
 
