@@ -15,11 +15,9 @@ import numpy as np
 
 from .errors import InputError, NumericError, ParameterError, require_finite
 from .lora import AdapterSet, DenseDelta
-from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, _local_loss,
-                    _Walk, estimate_fim, estimate_mas_importance, forward, sgd_step)
-# Not called here: the benchmark's tracer wraps this name as its
-# ``model.total_local_loss`` layer until that target is re-pointed at ``_local_loss``.
-from .model import total_local_loss  # noqa: F401
+from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, Walk,
+                    estimate_fim, estimate_mas_importance, forward, sgd_step,
+                    total_local_loss)
 from .numerics import Rng
 
 
@@ -172,25 +170,25 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
     importance = _stacked_importance(states)
     adapters, params, grads = global_adapters.stacked(len(states))
     out = list(zip(grads.views[::2], grads.views[1::2]))
-    walk = _Walk(base.weights, base.biases, adapters, counter)
+    walk = Walk(base.weights, base.biases, adapters, counter)
     cl = config.cl
     stability, plasticity, rows = stability_anchor, None, []
-    if cl.active and cl.method != "lwf":
-        plasticity = global_adapters.dense()
-    elif cl.active and config.epochs > 0:
-        stability = (_stacked_stability_logits(states)
-                     if stability_anchor is not None and cl.mu1 > 0 else None)
-        plasticity = (np.stack([forward(base, global_adapters, s.features)[0]
-                                for s in states]) if cl.mu2 > 0 else None)
-        rows = [t for t in (stability, plasticity) if t is not None]
+    if cl.active and config.epochs > 0:
+        if cl.method != "lwf":
+            plasticity = global_adapters.dense() if cl.mu2 > 0 else None
+        else:
+            stability = (_stacked_stability_logits(states)
+                         if stability_anchor is not None and cl.mu1 > 0 else None)
+            plasticity = (np.stack([forward(base, global_adapters, s.features)[0]
+                                    for s in states]) if cl.mu2 > 0 else None)
+            rows = [t for t in (stability, plasticity) if t is not None]
 
     def step(epoch, x, y, *batch_rows):
         anchors = (stability, plasticity)
         if batch_rows:  # the LwF teachers' logits for this batch
             gathered = iter(batch_rows)
             anchors = [None if a is None else next(gathered) for a in anchors]
-        loss, _ = _local_loss(walk, adapters, x, y, *anchors, importance, cl,
-                              config.task, out)
+        loss, _ = total_local_loss(walk, x, y, *anchors, importance, cl, config.task, out)
         finite = np.isfinite(loss)
         if not finite.all():
             raise NumericError(

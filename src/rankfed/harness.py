@@ -27,13 +27,13 @@ from .errors import InputError, NumericError, ParameterError, UndefinedMetricErr
 from .lora import AdapterSet, RankSchedule, init_adapter_set
 from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_cka,
                       prepare_labels, prepare_representations, weight_distance)
-# Not called here. The benchmark's tracer wraps these names as its ``metrics.auc``
-# and ``model.full_loss_and_grads`` layers, so they stay importable until those
-# targets are re-pointed at ``column_aucs`` and the training walk.
+# Not called here. The benchmark's tracer wraps this name as its ``metrics.auc``
+# layer, so it stays importable until that target is re-pointed at ``column_aucs``.
 from .metrics import auc  # noqa: F401
-from .model import full_loss_and_grads  # noqa: F401
-from .model import (CLConfig, FrozenBase, OpCounter, _descend, _mean_loss_gradient,
-                    _task_loss, _Walk, base_preactivation, forward, random_base)
+from .model import (CLConfig, FrozenBase, OpCounter, Walk, _descend, base_preactivation,
+                    forward, full_grads, random_base)
+# The full-model step's name: the benchmark's tracer wraps it as that layer.
+from .model import supervised_loss_and_grads as full_loss_and_grads
 from .numerics import Rng, aligned_params
 from .server import (ClientUpdate, ServerState, server_round, shard_weights,
                      weighted_sum)
@@ -158,12 +158,12 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     init = random_base([dataset.dim, *hidden, dataset.num_classes], rng)
     params, grads = aligned_params(init.weights + init.biases)
     model, out = _layers(params), list(zip(*_layers(grads)))
-    walk = _Walk(*model)
+    walk = Walk(*model)
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
 
     def step(epoch, xb, yb):
-        walk.backward(_mean_loss_gradient(walk.forward(xb), yb, dataset.task), out)
+        full_grads(walk, xb, yb, dataset.task, out)
         _descend(params.buf, grads.buf, eta)
 
     sgd_epochs(step, dataset.train_x, _training_targets(dataset), batch_size, orders)
@@ -218,12 +218,11 @@ def _full_model_step(params, grads, task, eta, counter=None):
     ``aligned_params`` pair laid out weights first, then biases; weights
     [C, h1, h2] and biases [C, h1] train C client models on client-stacked
     shards."""
-    walk = _Walk(*_layers(params), counter=counter)
+    walk = Walk(*_layers(params), counter=counter)
     out = list(zip(*_layers(grads)))
 
     def step(epoch, xb, yb):
-        loss, dz = _task_loss(walk.forward(xb), yb, task)
-        walk.backward(dz, out)
+        loss, _ = full_loss_and_grads(walk, xb, yb, task, out)
         _descend(params.buf, grads.buf, eta)
         return loss
 

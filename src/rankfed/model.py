@@ -137,18 +137,21 @@ def _as_batch(x) -> np.ndarray:
     return x
 
 
-class _Walk:
+class Walk:
     """The forward pass and backward walk over the layer stack ``weights``/
     ``biases`` (the frozen base, or the full-model path's trainable weights)
-    plus adapters: ``(B, A)`` factor pairs from an AdapterSet (client-stacked
-    or not), dense updates from a per-layer list, or none. A training loop
-    builds one per trained set: every descent updates the set in place, so
-    the views held here stay valid. ``counter`` counts both passes' products."""
+    plus ``adapters``: ``(B, A)`` factor pairs from an AdapterSet
+    (client-stacked or not), dense updates from a per-layer list, or none. A
+    training loop builds one per trained set and passes it to every step's
+    loss-and-gradient call: every descent updates the set in place, so the
+    views held here stay valid. ``counter`` counts both passes' products."""
 
-    __slots__ = ("items", "kind", "counter", "wT", "rows", "itemsT", "weights", "hs", "hA")
+    __slots__ = ("adapters", "items", "kind", "counter", "wT", "rows", "itemsT", "weights",
+                 "hs", "hA")
 
     def __init__(self, weights, biases, adapters=None, counter=None):
         n, self.kind, self.counter = len(weights), None, counter
+        self.adapters = adapters
         self.items = [None] * n
         if isinstance(adapters, AdapterSet):
             self.items, self.kind = [(a.B, a.A) for a in adapters], "factor"
@@ -231,7 +234,7 @@ def base_preactivation(base: FrozenBase, x: Matrix) -> np.ndarray:
 def forward(base: FrozenBase, adapters, x: Matrix, z0=None):
     """Logits and the per-layer post-activation representations. ``z0`` is
     ``base_preactivation(base, x)``, or None to form it here."""
-    walk = _Walk(base.weights, base.biases, adapters)
+    walk = Walk(base.weights, base.biases, adapters)
     return walk.forward(x, z0), walk.hs[1:]
 
 
@@ -268,13 +271,18 @@ def _mean_loss_gradient(logits, y, task: str):
     return dz
 
 
-def supervised_loss_and_grads(base: FrozenBase, adapters, x, y,
-                              task: str = "multiclass", counter=None, out=None):
-    """Mean supervised loss and analytic adapter-factor gradients.
-    ``adapters`` is an AdapterSet, client-stacked for a client-stacked batch."""
-    walk = _Walk(base.weights, base.biases, adapters, counter)
+def supervised_loss_and_grads(walk: Walk, x, y, task: str = "multiclass", out=None):
+    """Mean supervised loss and the analytic gradients ``walk.backward``
+    returns: the adapter-factor gradients, or without adapters the weight and
+    bias gradients. A client-stacked walk takes a client-stacked batch."""
     loss, dz = _task_loss(walk.forward(x), y, task)
     return loss, walk.backward(dz, out)
+
+
+def full_grads(walk: Walk, x, y, task: str = "multiclass", out=None):
+    """The gradients ``supervised_loss_and_grads`` returns, bit for bit,
+    without forming the loss."""
+    return walk.backward(_mean_loss_gradient(walk.forward(x), y, task), out)
 
 
 def _binary_cross_entropy(logits, targets):
@@ -323,7 +331,7 @@ def _importance(base: FrozenBase, adapters_at_anchor, x, logit_error,
     n = x.shape[0]
     if n == 0:
         raise InputError("empty shard")
-    walk = _Walk(base.weights, base.biases, adapters_at_anchor)
+    walk = Walk(base.weights, base.biases, adapters_at_anchor)
     stats = walk.backward(logit_error(walk.forward(x)), combine=combine)
     return ImportanceEstimate(tuple(s / n for s in stats))
 
@@ -419,13 +427,13 @@ def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
 # Combined local objective and the optimizer step
 # ---------------------------------------------------------------------------
 
-def total_local_loss(base: FrozenBase, adapters, x, y,
+def total_local_loss(walk: Walk, x, y,
                      stability_anchor: DenseDelta | np.ndarray | None,
                      plasticity_anchor: DenseDelta | np.ndarray | None,
                      importance: ImportanceEstimate | None,
-                     cl: CLConfig, task: str = "multiclass", counter=None,
-                     out=None):
-    """Supervised loss plus stability and plasticity regularizers.
+                     cl: CLConfig, task: str = "multiclass", out=None):
+    """Supervised loss plus stability and plasticity regularizers, with the
+    gradients at the factors of the AdapterSet ``walk`` was built on.
 
     An absent stability anchor (first phase) contributes nothing; zero
     strengths short-circuit so the disabled path is bit-identical to the
@@ -433,30 +441,23 @@ def total_local_loss(base: FrozenBase, adapters, x, y,
     this batch's rows; the distillation errors, stability then plasticity,
     are added to the supervised one at the logits and walked back once.
     """
-    return _local_loss(_Walk(base.weights, base.biases, adapters, counter), adapters,
-                       x, y, stability_anchor, plasticity_anchor, importance, cl, task, out)
-
-
-def _local_loss(walk: _Walk, adapters, x, y, stability_anchor, plasticity_anchor,
-                importance, cl, task, out):
-    """``total_local_loss`` through ``walk``, built on ``adapters``."""
     terms = [(anchor, mu) for anchor, mu in ((stability_anchor, cl.mu1),
                                              (plasticity_anchor, cl.mu2))
              if cl.method != "none" and anchor is not None and mu > 0]
-    logits = walk.forward(x)
-    loss, dz = _task_loss(logits, y, task)
     if cl.method == "lwf":
+        logits = walk.forward(x)
+        loss, dz = _task_loss(logits, y, task)
         for t_logits, mu in terms:
             p, dz_p = lwf_penalty(t_logits, logits, mu, cl.lwf_temperature, task)
             loss = loss + p
             dz = dz + dz_p
         return loss, walk.backward(dz, out)
-    grads = walk.backward(dz, out)
+    loss, grads = supervised_loss_and_grads(walk, x, y, task, out)
     if not terms:
         return loss, grads
     if importance is None:
         raise InputError(f"{cl.method} penalty requires importance estimates")
-    for p, g in quadratic_penalty(adapters, terms, importance):
+    for p, g in quadratic_penalty(walk.adapters, terms, importance):
         loss = loss + p
         for (gB, gA), (pB, pA) in zip(grads, g):
             gB += pB
@@ -486,25 +487,3 @@ def sgd_step(params: Flat, grads: Flat, eta: float, client_ids) -> None:
 def _descend(buf, grad_buf, eta) -> None:
     """``buf -= eta * grad_buf`` in place, scaling the gradients in place."""
     buf -= np.multiply(grad_buf, eta, out=grad_buf)
-
-
-# ---------------------------------------------------------------------------
-# Full-model path (FedAvg baseline: base weights trainable and transmitted)
-# ---------------------------------------------------------------------------
-
-def full_loss_and_grads(weights, biases, x, y, task: str = "multiclass",
-                        counter=None, out=None):
-    """Supervised loss and gradients w.r.t. every weight matrix and bias:
-    weights [h1, h2] and biases [h1] for one model on an [n, d] batch, or
-    [C, h1, h2] and [C, h1] for C client models on a [C, n, d] batch."""
-    walk = _Walk(weights, biases, counter=counter)
-    loss, dz = _task_loss(walk.forward(x), y, task)
-    return (loss, *zip(*walk.backward(dz, out and list(zip(*out)))))
-
-
-def full_grads(weights, biases, x, y, task: str = "multiclass", out=None):
-    """The weight and bias gradients ``full_loss_and_grads`` returns, bit for
-    bit, without forming the loss."""
-    walk = _Walk(weights, biases)
-    dz = _mean_loss_gradient(walk.forward(x), y, task)
-    return tuple(zip(*walk.backward(dz, out and list(zip(*out)))))

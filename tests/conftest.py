@@ -6,7 +6,7 @@ import pytest
 
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.metrics import accuracy_score
-from rankfed.model import _Walk, forward, lwf_penalty, random_base
+from rankfed.model import Walk, forward, lwf_penalty, random_base
 from rankfed.numerics import Rng, softmax
 
 
@@ -38,6 +38,12 @@ def make_model(rng, dims=(5, 7, 4), rank=3, batch=6, sigma=0.05, warm=True):
     x = rng.substream("x").normal(batch, dims[0])
     y = rng.substream("y").integers(0, dims[-1], batch)
     return base, adapters, x, one_hot(y, dims[-1])
+
+
+def walk_on(base, adapters=None, counter=None):
+    """The training walk over the frozen ``base`` plus ``adapters``, as a
+    training loop builds it, for one loss-and-gradient call."""
+    return Walk(base.weights, base.biases, adapters, counter)
 
 
 def perturbed(adapters, layer, which, idx, eps):
@@ -75,7 +81,7 @@ def lwf_penalty_and_grads(base, adapters, teacher, x, mu, **kwargs):
     """``lwf_penalty`` of the student ``adapters`` toward ``teacher`` on ``x``,
     with its logit gradient carried back to the student's factors, as
     ``total_local_loss`` carries it."""
-    student = _Walk(base.weights, base.biases, adapters)
+    student = walk_on(base, adapters)
     penalty, dz = lwf_penalty(forward(base, teacher, x)[0], student.forward(x), mu,
                               **kwargs)
     return penalty, student.backward(dz)

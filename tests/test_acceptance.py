@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import fd_factor_grads, lwf_penalty_and_grads, max_rel_err, one_hot
+from conftest import fd_factor_grads, lwf_penalty_and_grads, max_rel_err, one_hot, walk_on
 
 import rankfed
 from rankfed.config import RunConfig
@@ -95,17 +95,17 @@ def test_criterion_01_gradient_correctness():
         t_logits = forward(base, sta, x)[0]
 
         checks = [
-            (lambda a: supervised_loss_and_grads(base, a, x, y),
-             lambda a: supervised_loss_and_grads(base, a, x, y)[0]),
+            (lambda a: supervised_loss_and_grads(walk_on(base, a), x, y),
+             lambda a: supervised_loss_and_grads(walk_on(base, a), x, y)[0]),
             (lambda a: quadratic_penalty(a, [(sta, 0.4)], imp)[0],
              lambda a: quadratic_penalty(a, [(sta, 0.4)], imp)[0][0]),
             (lambda a: quadratic_penalty(a, [(pla, 0.3)], imp)[0],
              lambda a: quadratic_penalty(a, [(pla, 0.3)], imp)[0][0]),
             (lambda a: lwf_penalty_and_grads(base, a, sta, x, 0.5),
              lambda a: lwf_penalty(t_logits, forward(base, a, x)[0], 0.5)[0]),
-            (lambda a: total_local_loss(base, a, x, y, sta, pla, imp,
+            (lambda a: total_local_loss(walk_on(base, a), x, y, sta, pla, imp,
                                         CLConfig("ewc", 0.2, 0.1)),
-             lambda a: total_local_loss(base, a, x, y, sta, pla, imp,
+             lambda a: total_local_loss(walk_on(base, a), x, y, sta, pla, imp,
                                         CLConfig("ewc", 0.2, 0.1))[0]),
         ]
         for grad_fn, loss_fn in checks:

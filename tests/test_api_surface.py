@@ -18,11 +18,6 @@ ALLOWED_UNCALLED = {
     # the benchmark's tracer wraps rankfed.harness.auc as its metrics.auc
     # layer; harness imports it for that target alone
     "auc",
-    # one-call entry points, each building one training walk (model._Walk)
-    # for the call, whose loops build theirs once per trained set; the
-    # gradient tests reach them, and the tracer wraps the first two
-    "total_local_loss", "full_loss_and_grads", "full_grads",
-    "supervised_loss_and_grads",
     # the planned run manifest (run.json) will write the validated config
     # with it
     "config_text",

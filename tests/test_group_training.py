@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import one_hot
+from conftest import one_hot, walk_on
 
 from rankfed.client import (ClientState, LocalTrainConfig, local_train,
                             refresh_importances, sgd_epochs)
@@ -82,8 +82,8 @@ def train_reference(state, base, cfg, adapters, anchor):
             anchors = ((anchor[idx], plasticity[idx]) if cfg.cl.method == "lwf"
                        else (anchor, plasticity))
             loss, grads = total_local_loss(
-                base, current, state.features[idx], state.labels[idx],
-                *anchors, state.importance, cfg.cl, cfg.task, counter)
+                walk_on(base, current, counter), state.features[idx], state.labels[idx],
+                *anchors, state.importance, cfg.cl, cfg.task)
             current = AdapterSet(tuple(
                 LoRAAdapter(a.B - CFG.eta * gB, a.A - CFG.eta * gA)
                 for a, (gB, gA) in zip(current, grads)), current.nominal_rank)
@@ -123,6 +123,18 @@ def test_group_equals_each_client_alone(case):
     plain_out, _, _ = train(plain, base, replace(cfg, cl=CLConfig("none")),
                             adapters, anchor)
     assert factor_bytes(plain_out[0]) != factor_bytes(group_out[0])
+
+
+@pytest.mark.parametrize("method", ["ewc", "mas"])
+@pytest.mark.parametrize("mu2, epochs, formed", [(0.3, 2, 1), (0.0, 2, 0), (0.3, 0, 0)])
+def test_plasticity_anchor_is_formed_only_for_a_step_that_uses_it(monkeypatch, method, mu2,
+                                                                  epochs, formed):
+    states, base, cfg, adapters, anchor = make_group(CLConfig(method, 0.4, mu2))
+    calls = []
+    dense = AdapterSet.dense
+    monkeypatch.setattr(AdapterSet, "dense", lambda self: calls.append(self) or dense(self))
+    local_train(states, base, adapters, anchor, replace(cfg, epochs=epochs))
+    assert len(calls) == formed
 
 
 def test_permuted_group_gives_the_same_per_client_results():

@@ -18,7 +18,7 @@ from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
                              run_federated)
 from rankfed.lora import AdapterSet, init_adapter_set
 from rankfed.metrics import accuracy_score, column_aucs, prepare_labels
-from rankfed.model import FrozenBase, forward, full_loss_and_grads, random_base
+from rankfed.model import FrozenBase, Walk, forward, random_base, supervised_loss_and_grads
 from rankfed.numerics import Rng
 
 TINY = dict(rounds=4, classes=4, dim=8, n_per_class=30, num_clients=2,
@@ -36,7 +36,7 @@ class TestPretrainBase:
     @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
     def test_equals_a_reference_loop_stepping_with_the_loss_kernel(self, task):
         # pretraining steps with gradients only; the reference takes the same
-        # steps through full_loss_and_grads and discards its loss
+        # steps through supervised_loss_and_grads and discards its loss
         if task == "multiclass":
             ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
             targets = one_hot(ds.train_y, ds.num_classes)
@@ -55,9 +55,9 @@ class TestPretrainBase:
             order = rng.substream("pretrain-shuffle", epoch).permutation(n)
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
-                _, w_grads, b_grads = full_loss_and_grads(
-                    weights, biases, ds.train_x[idx], targets[idx], task)
-                for w, b, gw, gb in zip(weights, biases, w_grads, b_grads):
+                _, grads = supervised_loss_and_grads(
+                    Walk(weights, biases), ds.train_x[idx], targets[idx], task)
+                for w, b, (gw, gb) in zip(weights, biases, grads):
                     w -= eta * gw
                     b -= eta * gb
         assert base.checksum() == FrozenBase(tuple(weights), tuple(biases)).checksum()

@@ -11,16 +11,16 @@ enough to overflow, where a reordered or fused operation would show.
 
 import numpy as np
 import pytest
-from conftest import make_model
+from conftest import make_model, walk_on
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rankfed.lora import AdapterSet, LoRAAdapter
-from rankfed.model import (CLConfig, ImportanceEstimate, _binary_cross_entropy, _descend,
-                           _task_loss, _Walk, estimate_fim, estimate_mas_importance,
-                           forward, full_grads, full_loss_and_grads, lwf_penalty,
-                           quadratic_penalty, random_base, sgd_step, total_local_loss)
+from rankfed.model import (CLConfig, ImportanceEstimate, Walk, _binary_cross_entropy,
+                           _descend, _task_loss, estimate_fim, estimate_mas_importance,
+                           forward, full_grads, lwf_penalty, quadratic_penalty, random_base,
+                           sgd_step, supervised_loss_and_grads, total_local_loss)
 from rankfed.numerics import Rng, aligned_params, relu, softmax_error
 from rankfed.server import pool_gradients, sensitivity
 
@@ -231,24 +231,24 @@ def test_full_gradients_into_buffers_equal_the_allocating_path(task, clients):
     params, grads = aligned_params(init.weights + init.biases, clients)
     layers = len(init.weights)
     weights, biases = params.views[:layers], params.views[layers:]
-    out = (grads.views[:layers], grads.views[layers:])
+    out = list(zip(grads.views[:layers], grads.views[layers:]))
     rows = (clients, 6) if clients else (6,)
     x = rng.substream("x").normal(6 * (clients or 1), 5).reshape(*rows, 5)
     y = (np.eye(4)[rng.substream("y").integers(0, 4, rows)] if task == "multiclass"
          else (rng.substream("y").uniform(rows + (4,)) < 0.5) * 1.0)
 
-    walk = _Walk(weights, biases)
+    walk = Walk(weights, biases)
     reference = walk_reference(walk, _task_loss(walk.forward(x), y, task)[1])
     expected = [g.tobytes() for pair in zip(*reference) for g in pair]
-    assert [g.tobytes() for side in full_grads(weights, biases, x, y, task)
+    assert [g.tobytes() for side in zip(*full_grads(Walk(weights, biases), x, y, task))
             for g in side] == expected
     poison(grads)
-    full_grads(weights, biases, x, y, task, out)
+    full_grads(Walk(weights, biases), x, y, task, out)
     assert [g.tobytes() for g in grads.views] == expected
-    loss, *allocated = full_loss_and_grads(weights, biases, x, y, task)
-    assert [g.tobytes() for side in allocated for g in side] == expected
+    loss, allocated = supervised_loss_and_grads(Walk(weights, biases), x, y, task)
+    assert [g.tobytes() for side in zip(*allocated) for g in side] == expected
     poison(grads)
-    in_place_loss, *_ = full_loss_and_grads(weights, biases, x, y, task, None, out)
+    in_place_loss, _ = supervised_loss_and_grads(Walk(weights, biases), x, y, task, out)
     assert [g.tobytes() for g in grads.views] == expected
     assert np.asarray(in_place_loss).tobytes() == np.asarray(loss).tobytes()
 
@@ -272,14 +272,15 @@ def test_total_local_loss_into_buffers_equals_the_allocating_path(rng, method):
     cl = CLConfig(method, 0.4, 0.3, lwf_temperature=2.0)
     out = list(zip(grads.views[::2], grads.views[1::2]))
 
-    loss, allocated = total_local_loss(base, stack, xs, ys, *anchors, importance, cl)
+    loss, allocated = total_local_loss(walk_on(base, stack), xs, ys, *anchors, importance,
+                                       cl)
     expected = [g.tobytes() for pair in allocated for g in pair]
     poison(grads)
-    in_place_loss, _ = total_local_loss(base, stack, xs, ys, *anchors, importance, cl,
-                                        "multiclass", None, out)
+    in_place_loss, _ = total_local_loss(walk_on(base, stack), xs, ys, *anchors, importance,
+                                        cl, "multiclass", out)
     assert [g.tobytes() for g in grads.views] == expected
     assert in_place_loss.tobytes() == loss.tobytes()
     if method == "none":
-        walk = _Walk(base.weights, base.biases, stack)
+        walk = walk_on(base, stack)
         reference = walk_reference(walk, _task_loss(walk.forward(xs), ys, "multiclass")[1])
         assert [g.tobytes() for pair in reference for g in pair] == expected

@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import (fd_factor_grads, lwf_penalty_and_grads, make_model, max_rel_err,
-                      one_hot)
+                      one_hot, walk_on)
 
 from rankfed import model
 from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
-from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter,
+from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, Walk,
                            base_preactivation, estimate_fim, estimate_mas_importance, forward,
-                           full_loss_and_grads, lwf_penalty, quadratic_penalty,
-                           random_base, sgd_step, supervised_loss_and_grads,
-                           total_local_loss)
+                           lwf_penalty, quadratic_penalty, random_base, sgd_step,
+                           supervised_loss_and_grads, total_local_loss)
 from rankfed.numerics import Rng, softmax
 
 
@@ -77,22 +76,22 @@ class TestForward:
 class TestSupervisedLoss:
     def test_duplicated_sample_mean_invariance(self, rng):
         base, adapters, x, y = make_model(rng, batch=1)
-        single, _ = supervised_loss_and_grads(base, adapters, x, y)
+        single, _ = supervised_loss_and_grads(walk_on(base, adapters), x, y)
         doubled, _ = supervised_loss_and_grads(
-            base, adapters, np.vstack([x, x]), np.concatenate([y, y]))
+            walk_on(base, adapters), np.vstack([x, x]), np.concatenate([y, y]))
         assert single == pytest.approx(doubled, abs=1e-14)
 
     def test_grads_match_finite_differences(self, rng):
         base, adapters, x, y = make_model(rng)
-        _, grads = supervised_loss_and_grads(base, adapters, x, y)
+        _, grads = supervised_loss_and_grads(walk_on(base, adapters), x, y)
         fd = fd_factor_grads(
-            lambda a: supervised_loss_and_grads(base, a, x, y)[0], adapters)
+            lambda a: supervised_loss_and_grads(walk_on(base, a), x, y)[0], adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
     def test_zero_b_kills_a_gradient(self, rng):
         base, _, x, y = make_model(rng)
         fresh = init_adapter_set(base.layer_shapes(), 3, 0.02, rng.substream("f"))
-        _, grads = supervised_loss_and_grads(base, fresh, x, y)
+        _, grads = supervised_loss_and_grads(walk_on(base, fresh), x, y)
         for (gB, gA), a in zip(grads, fresh):
             assert np.array_equal(gA, np.zeros_like(a.A))
             assert not np.array_equal(gB, np.zeros_like(a.B))
@@ -100,14 +99,16 @@ class TestSupervisedLoss:
     def test_empty_batch(self, rng):
         base, adapters, x, y = make_model(rng)
         with pytest.raises(InputError):
-            supervised_loss_and_grads(base, adapters, x[:0], y[:0])
+            supervised_loss_and_grads(walk_on(base, adapters), x[:0], y[:0])
 
     def test_multilabel_grads_match_fd(self, rng):
         base, adapters, x, _ = make_model(rng)
         y = np.asarray(rng.substream("ml").integers(0, 2, (x.shape[0], 4)))
-        _, grads = supervised_loss_and_grads(base, adapters, x, y, task="multilabel")
+        _, grads = supervised_loss_and_grads(walk_on(base, adapters), x, y,
+                                             task="multilabel")
         fd = fd_factor_grads(
-            lambda a: supervised_loss_and_grads(base, a, x, y, task="multilabel")[0],
+            lambda a: supervised_loss_and_grads(walk_on(base, a), x, y,
+                                                task="multilabel")[0],
             adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
@@ -123,19 +124,20 @@ class TestSupervisedLoss:
             return np.asarray(loss).tobytes(), [g.tobytes() for pair in grads for g in pair]
 
         for xb, yb, adp in ((x, y, adapters), (stacked_x, stacked_y, adapters.stacked(2)[0])):
-            as_int = supervised_loss_and_grads(base, adp, xb, yb, task="multilabel")
-            as_float = supervised_loss_and_grads(base, adp, xb, yb.astype(np.float64),
-                                                 task="multilabel")
+            as_int = supervised_loss_and_grads(walk_on(base, adp), xb, yb,
+                                               task="multilabel")
+            as_float = supervised_loss_and_grads(walk_on(base, adp), xb,
+                                                 yb.astype(np.float64), task="multilabel")
             assert as_bytes(*as_int) == as_bytes(*as_float)
             weights = [w.copy() for w in base.weights]
             biases = [b.copy() for b in base.biases]
             if xb.ndim == 3:
                 weights = [np.stack([w, w]) for w in weights]
                 biases = [np.stack([b, b]) for b in biases]
-            loss_i, wg_i, bg_i = full_loss_and_grads(weights, biases, xb, yb, "multilabel")
-            loss_f, wg_f, bg_f = full_loss_and_grads(weights, biases, xb,
-                                                     yb.astype(np.float64), "multilabel")
-            assert as_bytes(loss_i, [wg_i, bg_i]) == as_bytes(loss_f, [wg_f, bg_f])
+            as_int = supervised_loss_and_grads(Walk(weights, biases), xb, yb, "multilabel")
+            as_float = supervised_loss_and_grads(Walk(weights, biases), xb,
+                                                 yb.astype(np.float64), "multilabel")
+            assert as_bytes(*as_int) == as_bytes(*as_float)
 
 
 class TestQuadraticPenalties:
@@ -174,9 +176,9 @@ class TestQuadraticPenalties:
         base, adapters, anchor, imp = self._setup(rng)
         x = rng.substream("x").normal(6, 5)
         y = one_hot(rng.substream("y").integers(0, 4, 6), 4)
-        pe, ge = total_local_loss(base, adapters, x, y, anchor, None, imp,
+        pe, ge = total_local_loss(walk_on(base, adapters), x, y, anchor, None, imp,
                                   CLConfig("ewc", 0.3, 0.0))
-        pm, gm = total_local_loss(base, adapters, x, y, anchor, None, imp,
+        pm, gm = total_local_loss(walk_on(base, adapters), x, y, anchor, None, imp,
                                   CLConfig("mas", 0.3, 0.0))
         assert pe == pm
         assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -206,7 +208,7 @@ class TestQuadraticPenalties:
         matrices, layer = {"one matrix for two layers": ((first,), 1),
                            "1x1 for a 7x5 layer": ((np.ones((1, 1)), second), 0)}[case]
         with pytest.raises(ShapeError, match=f"layer {layer}"):
-            total_local_loss(base, adapters, x, y, anchor, anchor,
+            total_local_loss(walk_on(base, adapters), x, y, anchor, anchor,
                              ImportanceEstimate(matrices),
                              CLConfig("ewc", 0.3, 0.2))
 
@@ -348,8 +350,8 @@ class TestTotalLocalLoss:
     def test_method_none_equals_supervised(self, rng):
         base, adapters, x, y = make_model(rng)
         sta, pla, imp = self._anchors(rng, adapters)
-        sup, sup_g = supervised_loss_and_grads(base, adapters, x, y)
-        tot, tot_g = total_local_loss(base, adapters, x, y, sta, pla, imp,
+        sup, sup_g = supervised_loss_and_grads(walk_on(base, adapters), x, y)
+        tot, tot_g = total_local_loss(walk_on(base, adapters), x, y, sta, pla, imp,
                                       CLConfig("none"))
         assert tot == sup
         assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
@@ -358,8 +360,8 @@ class TestTotalLocalLoss:
     def test_zero_strengths_equal_supervised(self, rng):
         base, adapters, x, y = make_model(rng)
         sta, pla, imp = self._anchors(rng, adapters)
-        sup, _ = supervised_loss_and_grads(base, adapters, x, y)
-        tot, _ = total_local_loss(base, adapters, x, y, sta, pla, imp,
+        sup, _ = supervised_loss_and_grads(walk_on(base, adapters), x, y)
+        tot, _ = total_local_loss(walk_on(base, adapters), x, y, sta, pla, imp,
                                   CLConfig("ewc", 0.0, 0.0))
         assert abs(tot - sup) < 1e-15
 
@@ -374,9 +376,9 @@ class TestTotalLocalLoss:
             adapters = adapters.stacked(2)[0]
             x, y = np.stack([x, -0.5 * x]), np.stack([y, y[::-1]])
             imp = ImportanceEstimate(tuple(np.stack([m, 2.0 * m]) for m in imp.matrices))
-        tot, tot_g = total_local_loss(base, adapters, x, y, sta, pla, imp,
+        tot, tot_g = total_local_loss(walk_on(base, adapters), x, y, sta, pla, imp,
                                       CLConfig(method, 0.4, 0.2))
-        sup, g0 = supervised_loss_and_grads(base, adapters, x, y)
+        sup, g0 = supervised_loss_and_grads(walk_on(base, adapters), x, y)
         p1, g1 = quadratic_penalty(adapters, [(sta, 0.4)], imp)[0]
         p2, g2 = quadratic_penalty(adapters, [(pla, 0.2)], imp)[0]
         assert np.asarray(tot).tobytes() == np.asarray(sup + p1 + p2).tobytes()
@@ -393,9 +395,10 @@ class TestTotalLocalLoss:
             LoRAAdapter(a.B + rng.substream("pla", i).normal(*a.B.shape, 0.1), a.A)
             for i, a in enumerate(adapters)), adapters.nominal_rank)
         cl = CLConfig("lwf", 0.4, 0.2, lwf_temperature=1.5)
-        tot, tot_g = total_local_loss(base, adapters, x, y, forward(base, sta, x)[0],
-                                      forward(base, pla, x)[0], None, cl)
-        sup, g0 = supervised_loss_and_grads(base, adapters, x, y)
+        tot, tot_g = total_local_loss(walk_on(base, adapters), x, y,
+                                      forward(base, sta, x)[0], forward(base, pla, x)[0],
+                                      None, cl)
+        sup, g0 = supervised_loss_and_grads(walk_on(base, adapters), x, y)
         p1, g1 = lwf_penalty_and_grads(base, adapters, sta, x, 0.4, temperature=1.5)
         p2, g2 = lwf_penalty_and_grads(base, adapters, pla, x, 0.2, temperature=1.5)
         assert tot == pytest.approx(sup + p1 + p2, rel=1e-12)
@@ -409,23 +412,24 @@ class TestTotalLocalLoss:
         base, adapters, x, y = make_model(rng)
         sta, pla, _ = self._anchors(rng, adapters)
         calls = []
-        backward = model._Walk.backward
+        backward = model.Walk.backward
 
         def counted(*args, **kwargs):
             calls.append(1)
             return backward(*args, **kwargs)
 
         teachers = (forward(base, sta, x)[0], forward(base, pla, x)[0])
-        monkeypatch.setattr(model._Walk, "backward", counted)
-        total_local_loss(base, adapters, x, y, *teachers, None, CLConfig("lwf", 0.4, 0.2))
+        monkeypatch.setattr(model.Walk, "backward", counted)
+        total_local_loss(walk_on(base, adapters), x, y, *teachers, None,
+                         CLConfig("lwf", 0.4, 0.2))
         assert len(calls) == 1
 
     def test_absent_stability_anchor_skips_term(self, rng):
         base, adapters, x, y = make_model(rng)
         _, pla, imp = self._anchors(rng, adapters)
         cl = CLConfig("ewc", 5.0, 0.3)
-        tot, _ = total_local_loss(base, adapters, x, y, None, pla, imp, cl)
-        sup, _ = supervised_loss_and_grads(base, adapters, x, y)
+        tot, _ = total_local_loss(walk_on(base, adapters), x, y, None, pla, imp, cl)
+        sup, _ = supervised_loss_and_grads(walk_on(base, adapters), x, y)
         p2, _ = quadratic_penalty(adapters, [(pla, 0.3)], imp)[0]
         assert tot == pytest.approx(sup + p2, rel=1e-12)
 
@@ -436,9 +440,9 @@ class TestTotalLocalLoss:
         cl = CLConfig(method, 0.3, 0.15)
         if method == "lwf":  # the teachers' logits, not the teachers
             sta, pla = forward(base, sta, x)[0], forward(base, pla, x)[0]
-        _, grads = total_local_loss(base, adapters, x, y, sta, pla, imp, cl)
+        _, grads = total_local_loss(walk_on(base, adapters), x, y, sta, pla, imp, cl)
         fd = fd_factor_grads(
-            lambda a: total_local_loss(base, a, x, y, sta, pla, imp, cl)[0],
+            lambda a: total_local_loss(walk_on(base, a), x, y, sta, pla, imp, cl)[0],
             adapters)
         assert max_rel_err(grads, fd) < 1e-5
 
@@ -462,7 +466,7 @@ class TestSgdStep:
 
     def test_eta_zero_no_change(self, rng):
         base, adapters, x, y = make_model(rng)
-        _, grads = supervised_loss_and_grads(base, adapters, x, y)
+        _, grads = supervised_loss_and_grads(walk_on(base, adapters), x, y)
         stepped = sgd_alone(adapters, grads, 0.0)
         for a, b in zip(adapters, stepped):
             assert np.array_equal(a.B, b.B) and np.array_equal(a.A, b.A)
@@ -496,7 +500,7 @@ class TestFrozenBase:
         base, adapters, x, y = make_model(rng)
         before = base.checksum()
         for _ in range(5):
-            _, grads = supervised_loss_and_grads(base, adapters, x, y)
+            _, grads = supervised_loss_and_grads(walk_on(base, adapters), x, y)
             adapters = sgd_alone(adapters, grads, 0.1)
         assert base.checksum() == before
 
@@ -506,7 +510,7 @@ class TestFrozenBase:
         from rankfed.numerics import softmax_cross_entropy
         base_logits, _ = forward(base, None, x)
         base_loss, _ = softmax_cross_entropy(base_logits, y)
-        adapter_loss, _ = supervised_loss_and_grads(base, fresh, x, y)
+        adapter_loss, _ = supervised_loss_and_grads(walk_on(base, fresh), x, y)
         assert adapter_loss == pytest.approx(base_loss, abs=1e-15)
 
 
@@ -517,7 +521,8 @@ class TestFullModelPath:
         biases = [b.copy() for b in base.biases]
         x = rng.substream("x").normal(6, 4)
         y = one_hot(rng.substream("y").integers(0, 3, 6), 3)
-        _, wg, bg = full_loss_and_grads(weights, biases, x, y)
+        _, grads = supervised_loss_and_grads(Walk(weights, biases), x, y)
+        wg, bg = zip(*grads)
         step = 1e-5
         for l in range(len(weights)):
             for idx in np.ndindex(weights[l].shape):
@@ -526,8 +531,8 @@ class TestFullModelPath:
                     dn = [w.copy() for w in weights]
                     up[l][idx] += step
                     dn[l][idx] -= step
-                    f_up, _, _ = full_loss_and_grads(up, biases, x, y)
-                    f_dn, _, _ = full_loss_and_grads(dn, biases, x, y)
+                    f_up, _ = supervised_loss_and_grads(Walk(up, biases), x, y)
+                    f_dn, _ = supervised_loss_and_grads(Walk(dn, biases), x, y)
                     fd = (f_up - f_dn) / (2 * step)
                     assert abs(wg[l][idx] - fd) / max(abs(fd), 1e-6) < 1e-5
             for j in range(len(biases[l])):
@@ -535,8 +540,8 @@ class TestFullModelPath:
                 dn = [b.copy() for b in biases]
                 up[l][j] += step
                 dn[l][j] -= step
-                f_up, _, _ = full_loss_and_grads(weights, up, x, y)
-                f_dn, _, _ = full_loss_and_grads(weights, dn, x, y)
+                f_up, _ = supervised_loss_and_grads(Walk(weights, up), x, y)
+                f_dn, _ = supervised_loss_and_grads(Walk(weights, dn), x, y)
                 fd = (f_up - f_dn) / (2 * step)
                 assert abs(bg[l][j] - fd) / max(abs(fd), 1e-6) < 1e-5
 
@@ -550,21 +555,20 @@ class TestOpCounter:
     def test_supervised_pass_counts_its_backward_walk(self, rng):
         base, adapters, x, y = make_model(rng)
         counter = OpCounter()
-        supervised_loss_and_grads(base, adapters, x, y, counter=counter)
+        supervised_loss_and_grads(walk_on(base, adapters, counter), x, y)
         assert counter.multiplies == 792 + 906
 
     def test_full_model_pass_counts_its_backward_walk(self, rng):
         base, _, x, y = make_model(rng)
         counter = OpCounter()
-        full_loss_and_grads(list(base.weights), list(base.biases), x, y,
-                            counter=counter)
+        walk = Walk(list(base.weights), list(base.biases), counter=counter)
+        supervised_loss_and_grads(walk, x, y)
         assert counter.multiplies == 378 + 546
 
     def test_lwf_teachers_forwards_are_not_counted(self, rng):
         base, adapters, x, y = make_model(rng)
         sta = [d + 0.1 for d in adapters.dense()]
         counter = OpCounter()
-        total_local_loss(base, adapters, x, y, forward(base, sta, x)[0],
-                         forward(base, adapters, x)[0], None,
-                         CLConfig("lwf", 0.4, 0.2), counter=counter)
+        total_local_loss(walk_on(base, adapters, counter), x, y, forward(base, sta, x)[0],
+                         forward(base, adapters, x)[0], None, CLConfig("lwf", 0.4, 0.2))
         assert counter.multiplies == 792 + 906

@@ -1,16 +1,17 @@
 """The training walk built once per trained set, and the logit-error kernels
 every descent step calls.
 
-Each training loop builds one ``model._Walk`` for its trained set and steps
-through it: the walk holds views of the set's arrays, which every descent
-updates in place. The references below run the same loops through the public
-one-call entry points, which build a walk on every step, and must give the
-same bytes and the same multiply counts. The kernel tests pin the trimmed
+Each training loop builds one ``model.Walk`` for its trained set and passes it
+to every step's loss-and-gradient call: the walk holds views of the set's
+arrays, which every descent updates in place. The references below run the
+same loops through the same calls with a fresh walk built on every step, and
+must give the same bytes and the same multiply counts. The kernel tests pin the trimmed
 kernels to the expressions they replaced, on signed zeros, subnormals and
 values near overflow.
 """
 
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,15 +22,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_group_training import make_group
 
+from rankfed import client, harness, model
 from rankfed.client import (_stacked_importance, _stacked_stability_logits, group_sgd,
                             local_train, sgd_epochs)
 from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
 from rankfed.errors import InputError, ShapeError
-from rankfed.harness import Setup, _FullModelRounds, _layers, pretrain_base
-from rankfed.model import (CLConfig, OpCounter, _descend, _mean_loss_gradient,
-                           _sigmoid_error, _Walk, forward, full_grads, full_loss_and_grads,
-                           random_base, sgd_step, total_local_loss)
+from rankfed.harness import (Setup, _FullModelRounds, _layers, pretrain_base, records_jsonl,
+                             run_federated)
+from rankfed.model import (CLConfig, OpCounter, Walk, _descend, _mean_loss_gradient,
+                           _sigmoid_error, forward, full_grads, random_base, sgd_step,
+                           supervised_loss_and_grads, total_local_loss)
 from rankfed.numerics import Rng, _softmax_terms, aligned_params, softmax_error
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
@@ -43,17 +46,17 @@ SHAPES = st.sampled_from([(3, 4), (2, 3, 4)])  # 2-D and client-stacked
 
 def pretrain_walk_per_step(dataset, epochs, rng, eta, batch_size, hidden):
     """``pretrain_base``'s loop on the same aligned buffers, stepping through
-    ``full_grads``, which builds a walk per call."""
+    ``full_grads`` with a walk built per step."""
     init = random_base([dataset.dim, *hidden, dataset.num_classes], rng)
     params, grads = aligned_params(init.weights + init.biases)
-    model, out = _layers(params), _layers(grads)
+    model, out = _layers(params), list(zip(*_layers(grads)))
     targets = (one_hot(dataset.train_y, dataset.num_classes) if dataset.task == "multiclass"
                else dataset.train_y.astype(np.float64))
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(len(dataset.train_x))
               for epoch in range(epochs))
 
     def step(epoch, xb, yb):
-        full_grads(*model, xb, yb, dataset.task, out)
+        full_grads(Walk(*model), xb, yb, dataset.task, out)
         _descend(params.buf, grads.buf, eta)
 
     sgd_epochs(step, dataset.train_x, targets, batch_size, orders)
@@ -81,14 +84,14 @@ def test_full_model_group_walk_built_once_equals_one_per_step(task):
     counter = OpCounter()
     updates, losses = mode.train_group([0, 1, 2], local, counter)
 
-    # the same client-stacked buffers, stepped through full_loss_and_grads
+    # the same client-stacked buffers, stepped through a walk built per step
     params, grads = aligned_params(mode.model.weights + mode.model.biases, 3)
-    (weights, biases), out = _layers(params), _layers(grads)
+    (weights, biases), out = _layers(params), list(zip(*_layers(grads)))
     ref_counter = OpCounter()
 
     def step(epoch, xb, yb):
-        loss, _, _ = full_loss_and_grads(weights, biases, xb, yb, local.task,
-                                         ref_counter, out)
+        loss, _ = supervised_loss_and_grads(Walk(weights, biases, counter=ref_counter),
+                                            xb, yb, local.task, out)
         _descend(params.buf, grads.buf, local.eta)
         return loss
 
@@ -102,7 +105,7 @@ def test_full_model_group_walk_built_once_equals_one_per_step(task):
 def local_train_walk_per_step(states, base, global_adapters, stability_anchor, config,
                               counter):
     """``local_train``'s loop on the same stacked factor buffers, stepping
-    through ``total_local_loss``, which builds a walk per call."""
+    through ``total_local_loss`` with a walk built per step."""
     ids = [s.client_id for s in states]
     importance = _stacked_importance(states)
     adapters, params, grads = global_adapters.stacked(len(states))
@@ -119,8 +122,8 @@ def local_train_walk_per_step(states, base, global_adapters, stability_anchor, c
 
     def step(epoch, x, y, *batch_rows):
         anchors = batch_rows or (stability, plasticity)
-        loss, _ = total_local_loss(base, adapters, x, y, *anchors, importance, cl,
-                                   config.task, counter, out)
+        walk = Walk(base.weights, base.biases, adapters, counter)
+        loss, _ = total_local_loss(walk, x, y, *anchors, importance, cl, config.task, out)
         sgd_step(params, grads, config.eta, ids)
         return loss
 
@@ -151,13 +154,66 @@ def test_reused_walk_counts_k_steps_as_k_times_one():
     for k in (1, 4):
         params, grads = aligned_params(init.weights + init.biases)
         counter = OpCounter()
-        walk = _Walk(*_layers(params), counter=counter)
+        walk = Walk(*_layers(params), counter=counter)
         out = list(zip(*_layers(grads)))
         for _ in range(k):
-            walk.backward(_mean_loss_gradient(walk.forward(x), y, "multiclass"), out)
+            full_grads(walk, x, y, "multiclass", out)
             _descend(params.buf, grads.buf, 0.1)
         counts.append(counter.multiplies)
     assert counts[1] == 4 * counts[0] > 0
+
+
+# --- every loop steps through the names the benchmark's tracer wraps --------
+
+TRACED = (  # each loss-and-gradient name, then each descent that ends a step
+    (client, "total_local_loss"), (model, "supervised_loss_and_grads"),
+    (harness, "full_loss_and_grads"), (harness, "full_grads"),
+    (client, "sgd_step"), (harness, "_descend"),
+)
+DESCENTS = ("sgd_step", "_descend")
+PRETRAIN_STEP = ("full_grads", "_descend")
+
+
+def traced_run(monkeypatch, config):
+    """The run's ``records.jsonl`` text and its steps counted by what each
+    called: a tuple of the traced names called since the last descent, ending
+    in that descent."""
+    events = []
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in TRACED:
+        monkeypatch.setattr(module, name, counted(getattr(module, name), name))
+    records = records_jsonl(run_federated(config).records)
+    steps, calls = Counter(), []
+    for name in events:
+        calls.append(name)
+        if name in DESCENTS:
+            steps[tuple(calls)] += 1
+            calls = []
+    assert calls == []  # no call outside a step
+    return records, steps
+
+
+@pytest.mark.parametrize("overrides, step", [
+    (dict(cl_method="ewc"), ("total_local_loss", "supervised_loss_and_grads", "sgd_step")),
+    (dict(cl_method="lwf"), ("total_local_loss", "sgd_step")),
+    (dict(mode="fedavg-full"), ("full_loss_and_grads", "_descend")),
+], ids=["spd-cfl-ewc", "spd-cfl-lwf", "fedavg-full"])
+def test_every_loop_steps_through_the_traced_names(monkeypatch, overrides, step):
+    config = RunConfig(rounds=2, classes=4, dim=8, n_per_class=30, num_clients=2,
+                       r_init=4, r_min=2, subtractor=2, pretrain_epochs=2, local_epochs=2,
+                       **overrides).validate()
+    expected = records_jsonl(run_federated(config).records)
+    records, steps = traced_run(monkeypatch, config)
+    # each name is called once per step of its loop and by no other step
+    assert set(steps) == {PRETRAIN_STEP, step}
+    assert steps[PRETRAIN_STEP] > 0 and steps[step] > 0
+    assert records == expected
 
 
 # --- the trimmed logit-error kernels ------------------------------------------
