@@ -88,6 +88,8 @@ def _summary(result) -> dict:
 def _cmd_run(args) -> int:
     config = _load(args.config, args, seed="seed", mode="mode")
     out = Path(args.out)
+    # a partition that cannot be built leaves no empty output directory
+    Setup(config).plan
     _output(out, lambda p: p.mkdir(parents=True, exist_ok=True))
     result = run_federated(config)
     (out / "records.jsonl").write_text(records_jsonl(result.records))

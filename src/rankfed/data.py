@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, ParameterError, require_finite
-from .numerics import Rng
+from .numerics import Rng, sigmoid
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def generate_multilabel(n_samples: int, dim: int, num_labels: int, rng: Rng) -> 
     x = rng.substream("features").normal(n_samples, dim)
     w = rng.substream("label-weights").normal(num_labels, dim)
     w = 2.0 * w / np.linalg.norm(w, axis=1, keepdims=True)
-    p = 0.5 * (1.0 + np.tanh(0.5 * (x @ w.T)))
+    p = sigmoid(x @ w.T)
     y = (rng.substream("label-noise").uniform(size=p.shape) < p).astype(np.int64)
     n_train, n_val, n_test = _split_counts(n_samples)
     if n_train < 1 or n_test < 1:

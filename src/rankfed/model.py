@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (InputError, InvariantError, NumericError, ParameterError,
                      ShapeError, require_finite)
 from .lora import AdapterSet, DenseDelta
-from .numerics import (Flat, Matrix, Rng, as_matrix, softmax, softmax_cross_entropy,
-                       softmax_error)
+from .numerics import (Flat, Matrix, Rng, _softmax_terms, as_matrix, logit_error, sigmoid,
+                       softmax, softmax_cross_entropy)
 
 
 @dataclass
@@ -250,22 +250,11 @@ def _task_loss(logits, y, task: str):
     raise ParameterError(f"unknown task: {task}")
 
 
-def _logit_error(logits, y, task: str):
-    """Each sample's error at the logits under the task's loss, unscaled:
-    ``softmax(z) - y`` (multiclass) or ``sigmoid(z) - y`` (multilabel). The
-    targets ``y`` must be shaped like the logits."""
-    if task == "multiclass":
-        return softmax_error(logits, y)
-    if task == "multilabel":
-        return _sigmoid_error(logits, y)
-    raise ParameterError(f"unknown task: {task}")
-
-
 def _mean_loss_gradient(logits, y, task: str):
     """The logit gradient of the task's mean loss, the one ``_task_loss``
     returns: the logit error over the number of terms the mean averages (the
     n rows, or the n x L labels of a multilabel batch)."""
-    dz = _logit_error(logits, y, task)
+    dz = logit_error(logits, y, task)
     n, L = dz.shape[-2:]
     dz /= n if task == "multiclass" else n * L
     return dz
@@ -292,25 +281,6 @@ def _binary_cross_entropy(logits, targets):
     m = np.logaddexp(0.0, logits) - targets * logits  # softplus(z) - y*z, stabilized
     n, L = m.shape[-2:]
     return np.add.reduce(m.reshape(*m.shape[:-2], n * L), axis=-1) / (n * L)
-
-
-def _sigmoid_error(logits, targets):
-    """``sigmoid(logits) - targets``: each label's logit error of its sigmoid
-    cross-entropy, unscaled."""
-    if np.shape(targets) != logits.shape:
-        raise ShapeError(f"targets shape {np.shape(targets)} != logits shape {logits.shape}")
-    e = _sigmoid(logits)
-    e -= targets
-    return e
-
-
-def _sigmoid(z):
-    """``0.5 * (1 + tanh(0.5 * z))`` in one buffer."""
-    s = np.multiply(z, 0.5)
-    np.tanh(s, out=s)
-    s += 1.0
-    s *= 0.5
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +312,7 @@ def estimate_fim(base: FrozenBase, adapters_at_anchor, x, y,
     ``y`` holds the task's targets, shaped like the logits, as the loss
     takes them."""
     return _importance(base, adapters_at_anchor, x,
-                       lambda logits: _logit_error(logits, y, task),
+                       lambda logits: logit_error(logits, y, task),
                        lambda g, h: np.einsum("ni,nj->ij", g ** 2, h ** 2))
 
 
@@ -403,23 +373,19 @@ def lwf_penalty(t_logits, s_logits, mu: float, temperature: float = 1.0,
     n, L = s_logits.shape[-2:]
     if task == "multiclass":  # each step in place, in the textbook expression's order
         t = softmax(t_logits / tau)
-        log_s = s_logits / tau
-        log_s -= log_s.max(axis=-1, keepdims=True)
-        dz = np.exp(log_s)
-        total = dz.sum(axis=-1, keepdims=True)
+        dz, log_s, total = _softmax_terms(s_logits / tau)
         log_s -= np.log(total)
         log_s *= t
         rows = np.add.reduce(log_s, axis=-1)
         penalty = mu * (np.add.reduce(np.negative(rows, out=rows), axis=-1) / n)
-        dz /= total
         dz -= t
         dz *= mu
         dz /= n * tau
     else:
-        t = _sigmoid(t_logits / tau)
+        t = sigmoid(t_logits / tau)
         z = s_logits / tau
         penalty = mu * _binary_cross_entropy(z, t)
-        dz = mu * _sigmoid_error(z, t) / (n * L * tau)
+        dz = mu * logit_error(z, t, task) / (n * L * tau)
     return penalty, dz
 
 
@@ -457,6 +423,8 @@ def total_local_loss(walk: Walk, x, y,
         return loss, grads
     if importance is None:
         raise InputError(f"{cl.method} penalty requires importance estimates")
+    if walk.kind != "factor":
+        raise ParameterError(f"{cl.method} penalty requires a walk built on an AdapterSet")
     for p, g in quadratic_penalty(walk.adapters, terms, importance):
         loss = loss + p
         for (gB, gA), (pB, pA) in zip(grads, g):

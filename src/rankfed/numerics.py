@@ -137,17 +137,34 @@ def relu(m: Matrix, out=None) -> Matrix:
     return np.maximum(np.asarray(m, dtype=np.float64), 0.0, out=out)
 
 
+def _softmax_terms(logits: Matrix):
+    """The row-wise softmax and the terms its cross-entropy reads: ``(p,
+    shifted, z)``, the probabilities, the max-shifted logits and their row
+    sums of exp [..., 1]."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    p = np.exp(shifted)
+    z = p.sum(axis=-1, keepdims=True)
+    p /= z
+    return p, shifted, z
+
+
 def softmax(logits: Matrix) -> Matrix:
     """Row-wise softmax, stabilized by max subtraction."""
-    z = np.asarray(logits, dtype=np.float64)
-    e = z - z.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    return _softmax_terms(logits)[0]
+
+
+def sigmoid(z: Matrix) -> Matrix:
+    """``0.5 * (1 + tanh(0.5 * z))`` in one buffer."""
+    s = np.multiply(z, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def _checked_logits(logits: Matrix, targets: Matrix) -> Matrix:
-    """``logits`` as float64, checked against their one-hot rows ``targets``;
+    """``logits`` as float64, checked against the targets shaped like them;
     the label range is checked where those are formed, not here."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
@@ -159,27 +176,18 @@ def _checked_logits(logits: Matrix, targets: Matrix) -> Matrix:
     return logits
 
 
-def _softmax_terms(logits: Matrix, targets: Matrix):
-    """The shared terms of the cross-entropy of every row: ``(error, shifted,
-    z)``, the logit error ``softmax(logits) - targets`` of each row, unscaled,
-    the max-shifted logits and their row sums of exp [..., 1]."""
+def logit_error(logits: Matrix, targets: Matrix, task: str) -> Matrix:
+    """Each sample's error at the logits under the task's loss, unscaled:
+    ``softmax(z) - y`` row by row (multiclass, one-hot ``targets``) or
+    ``sigmoid(z) - y`` per label (multilabel, ``targets`` may be soft)."""
     logits = _checked_logits(logits, targets)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    z = e.sum(axis=-1, keepdims=True)
+    if task == "multiclass":
+        e = softmax(logits)
+    elif task == "multilabel":
+        e = sigmoid(logits)
+    else:
+        raise ParameterError(f"unknown task: {task}")
     # x - 0.0 is x, so a one-hot row changes the softmax at its label only
-    e /= z
-    e -= targets
-    return e, shifted, z
-
-
-def softmax_error(logits: Matrix, targets: Matrix) -> Matrix:
-    """``softmax(logits) - targets`` row by row: each sample's logit error of
-    its cross-entropy, unscaled, as ``softmax_cross_entropy`` forms it."""
-    e = _checked_logits(logits, targets)
-    e = e - e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
     e -= targets
     return e
 
@@ -191,7 +199,8 @@ def softmax_cross_entropy(logits: Matrix, targets: Matrix):
     grad)`` where ``grad[i] = (softmax(logits)[i] - targets[i]) / batch``.
     Client-stacked logits and targets [C, n, c] give one loss per client.
     """
-    grad, shifted, z = _softmax_terms(logits, targets)
+    grad, shifted, z = _softmax_terms(_checked_logits(logits, targets))
+    grad -= targets
     n = grad.shape[-2]
     # the picked logit is each row's one nonzero product; adding the zeros
     # of the other classes to it is exact

@@ -104,7 +104,10 @@ class RoundOutcome:
 def shard_weights(sizes) -> np.ndarray:
     """Each client's weight in a round: its share of the round's samples."""
     sizes = np.asarray(sizes, dtype=np.float64)
-    return sizes / sizes.sum()
+    total = sizes.sum()
+    if not total > 0:
+        raise InputError(f"shard sizes must have a positive total, got {total}")
+    return sizes / total
 
 
 def weighted_sum(weights, items) -> list:

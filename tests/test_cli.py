@@ -17,7 +17,7 @@ from rankfed.harness import RECORD_FIELDS, Setup, records_jsonl, run_federated
 from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
 from rankfed.model import CLConfig
-from rankfed.numerics import Rng, gaussian_matrix
+from rankfed.numerics import Rng, gaussian_matrix, logit_error
 from rankfed.server import ServerSettings, ServerState
 
 TINY_CONFIG = """
@@ -318,6 +318,8 @@ CONSTRUCTOR_CHECKS = {
     "ServerSettings-cooldown-negative": lambda: ServerSettings(cooldown=-1),
     "ServerSettings-aggregation-unknown": lambda: ServerSettings(aggregation="mean"),
     "ServerSettings-reinit-unknown": lambda: ServerSettings(reinit="qr"),
+    "logit_error-task-unknown": lambda: logit_error(np.zeros((2, 3)), np.zeros((2, 3)),
+                                                    "multitask"),
     "ServerState-gaussian-no-rng": lambda: ServerState(
         _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian")),
     "ServerState-gaussian-sigma-nan": lambda: ServerState(
@@ -377,6 +379,18 @@ def test_small_validation_split_rejected_before_pretraining(small, tmp_path,
     path.write_text(config_text(cfg))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "validation split has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", ["num_clients = 1\nscheme = iid",
+                                  "classes = 4\nnum_clients = 5\nscheme = disjoint"],
+                         ids=["one-client", "more-clients-than-classes"])
+def test_unbuildable_partition_leaves_no_output_directory(data, tmp_path, capsys,
+                                                          no_pretraining):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"[run]\nrounds = 1\n[data]\n{data}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_one_validation_row_suffices_without_the_probe():

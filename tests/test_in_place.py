@@ -21,7 +21,7 @@ from rankfed.model import (CLConfig, ImportanceEstimate, Walk, _binary_cross_ent
                            _descend, _task_loss, estimate_fim, estimate_mas_importance,
                            forward, full_grads, lwf_penalty, quadratic_penalty, random_base,
                            sgd_step, supervised_loss_and_grads, total_local_loss)
-from rankfed.numerics import Rng, aligned_params, relu, softmax_error
+from rankfed.numerics import Rng, aligned_params, logit_error, relu
 from rankfed.server import pool_gradients, sensitivity
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
@@ -161,7 +161,7 @@ def test_softmax_error_equals_its_reference(logits, labels):
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         expected = e / e.sum(axis=-1, keepdims=True) - targets
-        got = softmax_error(logits, targets)
+        got = logit_error(logits, targets, "multiclass")
     assert same_bits(expected, got)
 
 

@@ -5,7 +5,7 @@ from conftest import (fd_factor_grads, lwf_penalty_and_grads, make_model, max_re
                       one_hot, walk_on)
 
 from rankfed import model
-from rankfed.errors import InputError, InvariantError, NumericError, ShapeError
+from rankfed.errors import InputError, InvariantError, NumericError, ParameterError, ShapeError
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, Walk,
                            base_preactivation, estimate_fim, estimate_mas_importance, forward,
@@ -445,6 +445,15 @@ class TestTotalLocalLoss:
             lambda a: total_local_loss(walk_on(base, a), x, y, sta, pla, imp, cl)[0],
             adapters)
         assert max_rel_err(grads, fd) < 1e-5
+
+    def test_quadratic_penalty_needs_an_adapter_walk(self, rng):
+        # a walk over the base alone has weight gradients, not factors to anchor
+        base, adapters, x, y = make_model(rng)
+        imp = estimate_fim(base, adapters, x, y)
+        with pytest.raises(ParameterError,
+                           match="^ewc penalty requires a walk built on an AdapterSet$"):
+            total_local_loss(walk_on(base), x, y, adapters.dense(), None, imp,
+                             CLConfig("ewc", 0.3, 0.0))
 
 
 def sgd_alone(adapters, grads, eta):

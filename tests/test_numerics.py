@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import one_hot
 
 from rankfed.errors import InputError, ParameterError, ShapeError
-from rankfed.numerics import (Rng, gaussian_matrix, relu, softmax_cross_entropy,
-                              softmax_error, svd_truncate)
+from rankfed.numerics import (Rng, gaussian_matrix, logit_error, relu,
+                              softmax_cross_entropy, svd_truncate)
 
 
 class TestGaussianMatrix:
@@ -213,13 +214,13 @@ class TestOneHotKernelsEqualFancyIndex:
         ref_error = _fancy_index_terms(logits, labels)[0]
         ref_loss, ref_grad = _fancy_index_cross_entropy(logits, labels)
         loss, grad = softmax_cross_entropy(logits, targets)
-        assert softmax_error(logits, targets).tobytes() == ref_error.tobytes()
+        assert logit_error(logits, targets, "multiclass").tobytes() == ref_error.tobytes()
         assert np.asarray(loss).tobytes() == np.asarray(ref_loss).tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
 
     def test_checks(self):
         logits = np.zeros((4, 3))
-        for kernel in (softmax_error, softmax_cross_entropy):
+        for kernel in (partial(logit_error, task="multiclass"), softmax_cross_entropy):
             with pytest.raises(ShapeError, match="targets shape"):
                 kernel(logits, np.zeros((4, 2)))
             with pytest.raises(InputError, match="empty batch"):

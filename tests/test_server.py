@@ -16,7 +16,13 @@ from rankfed.numerics import Rng, svd_truncate
 from rankfed.server import (ClientUpdate, ServerSettings, ServerState, aggregate,
                             ema_update, gradient_consistency, maybe_dropout,
                             normalize_sensitivities, pool_gradients,
-                            sensitivity, server_round)
+                            sensitivity, server_round, shard_weights)
+
+
+@pytest.mark.parametrize("sizes", [[0, 0], [], [3, -3]])
+def test_shard_weights_refuse_a_non_positive_total(sizes):
+    with pytest.raises(InputError, match="^shard sizes must have a positive total"):
+        shard_weights(sizes)
 
 
 def warm_set(rng, shapes=((6, 4), (3, 6)), rank=2, scale=0.3):

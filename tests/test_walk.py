@@ -13,6 +13,7 @@ values near overflow.
 import re
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ from rankfed.errors import InputError, ShapeError
 from rankfed.harness import (Setup, _FullModelRounds, _layers, pretrain_base, records_jsonl,
                              run_federated)
 from rankfed.model import (CLConfig, OpCounter, Walk, _descend, _mean_loss_gradient,
-                           _sigmoid_error, forward, full_grads, random_base, sgd_step,
+                           forward, full_grads, random_base, sgd_step,
                            supervised_loss_and_grads, total_local_loss)
-from rankfed.numerics import Rng, _softmax_terms, aligned_params, softmax_error
+from rankfed.numerics import (Rng, _softmax_terms, aligned_params, logit_error, sigmoid,
+                              softmax, softmax_cross_entropy)
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
          1e300, -1e300, 1.7976931348623157e308]
@@ -235,8 +237,8 @@ def logits_and_targets(draw, one_hot_rows):
 def test_softmax_error_equals_the_cross_entropy_terms(zy):
     z, y = zy
     with np.errstate(all="ignore"):
-        expected = _softmax_terms(z, y)[0]
-        got = softmax_error(z, y)
+        expected = _softmax_terms(z)[0] - y
+        got = logit_error(z, y, "multiclass")
         scaled = _mean_loss_gradient(z, y, "multiclass")
     assert got.tobytes() == expected.tobytes()
     assert scaled.tobytes() == (expected / z.shape[-2]).tobytes()
@@ -253,7 +255,31 @@ def test_multilabel_gradient_equals_its_expression(zy):
     assert got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("kernel", [softmax_error, _softmax_terms])
+@st.composite
+def row_arrays(draw):
+    """[n, L] or client-stacked [C, n, L] floats, of odd sizes too."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 9)),
+                           st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 9))))
+    return draw(arrays(np.float64, shape, elements=FLOATS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(z=row_arrays())
+def test_shared_sigmoid_and_softmax_equal_their_old_forms(z):
+    # the multilabel generator's labels and every softmax caller read these bits
+    with np.errstate(all="ignore"):
+        old_sigmoid = 0.5 * (1.0 + np.tanh(0.5 * z))
+        old_softmax = z - z.max(axis=-1, keepdims=True)
+        np.exp(old_softmax, out=old_softmax)
+        old_softmax /= old_softmax.sum(axis=-1, keepdims=True)
+        got_sigmoid, got_softmax = sigmoid(z), softmax(z)
+    assert got_sigmoid.tobytes() == old_sigmoid.tobytes()
+    assert got_softmax.tobytes() == old_softmax.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(partial(logit_error, task="multiclass"), id="logit_error"),
+    softmax_cross_entropy])
 @pytest.mark.parametrize("logits, targets, error, message", [
     (np.zeros(4), np.zeros(4), ShapeError,
      "logits must be 2-D or client-stacked 3-D, got (4,)"),
@@ -269,4 +295,4 @@ def test_softmax_kernels_keep_their_checks(kernel, logits, targets, error, messa
 def test_sigmoid_error_keeps_its_check():
     with pytest.raises(ShapeError,
                        match=re.escape("targets shape (3, 5) != logits shape (3, 4)")):
-        _sigmoid_error(np.zeros((3, 4)), np.zeros((3, 5)))
+        logit_error(np.zeros((3, 4)), np.zeros((3, 5)), "multilabel")
