@@ -89,9 +89,10 @@ def _cmd_run(args) -> int:
     config = _load(args.config, args, seed="seed", mode="mode")
     out = Path(args.out)
     # a partition that cannot be built leaves no empty output directory
-    Setup(config).plan
+    setup = Setup(config)
+    setup.plan
     _output(out, lambda p: p.mkdir(parents=True, exist_ok=True))
-    result = run_federated(config)
+    result = run_federated(config, setup)
     (out / "records.jsonl").write_text(records_jsonl(result.records))
     write_summary_csv(result.records, out / "summary.csv")
     with open(out / "partition.manifest", "w") as fh:

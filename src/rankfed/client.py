@@ -55,11 +55,21 @@ class LocalTrainConfig:
     task: str = "multiclass"
 
     def __post_init__(self):
-        if not self.epochs >= 0:
-            raise ParameterError(f"local_epochs must be >= 0, got {self.epochs}")
-        if not self.batch_size >= 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        require_finite("eta", self.eta, 0)
+        self.check(self.epochs, self.eta, self.batch_size)
+
+    @staticmethod
+    def check(epochs, eta, batch_size, names=("local_epochs", "eta", "batch_size")) -> None:
+        """The rule of SGD's settings, which pretraining shares: epochs >= 0,
+        a finite eta >= 0 and batch_size >= 1. Each error names its setting
+        by ``names``; pretraining's are ``PRETRAIN_SETTINGS``."""
+        if not epochs >= 0:
+            raise ParameterError(f"{names[0]} must be >= 0, got {epochs}")
+        if not batch_size >= 1:
+            raise ParameterError(f"{names[2]} must be >= 1, got {batch_size}")
+        require_finite(names[1], eta, 0)
+
+
+PRETRAIN_SETTINGS = ("pretrain_epochs", "pretrain_eta", "pretrain_batch")
 
 
 def refresh_importances(state: ClientState, base: FrozenBase,

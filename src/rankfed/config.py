@@ -11,7 +11,7 @@ import configparser
 import numbers
 from dataclasses import dataclass, field, fields
 
-from .client import LocalTrainConfig
+from .client import PRETRAIN_SETTINGS, LocalTrainConfig
 from .errors import ParameterError, require_finite
 from .lora import RankSchedule, capped_rank
 from .model import CLConfig
@@ -127,9 +127,8 @@ class RunConfig:
         need(len(self.hidden) >= 1 and all(_of_type(h, int) and h >= 1 for h in self.hidden),
              f"hidden must be a non-empty tuple of positive layer widths, got {self.hidden!r}")
         finite_at_least("sigma_init", 0, strict=True)
-        need(self.pretrain_epochs >= 0, f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
-        finite_at_least("pretrain_eta", 0)
-        need(self.pretrain_batch >= 1, f"pretrain_batch must be >= 1, got {self.pretrain_batch}")
+        LocalTrainConfig.check(self.pretrain_epochs, self.pretrain_eta, self.pretrain_batch,
+                               PRETRAIN_SETTINGS)
         need(self.probe_samples >= 2, f"probe_samples must be >= 2, got {self.probe_samples}")
         need(self.bytes_per_param >= 1, f"bytes_per_param must be >= 1, got {self.bytes_per_param}")
         need(not (self.csv_path and self.task == "multilabel"),

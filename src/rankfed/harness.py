@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .client import (ClientState, LocalTrainConfig, group_sgd, local_train,
-                     refresh_importances, sgd_epochs)
+from .client import (PRETRAIN_SETTINGS, ClientState, LocalTrainConfig, group_sgd,
+                     local_train, refresh_importances, sgd_epochs)
 from .config import RunConfig
 from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
@@ -34,9 +34,8 @@ from .model import (CLConfig, FrozenBase, OpCounter, Walk, _descend, base_preact
                     forward, full_grads, random_base)
 # The full-model step's name: the benchmark's tracer wraps it as that layer.
 from .model import supervised_loss_and_grads as full_loss_and_grads
-from .numerics import Rng, aligned_params
-from .server import (ClientUpdate, ServerState, server_round, shard_weights,
-                     weighted_sum)
+from .numerics import Rng, aligned_params, client_weighted_sum
+from .server import ClientUpdate, ServerState, server_round, shard_weights
 
 SCHEMA_VERSION = 1
 
@@ -151,7 +150,9 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
                   eta: float = 0.05, batch_size: int = 32,
                   hidden=(32,)) -> FrozenBase:
     """Train all base weights on the given dataset, then freeze them. With
-    epochs=0 the base is the frozen random initialization."""
+    epochs=0 the base is the frozen random initialization. The settings obey
+    local training's rule, and an error names them as ``RunConfig`` does."""
+    LocalTrainConfig.check(epochs, eta, batch_size, PRETRAIN_SETTINGS)
     n = len(dataset.train_x)
     if n == 0:
         raise InputError("pretraining dataset is empty")
@@ -212,21 +213,23 @@ class Setup:
             config.pretrain_batch, config.hidden)
 
 
-def _full_model_step(params, grads, task, eta, counter=None):
-    """An ``sgd_epochs`` step that updates every weight and bias in place and
-    returns the mini-batch loss. ``params`` and ``grads`` are an
-    ``aligned_params`` pair laid out weights first, then biases; weights
-    [C, h1, h2] and biases [C, h1] train C client models on client-stacked
-    shards."""
-    walk = Walk(*_layers(params), counter=counter)
-    out = list(zip(*_layers(grads)))
+class _ClientStack:
+    """``clients`` copies of a full model in one ``aligned_params`` pair laid
+    out weights first, then biases (weights [C, h1, h2], biases [C, h1]), and
+    their walk. ``step``, an ``sgd_epochs`` step, trains them in place on a
+    client-stacked batch at ``eta``, counting into ``walk.counter``: both are
+    set per round, so one stack serves many."""
 
-    def step(epoch, xb, yb):
-        loss, _ = full_loss_and_grads(walk, xb, yb, task, out)
-        _descend(params.buf, grads.buf, eta)
+    def __init__(self, model: FrozenBase, clients, task: str):
+        self.clients, self.task, self.eta = clients, task, None
+        self.params, self.grads = aligned_params(model.weights + model.biases, clients)
+        self.walk = Walk(*_layers(self.params))
+        self.out = list(zip(*_layers(self.grads)))
+
+    def step(self, epoch, xb, yb):
+        loss, _ = full_loss_and_grads(self.walk, xb, yb, self.task, self.out)
+        _descend(self.params.buf, self.grads.buf, self.eta)
         return loss
-
-    return step
 
 
 # ---------------------------------------------------------------------------
@@ -457,28 +460,47 @@ def _cka_or_none(reps_a, reps_b) -> float | None:
 
 class _FullModelRounds:
     """fedavg-full: clients train every weight and bias; the server takes
-    their shard-weighted mean. No adapters, so no rank or diagnostics."""
+    their shard-weighted mean. No adapters, so no rank or diagnostics. Each
+    shard size's group trains in a ``_ClientStack`` kept across rounds while
+    its client count holds."""
 
     def __init__(self, setup: Setup):
         self.model = setup.base
         self.clients, self.local = _clients(setup)
+        self.stacks = {}  # shard size -> _ClientStack
 
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.model.weights, self.model.biases))
 
     def train_group(self, cids, local: LocalTrainConfig, counter):
+        """Each client's ``(stack, slot)`` and epoch losses. A slot holds its
+        client's model until its stack trains the next round."""
         c = len(cids)
-        params, grads = aligned_params(self.model.weights + self.model.biases, c)
-        losses = group_sgd([self.clients[cid] for cid in cids],
-                           _full_model_step(params, grads, local.task, local.eta, counter),
-                           local)
-        w, b = _layers(params)
-        return [([m[i] for m in w], [v[i] for v in b]) for i in range(c)], losses
+        size = self.clients[cids[0]].shard_size
+        stack = self.stacks.get(size)
+        if stack is None or stack.clients != c:
+            stack = self.stacks[size] = _ClientStack(self.model, c, local.task)
+        else:
+            stack.params.load(self.model.weights + self.model.biases)
+        stack.eta, stack.walk.counter = local.eta, counter
+        losses = group_sgd([self.clients[cid] for cid in cids], stack.step, local)
+        return [(stack, i) for i in range(c)], losses
 
     def close_round(self, results, weights):
-        total = weighted_sum(weights, (w + b for _, (w, b), _ in results))
+        """The participants' shard-weighted mean as a fresh model, summed in
+        client-id order from the stacks' rows, several groups' gathered."""
+        slots = [slot for _, slot, _ in results]
+        stacks = list(dict.fromkeys(stack for stack, _ in slots))
+        rows = stacks[0].params.rows
+        if len(stacks) > 1:
+            first = dict(zip(stacks, np.cumsum([0] + [s.clients for s in stacks])))
+            order = [first[stack] + i for stack, i in slots]
+            rows = [np.concatenate(r)[order] for r in zip(*(s.params.rows for s in stacks))]
+        model = self.model.weights + self.model.biases
+        mean = [client_weighted_sum(r, weights)[:a.size].reshape(a.shape)
+                for r, a in zip(rows, model)]
         n = len(self.model.weights)
-        self.model = FrozenBase(total[:n], total[n:])
+        self.model = FrozenBase(mean[:n], mean[n:])
         return self.model, None, {}
 
 
@@ -559,13 +581,19 @@ def _run_rounds(setup: Setup, mode) -> RunResult:
     )
 
 
-def run_federated(config: RunConfig) -> RunResult:
-    """Execute a full federated run for the configured mode.
+def run_federated(config: RunConfig, setup: Setup | None = None) -> RunResult:
+    """Execute a full federated run for the configured mode, on ``setup`` when
+    given: one built from an equal config, so the data is not drawn (or a
+    CSV read) again.
 
     The frozen base's checksum is verified after the round loop, as the
     result's ``base_checksum``; a mutated base aborts the run.
     """
-    setup = Setup(config.validate())
+    config.validate()
+    if setup is None:
+        setup = Setup(config)
+    elif setup.config != config:
+        raise ParameterError("the setup was built from another config than the run's")
     # partition first: a partition that cannot be built costs no pretraining
     _, base = setup.plan, setup.base
     checksum_before = base.checksum()

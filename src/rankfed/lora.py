@@ -136,6 +136,8 @@ def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng) -> LoRAAdapte
 
 def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> AdapterSet:
     """One fresh adapter per layer at the nominal rank, capped per layer."""
+    if len(layer_shapes) == 0:
+        raise ShapeError("an adapter set needs at least one layer")
     if rank < 1:
         raise ParameterError(f"rank must be >= 1, got {rank}")
     return AdapterSet(tuple(

@@ -48,8 +48,10 @@ def _mm(a, b, counter=None, out=None):
 
 @dataclass(frozen=True)
 class FrozenBase:
-    """Immutable linear stack: weights[l] is [h1, h2], mapping h2 -> h1.
-    Each array, and the array it views if any, becomes read-only."""
+    """Immutable linear stack: weights[l] is [h1, h2], mapping h2 -> h1, and
+    biases[l] is [h1]; at least one layer, each at least one wide, each
+    taking the previous layer's output. Each array, and the array it views
+    if any, becomes read-only."""
 
     weights: tuple
     biases: tuple
@@ -57,6 +59,16 @@ class FrozenBase:
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "biases", tuple(self.biases))
+        if not self.weights or len(self.weights) != len(self.biases):
+            raise ShapeError(f"a base needs a layer and a bias per weight, got "
+                             f"{len(self.weights)} weights, {len(self.biases)} biases")
+        width = np.shape(self.weights[0])[-1:]  # the input's
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
+            shape = np.shape(w)
+            if len(shape) != 2 or 0 in shape or shape[1:] != width or np.shape(b) != shape[:1]:
+                raise ShapeError(f"layer {l}: weight {shape} and bias {np.shape(b)} do not "
+                                 f"fit {width} inputs")
+            width = shape[:1]
         for a in (*self.weights, *self.biases):
             while isinstance(a, np.ndarray):  # a view's owner is a path to it
                 a.flags.writeable = False
@@ -75,6 +87,8 @@ class FrozenBase:
 
 def random_base(layer_dims, rng: Rng) -> FrozenBase:
     """Gaussian base weights (std = 1/sqrt(fan_in)), zero biases."""
+    if min(layer_dims, default=0) < 1:
+        raise ShapeError(f"layer widths must be >= 1, got {list(layer_dims)}")
     weights, biases = [], []
     for l in range(len(layer_dims) - 1):
         h2, h1 = layer_dims[l], layer_dims[l + 1]

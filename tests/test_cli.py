@@ -13,7 +13,7 @@ from rankfed.client import LocalTrainConfig
 from rankfed.config import RunConfig, config_text, load_config
 from rankfed.data import generate_synthetic
 from rankfed.errors import ParameterError
-from rankfed.harness import RECORD_FIELDS, Setup, records_jsonl, run_federated
+from rankfed.harness import RECORD_FIELDS, Setup, pretrain_base, records_jsonl, run_federated
 from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
 from rankfed.model import CLConfig
@@ -297,6 +297,8 @@ def test_rank_rules_bind_only_the_modes_they_concern():
 
 NAN, INF = float("nan"), float("inf")
 _ADAPTERS = init_adapter_set([(8, 8), (4, 8)], 4, 0.1, Rng(0))
+_PRETRAIN_DATA = generate_synthetic(3, 4, 10, 1.0, Rng(0))
+
 CONSTRUCTOR_CHECKS = {
     "CLConfig-mu1-nan": lambda: CLConfig("ewc", mu1=NAN),
     "CLConfig-mu1-inf": lambda: CLConfig("ewc", mu1=INF),
@@ -320,6 +322,9 @@ CONSTRUCTOR_CHECKS = {
     "ServerSettings-reinit-unknown": lambda: ServerSettings(reinit="qr"),
     "logit_error-task-unknown": lambda: logit_error(np.zeros((2, 3)), np.zeros((2, 3)),
                                                     "multitask"),
+    "pretrain_base-eta-nan": lambda: pretrain_base(_PRETRAIN_DATA, 1, Rng(0), eta=NAN),
+    "pretrain_base-batch-zero": lambda: pretrain_base(_PRETRAIN_DATA, 1, Rng(0), batch_size=0),
+    "pretrain_base-epochs-negative": lambda: pretrain_base(_PRETRAIN_DATA, -1, Rng(0)),
     "ServerState-gaussian-no-rng": lambda: ServerState(
         _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian")),
     "ServerState-gaussian-sigma-nan": lambda: ServerState(
@@ -345,6 +350,19 @@ def test_validate_and_server_settings_raise_the_same_message(key, value, message
     # the owner's message names the config key, as validate() always has
     for build in (lambda: RunConfig(**{key: value}).validate(),
                   lambda: ServerSettings(**{key: value})):
+        with pytest.raises(ParameterError) as raised:
+            build()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("key, arg, value, message", [
+    ("pretrain_epochs", "epochs", -1, "pretrain_epochs must be >= 0, got -1"),
+    ("pretrain_eta", "eta", NAN, "pretrain_eta must be finite and >= 0, got nan"),
+    ("pretrain_batch", "batch_size", 0, "pretrain_batch must be >= 1, got 0"),
+])
+def test_validate_and_pretrain_base_raise_the_same_message(key, arg, value, message):
+    for build in (lambda: RunConfig(**{key: value}).validate(),
+                  lambda: pretrain_base(_PRETRAIN_DATA, rng=Rng(0), **{"epochs": 1, arg: value})):
         with pytest.raises(ParameterError) as raised:
             build()
         assert str(raised.value) == message
@@ -504,6 +522,33 @@ def test_r_init_above_csv_rank_cap_rejected_before_pretraining(tmp_path, no_pret
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     with pytest.raises(AssertionError, match="pretrained"):
         run_federated(replace(cfg, r_init=2))
+
+
+def test_csv_run_reads_its_csv_once(tmp_path, monkeypatch, capsys):
+    # the partition check and the run share one setup
+    rows = [[str((i * (j + 1)) % 11 / 10) for j in range(8)] + ["abc"[i % 3]]
+            for i in range(60)]
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(row) + "\n" for row in
+                            [[f"f{j}" for j in range(8)] + ["label"], *rows]))
+    path = tmp_path / "csv.cfg"
+    path.write_text(config_text(RunConfig(csv_path=str(data), mode="fedavg-full",
+                                          scheme="iid", num_clients=2, rounds=2,
+                                          pretrain_epochs=1)))
+    reads, load_csv = [], rankfed.harness.load_csv
+    monkeypatch.setattr(rankfed.harness, "load_csv",
+                        lambda *args: reads.append(args) or load_csv(*args))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert json.loads(capsys.readouterr().out)["rounds"] == 2
+    assert len(reads) == 1
+
+
+def test_run_refuses_a_setup_built_from_another_config():
+    cfg = RunConfig(mode="fedavg-full", rounds=1, pretrain_epochs=1).validate()
+    setup = Setup(replace(cfg, seed=cfg.seed + 1))
+    with pytest.raises(ParameterError, match="setup"):
+        run_federated(cfg, setup)
+    assert len(run_federated(cfg, Setup(replace(cfg))).records) == 1
 
 
 class TestRunCommand:

@@ -1,6 +1,6 @@
-"""Golden-bytes regression: twenty runs must reproduce pinned hashes.
+"""Golden-bytes regression: twenty-one runs must reproduce pinned hashes.
 
-Seventeen are short runs at seed 3 that cover every mode, regularizer and
+Eighteen are short runs at seed 3 that cover every mode, regularizer and
 ablation; three are the benchmark's canonical workloads at full length and
 seed 0, so their ``records_sha256`` is the ``records sha256`` that
 ``bench/run.py`` prints for them.
@@ -66,6 +66,10 @@ SMALL_NETWORK = {
     "fedavg-multilabel-half-skew": dict(MULTILABEL, mode="fedavg-full",
                                         num_clients=4, participation=0.5,
                                         multilabel_skew=0.5),
+    # shards [20, 16, 16, 16, 16]: one or two groups a round, whose client
+    # counts change between rounds, at a learning rate that decays
+    "fedavg-iid-decay-unequal": dict(mode="fedavg-full", scheme="iid", num_clients=5,
+                                     participation=0.6, eta_decay=0.9),
 }
 
 # The RunConfig() network (dim 16, hidden (32,), 10 classes or 7 labels), the

@@ -13,15 +13,18 @@ import numpy as np
 import pytest
 from conftest import one_hot, walk_on
 
-from rankfed.client import (ClientState, LocalTrainConfig, local_train,
+from rankfed import harness
+from rankfed.client import (ClientState, LocalTrainConfig, group_sgd, local_train,
                             refresh_importances, sgd_epochs)
 from rankfed.config import RunConfig
 from rankfed.errors import InputError, NumericError
-from rankfed.harness import Setup, _full_model_step, _FullModelRounds
+from rankfed.harness import Setup, _ClientStack, _FullModelRounds, _layers, run_federated
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
-from rankfed.model import (CLConfig, OpCounter, forward, random_base, sgd_step,
+from rankfed.model import (CLConfig, FrozenBase, OpCounter, Walk, _descend, forward,
+                           random_base, sgd_step, supervised_loss_and_grads,
                            total_local_loss)
 from rankfed.numerics import Rng, aligned_params
+from rankfed.server import shard_weights, weighted_sum
 
 DIMS = (6, 10, 9, 4)
 CFG = LocalTrainConfig(epochs=2, eta=0.1, batch_size=8, round_index=3)
@@ -155,6 +158,13 @@ def test_multilabel_full_weight_group_equals_each_client_alone():
     check_full_weight_group(dict(task="multilabel", num_labels=4, n_samples=150))
 
 
+def client_arrays(slot):
+    """A client's weights and biases, from the ``(stack, slot)`` that
+    ``_FullModelRounds.train_group`` returns for it."""
+    stack, i = slot
+    return [m[i] for m in stack.params.views]
+
+
 def check_full_weight_group(data):
     """Three equal shards of the ``data`` settings, trained as a group, as
     groups of one and by a 2-D reference loop, give the same bytes."""
@@ -178,17 +188,16 @@ def check_full_weight_group(data):
         y = setup.dataset.train_y[setup.plan.client_indices[cid]]
         if setup.dataset.task == "multiclass":
             y = one_hot(y, setup.dataset.num_classes)
-        params, grads = aligned_params(mode.model.weights + mode.model.biases)
+        ref = _ClientStack(mode.model, None, setup.dataset.task)
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")
                   .permutation(len(x)) for e in range(config.local_epochs)]
         ref_counter = OpCounter()
-        ref_losses = sgd_epochs(
-            _full_model_step(params, grads, setup.dataset.task, 0.1, ref_counter),
-            x, y, config.batch_size, orders)
+        ref.eta, ref.walk.counter = 0.1, ref_counter
+        ref_losses = sgd_epochs(ref.step, x, y, config.batch_size, orders)
         reference_ops += ref_counter.multiplies
-        (gw, gb), (sw, sb) = group_updates[cid], solo
-        assert ([m.tobytes() for m in gw + gb] == [m.tobytes() for m in sw + sb]
-                == [m.tobytes() for m in params.views])
+        assert ([m.tobytes() for m in client_arrays(group_updates[cid])]
+                == [m.tobytes() for m in client_arrays(solo)]
+                == [m.tobytes() for m in ref.params.views])
         assert group_losses[cid] == solo_losses == [float(np.mean(losses))
                                                     for losses in ref_losses]
     assert counter.multiplies == reference_ops
@@ -227,3 +236,89 @@ def test_full_weight_group_needs_equal_shards():
     assert [len(idx) for idx in setup.plan.client_indices] == [21, 21, 42]
     with pytest.raises(InputError, match="client 2: shard size 42 != group shard size 21"):
         mode.train_group([0, 2], replace(mode.local, eta=0.1, round_index=1), None)
+
+
+def per_round_step(params, grads, task, eta):
+    """The full-model step as each round built it before the stacks were
+    kept: a walk on that round's fresh ``aligned_params`` pair, descending at
+    the round's ``eta``."""
+    walk, out = Walk(*_layers(params)), list(zip(*_layers(grads)))
+
+    def step(epoch, xb, yb):
+        loss, _ = supervised_loss_and_grads(walk, xb, yb, task, out)
+        _descend(params.buf, grads.buf, eta)
+        return loss
+
+    return step
+
+
+def two_groups_every_round(rounds):
+    return all(len(groups) == 2 for groups in rounds)
+
+
+def groups_change(rounds):
+    return len({repr(groups) for groups in rounds}) > 1
+
+
+def eight_in_a_group(rounds):
+    return any(len(group) >= 8 for groups in rounds for group in groups)
+
+
+DISJOINT = dict(scheme="disjoint", num_clients=3, classes=4, n_per_class=30)  # [21, 21, 42]
+
+# (config overrides, what the rounds' groups must show)
+FULL_MODEL_ROUNDS = {
+    "two-groups": (DISJOINT, two_groups_every_round),
+    "eta-decay": (dict(DISJOINT, eta_decay=0.9), two_groups_every_round),
+    # shards [21, 42, 21, 42]: groups [0, 2] and [1, 3], summed as 0, 1, 2, 3
+    "interleaved-groups": (dict(DISJOINT, num_clients=4, classes=6), two_groups_every_round),
+    # shards [17, 17, 17, 17, 16], three a round
+    "half-participation": (dict(scheme="iid", num_clients=5, classes=4, n_per_class=30,
+                                participation=0.5, eta_decay=0.9), groups_change),
+    "multilabel": (dict(task="multilabel", num_labels=4, n_samples=240, num_clients=4,
+                        participation=0.5, eta_decay=0.9), groups_change),
+    # a one-wide output bias, shards [32, 31 x 8]: numpy's client-axis
+    # reduce of a lone column is pairwise from eight clients on
+    "one-label-nine-clients": (dict(task="multilabel", num_labels=1, n_samples=400,
+                                    num_clients=9), eight_in_a_group),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_MODEL_ROUNDS))
+def test_full_model_rounds_equal_a_per_round_reference(case, monkeypatch):
+    """Every round's averaged model, trained in stacks kept across rounds and
+    averaged from their rows, has the bytes of the per-round reference: a
+    fresh ``aligned_params`` pair per group and round, and ``weighted_sum``
+    over the per-client arrays in client-id order."""
+    overrides, covers = FULL_MODEL_ROUNDS[case]
+    config = RunConfig(mode="fedavg-full", rounds=4, dim=8, pretrain_epochs=2,
+                       local_epochs=2, batch_size=8, **overrides).validate()
+    scored, evaluate = [], harness.evaluate
+
+    def scoring(model, adapters, splits):
+        scored.append([a.tobytes() for a in model.weights + model.biases])
+        return evaluate(model, adapters, splits)
+
+    monkeypatch.setattr(harness, "evaluate", scoring)
+    run_federated(config)
+
+    setup = Setup(config)
+    clients, start = harness._clients(setup)
+    sizes = [c.shard_size for c in clients]
+    count = harness._participant_count(config)
+    model, rounds = setup.base, []
+    for t in range(1, config.rounds + 1):
+        local = replace(start, round_index=t, eta=config.eta * config.eta_decay ** (t - 1))
+        participants = harness._participants(config.num_clients, count, setup.root, t)
+        rounds.append(harness._groups(participants, sizes))
+        trained = {}
+        for group in rounds[-1]:
+            params, grads = aligned_params(model.weights + model.biases, len(group))
+            group_sgd([clients[cid] for cid in group],
+                      per_round_step(params, grads, local.task, local.eta), local)
+            trained.update((cid, [m[i] for m in params.views]) for i, cid in enumerate(group))
+        total = weighted_sum(shard_weights([sizes[cid] for cid in participants]),
+                             (trained[cid] for cid in participants))
+        assert scored[t - 1] == [a.tobytes() for a in total], f"round {t}"
+        model = FrozenBase(total[:len(model.weights)], total[len(model.weights):])
+    assert len(scored) == config.rounds and covers(rounds)

@@ -12,7 +12,7 @@ from conftest import linear_probe_accuracy, one_hot
 from rankfed import harness, model
 from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
-from rankfed.errors import InputError, NumericError, ParameterError
+from rankfed.errors import InputError, NumericError, ParameterError, ShapeError
 from rankfed.harness import (build_dataset, build_pretrain_dataset, evaluate,
                              prepare_splits, pretrain_base, records_jsonl,
                              run_federated)
@@ -32,6 +32,11 @@ class TestPretrainBase:
         base = pretrain_base(ds, 0, Rng(0).substream("p"))
         assert base.layer_shapes()[-1][0] == 4
         assert base.layer_shapes()[0][1] == 8
+
+    def test_zero_width_hidden_layer_rejected(self):
+        ds = generate_synthetic(4, 8, 30, 2.0, Rng(0).substream("d"))
+        with pytest.raises(ShapeError, match="layer widths must be >= 1"):
+            pretrain_base(ds, 1, Rng(0).substream("p"), hidden=(0,))
 
     @pytest.mark.parametrize("task", ["multiclass", "multilabel"])
     def test_equals_a_reference_loop_stepping_with_the_loss_kernel(self, task):

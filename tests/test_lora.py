@@ -35,6 +35,10 @@ class TestInitAdapter:
         with pytest.raises(ParameterError):
             init_adapter(8, 8, 9, 0.02, rng)
 
+    def test_set_needs_a_layer(self, rng):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            init_adapter_set([], 2, 0.02, rng)
+
     def test_set_caps_rank_per_layer(self, rng):
         shapes = [(32, 16), (6, 32)]
         s = init_adapter_set(shapes, 8, 0.02, rng)

@@ -14,6 +14,21 @@ from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, 
 from rankfed.numerics import Rng, softmax
 
 
+ONES = np.ones
+
+BROKEN_CHAINS = {
+    "no-layers": ([], []),
+    "bias-wider-than-weight": ([ONES((3, 4))], [ONES(5)]),
+    "no-bias": ([ONES((3, 4))], []),
+    "bias-not-1-D": ([ONES((3, 4))], [ONES((3, 1))]),
+    "weight-not-2-D": ([ONES(4)], [ONES(4)]),
+    "client-stacked-weight": ([ONES((2, 3, 4))], [ONES((2, 3))]),
+    "zero-width-output": ([ONES((0, 4))], [ONES(0)]),
+    "zero-width-input": ([ONES((3, 0))], [ONES(3)]),
+    "chain-broken": ([ONES((3, 4)), ONES((2, 5))], [ONES(3), ONES(2)]),
+}
+
+
 class TestForward:
     def test_zero_adapters_neutral(self, rng):
         base, _, x, _ = make_model(rng)
@@ -500,6 +515,20 @@ class TestSgdStep:
 
 
 class TestFrozenBase:
+    @pytest.mark.parametrize("case", list(BROKEN_CHAINS))
+    def test_broken_layer_chain_rejected(self, case):
+        with pytest.raises(ShapeError):
+            FrozenBase(*BROKEN_CHAINS[case])
+
+    def test_a_chain_of_layers_is_accepted(self):
+        base = FrozenBase([ONES((3, 4)), ONES((2, 3))], [ONES(3), ONES(2)])
+        assert base.layer_shapes() == [(3, 4), (2, 3)]
+
+    @pytest.mark.parametrize("dims", [[4, 0, 3], [4, 3, 0], [0, 3]])
+    def test_zero_width_layer_rejected(self, dims):
+        with pytest.raises(ShapeError, match="layer widths must be >= 1"):
+            random_base(dims, Rng(0))
+
     def test_weights_not_writeable(self, rng):
         base = random_base([4, 6, 3], rng)
         with pytest.raises(ValueError):
