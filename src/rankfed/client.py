@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, ParameterError, require_finite
+from .errors import InputError, NumericError, ParameterError, of_type, require_finite
 from .lora import AdapterSet, DenseDelta
 from .model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, Walk,
                     estimate_fim, estimate_mas_importance, forward, sgd_step,
@@ -59,9 +59,12 @@ class LocalTrainConfig:
 
     @staticmethod
     def check(epochs, eta, batch_size, names=("local_epochs", "eta", "batch_size")) -> None:
-        """The rule of SGD's settings, which pretraining shares: epochs >= 0,
-        a finite eta >= 0 and batch_size >= 1. Each error names its setting
-        by ``names``; pretraining's are ``PRETRAIN_SETTINGS``."""
+        """The rule of SGD's settings, which pretraining shares: integral epochs
+        >= 0, a finite real eta >= 0, integral batch_size >= 1, no bool. Each
+        error names its setting by ``names``; pretraining's: ``PRETRAIN_SETTINGS``."""
+        for name, v, kind in zip(names, (epochs, eta, batch_size), (int, float, int)):
+            if not of_type(v, kind):
+                raise ParameterError(f"{name} must be of type {kind.__name__}, got {v!r}")
         if not epochs >= 0:
             raise ParameterError(f"{names[0]} must be >= 0, got {epochs}")
         if not batch_size >= 1:

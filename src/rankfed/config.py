@@ -8,11 +8,10 @@ RunConfig field. Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
-import numbers
 from dataclasses import dataclass, field, fields
 
 from .client import PRETRAIN_SETTINGS, LocalTrainConfig
-from .errors import ParameterError, require_finite
+from .errors import ParameterError, of_type, require_finite
 from .lora import RankSchedule, capped_rank
 from .model import CLConfig
 from .numerics import Rng
@@ -98,7 +97,7 @@ class RunConfig:
 
         for name, kind in _TYPES.items():
             v = getattr(self, name)
-            need(_of_type(v, kind), f"{name} must be of type {kind.__name__}, got {v!r}")
+            need(of_type(v, kind), f"{name} must be of type {kind.__name__}, got {v!r}")
         one_of("mode", MODES)
         Rng(self.seed)
         need(self.rounds >= 1, f"rounds must be >= 1, got {self.rounds}")
@@ -124,7 +123,7 @@ class RunConfig:
         need(self.n_samples >= 1, f"n_samples must be >= 1, got {self.n_samples}")
         need(0 <= self.multilabel_skew <= 1,
              f"multilabel_skew must lie in [0, 1], got {self.multilabel_skew}")
-        need(len(self.hidden) >= 1 and all(_of_type(h, int) and h >= 1 for h in self.hidden),
+        need(len(self.hidden) >= 1 and all(of_type(h, int) and h >= 1 for h in self.hidden),
              f"hidden must be a non-empty tuple of positive layer widths, got {self.hidden!r}")
         finite_at_least("sigma_init", 0, strict=True)
         LocalTrainConfig.check(self.pretrain_epochs, self.pretrain_eta, self.pretrain_batch,
@@ -170,13 +169,6 @@ _SECTIONS = _sections()
 # Type of each key, from its annotation; parsing and validate() read it.
 _TYPES = {f.name: {"bool": bool, "int": int, "float": float, "str": str,
                    "tuple": tuple}[f.type] for f in fields(RunConfig)}
-
-
-def _of_type(v, kind) -> bool:
-    """``v`` is of ``kind``: for int any integral number, for float any real
-    one, neither a bool."""
-    want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
-    return isinstance(v, want) and (kind is bool or not isinstance(v, bool))
 
 
 def _parse_value(name: str, raw: str, kind):

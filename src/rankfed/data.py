@@ -321,16 +321,18 @@ def load_csv(path, label_column: str = "label"):
 
 
 def dataset_from_arrays(x: np.ndarray, y: np.ndarray, rng: Rng) -> Dataset:
-    """Stratified 70/15/15 dataset from raw multiclass arrays: features
-    [n, d] and one label per row, each a non-negative integer value. Any
-    other input raises ``InputError`` before a row is dealt, as a negative
-    label would never be dealt, a fractional one would be truncated and rows
-    beyond the labels would be dropped."""
+    """Stratified 70/15/15 dataset from raw multiclass arrays: finite features
+    [n, d] and one label per row, each a non-negative integer value. Any other
+    input raises ``InputError`` before a row is dealt, as a negative label would
+    never be dealt, a fractional one would be truncated, rows beyond the labels
+    would be dropped and a NaN feature would train every weight to NaN."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2 or y.ndim != 1 or len(x) != len(y) or len(y) == 0:
         raise InputError(f"need features [n, d] and labels [n] with n >= 1, "
                          f"got shapes {x.shape} and {y.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("features must be finite")
     if y.dtype.kind not in "iuf" or not np.all(np.isfinite(y) & (y >= 0)
                                                & (y == np.floor(y))):
         raise InputError("labels must be non-negative integer values")

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and its finite-range check."""
+"""Exception types shared across the package, and its type and range checks."""
 
 import math
+import numbers
 
 
 class RankfedError(Exception):
@@ -33,6 +34,13 @@ class ProtocolError(RankfedError):
 
 class UndefinedMetricError(RankfedError):
     """A metric is undefined for the given input (single-class AUC, constant CKA input)."""
+
+
+def of_type(v, kind) -> bool:
+    """``v`` is of ``kind``: for int any integral number, for float any real
+    one, neither a bool."""
+    want = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(v, want) and (kind is bool or not isinstance(v, bool))
 
 
 def require_finite(name: str, value, low: float, strict: bool = False) -> None:

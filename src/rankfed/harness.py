@@ -34,8 +34,8 @@ from .model import (CLConfig, FrozenBase, OpCounter, Walk, _descend, base_preact
                     forward, full_grads, random_base)
 # The full-model step's name: the benchmark's tracer wraps it as that layer.
 from .model import supervised_loss_and_grads as full_loss_and_grads
-from .numerics import Rng, aligned_params, client_weighted_sum
-from .server import ClientUpdate, ServerState, server_round, shard_weights
+from .numerics import Rng, aligned_params
+from .server import ClientUpdate, ServerState, server_round, shard_weights, weighted_sum
 
 SCHEMA_VERSION = 1
 
@@ -473,8 +473,8 @@ class _FullModelRounds:
         return sum(w.size + b.size for w, b in zip(self.model.weights, self.model.biases))
 
     def train_group(self, cids, local: LocalTrainConfig, counter):
-        """Each client's ``(stack, slot)`` and epoch losses. A slot holds its
-        client's model until its stack trains the next round."""
+        """Each client's weights and biases, views of its slot of the group's
+        stack that hold until the stack trains the next round, and epoch losses."""
         c = len(cids)
         size = self.clients[cids[0]].shard_size
         stack = self.stacks.get(size)
@@ -484,23 +484,14 @@ class _FullModelRounds:
             stack.params.load(self.model.weights + self.model.biases)
         stack.eta, stack.walk.counter = local.eta, counter
         losses = group_sgd([self.clients[cid] for cid in cids], stack.step, local)
-        return [(stack, i) for i in range(c)], losses
+        return [[v[i] for v in stack.params.views] for i in range(c)], losses
 
     def close_round(self, results, weights):
-        """The participants' shard-weighted mean as a fresh model, summed in
-        client-id order from the stacks' rows, several groups' gathered."""
-        slots = [slot for _, slot, _ in results]
-        stacks = list(dict.fromkeys(stack for stack, _ in slots))
-        rows = stacks[0].params.rows
-        if len(stacks) > 1:
-            first = dict(zip(stacks, np.cumsum([0] + [s.clients for s in stacks])))
-            order = [first[stack] + i for stack, i in slots]
-            rows = [np.concatenate(r)[order] for r in zip(*(s.params.rows for s in stacks))]
-        model = self.model.weights + self.model.biases
-        mean = [client_weighted_sum(r, weights)[:a.size].reshape(a.shape)
-                for r, a in zip(rows, model)]
+        """The participants' shard-weighted mean, in client-id order, as a
+        fresh model."""
+        total = weighted_sum(weights, (arrays for _, arrays, _ in results))
         n = len(self.model.weights)
-        self.model = FrozenBase(mean[:n], mean[n:])
+        self.model = FrozenBase(total[:n], total[n:])
         return self.model, None, {}
 
 

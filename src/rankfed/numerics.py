@@ -94,14 +94,10 @@ def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
 
 class Flat(NamedTuple):
     """A 64-byte-aligned float64 buffer and its arrays, views of it: one
-    elementwise call on ``buf`` gives each array the bits it would get alone.
-    ``rows`` holds each array's span of ``buf`` as [clients, m] (one row
-    without clients): every client's slice and the zeros that pad it to its
-    line, so m >= 8."""
+    elementwise call on ``buf`` gives each array the bits it would get alone."""
 
     buf: np.ndarray
     views: list
-    rows: list
 
     def load(self, arrays) -> None:
         """Copy each array into its view, to every client's slice."""
@@ -120,13 +116,13 @@ def _flat(shapes, clients) -> Flat:
     raw = np.zeros(sum(spans) + _LINE - 1)
     start = -(raw.ctypes.data // 8) % _LINE
     buf = raw[start:start + sum(spans)]
-    views, rows, offset = [], [], 0
+    views, offset = [], 0
     for shape, n, span in zip(shapes, sizes, spans):
-        rows.append(buf[offset:offset + span].reshape(clients or 1, -1))
-        views.append(rows[-1][0, :n].reshape(shape) if clients is None else
-                     rows[-1][:, :n].reshape(clients, *shape))
+        segment = buf[offset:offset + span]
+        views.append(segment[:n].reshape(shape) if clients is None else
+                     segment.reshape(clients, -1)[:, :n].reshape(clients, *shape))
         offset += span
-    return Flat(buf, views, rows)
+    return Flat(buf, views)
 
 
 def aligned_params(arrays, clients=None):
@@ -139,16 +135,6 @@ def aligned_params(arrays, clients=None):
     params = _flat(shapes, clients)
     params.load(arrays)
     return params, _flat(shapes, clients)
-
-
-def client_weighted_sum(rows: Matrix, weights: np.ndarray) -> np.ndarray:
-    """``sum_i weights[i] * rows[i]`` over [C, m] ``rows``, with the bits of
-    ``acc = zeros; acc += w_i * rows[i]`` in client order, from the zeros'
-    +0.0. numpy's reduce adds row by row only while m >= 2: it sums a lone
-    column pairwise from 8 clients on. ``Flat.rows`` are a line wide."""
-    if rows.ndim != 2 or rows.shape[1] < 2:
-        raise ShapeError(f"rows must be [clients, m >= 2], got {rows.shape}")
-    return np.add.reduce(np.multiply(rows, weights[:, np.newaxis]), axis=0, initial=0.0)
 
 
 def relu(m: Matrix, out=None) -> Matrix:

@@ -9,16 +9,11 @@ operand offset, which the last test checks at the walk's shapes.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from test_group_training import client_arrays
 
 from rankfed.client import local_train
 from rankfed.config import RunConfig
-from rankfed.errors import ShapeError
 from rankfed.harness import Setup, _AdapterRounds, _FullModelRounds
-from rankfed.numerics import Rng, aligned_params, client_weighted_sum
-from rankfed.server import weighted_sum
+from rankfed.numerics import Rng
 
 LINE = 64
 CONFIG = dict(classes=4, dim=8, n_per_class=30, num_clients=2, scheme="disjoint",
@@ -47,7 +42,7 @@ def test_every_trained_buffer_is_64_byte_aligned():
 
     full = _FullModelRounds(setup)
     updates, _ = full.train_group([0, 1], full.local, None)
-    assert all(on_a_line(m) for slot in updates for m in client_arrays(slot))
+    assert all(on_a_line(m) for update in updates for m in update)
 
 
 def test_frozen_base_has_no_writeable_path():
@@ -106,49 +101,3 @@ def test_product_bits_do_not_depend_on_operand_alignment(left, right, transposed
         for b_off in OFFSETS:
             assert product(a_off, b_off).tobytes() == expected, (a_off, b_off)
         assert product(a_off, 0, a_off).tobytes() == expected, a_off
-
-
-EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e300, -1e300]
-VALUES = st.one_of(st.sampled_from(EDGES),
-                   st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False))
-
-
-@st.composite
-def stacked_models(draw):
-    """Client-stacked arrays of one to three shapes, a lone element and
-    single rows too, over 1 to 12 clients, their values drawn from signed
-    zeros, subnormals and +-1e300, the first client's starting at -0.0; and
-    one weight per client."""
-    clients = draw(st.integers(1, 12))
-    shapes = draw(st.lists(st.sampled_from([(1,), (3,), (9,), (1, 1), (1, 5), (5, 1), (3, 4)]),
-                           min_size=1, max_size=3))
-    arrays = [np.array(draw(st.lists(VALUES, min_size=clients * int(np.prod(s)),
-                                     max_size=clients * int(np.prod(s))))).reshape(clients, *s)
-              for s in shapes]
-    arrays[0].reshape(clients, -1)[0, 0] = -0.0
-    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=clients,
-                                     max_size=clients)))
-    return arrays, weights
-
-
-@settings(max_examples=120, deadline=None)
-@given(drawn=stacked_models())
-def test_client_sum_over_flat_rows_equals_the_sequential_sum(drawn):
-    """The mean taken from a ``Flat``'s client rows, whose views are not
-    contiguous across clients, has the bits of ``weighted_sum``'s zeros
-    followed by ``acc += w * a`` in client order: the same products, added
-    in the same order from the same +0.0."""
-    arrays, weights = drawn
-    params, _ = aligned_params([a[0] for a in arrays], len(weights))
-    params.load(arrays)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = weighted_sum(weights, ([m[i] for m in params.views]
-                                          for i in range(len(weights))))
-        got = [client_weighted_sum(r, weights)[:m[0].size].reshape(m.shape[1:])
-               for r, m in zip(params.rows, params.views)]
-    assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
-
-
-def test_client_sum_refuses_a_lone_column():
-    with pytest.raises(ShapeError, match="rows must be"):
-        client_weighted_sum(np.ones((9, 1)), np.full(9, 1 / 9))

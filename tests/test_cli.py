@@ -308,6 +308,9 @@ CONSTRUCTOR_CHECKS = {
     "LocalTrainConfig-eta-inf": lambda: LocalTrainConfig(1, INF, 8),
     "LocalTrainConfig-epochs-nan": lambda: LocalTrainConfig(NAN, 0.1, 8),
     "LocalTrainConfig-batch_size-nan": lambda: LocalTrainConfig(1, 0.1, NAN),
+    "LocalTrainConfig-epochs-fractional": lambda: LocalTrainConfig(1.5, 0.1, 8),
+    "LocalTrainConfig-batch_size-bool": lambda: LocalTrainConfig(1, 0.1, True),
+    "LocalTrainConfig-eta-string": lambda: LocalTrainConfig(1, "0.1", 8),
     "RankSchedule-subtractor-nan": lambda: RankSchedule(4, 2, NAN),
     "RankSchedule-phase-nan": lambda: RankSchedule(4, 2, 1, NAN),
     "gaussian_matrix-sigma-nan": lambda: gaussian_matrix(2, 2, NAN, Rng(0)),
@@ -325,6 +328,10 @@ CONSTRUCTOR_CHECKS = {
     "pretrain_base-eta-nan": lambda: pretrain_base(_PRETRAIN_DATA, 1, Rng(0), eta=NAN),
     "pretrain_base-batch-zero": lambda: pretrain_base(_PRETRAIN_DATA, 1, Rng(0), batch_size=0),
     "pretrain_base-epochs-negative": lambda: pretrain_base(_PRETRAIN_DATA, -1, Rng(0)),
+    "pretrain_base-epochs-fractional": lambda: pretrain_base(_PRETRAIN_DATA, 1.5, Rng(0)),
+    "pretrain_base-epochs-bool": lambda: pretrain_base(_PRETRAIN_DATA, True, Rng(0)),
+    "pretrain_base-batch-fractional": lambda: pretrain_base(_PRETRAIN_DATA, 1, Rng(0),
+                                                            batch_size=2.5),
     "ServerState-gaussian-no-rng": lambda: ServerState(
         _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian")),
     "ServerState-gaussian-sigma-nan": lambda: ServerState(
@@ -359,6 +366,8 @@ def test_validate_and_server_settings_raise_the_same_message(key, value, message
     ("pretrain_epochs", "epochs", -1, "pretrain_epochs must be >= 0, got -1"),
     ("pretrain_eta", "eta", NAN, "pretrain_eta must be finite and >= 0, got nan"),
     ("pretrain_batch", "batch_size", 0, "pretrain_batch must be >= 1, got 0"),
+    ("pretrain_epochs", "epochs", 1.5, "pretrain_epochs must be of type int, got 1.5"),
+    ("pretrain_batch", "batch_size", 2.5, "pretrain_batch must be of type int, got 2.5"),
 ])
 def test_validate_and_pretrain_base_raise_the_same_message(key, arg, value, message):
     for build in (lambda: RunConfig(**{key: value}).validate(),

@@ -270,10 +270,12 @@ class TestCsvLoader:
         assert total == 90
 
     @pytest.mark.parametrize("case", ["negative", "fractional", "extra rows",
-                                      "2-D labels", "non-finite", "empty"])
+                                      "2-D labels", "non-finite", "empty",
+                                      "nan-feature", "inf-feature"])
     def test_dataset_from_arrays_rejects_rows_it_would_lose(self, case):
         # each case used to split silently: the -1 rows were never dealt,
-        # 0.5 became class 0, the 20 rows past the labels were dropped
+        # 0.5 became class 0, the 20 rows past the labels were dropped, and
+        # one NaN feature pretrained an all-NaN base
         rng = Rng(3)
         x = rng.substream("x").normal(60, 4)
         y = np.repeat(np.arange(3), 20)
@@ -287,6 +289,8 @@ class TestCsvLoader:
             y = y[:, np.newaxis]
         elif case == "non-finite":
             y = np.where(y == 1, np.inf, y)
+        elif case.endswith("feature"):
+            x[5, 2] = np.nan if case == "nan-feature" else -np.inf
         else:
             x, y = x[:0], y[:0]
         with pytest.raises(InputError):

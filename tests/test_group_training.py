@@ -158,13 +158,6 @@ def test_multilabel_full_weight_group_equals_each_client_alone():
     check_full_weight_group(dict(task="multilabel", num_labels=4, n_samples=150))
 
 
-def client_arrays(slot):
-    """A client's weights and biases, from the ``(stack, slot)`` that
-    ``_FullModelRounds.train_group`` returns for it."""
-    stack, i = slot
-    return [m[i] for m in stack.params.views]
-
-
 def check_full_weight_group(data):
     """Three equal shards of the ``data`` settings, trained as a group, as
     groups of one and by a 2-D reference loop, give the same bytes."""
@@ -195,8 +188,8 @@ def check_full_weight_group(data):
         ref.eta, ref.walk.counter = 0.1, ref_counter
         ref_losses = sgd_epochs(ref.step, x, y, config.batch_size, orders)
         reference_ops += ref_counter.multiplies
-        assert ([m.tobytes() for m in client_arrays(group_updates[cid])]
-                == [m.tobytes() for m in client_arrays(solo)]
+        assert ([m.tobytes() for m in group_updates[cid]]
+                == [m.tobytes() for m in solo]
                 == [m.tobytes() for m in ref.params.views])
         assert group_losses[cid] == solo_losses == [float(np.mean(losses))
                                                     for losses in ref_losses]
@@ -278,7 +271,8 @@ FULL_MODEL_ROUNDS = {
     "multilabel": (dict(task="multilabel", num_labels=4, n_samples=240, num_clients=4,
                         participation=0.5, eta_decay=0.9), groups_change),
     # a one-wide output bias, shards [32, 31 x 8]: numpy's client-axis
-    # reduce of a lone column is pairwise from eight clients on
+    # reduce of a lone column is pairwise from eight clients on, so a mean
+    # taken by such a reduce would move this case's bits
     "one-label-nine-clients": (dict(task="multilabel", num_labels=1, n_samples=400,
                                     num_clients=9), eight_in_a_group),
 }
@@ -287,9 +281,9 @@ FULL_MODEL_ROUNDS = {
 @pytest.mark.parametrize("case", sorted(FULL_MODEL_ROUNDS))
 def test_full_model_rounds_equal_a_per_round_reference(case, monkeypatch):
     """Every round's averaged model, trained in stacks kept across rounds and
-    averaged from their rows, has the bytes of the per-round reference: a
-    fresh ``aligned_params`` pair per group and round, and ``weighted_sum``
-    over the per-client arrays in client-id order."""
+    averaged from views of their slots, has the bytes of the per-round
+    reference: a fresh ``aligned_params`` pair per group and round, and
+    ``weighted_sum`` over the per-client arrays in client-id order."""
     overrides, covers = FULL_MODEL_ROUNDS[case]
     config = RunConfig(mode="fedavg-full", rounds=4, dim=8, pretrain_epochs=2,
                        local_epochs=2, batch_size=8, **overrides).validate()

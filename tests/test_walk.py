@@ -21,7 +21,7 @@ from conftest import one_hot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from test_group_training import client_arrays, make_group
+from test_group_training import make_group
 
 from rankfed import client, harness, model
 from rankfed.client import (_stacked_importance, _stacked_stability_logits, group_sgd,
@@ -98,7 +98,7 @@ def test_full_model_group_walk_built_once_equals_one_per_step(task):
         return loss
 
     ref_losses = group_sgd([mode.clients[cid] for cid in range(3)], step, local)
-    got = [m.tobytes() for slot in updates for m in client_arrays(slot)]
+    got = [m.tobytes() for update in updates for m in update]
     assert got == [m[i].tobytes() for i in range(3) for m in params.views]
     assert losses == ref_losses
     assert counter.multiplies == ref_counter.multiplies > 0
