@@ -234,8 +234,12 @@ def partition_multilabel(dataset: Dataset, num_clients: int, rng: Rng,
 
     With skew 0 the assignment is a plain round-robin over a shuffled order;
     positive skew biases each client toward samples positive for its preferred
-    label (client s prefers label s mod L).
+    label (client s prefers label s mod L). Any finite skew >= 0 is taken;
+    ``validate()`` keeps a config's ``multilabel_skew`` in [0, 1].
     """
+    if not num_clients >= 1:
+        raise ParameterError(f"num_clients must be >= 1, got {num_clients}")
+    require_finite("multilabel_skew", prevalence_skew, 0)
     y = dataset.train_y
     n, L = y.shape
     order = rng.substream("multilabel-order").permutation(n)

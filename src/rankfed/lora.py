@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, of_type
 from .numerics import (Matrix, Rng, aligned_params, as_matrix, gaussian_matrix,
                        svd_truncate)
 
@@ -81,6 +81,8 @@ class AdapterSet:
 
     def __post_init__(self):
         object.__setattr__(self, "adapters", tuple(self.adapters))
+        if not self.adapters:
+            raise ShapeError("an adapter set needs at least one layer")
         for lid, a in enumerate(self.adapters):
             expected = capped_rank(self.nominal_rank, a.out_dim, a.in_dim)
             if a.rank != expected:
@@ -136,8 +138,6 @@ def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng) -> LoRAAdapte
 
 def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> AdapterSet:
     """One fresh adapter per layer at the nominal rank, capped per layer."""
-    if len(layer_shapes) == 0:
-        raise ShapeError("an adapter set needs at least one layer")
     if rank < 1:
         raise ParameterError(f"rank must be >= 1, got {rank}")
     return AdapterSet(tuple(
@@ -189,6 +189,10 @@ class RankSchedule:
     phase: int = 1
 
     def __post_init__(self):
+        for name in ("r_init", "r_min", "subtractor", "phase"):
+            v = getattr(self, name)
+            if not of_type(v, int):
+                raise ParameterError(f"{name} must be of type int, got {v!r}")
         if not (self.r_init >= self.r_min >= 1):
             raise ParameterError(
                 f"need r_init >= r_min >= 1, got {self.r_init}, {self.r_min}"

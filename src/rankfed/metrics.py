@@ -67,15 +67,15 @@ def column_aucs(scores, labels) -> list:
     None for a column holding a single class. Raw labels raise
     ``ParameterError``.
 
-    Each column's curve is trapezoidal over its distinct score thresholds.
-    Tied scores are grouped at a single threshold, so the trapezoid across a
-    tie block credits half, matching the pairwise probability
-    P(score+ > score-) + 0.5 * P(tie).
-
-    A column's trapezoid terms are those of ``np.trapezoid(tpr, fpr)``,
-    summed as one contiguous run, so each value equals the column's 1-D
-    trapezoid bit for bit. The sort need not be stable: the positives
-    counted at the end of a tie block do not depend on the order inside it.
+    Each column's curve starts at (0, 0) and takes one point per score, best
+    first. Its terms are those of ``np.trapezoid(tpr, fpr)``, each row summed
+    as one contiguous run, so a value equals the column's 1-D trapezoid bit
+    for bit. A column whose scores tie is summed again by ``np.trapezoid``
+    over its distinct thresholds alone, each tie block's last point, so the
+    trapezoid across a block credits half, matching the pairwise probability
+    P(score+ > score-) + 0.5 * P(tie). The sort need not be stable: the
+    positives counted at the end of a tie block do not depend on the order
+    inside it.
     """
     if not isinstance(labels, _Labels):
         raise ParameterError("column_aucs takes prepare_labels output")
@@ -105,37 +105,17 @@ def column_aucs(scores, labels) -> list:
     fpr /= labels.neg
     np.divide(tps, labels.pos, out=tpr)
     tied = neg_s[:, 1:] == neg_s[:, :-1]
-    if not tied.any():
-        # every score is a threshold, so each row is a column's whole curve
-        f, t = curves
-        terms = f[:, 1:] - f[:, :-1]
-        terms *= t[:, 1:] + t[:, :-1]
-        terms /= 2.0
-        for i, value in zip(defined.tolist(), terms.sum(axis=1).tolist()):
-            out[i] = value
-        return out
-
-    # a threshold closes each block of equal scores
-    closes = np.ones((k, n), dtype=bool)
-    np.logical_not(tied, out=closes[:, :-1])
-    # row-major selection: each column's thresholds form one run
-    tpr, fpr = tpr[closes], fpr[closes]
-    counts = closes.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-    # each threshold's predecessor on its column's curve, which starts at (0, 0)
-    prev = np.empty((2, len(tpr)))
-    prev[0, 1:], prev[1, 1:] = fpr[:-1], tpr[:-1]
-    prev[:, starts] = 0.0
-    terms = (fpr - prev[0]) * (tpr + prev[1]) / 2.0
-
-    # columns with equal threshold counts sum as the rows of one [k, m] block
-    by_count = {}
-    for i, m in enumerate(counts.tolist()):
-        by_count.setdefault(m, []).append(i)
-    for m, members in by_count.items():
-        block = terms[starts[members][:, np.newaxis] + np.arange(m)]
-        for i, value in zip(members, block.sum(axis=1).tolist()):
-            out[defined[i]] = value
+    f, t = curves
+    terms = f[:, 1:] - f[:, :-1]
+    terms *= t[:, 1:] + t[:, :-1]
+    terms /= 2.0
+    values = terms.sum(axis=1)
+    # a tie block is one threshold: keep the start and each block's last point
+    for i in np.flatnonzero(tied.any(axis=1)).tolist():
+        keep = np.concatenate(([True], ~tied[i], [True]))
+        values[i] = np.trapezoid(t[i][keep], f[i][keep])
+    for i, value in zip(defined.tolist(), values.tolist()):
+        out[i] = value
     return out
 
 

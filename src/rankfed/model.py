@@ -173,6 +173,13 @@ class Walk:
             self.items, self.kind = [as_matrix(d, "delta") for d in adapters], "dense"
         if len(self.items) != n:
             raise ShapeError(f"{self.kind} layer count {len(self.items)} != layer count {n}")
+        for l, (w, item) in enumerate(zip(weights, self.items)):
+            if item is None:
+                continue
+            shape = (item[0].shape[-2], item[1].shape[-1]) if self.kind == "factor" else item.shape
+            if shape != w.shape[-2:]:
+                raise ShapeError(f"layer {l}: {self.kind} update shape {shape} != "
+                                 f"weight shape {w.shape[-2:]}")
         self.wT = [w.swapaxes(-1, -2) for w in weights]
         self.rows = [b[..., np.newaxis, :] for b in biases]
         self.itemsT = [tuple(m.swapaxes(-1, -2) for m in item) if self.kind == "factor"

@@ -84,6 +84,9 @@ class ServerState:
     rounds_in_phase: int = 0
 
     def __post_init__(self):
+        if self.adapters.nominal_rank != self.schedule.current_rank:
+            raise ParameterError(f"adapters at rank {self.adapters.nominal_rank}, "
+                                 f"schedule at rank {self.schedule.current_rank}")
         if self.settings.reinit == "gaussian":
             if self.reinit_rng is None:
                 raise ParameterError("gaussian re-initialization needs an rng")

@@ -313,6 +313,8 @@ CONSTRUCTOR_CHECKS = {
     "LocalTrainConfig-eta-string": lambda: LocalTrainConfig(1, "0.1", 8),
     "RankSchedule-subtractor-nan": lambda: RankSchedule(4, 2, NAN),
     "RankSchedule-phase-nan": lambda: RankSchedule(4, 2, 1, NAN),
+    "RankSchedule-subtractor-fractional": lambda: RankSchedule(8, 2, 1.5),
+    "RankSchedule-r_init-bool": lambda: RankSchedule(True, 1, 1),
     "gaussian_matrix-sigma-nan": lambda: gaussian_matrix(2, 2, NAN, Rng(0)),
     "generate_synthetic-separation-nan": lambda: generate_synthetic(3, 4, 10, NAN, Rng(0)),
     "ServerSettings-theta-nan": lambda: ServerSettings(theta=NAN),
@@ -337,6 +339,7 @@ CONSTRUCTOR_CHECKS = {
     "ServerState-gaussian-sigma-nan": lambda: ServerState(
         _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian"),
         reinit_sigma=NAN, reinit_rng=Rng(0)),
+    "ServerState-rank-mismatch": lambda: ServerState(_ADAPTERS, RankSchedule(8, 2, 2)),
 }
 
 

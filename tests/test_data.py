@@ -213,6 +213,18 @@ class TestMultilabel:
         with pytest.raises(ParameterError, match="empty shard"):
             partition_multilabel(ds, 5, Rng(8), prevalence_skew=skew)
 
+    @pytest.mark.parametrize("clients, skew, message", [
+        (0, 0.0, "num_clients must be >= 1, got 0"),
+        (3, float("nan"), "multilabel_skew must be finite and >= 0, got nan"),
+        (3, -0.5, "multilabel_skew must be finite and >= 0, got -0.5"),
+        (3, float("inf"), "multilabel_skew must be finite and >= 0, got inf"),
+    ], ids=["no-clients", "nan-skew", "negative-skew", "inf-skew"])
+    def test_bad_arguments_rejected(self, clients, skew, message):
+        ds = generate_multilabel(150, 8, 4, Rng(7))
+        with pytest.raises(ParameterError) as raised:
+            partition_multilabel(ds, clients, Rng(8), prevalence_skew=skew)
+        assert str(raised.value) == message
+
 
 class TestCsvLoader:
     def test_round_trip(self, tmp_path):

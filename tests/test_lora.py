@@ -39,6 +39,13 @@ class TestInitAdapter:
         with pytest.raises(ShapeError, match="at least one layer"):
             init_adapter_set([], 2, 0.02, rng)
 
+    @pytest.mark.parametrize("build", [lambda: AdapterSet((), 2),
+                                       lambda: reinit_at_rank([], 2)],
+                             ids=["AdapterSet", "reinit_at_rank"])
+    def test_every_set_needs_a_layer(self, build):
+        with pytest.raises(ShapeError, match="at least one layer"):
+            build()
+
     def test_set_caps_rank_per_layer(self, rng):
         shapes = [(32, 16), (6, 32)]
         s = init_adapter_set(shapes, 8, 0.02, rng)

@@ -186,8 +186,9 @@ class TestAuc:
 class TestColumnAucs:
     """``column_aucs`` against ``reference_auc``, the per-column algorithm it
     replaced, to the bit, with prepared labels. Grid scores
-    (``levels`` > 0) tie and take the tie-block route; continuous scores do
-    not, and take the route over whole curves."""
+    (``levels`` > 0) tie, so their columns are summed again over their
+    distinct thresholds; continuous scores do not, and keep the sum over
+    their whole curves."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**31), st.integers(1, 300), st.integers(1, 6),

@@ -6,6 +6,7 @@ from conftest import (fd_factor_grads, lwf_penalty_and_grads, make_model, max_re
 
 from rankfed import model
 from rankfed.errors import InputError, InvariantError, NumericError, ParameterError, ShapeError
+from rankfed.harness import evaluate, prepare_splits
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, ImportanceEstimate, OpCounter, Walk,
                            base_preactivation, estimate_fim, estimate_mas_importance, forward,
@@ -26,6 +27,12 @@ BROKEN_CHAINS = {
     "zero-width-output": ([ONES((0, 4))], [ONES(0)]),
     "zero-width-input": ([ONES((3, 0))], [ONES(3)]),
     "chain-broken": ([ONES((3, 4)), ONES((2, 5))], [ONES(3), ONES(2)]),
+}
+
+WRONG_SHAPES = {
+    "factor-input-width": lambda rng: init_adapter_set([(7, 5), (4, 6)], 3, 0.05, rng),
+    "factor-output-width": lambda rng: init_adapter_set([(7, 5), (1, 7)], 3, 0.05, rng),
+    "dense": lambda rng: [np.zeros((7, 5)), np.zeros((4, 6))],
 }
 
 
@@ -78,6 +85,19 @@ class TestForward:
         base, adapters, x, _ = make_model(rng)
         with pytest.raises(ShapeError, match="needs a client-stacked batch"):
             forward(base, adapters.stacked(2)[0], x)
+
+    # the base's layer 1 is 4 x 7: an input width of 6 failed inside a
+    # product, an output width of 1 broadcast without an error
+    @pytest.mark.parametrize("case", list(WRONG_SHAPES))
+    @pytest.mark.parametrize("run", ["forward", "evaluate"])
+    def test_adapters_for_other_layer_shapes_refused(self, rng, case, run):
+        base, _, x, y = make_model(rng)
+        adapters = WRONG_SHAPES[case](rng.substream("wrong"))
+        with pytest.raises(ShapeError, match="layer 1: "):
+            if run == "forward":
+                forward(base, adapters, x)
+            else:
+                evaluate(base, adapters, prepare_splits({"test": (x, y)}, "multiclass"))
 
     def test_cached_base_preactivation_is_read_only(self, rng):
         base, _, x, _ = make_model(rng)
