@@ -25,16 +25,16 @@ from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    partition, partition_multilabel, relabeled)
 from .errors import InputError, NumericError, ParameterError, UndefinedMetricError
 from .lora import AdapterSet, RankSchedule, init_adapter_set
-from .metrics import (CommLedger, accuracy_score, column_aucs, layer_averaged_cka,
+from .metrics import (CommLedger, _column_aucs, accuracy_score, layer_averaged_cka,
                       prepare_labels, prepare_representations, weight_distance)
 # Not called here. The benchmark's tracer wraps this name as its ``metrics.auc``
-# layer, so it stays importable until that target is re-pointed at ``column_aucs``.
+# layer, so it stays importable until that target is re-pointed at ``_column_aucs``.
 from .metrics import auc  # noqa: F401
 from .model import (CLConfig, FrozenBase, OpCounter, Walk, _descend, base_preactivation,
                     forward, full_grads, random_base)
 # The full-model step's name: the benchmark's tracer wraps it as that layer.
 from .model import supervised_loss_and_grads as full_loss_and_grads
-from .numerics import Rng, aligned_params
+from .numerics import Rng, aligned_params, lay_out
 from .server import ClientUpdate, ServerState, server_round, shard_weights, weighted_sum
 
 SCHEMA_VERSION = 1
@@ -214,15 +214,18 @@ class Setup:
 
 
 class _ClientStack:
-    """``clients`` copies of a full model in one ``aligned_params`` pair laid
-    out weights first, then biases (weights [C, h1, h2], biases [C, h1]), and
-    their walk. ``step``, an ``sgd_epochs`` step, trains them in place on a
-    client-stacked batch at ``eta``, counting into ``walk.counter``: both are
-    set per round, so one stack serves many."""
+    """``clients`` copies of a full model in one client-major
+    ``aligned_params`` pair laid out weights first, then biases (weights
+    [C, h1, h2], biases [C, h1]), and their walk; ``rows`` holds each
+    client's copy as one row. ``step``, an ``sgd_epochs`` step, trains them
+    in place on a client-stacked batch at ``eta``, counting into
+    ``walk.counter``: both are set per round, so one stack serves many."""
 
     def __init__(self, model: FrozenBase, clients, task: str):
         self.clients, self.task, self.eta = clients, task, None
-        self.params, self.grads = aligned_params(model.weights + model.biases, clients)
+        self.params, self.grads = aligned_params(model.weights + model.biases, clients,
+                                                 client_major=True)
+        self.rows = self.params.buf.reshape(clients or 1, -1)
         self.walk = Walk(*_layers(self.params))
         self.out = list(zip(*_layers(self.grads)))
 
@@ -316,20 +319,23 @@ def evaluate(base: FrozenBase, adapters, splits) -> dict:
 
 def _auc_metrics(group: _SplitGroup, stacked):
     """(name, metrics) of each multilabel split of ``group`` from its stacked
-    logits [g, rows, L]: one ``column_aucs`` pass over the group's prepared
-    label columns side by side."""
+    logits [g, rows, L]: one ``column_aucs`` scoring pass over the group's
+    prepared label columns side by side, fed the negated logits as label rows
+    [g·L, rows] by one ufunc call. ``evaluate`` has checked them finite."""
     for name, z, y in zip(group.names, stacked, group.labels):
         if np.shape(y) != z.shape:
             raise InputError(f"the {name} split's labels have shape {np.shape(y)}, "
                              f"its logits {z.shape}")
-    width = stacked.shape[2]
-    per_label = column_aucs(np.concatenate(stacked, axis=1), group.columns)
-    for i, name in enumerate(group.names):
-        aucs = per_label[i * width:(i + 1) * width]
-        defined = [v for v in aucs if v is not None]
+    g, rows, width = stacked.shape
+    values = _column_aucs(np.negative(stacked.transpose(0, 2, 1), order="C")
+                          .reshape(-1, rows), group.columns)
+    for name, split in zip(group.names, values.reshape(g, width)):
+        defined = split[~np.isnan(split)]
+        aucs = [None if math.isnan(v) else v for v in split.tolist()]
         yield name, {
             "auc_per_label": aucs,
-            "auc_mean": float(np.mean(defined)) if defined else None,
+            # np.mean's arithmetic, without its list conversion and wrapper
+            "auc_mean": float(np.add.reduce(defined) / len(defined)) if len(defined) else None,
             "undefined_labels": [l for l, v in enumerate(aucs) if v is None],
         }
 
@@ -462,10 +468,14 @@ class _FullModelRounds:
     """fedavg-full: clients train every weight and bias; the server takes
     their shard-weighted mean. No adapters, so no rank or diagnostics. Each
     shard size's group trains in a ``_ClientStack`` kept across rounds while
-    its client count holds."""
+    its client count holds. ``row`` holds the global model laid out as one
+    client's row: the base's copy, then each round's mean of the clients'
+    rows, which the model views."""
 
     def __init__(self, setup: Setup):
         self.model = setup.base
+        arrays = self.model.weights + self.model.biases
+        self.row, self.shapes = aligned_params(arrays)[0].buf, [a.shape for a in arrays]
         self.clients, self.local = _clients(setup)
         self.stacks = {}  # shard size -> _ClientStack
 
@@ -473,25 +483,24 @@ class _FullModelRounds:
         return sum(w.size + b.size for w, b in zip(self.model.weights, self.model.biases))
 
     def train_group(self, cids, local: LocalTrainConfig, counter):
-        """Each client's weights and biases, views of its slot of the group's
-        stack that hold until the stack trains the next round, and epoch losses."""
+        """Each client's trained row of the group's stack, a view that holds
+        until the stack trains the next round, and epoch losses."""
         c = len(cids)
         size = self.clients[cids[0]].shard_size
         stack = self.stacks.get(size)
         if stack is None or stack.clients != c:
             stack = self.stacks[size] = _ClientStack(self.model, c, local.task)
         else:
-            stack.params.load(self.model.weights + self.model.biases)
+            stack.rows[...] = self.row
         stack.eta, stack.walk.counter = local.eta, counter
         losses = group_sgd([self.clients[cid] for cid in cids], stack.step, local)
-        return [[v[i] for v in stack.params.views] for i in range(c)], losses
+        return list(stack.rows), losses
 
     def close_round(self, results, weights):
-        """The participants' shard-weighted mean, in client-id order, as a
-        fresh model."""
-        total = weighted_sum(weights, (arrays for _, arrays, _ in results))
-        n = len(self.model.weights)
-        self.model = FrozenBase(total[:n], total[n:])
+        """The participants' shard-weighted mean of their rows, in client-id
+        order, as a fresh model viewing it."""
+        (self.row,) = weighted_sum(weights, ([row] for _, row, _ in results))
+        self.model = FrozenBase(*_layers(lay_out(self.row, self.shapes)))
         return self.model, None, {}
 
 

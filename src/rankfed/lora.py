@@ -221,7 +221,10 @@ def save_adapters(path, adapter_set: AdapterSet, base_checksum: str) -> None:
     version, layer count, nominal rank, all u32; the 32-byte sha256 of the
     frozen base the adapters were trained on (``FrozenBase.checksum()``);
     (h1, h2, r) per layer, all u32; then each layer's B and A as float64, all
-    little-endian."""
+    little-endian. A client-stacked set raises ``ShapeError``: save each
+    client's set."""
+    if any(a.B.ndim != 2 for a in adapter_set):
+        raise ShapeError("a client-stacked adapter set cannot be saved; save client(i)")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", CHECKPOINT_VERSION, len(adapter_set),

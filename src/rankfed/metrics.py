@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputError, ParameterError, ShapeError, UndefinedMetricError
+from .errors import InputError, ParameterError, ShapeError, UndefinedMetricError, of_type
 
 
 def accuracy_score(predictions, labels) -> float:
@@ -85,13 +85,17 @@ def column_aucs(scores, labels) -> list:
                          f"got {scores.shape} and {labels.shape}")
     if not np.all(np.isfinite(scores)):
         raise InputError("scores must be finite")
-    out = [None] * scores.shape[1]
-    defined = labels.defined
-    if len(defined) == 0:
-        return out
+    values = _column_aucs(np.negative(scores.T, order="C"), labels)
+    return [None if math.isnan(v) else v for v in values.tolist()]
 
-    k, n = len(defined), len(scores)
-    neg_s = -scores.T[defined]
+
+def _column_aucs(neg_rows, labels: _Labels) -> np.ndarray:
+    """``column_aucs``' values as an array [L], NaN for a column holding a
+    single class, from every column's negated scores as rows [L, n], all
+    finite."""
+    defined = labels.defined
+    k, n = len(defined), labels.shape[0]
+    neg_s = neg_rows if k == len(neg_rows) else neg_rows[defined]
     order = np.argsort(neg_s, axis=1)
     order += labels.offsets  # flat indices into [k, n]
     neg_s = neg_s.take(order)
@@ -114,8 +118,8 @@ def column_aucs(scores, labels) -> list:
     for i in np.flatnonzero(tied.any(axis=1)).tolist():
         keep = np.concatenate(([True], ~tied[i], [True]))
         values[i] = np.trapezoid(t[i][keep], f[i][keep])
-    for i, value in zip(defined.tolist(), values.tolist()):
-        out[i] = value
+    out = np.full(labels.shape[1], np.nan)
+    out[defined] = values
     return out
 
 
@@ -145,6 +149,10 @@ class CommLedger:
     num_clients: int
     params_per_round: list = field(default_factory=list, init=False)
     transmitted: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if not of_type(self.num_clients, int) or self.num_clients < 1:
+            raise ParameterError(f"num_clients must be an integer >= 1, got {self.num_clients!r}")
 
     def add_round(self, param_count: int) -> None:
         if param_count < 0:

@@ -93,8 +93,8 @@ def gaussian_matrix(rows: int, cols: int, sigma: float, rng: Rng) -> Matrix:
 
 
 class Flat(NamedTuple):
-    """A 64-byte-aligned float64 buffer and its arrays, views of it: one
-    elementwise call on ``buf`` gives each array the bits it would get alone."""
+    """A float64 buffer and its arrays, views of it: one elementwise call on
+    ``buf`` gives each array the bits it would get alone."""
 
     buf: np.ndarray
     views: list
@@ -108,33 +108,51 @@ class Flat(NamedTuple):
 _LINE = 8  # float64s per 64-byte cache line
 
 
-def _flat(shapes, clients) -> Flat:
-    """A zeroed ``Flat`` with a view per shape, [clients, *shape] when
-    ``clients`` is given, each view and each client's slice on its own line."""
-    sizes = [math.prod(s) for s in shapes]
-    spans = [-(-n // _LINE) * _LINE * (clients or 1) for n in sizes]
-    raw = np.zeros(sum(spans) + _LINE - 1)
-    start = -(raw.ctypes.data // 8) % _LINE
-    buf = raw[start:start + sum(spans)]
+def _span(shape) -> int:
+    """The float64s an array of ``shape`` takes in a row: whole lines."""
+    return -(-math.prod(shape) // _LINE) * _LINE
+
+
+def lay_out(buf, shapes, clients=None, client_major=False) -> Flat:
+    """``buf`` as a ``Flat`` of ``shapes``, each array padded to whole lines;
+    with ``clients`` each view is [clients, *shape]. Array-major, each
+    array's client slices lie side by side, so an elementwise call on a view
+    runs over one block, which numpy does faster than a strided view;
+    client-major, each client's whole set is one row of ``buf``, so one call
+    can take a whole set."""
+    c = clients or 1
+    rows = buf.reshape(c, -1)
     views, offset = [], 0
-    for shape, n, span in zip(shapes, sizes, spans):
-        segment = buf[offset:offset + span]
-        views.append(segment[:n].reshape(shape) if clients is None else
-                     segment.reshape(clients, -1)[:, :n].reshape(clients, *shape))
+    for shape in shapes:
+        n, span = math.prod(shape), _span(shape)
+        if client_major:
+            block = rows[:, offset:offset + n]
+        else:
+            block = buf[c * offset:c * (offset + span)].reshape(c, span)[:, :n]
+        views.append(block.reshape(shape if clients is None else (clients, *shape)))
         offset += span
     return Flat(buf, views)
 
 
-def aligned_params(arrays, clients=None):
+def _flat(shapes, clients, client_major) -> Flat:
+    """A zeroed, line-aligned ``lay_out`` of ``shapes``: each view, each
+    client's slice and each client's row start on a 64-byte line."""
+    size = sum(map(_span, shapes)) * (clients or 1)
+    raw = np.zeros(size + _LINE - 1)
+    start = -(raw.ctypes.data // 8) % _LINE
+    return lay_out(raw[start:start + size], shapes, clients, client_major)
+
+
+def aligned_params(arrays, clients=None, client_major=False):
     """Trainable copies of ``arrays`` and a zeroed twin for their gradients,
-    ``(params, grads)``, each a ``Flat`` laid out alike: with ``clients``,
-    each array is copied to every client's slice of a [clients, ...] view.
-    Every array, and every client's slice, starts on a 64-byte line, where
-    BLAS's NN product reads its right operand fastest."""
+    ``(params, grads)``, each a ``Flat`` laid out alike (see ``lay_out``):
+    with ``clients``, each array is copied to every client's slice of a
+    [clients, ...] view. Every array, and every client's slice, starts on a
+    64-byte line, where BLAS's NN product reads its right operand fastest."""
     shapes = [np.shape(a) for a in arrays]
-    params = _flat(shapes, clients)
+    params = _flat(shapes, clients, client_major)
     params.load(arrays)
-    return params, _flat(shapes, clients)
+    return params, _flat(shapes, clients, client_major)
 
 
 def relu(m: Matrix, out=None) -> Matrix:

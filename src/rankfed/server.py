@@ -117,14 +117,20 @@ def weighted_sum(weights, items) -> list:
     """Per-array sum of ``w * item`` over clients, in the given order.
 
     ``items`` yields one list of arrays per client and may be a generator,
-    so that only one client's arrays are held at a time.
+    so that only one client's arrays are held at a time. No client, or a
+    weight count unlike the client count, raises ``InputError``.
     """
-    total = None
+    items, total, count = iter(items), None, 0
     for w, arrays in zip(weights, items):
         if total is None:
             total = [np.zeros_like(a) for a in arrays]
         for acc, a in zip(total, arrays):
             acc += w * a
+        count += 1
+    # zip stops at the shorter side: the weights unpaired, or a client left
+    if total is None or count != len(weights) or next(items, None) is not None:
+        raise InputError(f"weighted_sum needs one weight per client and a client, "
+                         f"got {len(weights)} weights")
     return total
 
 

@@ -16,6 +16,7 @@ from rankfed.errors import ParameterError
 from rankfed.harness import RECORD_FIELDS, Setup, pretrain_base, records_jsonl, run_federated
 from rankfed.lora import (RankSchedule, init_adapter_set, load_adapters,
                           save_adapters)
+from rankfed.metrics import CommLedger
 from rankfed.model import CLConfig
 from rankfed.numerics import Rng, gaussian_matrix, logit_error
 from rankfed.server import ServerSettings, ServerState
@@ -340,6 +341,9 @@ CONSTRUCTOR_CHECKS = {
         _ADAPTERS, RankSchedule(4, 2, 2), ServerSettings(reinit="gaussian"),
         reinit_sigma=NAN, reinit_rng=Rng(0)),
     "ServerState-rank-mismatch": lambda: ServerState(_ADAPTERS, RankSchedule(8, 2, 2)),
+    "CommLedger-num_clients-negative": lambda: CommLedger(-2),
+    "CommLedger-num_clients-zero": lambda: CommLedger(0),
+    "CommLedger-num_clients-fractional": lambda: CommLedger(2.5),
 }
 
 

@@ -188,9 +188,8 @@ def check_full_weight_group(data):
         ref.eta, ref.walk.counter = 0.1, ref_counter
         ref_losses = sgd_epochs(ref.step, x, y, config.batch_size, orders)
         reference_ops += ref_counter.multiplies
-        assert ([m.tobytes() for m in group_updates[cid]]
-                == [m.tobytes() for m in solo]
-                == [m.tobytes() for m in ref.params.views])
+        # each update is the client's whole row: every array and its padding
+        assert group_updates[cid].tobytes() == solo.tobytes() == ref.params.buf.tobytes()
         assert group_losses[cid] == solo_losses == [float(np.mean(losses))
                                                     for losses in ref_losses]
     assert counter.multiplies == reference_ops

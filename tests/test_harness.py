@@ -426,6 +426,35 @@ class TestEvaluateMapping:
         with pytest.raises(NumericError, match=f"the {first} split"):
             evaluate(base, adapters, prepare_splits(splits, task))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(2, 5), st.data())
+    def test_multilabel_scores_equal_column_aucs_and_np_mean(self, seed, width, data):
+        """Two groups of splits (9, 9 and 5 rows) on a network with a
+        constant output column (all its scores tie), repeated feature rows
+        (ties inside every column) and a single-class label column: each
+        split's metrics are ``column_aucs`` and ``np.mean`` of its raw logits."""
+        root = Rng(seed)
+        weights = [root.substream("w", l).normal(h1, h2) for l, (h1, h2)
+                   in enumerate([(6, 5), (width, 6)])]
+        weights[1][data.draw(st.integers(0, width - 1))] = 0.0
+        base = FrozenBase(weights, [np.zeros(6), root.substream("b").normal(1, width)[0]])
+        splits = {}
+        for name, n in (("val", 9), ("extra", 5), ("test", 9)):
+            s = root.substream("split", name)
+            x = s.substream("x").normal(n, 5)
+            x[-2:] = x[:2]
+            y = np.asarray(s.substream("y").integers(0, 2, (n, width)))
+            y[:, data.draw(st.integers(0, width - 1))] = data.draw(st.integers(0, 1))
+            splits[name] = (x, y)
+        prepared = prepare_splits(splits, "multilabel")
+        assert [g.names for g in prepared.groups] == [("val", "test"), ("extra",)]
+        scores = evaluate(base, None, prepared)
+        for name, split in splits.items():
+            alone = _scored_alone(base, None, split, "multilabel")
+            assert None in alone["auc_per_label"]
+            event(f"auc_mean defined: {alone['auc_mean'] is not None}")
+            assert scores[name] == alone
+
     def test_mapping_order_not_group_order_names_the_split(self):
         """``a`` and ``c`` form one group ahead of ``b``; with ``b`` and ``c``
         poisoned, ``b`` comes first in the mapping and is the one named."""

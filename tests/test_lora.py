@@ -196,6 +196,18 @@ class TestCheckpoint:
         with pytest.raises(ParameterError, match="truncated"):
             load_adapters(path)
 
+    def test_client_stacked_set_refused_before_the_file_opens(self, tmp_path):
+        stacked = init_adapter_set([(4, 3), (2, 4)], 2, 0.1, Rng(0)).stacked(3)[0]
+        path = tmp_path / "stacked.ckpt"
+        with pytest.raises(ShapeError, match="client-stacked"):
+            save_adapters(path, stacked, BASE_SHA)
+        assert not path.exists()
+        # each client's set saves and loads back
+        save_adapters(path, stacked.client(1), BASE_SHA)
+        loaded, _ = load_adapters(path)
+        assert [(a.B.tobytes(), a.A.tobytes()) for a in loaded] == [
+            (a.B[1].tobytes(), a.A[1].tobytes()) for a in stacked]
+
     def test_trailing_bytes_rejected(self, rng, tmp_path):
         path = tmp_path / "long.ckpt"
         save_adapters(path, init_adapter_set([(3, 2)], 2, 0.02, rng), BASE_SHA)

@@ -16,13 +16,39 @@ from rankfed.numerics import Rng, svd_truncate
 from rankfed.server import (ClientUpdate, ServerSettings, ServerState, aggregate,
                             ema_update, gradient_consistency, maybe_dropout,
                             normalize_sensitivities, pool_gradients,
-                            sensitivity, server_round, shard_weights)
+                            sensitivity, server_round, shard_weights, weighted_sum)
 
 
 @pytest.mark.parametrize("sizes", [[0, 0], [], [3, -3]])
 def test_shard_weights_refuse_a_non_positive_total(sizes):
     with pytest.raises(InputError, match="^shard sizes must have a positive total"):
         shard_weights(sizes)
+
+
+@pytest.mark.parametrize("weights, clients", [
+    ([0.2, 0.3, 0.5], 2),  # a weight left over
+    ([0.5, 0.5], 3),       # a client left over
+    ([], 0),
+    ([], 1),
+    ([1.0], 0),
+], ids=["more-weights", "more-clients", "none", "no-weights", "no-clients"])
+def test_weighted_sum_needs_one_weight_per_client(weights, clients):
+    items = ([np.full(2, float(i + 1))] for i in range(clients))
+    with pytest.raises(InputError, match="one weight per client"):
+        weighted_sum(weights, items)
+
+
+def test_weighted_sum_takes_a_generator():
+    made = []
+
+    def items():
+        for i in range(3):
+            made.append(i)
+            yield [np.full((2, 2), float(i)), np.full(3, 1.0)]
+
+    total = weighted_sum([0.25, 0.25, 0.5], items())
+    assert made == [0, 1, 2]
+    assert total[0].tolist() == [[1.25, 1.25]] * 2 and total[1].tolist() == [1.0] * 3
 
 
 def warm_set(rng, shapes=((6, 4), (3, 6)), rank=2, scale=0.3):

@@ -87,7 +87,8 @@ def test_full_model_group_walk_built_once_equals_one_per_step(task):
     updates, losses = mode.train_group([0, 1, 2], local, counter)
 
     # the same client-stacked buffers, stepped through a walk built per step
-    params, grads = aligned_params(mode.model.weights + mode.model.biases, 3)
+    params, grads = aligned_params(mode.model.weights + mode.model.biases, 3,
+                                   client_major=True)
     (weights, biases), out = _layers(params), list(zip(*_layers(grads)))
     ref_counter = OpCounter()
 
@@ -98,8 +99,8 @@ def test_full_model_group_walk_built_once_equals_one_per_step(task):
         return loss
 
     ref_losses = group_sgd([mode.clients[cid] for cid in range(3)], step, local)
-    got = [m.tobytes() for update in updates for m in update]
-    assert got == [m[i].tobytes() for i in range(3) for m in params.views]
+    assert [row.tobytes() for row in updates] == [row.tobytes() for row in
+                                                  params.buf.reshape(3, -1)]
     assert losses == ref_losses
     assert counter.multiplies == ref_counter.multiplies > 0
 
