@@ -99,23 +99,6 @@ def refresh_importances(state: ClientState, base: FrozenBase,
     state.importance_phase = phase
 
 
-def _stacked_importance(states) -> ImportanceEstimate | None:
-    """The group's cached importances, stacked per layer along the client axis."""
-    if any(s.importance is None for s in states):
-        return None
-    per_layer = zip(*(s.importance.matrices for s in states))
-    return ImportanceEstimate(tuple(np.stack(ms) for ms in per_layer))
-
-
-def _stacked_stability_logits(states) -> np.ndarray:
-    """The group's cached stability-teacher logits, stacked along the client axis."""
-    for s in states:
-        if s.stability_logits is None:
-            raise InputError(f"client {s.client_id}: the LwF stability term needs the "
-                             f"teacher's logits that refresh_importances caches")
-    return np.stack([s.stability_logits for s in states])
-
-
 def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
     """Mini-batch SGD, one epoch per sample order in ``orders``.
 
@@ -141,22 +124,28 @@ def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
     return results
 
 
-def group_sgd(states, step, config: LocalTrainConfig, *rows):
-    """Run ``config.epochs`` epochs of ``step`` for a group of clients.
-
-    ``states`` must have equal shard sizes; each epoch every client draws its
-    own batch order from its stream's (round, epoch) sub-stream. ``step``
-    trains the whole group on one stacked mini-batch, as ``sgd_epochs`` calls
-    it, and returns its loss, one value per client. Returns each client's
-    mean loss per epoch, in the order of ``states``.
-    """
+def _stacked_shards(states):
+    """The group's features and labels, stacked along the client axis."""
     n = states[0].shard_size
     for s in states:
         if s.shard_size != n:
             raise InputError(f"client {s.client_id}: shard size {s.shard_size} "
                              f"!= group shard size {n}")
-    features = np.stack([s.features for s in states])
-    labels = np.stack([s.labels for s in states])
+    return np.stack([s.features for s in states]), np.stack([s.labels for s in states])
+
+
+def group_sgd(states, step, config: LocalTrainConfig, *rows, shards=None):
+    """Run ``config.epochs`` epochs of ``step`` for a group of clients.
+
+    ``states`` must have equal shard sizes; each epoch every client draws its
+    own batch order from its stream's (round, epoch) sub-stream. ``step``
+    trains the whole group on one stacked mini-batch, as ``sgd_epochs`` calls
+    it, and returns its loss, one value per client; ``shards``, the group's
+    stacked features and labels, are stacked here unless given. Returns each
+    client's mean loss per epoch, in the order of ``states``.
+    """
+    features, labels = shards or _stacked_shards(states)
+    n = features.shape[1]
     orders = (np.stack([s.rng.substream("round", config.round_index, "epoch",
                                         epoch, "shuffle").permutation(n)
                         for s in states])
@@ -168,30 +157,78 @@ def group_sgd(states, step, config: LocalTrainConfig, *rows):
     return [[float(e[i]) for e in epoch_losses] for i in range(len(states))]
 
 
+class _ClientStack:
+    """A group's client-stacked training set, which the caller keeps across
+    rounds: an ``aligned_params`` pair, the ``walk`` on ``params``, the
+    gradient views ``out`` that it writes, and ``updates``, each client's
+    trained set as views of ``params``, valid until the stack trains again.
+    ``key`` is (client count, nominal rank or None): the caller builds a new
+    stack for a group of another key, so at every drop."""
+
+    def __init__(self, params, grads, walk, out, updates, rank=None):
+        self.params, self.grads, self.walk, self.out = params, grads, walk, out
+        self.updates, self.key, self.held = updates, (len(updates), rank), None
+
+    def operands(self, states):
+        """``(features, labels, importance, teacher)``, stacked along the
+        client axis: the group's shards and its members' phase caches (each
+        None unless every member has one), stacked again only when the
+        members or their phases change."""
+        held = [(s.client_id, s.importance_phase) for s in states]
+        if held != self.held:
+            importance = teacher = None
+            if all(s.importance is not None for s in states):
+                importance = ImportanceEstimate(tuple(
+                    map(np.stack, zip(*(s.importance.matrices for s in states)))))
+            if all(s.stability_logits is not None for s in states):
+                teacher = np.stack([s.stability_logits for s in states])
+            self.stacked, self.held = (*_stacked_shards(states), importance, teacher), held
+        return self.stacked
+
+
+def adapter_stack(base: FrozenBase, adapters: AdapterSet, clients: int) -> _ClientStack:
+    """A stack of ``clients`` copies of ``adapters`` on ``base``, for ``local_train``."""
+    stacked, params, grads = adapters.stacked(clients)
+    return _ClientStack(params, grads, Walk(base.weights, base.biases, stacked),
+                        list(zip(grads.views[::2], grads.views[1::2])),
+                        [stacked.client(i) for i in range(clients)], adapters.nominal_rank)
+
+
 def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
                 stability_anchor: DenseDelta | None, config: LocalTrainConfig,
-                counter: OpCounter | None = None):
+                counter: OpCounter | None = None, stack: _ClientStack | None = None):
     """Run E local epochs for a group of clients from the distributed adapters.
 
     ``states`` are clients with equal shard sizes; a single client is a group
     of one. The plasticity anchor is the incoming global adapters, held fixed
-    for the whole round. Returns ``(adapters, epoch_losses)``: per client, in
-    the order of ``states``, the resulting AdapterSet and the mean total loss
-    of each epoch.
+    for the whole round. The group trains in ``stack``, an ``adapter_stack``
+    of its client count and rank kept across rounds, into which the global
+    adapters are loaded, or else in a fresh one. Returns ``(adapters,
+    epoch_losses)``: per client, in the order of ``states``, the resulting
+    AdapterSet, a view of the stack valid until it trains again, and the mean
+    total loss of each epoch.
     """
     ids = [s.client_id for s in states]
-    importance = _stacked_importance(states)
-    adapters, params, grads = global_adapters.stacked(len(states))
-    out = list(zip(grads.views[::2], grads.views[1::2]))
-    walk = Walk(base.weights, base.biases, adapters, counter)
+    stack = stack or adapter_stack(base, global_adapters, len(states))
+    if stack.key != (len(states), global_adapters.nominal_rank):
+        raise ParameterError(f"a stack of (clients, rank) {stack.key} cannot train "
+                             f"{len(states)} clients at rank {global_adapters.nominal_rank}")
+    stack.params.load(m for a in global_adapters for m in (a.B, a.A))
+    walk, out, params, grads = stack.walk, stack.out, stack.params, stack.grads
+    walk.counter = counter
     cl = config.cl
+    *shards, importance, teacher = stack.operands(states)
     stability, plasticity, rows = stability_anchor, None, []
     if cl.active and config.epochs > 0:
         if cl.method != "lwf":
             plasticity = global_adapters.dense() if cl.mu2 > 0 else None
         else:
-            stability = (_stacked_stability_logits(states)
-                         if stability_anchor is not None and cl.mu1 > 0 else None)
+            taught = stability_anchor is not None and cl.mu1 > 0
+            if taught and teacher is None:
+                lacking = next(s.client_id for s in states if s.stability_logits is None)
+                raise InputError(f"client {lacking}: the LwF stability term needs the "
+                                 f"teacher's logits that refresh_importances caches")
+            stability = teacher if taught else None
             plasticity = (np.stack([forward(base, global_adapters, s.features)[0]
                                     for s in states]) if cl.mu2 > 0 else None)
             rows = [t for t in (stability, plasticity) if t is not None]
@@ -211,5 +248,5 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
         sgd_step(params, grads, config.eta, ids)
         return loss
 
-    epoch_losses = group_sgd(states, step, config, *rows)
-    return [adapters.client(i) for i in range(len(states))], epoch_losses
+    epoch_losses = group_sgd(states, step, config, *rows, shards=shards)
+    return list(stack.updates), epoch_losses

@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .client import (PRETRAIN_SETTINGS, ClientState, LocalTrainConfig, group_sgd,
-                     local_train, refresh_importances, sgd_epochs)
+from .client import (PRETRAIN_SETTINGS, ClientState, LocalTrainConfig, _ClientStack,
+                     adapter_stack, group_sgd, local_train, refresh_importances,
+                     sgd_epochs)
 from .config import RunConfig
 from .data import (Dataset, PartitionPlan, dataset_from_arrays,
                    generate_multilabel, generate_synthetic, load_csv,
@@ -213,26 +214,34 @@ class Setup:
             config.pretrain_batch, config.hidden)
 
 
-class _ClientStack:
+def _model_stack(model: FrozenBase, clients) -> _ClientStack:
     """``clients`` copies of a full model in one client-major
     ``aligned_params`` pair laid out weights first, then biases (weights
-    [C, h1, h2], biases [C, h1]), and their walk; ``rows`` holds each
-    client's copy as one row. ``step``, an ``sgd_epochs`` step, trains them
-    in place on a client-stacked batch at ``eta``, counting into
-    ``walk.counter``: both are set per round, so one stack serves many."""
+    [C, h1, h2], biases [C, h1]); its ``updates`` are the rows of the
+    parameter buffer, one client's copy each."""
+    params, grads = aligned_params(model.weights + model.biases, clients, client_major=True)
+    return _ClientStack(params, grads, Walk(*_layers(params)), list(zip(*_layers(grads))),
+                        params.buf.reshape(clients or 1, -1))
 
-    def __init__(self, model: FrozenBase, clients, task: str):
-        self.clients, self.task, self.eta = clients, task, None
-        self.params, self.grads = aligned_params(model.weights + model.biases, clients,
-                                                 client_major=True)
-        self.rows = self.params.buf.reshape(clients or 1, -1)
-        self.walk = Walk(*_layers(self.params))
-        self.out = list(zip(*_layers(self.grads)))
 
-    def step(self, epoch, xb, yb):
-        loss, _ = full_loss_and_grads(self.walk, xb, yb, self.task, self.out)
-        _descend(self.params.buf, self.grads.buf, self.eta)
+def _model_step(stack: _ClientStack, task: str, eta: float):
+    """The ``sgd_epochs`` step that trains a ``_model_stack``'s models in
+    place on a client-stacked batch at ``eta``."""
+    def step(epoch, xb, yb):
+        loss, _ = full_loss_and_grads(stack.walk, xb, yb, task, stack.out)
+        _descend(stack.params.buf, stack.grads.buf, eta)
         return loss
+
+    return step
+
+
+def _kept_stack(stacks: dict, states, rank, build) -> _ClientStack:
+    """The stack that ``stacks`` keeps for the group's shard size, replaced
+    by ``build()`` unless its key is the group's client count and ``rank``."""
+    size = states[0].shard_size
+    if size not in stacks or stacks[size].key != (len(states), rank):
+        stacks[size] = build()
+    return stacks[size]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +386,9 @@ def _clients(setup: Setup, cl: CLConfig = CLConfig()):
 
 class _AdapterRounds:
     """LoRA modes: clients train adapters on the frozen base; the server
-    aggregates them, tracks gradient consistency and drops the rank."""
+    aggregates them, tracks gradient consistency and drops the rank. Each
+    shard size's group trains in a ``_ClientStack`` kept across rounds while
+    its client count and rank hold."""
 
     def __init__(self, setup: Setup):
         config, root, base = setup.config, setup.root, setup.base
@@ -400,6 +411,7 @@ class _AdapterRounds:
         self.probe_z0 = base_preactivation(base, self.probe_x)
         self.base = base
         self.stability_reps = (None, None)  # (phase, prepared anchor representations)
+        self.stacks = {}  # shard size -> _ClientStack
 
     def param_count(self) -> int:
         return self.server.adapters.param_count()
@@ -415,8 +427,10 @@ class _AdapterRounds:
             for state in states:
                 refresh_importances(state, self.base, anchor,
                                     server.schedule.phase, local)
+        stack = _kept_stack(self.stacks, states, server.adapters.nominal_rank,
+                            lambda: adapter_stack(self.base, server.adapters, len(states)))
         return local_train(states, self.base, server.adapters,
-                           server.accumulated, local, counter)
+                           server.accumulated, local, counter, stack)
 
     def close_round(self, results, weights):
         """Run the server round, then score each participant's adapters
@@ -485,16 +499,14 @@ class _FullModelRounds:
     def train_group(self, cids, local: LocalTrainConfig, counter):
         """Each client's trained row of the group's stack, a view that holds
         until the stack trains the next round, and epoch losses."""
-        c = len(cids)
-        size = self.clients[cids[0]].shard_size
-        stack = self.stacks.get(size)
-        if stack is None or stack.clients != c:
-            stack = self.stacks[size] = _ClientStack(self.model, c, local.task)
-        else:
-            stack.rows[...] = self.row
-        stack.eta, stack.walk.counter = local.eta, counter
-        losses = group_sgd([self.clients[cid] for cid in cids], stack.step, local)
-        return list(stack.rows), losses
+        states = [self.clients[cid] for cid in cids]
+        stack = _kept_stack(self.stacks, states, None,
+                            lambda: _model_stack(self.model, len(cids)))
+        stack.updates[...] = self.row
+        stack.walk.counter = counter
+        losses = group_sgd(states, _model_step(stack, local.task, local.eta), local,
+                           shards=stack.operands(states)[:2])
+        return list(stack.updates), losses
 
     def close_round(self, results, weights):
         """The participants' shard-weighted mean of their rows, in client-id

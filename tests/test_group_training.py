@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from conftest import one_hot, walk_on
 
-from rankfed import harness
-from rankfed.client import (ClientState, LocalTrainConfig, group_sgd, local_train,
-                            refresh_importances, sgd_epochs)
+from rankfed import client, harness
+from rankfed.client import (ClientState, LocalTrainConfig, adapter_stack, group_sgd,
+                            local_train, refresh_importances, sgd_epochs)
 from rankfed.config import RunConfig
-from rankfed.errors import InputError, NumericError
-from rankfed.harness import Setup, _ClientStack, _FullModelRounds, _layers, run_federated
+from rankfed.errors import InputError, NumericError, ParameterError
+from rankfed.harness import (Setup, _FullModelRounds, _layers, _model_stack, _model_step,
+                             records_jsonl, run_federated)
 from rankfed.lora import AdapterSet, LoRAAdapter, init_adapter_set
 from rankfed.model import (CLConfig, FrozenBase, OpCounter, Walk, _descend, forward,
                            random_base, sgd_step, supervised_loss_and_grads,
@@ -181,12 +182,13 @@ def check_full_weight_group(data):
         y = setup.dataset.train_y[setup.plan.client_indices[cid]]
         if setup.dataset.task == "multiclass":
             y = one_hot(y, setup.dataset.num_classes)
-        ref = _ClientStack(mode.model, None, setup.dataset.task)
+        ref = _model_stack(mode.model, None)
         orders = [client.rng.substream("round", 5, "epoch", e, "shuffle")
                   .permutation(len(x)) for e in range(config.local_epochs)]
         ref_counter = OpCounter()
-        ref.eta, ref.walk.counter = 0.1, ref_counter
-        ref_losses = sgd_epochs(ref.step, x, y, config.batch_size, orders)
+        ref.walk.counter = ref_counter
+        ref_losses = sgd_epochs(_model_step(ref, setup.dataset.task, 0.1), x, y,
+                                config.batch_size, orders)
         reference_ops += ref_counter.multiplies
         # each update is the client's whole row: every array and its padding
         assert group_updates[cid].tobytes() == solo.tobytes() == ref.params.buf.tobytes()
@@ -218,6 +220,32 @@ def test_group_needs_equal_shards():
     short = make_group(CLConfig("none"), n=12, clients=1)[0]
     with pytest.raises(InputError, match="shard size"):
         local_train([states[0], short[0]], base, adapters, anchor, cfg)
+
+
+@pytest.mark.parametrize("clients, rank", [(2, 3), (3, 2)])
+def test_group_refuses_a_stack_of_another_count_or_rank(clients, rank):
+    states, base, cfg, adapters, anchor = make_group(CLConfig("none"))
+    other = init_adapter_set(base.layer_shapes(), rank, 0.05, Rng(1))
+    with pytest.raises(ParameterError, match=rf"\({clients}, {rank}\) cannot train "
+                                             r"3 clients at rank 3"):
+        local_train(states, base, adapters, anchor, cfg,
+                    stack=adapter_stack(base, other, clients))
+
+
+@pytest.mark.parametrize("method", ["ewc", "lwf"])
+def test_a_kept_stack_restacks_the_operands_of_a_new_phase(method):
+    """A stack kept across a phase change trains on the new phase's
+    importances or stability-teacher logits, as a fresh stack does."""
+    states, base, cfg, adapters, anchor = make_group(CLConfig(method, 0.4, 0.3))
+    stack = adapter_stack(base, adapters, len(states))
+    local_train(states, base, adapters, anchor, cfg, stack=stack)
+    moved = [2.0 * d for d in anchor]
+    for state in states:
+        refresh_importances(state, base, moved, 2, cfg)
+    kept, kept_losses = local_train(states, base, adapters, moved, cfg, stack=stack)
+    fresh, fresh_losses = local_train(states, base, adapters, moved, cfg)
+    assert list(map(factor_bytes, kept)) == list(map(factor_bytes, fresh))
+    assert kept_losses == fresh_losses
 
 
 def test_full_weight_group_needs_equal_shards():
@@ -315,3 +343,134 @@ def test_full_model_rounds_equal_a_per_round_reference(case, monkeypatch):
         assert scored[t - 1] == [a.tobytes() for a in total], f"round {t}"
         model = FrozenBase(total[:len(model.weights)], total[len(model.weights):])
     assert len(scored) == config.rounds and covers(rounds)
+
+
+# The golden test's small network at seed 3: shards [21, 21, 42], so two
+# groups a round, and two drops (rank 6 -> 4 -> 2) with each regularizer.
+SMALL = dict(rounds=8, cooldown=2, pretrain_epochs=5, classes=4, dim=8, n_per_class=30,
+             num_clients=3, scheme="disjoint", r_init=6, r_min=2, subtractor=2,
+             hidden=(12,), seed=3, count_ops=True)
+# four equal shards of 28, two clients a round: one group whose members change
+HALF = dict(scheme="iid", num_clients=4, n_per_class=40, participation=0.5)
+
+
+def drops(k):
+    return lambda records, calls: sum(r.dropped for r in records) == k
+
+
+def two_groups_each_round(records, calls):
+    rounds = [t for t, _, _ in calls]
+    return all(rounds.count(r.round) == 2 for r in records)
+
+
+def members_change_in_a_kept_stack(records, calls):
+    members = {}
+    for _, ids, stack in calls:
+        members.setdefault(id(stack), set()).add(tuple(ids))
+    return any(len(kept) > 1 for kept in members.values())
+
+
+# (config overrides, what the run must show)
+ADAPTER_ROUNDS = {
+    "ewc-two-drops": (dict(cl_method="ewc"), drops(2)),
+    "mas": (dict(cl_method="mas"), drops(2)),
+    # the stability teacher's logits are stacked from the first drop on
+    "lwf-drop": (dict(cl_method="lwf"), drops(2)),
+    "fixed-rank-lora": (dict(mode="fixed-rank-lora", cl_method="none", mu1=0.0, mu2=0.0),
+                        two_groups_each_round),
+    "half-participation": (dict(HALF, eta_decay=0.9), members_change_in_a_kept_stack),
+    # shards [21, 42, 21, 42]: groups [0, 2] and [1, 3]
+    "two-shard-sizes": (dict(num_clients=4, classes=6), two_groups_each_round),
+}
+
+
+def held_arrays(state, result):
+    """Every array a ``ServerState`` and the ``RunResult`` hold."""
+    arrays = [m for a in (*state.adapters, *result.final_adapters) for m in (a.B, a.A)]
+    for layers in (state.accumulated, state.ema_pos, state.ema_neg):
+        arrays += layers or []
+    return arrays + list(result.base.weights + result.base.biases)
+
+
+@pytest.mark.parametrize("case", sorted(ADAPTER_ROUNDS))
+def test_adapter_rounds_equal_a_per_round_reference(case, monkeypatch):
+    """Every round's global adapters, the records and the multiply count of a
+    run whose groups train in stacks kept across rounds are the bytes of a
+    reference run that trains each group and round in a fresh stack; no
+    array the server state or the result holds is a view of a kept stack."""
+    overrides, covers = ADAPTER_ROUNDS[case]
+    config = RunConfig(**{**SMALL, **overrides}).validate()
+    train, evaluate, server_round = client.local_train, harness.evaluate, harness.server_round
+
+    def run(keep):
+        calls, scored, states = [], [], []
+
+        def local_train(states, base, adapters, anchor, local, counter, stack):
+            calls.append((local.round_index, [s.client_id for s in states], stack))
+            return train(states, base, adapters, anchor, local, counter,
+                         stack if keep else None)
+
+        def scoring(model, adapters, splits):
+            scored.append(factor_bytes(adapters))
+            return evaluate(model, adapters, splits)
+
+        def serving(state, updates):
+            states.append(server_round(state, updates))
+            return states[-1]
+
+        monkeypatch.setattr(harness, "local_train", local_train)
+        monkeypatch.setattr(harness, "evaluate", scoring)
+        monkeypatch.setattr(harness, "server_round", serving)
+        return run_federated(config), calls, scored, states
+
+    result, calls, scored, states = run(keep=True)
+    reference, _, ref_scored, _ = run(keep=False)
+    assert records_jsonl(result.records) == records_jsonl(reference.records)
+    assert scored == ref_scored and len(scored) == config.rounds
+    assert result.op_count == reference.op_count > 0
+    assert covers(result.records, calls)
+    kept = {id(stack): stack for _, _, stack in calls}.values()
+    assert len(kept) < len(calls)  # some stack served more than one round
+    for stack in kept:
+        for state, _ in states:
+            for a in held_arrays(state, result):
+                assert not np.shares_memory(a, stack.params.buf), case
+                assert not np.shares_memory(a, stack.grads.buf), case
+
+
+def test_a_paper_run_builds_one_factor_stack_per_phase(monkeypatch):
+    """The paper's run (the defaults: five equal shards, one group a round,
+    60 rounds, two drops) builds a factor stack per (shard size, client
+    count, rank), three in all, not one per round."""
+    built, stacked = [], AdapterSet.stacked
+    monkeypatch.setattr(AdapterSet, "stacked",
+                        lambda self, c: built.append((c, self.nominal_rank)) or stacked(self, c))
+    result = run_federated(RunConfig().validate())
+    assert [r.round for r in result.records if r.dropped] == [44, 54]
+    assert built == [(5, 8), (5, 6), (5, 4)]
+
+
+def test_changing_members_restack_only_the_shards(monkeypatch):
+    """Half participation: one group of two a round, its members drawn each
+    round. The kept stack's factor buffers serve every round of a phase; only
+    the shards (and phase operands) are stacked again, in each round whose
+    members or phase differ from the last round's."""
+    built, stacked = [], AdapterSet.stacked
+    monkeypatch.setattr(AdapterSet, "stacked",
+                        lambda self, c: built.append(c) or stacked(self, c))
+    restacked, stack_shards = [], client._stacked_shards
+    monkeypatch.setattr(client, "_stacked_shards",
+                        lambda states: restacked.append(1) or stack_shards(states))
+    members, train = [], client.local_train
+
+    def local_train(states, *args):
+        members.append([s.client_id for s in states])
+        return train(states, *args)
+
+    monkeypatch.setattr(harness, "local_train", local_train)
+    result = run_federated(RunConfig(**{**SMALL, **HALF}).validate())
+    phases = [r.phase for r in result.records]
+    rounds = list(zip(members, phases))
+    assert len(built) == len(set(phases)) == 2
+    assert len(restacked) == 1 + sum(a != b for a, b in zip(rounds, rounds[1:]))
+    assert len(restacked) < len(rounds) and len({tuple(m) for m in members}) > 2

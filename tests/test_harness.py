@@ -621,6 +621,18 @@ class TestDeterminism:
         assert (records_jsonl(run_federated(cfg1).records)
                 != records_jsonl(run_federated(cfg2).records))
 
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(cl_method="lwf"), dict(mode="fedavg-full", task="multilabel"),
+        dict(eta_decay=0.9),
+    ], ids=["defaults", "lwf", "fedavg-multilabel", "eta-decay"])
+    def test_a_shorter_run_is_a_byte_prefix_of_a_longer_one(self, overrides):
+        # state kept across rounds (stacks, phase caches, prepared splits)
+        # must never make a round depend on the run's length
+        short, long = (records_jsonl(run_federated(RunConfig(rounds=rounds, **overrides)
+                                                   .validate()).records)
+                       for rounds in (12, 20))
+        assert short.count("\n") == 12 and long.startswith(short)
+
 
 def _tiny_configs():
     """Tiny runs of 1-2 rounds over every mode and task, with extreme and

@@ -24,15 +24,14 @@ from hypothesis.extra.numpy import arrays
 from test_group_training import make_group
 
 from rankfed import client, harness, model
-from rankfed.client import (_stacked_importance, _stacked_stability_logits, group_sgd,
-                            local_train, sgd_epochs)
+from rankfed.client import group_sgd, local_train, sgd_epochs
 from rankfed.config import RunConfig
 from rankfed.data import generate_multilabel, generate_synthetic
 from rankfed.errors import InputError, ShapeError
 from rankfed.harness import (Setup, _FullModelRounds, _layers, pretrain_base, records_jsonl,
                              run_federated)
-from rankfed.model import (CLConfig, OpCounter, Walk, _descend, _mean_loss_gradient,
-                           forward, full_grads, random_base, sgd_step,
+from rankfed.model import (CLConfig, ImportanceEstimate, OpCounter, Walk, _descend,
+                           _mean_loss_gradient, forward, full_grads, random_base, sgd_step,
                            supervised_loss_and_grads, total_local_loss)
 from rankfed.numerics import (Rng, _softmax_terms, aligned_params, logit_error, sigmoid,
                               softmax, softmax_cross_entropy)
@@ -110,7 +109,10 @@ def local_train_walk_per_step(states, base, global_adapters, stability_anchor, c
     """``local_train``'s loop on the same stacked factor buffers, stepping
     through ``total_local_loss`` with a walk built per step."""
     ids = [s.client_id for s in states]
-    importance = _stacked_importance(states)
+    importance = None
+    if all(s.importance is not None for s in states):
+        importance = ImportanceEstimate(tuple(
+            np.stack(ms) for ms in zip(*(s.importance.matrices for s in states))))
     adapters, params, grads = global_adapters.stacked(len(states))
     out = list(zip(grads.views[::2], grads.views[1::2]))
     cl, rows = config.cl, []
@@ -118,7 +120,7 @@ def local_train_walk_per_step(states, base, global_adapters, stability_anchor, c
     if cl.method not in ("none", "lwf"):
         plasticity = global_adapters.dense()
     elif cl.method == "lwf":
-        stability = _stacked_stability_logits(states)
+        stability = np.stack([s.stability_logits for s in states])
         plasticity = np.stack([forward(base, global_adapters, s.features)[0]
                                for s in states])
         rows = [stability, plasticity]
