@@ -155,10 +155,6 @@ def aligned_params(arrays, clients=None, client_major=False):
     return params, _flat(shapes, clients, client_major)
 
 
-def relu(m: Matrix, out=None) -> Matrix:
-    return np.maximum(np.asarray(m, dtype=np.float64), 0.0, out=out)
-
-
 def _softmax_terms(logits: Matrix):
     """The row-wise softmax and the terms its cross-entropy reads: ``(p,
     shifted, z)``, the probabilities, the max-shifted logits and their row

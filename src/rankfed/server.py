@@ -22,7 +22,7 @@ from .errors import (InputError, InvariantError, ParameterError, ProtocolError, 
 from .lora import (REINIT_METHODS, AdapterSet, DenseDelta, LoRAAdapter, RankSchedule,
                    reinit_at_rank)
 from .metrics import frobenius_norm
-from .numerics import Rng, relu
+from .numerics import Rng
 
 AGGREGATIONS = ("factor", "dense")
 
@@ -191,9 +191,11 @@ def normalize_sensitivities(values) -> np.ndarray:
 def pool_gradients(grads_by_client, alpha):
     """Sensitivity-weighted positive and negative pooled components per layer.
 
-    Each client's gradient splits exactly as relu(g) - relu(-g) = g; pooling
-    keeps the two signs separate so later cancellation is observable. Both
-    weighted parts of a client's layer are formed in one buffer.
+    Each client's gradient splits exactly as max(g, 0) + min(g, 0) = g;
+    pooling keeps the two signs separate so later cancellation is
+    observable. Each client's layer is weighted once, as ``g·α``, before the
+    split; for α ≥ 0 the pooled parts keep the bits of ``Σ α·max(g, 0)`` and
+    ``-Σ α·max(-g, 0)``, signed zeros included.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     if abs(alpha.sum() - 1.0) > 1e-12:
@@ -207,10 +209,9 @@ def pool_gradients(grads_by_client, alpha):
         if len(grads) != n_layers:
             raise ShapeError("layer count mismatch across clients")
         for l, g in enumerate(grads):
-            part = relu(g)
-            pos[l] += np.multiply(part, a, out=part)
-            relu(np.negative(g, out=part), out=part)
-            neg[l] -= np.multiply(part, a, out=part)
+            scaled = np.multiply(g, a)
+            pos[l] += np.maximum(scaled, 0.0)
+            neg[l] += np.minimum(scaled, 0.0, out=scaled)
     return pos, neg
 
 

@@ -21,13 +21,20 @@ each entry as ``unchanged``, ``moved (records only)``, ``moved (<keys>)`` or
 ``added`` against the fixture it replaces, so the record can name the
 entries that moved. ``moved (records only)`` says that only the records and
 adapter bytes moved: no rank, drop or metric of any round did.
+
+A mismatch names the keys that moved and the build it ran on: the numpy
+version, its SIMD baseline and dispatch, the OpenBLAS core and
+``OPENBLAS_NUM_THREADS``.
 """
 
+import ctypes
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -129,13 +136,35 @@ def _status(old, new) -> str:
     return f"moved ({', '.join(moved)})"
 
 
+def _openblas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS chose at load time."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown (no bundled scipy-openblas)"
+
+
+def _environment() -> str:
+    """The build and machine facts a golden mismatch may come from."""
+    from numpy._core import _multiarray_umath
+    return (f"numpy {np.__version__}, SIMD baseline "
+            f"{_multiarray_umath.__cpu_baseline__} dispatch "
+            f"{_multiarray_umath.__cpu_dispatch__}, OpenBLAS core {_openblas_core()}, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}")
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_bytes(name):
     expected = json.loads(FIXTURE.read_text())[name]
     got = fingerprint(name)
     if _config(name).mode == "spd-cfl":
         assert got["rank_drops"] >= 1, "config no longer exercises a rank drop"
-    assert got == expected
+    moved = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    assert got == expected, f"{name}: {', '.join(moved)} moved under {_environment()}"
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from rankfed.model import (CLConfig, ImportanceEstimate, Walk, _binary_cross_ent
                            _descend, _task_loss, estimate_fim, estimate_mas_importance,
                            forward, full_grads, lwf_penalty, quadratic_penalty, random_base,
                            sgd_step, supervised_loss_and_grads, total_local_loss)
-from rankfed.numerics import Rng, aligned_params, logit_error, relu
+from rankfed.numerics import Rng, aligned_params, logit_error
 from rankfed.server import pool_gradients, sensitivity
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
@@ -47,8 +47,8 @@ def pool_reference(grads_by_client, alpha):
     neg = [np.zeros_like(g) for g in grads_by_client[0]]
     for a, grads in zip(alpha, grads_by_client):
         for l, g in enumerate(grads):
-            pos[l] += a * relu(g)
-            neg[l] -= a * relu(-g)
+            pos[l] += a * np.maximum(g, 0.0)
+            neg[l] -= a * np.maximum(-g, 0.0)
     return pos, neg
 
 
@@ -109,6 +109,28 @@ def flat_pair(params, grads):
        raw=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
 def test_pool_gradients_equals_its_reference(grads, raw):
     weights = np.asarray(raw[:len(grads)]) + 1e-3
+    alpha = weights / weights.sum()
+    if abs(alpha.sum() - 1.0) > 1e-12:  # pool_gradients' own precondition
+        return
+    with np.errstate(all="ignore"):
+        expected = pool_reference(grads, alpha)
+        got = pool_gradients(grads, alpha)
+    for e_side, g_side in zip(expected, got):
+        assert all(same_bits(e, g) for e, g in zip(e_side, g_side))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grads=st.integers(1, 12).flatmap(lambda n: st.lists(matrices(1, (2, 3)),
+                                                          min_size=n, max_size=n)),
+       raw=st.lists(st.one_of(st.sampled_from([0.0, 1e-3, 0.25, 1.0]), st.floats(0.0, 1.0)),
+                    min_size=12, max_size=12))
+def test_pooled_parts_keep_their_bits_at_zero_weights(grads, raw):
+    """Both pooled parts split the weighted gradient ``g·α``; at α = 0 and
+    with up to 12 clients they still hold the bits of the textbook split,
+    ``Σ α·max(g, 0)`` and ``-Σ α·max(-g, 0)``."""
+    weights = np.asarray(raw[:len(grads)])
+    if weights.sum() == 0.0:
+        weights[0] = 1.0
     alpha = weights / weights.sum()
     if abs(alpha.sum() - 1.0) > 1e-12:  # pool_gradients' own precondition
         return

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import one_hot
 
 from rankfed.errors import InputError, ParameterError, ShapeError
-from rankfed.numerics import (Rng, gaussian_matrix, logit_error, relu,
+from rankfed.numerics import (Rng, gaussian_matrix, logit_error,
                               softmax_cross_entropy, svd_truncate)
 
 
@@ -98,20 +98,6 @@ class TestRng:
 def rng_draws(rng):
     return (rng.permutation(23), rng.normal(3, 4), rng.uniform(5),
             rng.integers(0, 1000, 6))
-
-
-class TestRelu:
-    def test_sign_split(self):
-        assert np.array_equal(relu(np.array([[1.0, -2.0]])), [[1.0, 0.0]])
-
-    def test_all_negative(self):
-        assert np.array_equal(relu(-np.ones((3, 3))), np.zeros((3, 3)))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_sign_decomposition_identity(self, seed):
-        m = Rng(seed).normal(4, 5)
-        assert np.array_equal(relu(m) - relu(-m), m)
 
 
 class TestFrobeniusNorm:

@@ -1,54 +1,26 @@
-"""Every pytest node ID that the CI workflow names exists: each test file,
-and each ``::Class`` or ``::function`` (``::Class::method``) in it, found
-with ``ast`` without running pytest. A renamed test then fails here, not
-only on a runner."""
+"""The CI job that installs numpy 2.4.6, the numpy that generated
+``tests/golden.json``, runs the whole suite again at
+``OPENBLAS_NUM_THREADS=1``, so every bit and equality test is gated at one
+BLAS thread as well as at the default."""
 
-import ast
 import re
+import shlex
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-# a path to a test module, then any ::Name parts (a parametrize id is not one)
-NODE_ID = re.compile(r"(?<![\w./-])((?:[\w-]+/)*test_\w+\.py)((?:::\w+)*)")
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+# pytest options that run less than the whole suite
+NARROWING = ("-k", "-m", "--deselect", "--ignore", "--ignore-glob", "--lf", "--last-failed")
 
 
-def _defines(body, name):
-    """The class or function named ``name`` in ``body``, or None."""
-    return next((node for node in body if isinstance(
-        node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name),
-        None)
-
-
-def missing(text):
-    """The node IDs named in ``text`` that do not exist, relative to the
-    repository root."""
-    absent = []
-    for match in NODE_ID.finditer(text):
-        path, names = ROOT / match.group(1), match.group(2).split("::")[1:]
-        if not path.is_file():
-            absent.append(match.group(0))
-            continue
-        node = ast.parse(path.read_text(), str(path))
-        for name in names:
-            node = _defines(node.body, name)
-            if node is None:
-                absent.append(match.group(0))
-                break
-    return absent
-
-
-def test_every_node_id_in_the_workflow_exists():
+def test_the_pinned_numpy_job_runs_the_whole_suite_at_one_blas_thread():
     text = WORKFLOW.read_text()
-    assert NODE_ID.search(text), "the workflow names no test file"
-    assert missing(text) == []
-
-
-def test_a_renamed_node_is_reported():
-    assert missing("pytest tests/test_model.py::TestTotalLocalLoss "
-                   "tests/test_model.py::TestForward::test_zero_adapters_neutral") == []
-    assert missing("pytest tests/test_model.py::TestTotalLocal "
-                   "tests/test_model.py::TestForward::test_gone "
-                   "tests/test_gone.py") == [
-        "tests/test_model.py::TestTotalLocal",
-        "tests/test_model.py::TestForward::test_gone", "tests/test_gone.py"]
+    pin = re.search(r'python-version: "([\d.]+)"\s+numpy: numpy==2\.4\.6\s', text)
+    assert pin, "no job installs numpy 2.4.6"
+    step = re.search(r"- name: .*\n(?:\s+if: matrix\.python-version == '%s'\n)?"
+                     r"\s+run: (OPENBLAS_NUM_THREADS=1 .*)" % re.escape(pin.group(1)), text)
+    assert step, "no step of that job runs at OPENBLAS_NUM_THREADS=1"
+    words = shlex.split(step.group(1))
+    assert "pytest" in words, f"the one-thread step runs no pytest: {step.group(1)}"
+    rest = words[words.index("pytest") + 1:]
+    assert all(w.startswith("-") and w.split("=")[0] not in NARROWING for w in rest), \
+        f"the one-thread pytest run names a test path or narrows the suite: {rest}"
