@@ -105,13 +105,15 @@ def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
     ``step(epoch, xb, yb, *rows_b)`` takes one step on a mini-batch. With one
     model, ``x`` is [n, d] and each order is [n]; with shards stacked along a
     leading client axis, each order is [C, n]. Each of ``rows`` is a further
-    per-row array laid out like ``x``, [n, ...] or [C, n, ...]; ``rows_b``
-    are their rows of the mini-batch. Returns, per epoch, the list of what
-    ``step`` returned for each mini-batch, in order.
+    per-row array laid out like ``x``, [n, ...] or [C, n, ...], or None,
+    which stays None in its slot; ``rows_b`` are their rows of the mini-batch.
+    Returns, per epoch, the list of what ``step`` returned for each
+    mini-batch, in order.
     """
     n = x.shape[-2]
     clients = x.shape[0] if x.ndim == 3 else 1
-    flat = [a.reshape(clients * n, *a.shape[x.ndim - 1:]) for a in (x, y, *rows)]
+    flat = [a if a is None else a.reshape(clients * n, *a.shape[x.ndim - 1:])
+            for a in (x, y, *rows)]
     offsets = np.arange(0, clients * n, n)[:, np.newaxis] if x.ndim == 3 else 0
     results = []
     for epoch, order in enumerate(orders):
@@ -119,7 +121,7 @@ def sgd_epochs(step, x, y, batch_size: int, orders, *rows):
         steps = []
         for start in range(0, n, batch_size):
             idx = flat_order[..., start:start + batch_size]
-            steps.append(step(epoch, *(a.take(idx, axis=0) for a in flat)))
+            steps.append(step(epoch, *(a if a is None else a.take(idx, axis=0) for a in flat)))
         results.append(steps)
     return results
 
@@ -231,13 +233,11 @@ def local_train(states, base: FrozenBase, global_adapters: AdapterSet,
             stability = teacher if taught else None
             plasticity = (np.stack([forward(base, global_adapters, s.features)[0]
                                     for s in states]) if cl.mu2 > 0 else None)
-            rows = [t for t in (stability, plasticity) if t is not None]
+            rows = [stability, plasticity]
 
-    def step(epoch, x, y, *batch_rows):
-        anchors = (stability, plasticity)
-        if batch_rows:  # the LwF teachers' logits for this batch
-            gathered = iter(batch_rows)
-            anchors = [None if a is None else next(gathered) for a in anchors]
+    def step(epoch, x, y, *teachers):
+        # LwF: the teachers' logits for this batch, an absent one None in its slot
+        anchors = teachers or (stability, plasticity)
         loss, _ = total_local_loss(walk, x, y, *anchors, importance, cl, config.task, out)
         finite = np.isfinite(loss)
         if not finite.all():

@@ -158,18 +158,16 @@ def pretrain_base(dataset: Dataset, epochs: int, rng: Rng,
     if n == 0:
         raise InputError("pretraining dataset is empty")
     init = random_base([dataset.dim, *hidden, dataset.num_classes], rng)
-    params, grads = aligned_params(init.weights + init.biases)
-    model, out = _layers(params), list(zip(*_layers(grads)))
-    walk = Walk(*model)
+    stack = _model_stack(init, None)
     orders = (rng.substream("pretrain-shuffle", epoch).permutation(n)
               for epoch in range(epochs))
 
     def step(epoch, xb, yb):
-        full_grads(walk, xb, yb, dataset.task, out)
-        _descend(params.buf, grads.buf, eta)
+        full_grads(stack.walk, xb, yb, dataset.task, stack.out)
+        _descend(stack.params.buf, stack.grads.buf, eta)
 
     sgd_epochs(step, dataset.train_x, _training_targets(dataset), batch_size, orders)
-    return FrozenBase(*model)
+    return FrozenBase(*_layers(stack.params))
 
 
 def _layers(flat):
@@ -217,8 +215,8 @@ class Setup:
 def _model_stack(model: FrozenBase, clients) -> _ClientStack:
     """``clients`` copies of a full model in one client-major
     ``aligned_params`` pair laid out weights first, then biases (weights
-    [C, h1, h2], biases [C, h1]); its ``updates`` are the rows of the
-    parameter buffer, one client's copy each."""
+    [C, h1, h2], biases [C, h1]; one unstacked copy for ``None``, as
+    pretraining trains); its ``updates`` are the rows of the parameter buffer."""
     params, grads = aligned_params(model.weights + model.biases, clients, client_major=True)
     return _ClientStack(params, grads, Walk(*_layers(params)), list(zip(*_layers(grads))),
                         params.buf.reshape(clients or 1, -1))

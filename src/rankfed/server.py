@@ -147,13 +147,10 @@ def aggregate(updates, mode: str = "factor") -> AdapterSet:
     updates = sorted(updates, key=lambda u: u.client_id)
     first = updates[0].adapters
     for u in updates:
-        if u.adapters.nominal_rank != first.nominal_rank:
-            raise ProtocolError(
-                f"client {u.client_id} rank {u.adapters.nominal_rank} != "
-                f"{first.nominal_rank}"
-            )
-        if u.adapters.shapes() != first.shapes():
-            raise ProtocolError(f"client {u.client_id} sent mismatched layer shapes")
+        if (u.adapters.nominal_rank, u.adapters.shapes()) != (first.nominal_rank, first.shapes()):
+            raise ProtocolError(f"client {u.client_id} sent layer shapes {u.adapters.shapes()} at "
+                                f"rank {u.adapters.nominal_rank}, client {updates[0].client_id} "
+                                f"sent {first.shapes()} at rank {first.nominal_rank}")
     weights = shard_weights([u.shard_size for u in updates])
 
     if mode == "factor":
@@ -296,21 +293,17 @@ def server_round(state: ServerState, updates):
     bilateral pooling -> EMA -> consistency -> aggregation -> dropout decision.
     The aggregate of this round's updates is the phase-final global fed to the
     accumulator if a drop fires; on a drop the adapters distributed next round
-    are the re-initialization rather than the aggregate.
+    are the re-initialization rather than the aggregate. ``aggregate`` refuses
+    an empty or inconsistent round; the server then checks its rank and shapes.
     """
-    if not updates:
-        raise InputError("no client updates")
-    rank, shapes = state.schedule.current_rank, state.adapters.shapes()
-    for u in updates:
-        if u.adapters.nominal_rank != rank:
-            raise ProtocolError(
-                f"client {u.client_id} trained at rank {u.adapters.nominal_rank}, "
-                f"server expects {rank}"
-            )
-        if u.adapters.shapes() != shapes:
-            raise ProtocolError(f"client {u.client_id} sent layer shapes "
-                                f"{u.adapters.shapes()}, server expects {shapes}")
+    global_adapters = aggregate(updates, state.settings.aggregation)
     updates = sorted(updates, key=lambda u: u.client_id)
+    rank, shapes = state.schedule.current_rank, state.adapters.shapes()
+    if (global_adapters.nominal_rank, global_adapters.shapes()) != (rank, shapes):
+        raise ProtocolError(f"clients {', '.join(str(u.client_id) for u in updates)} sent "
+                            f"rank {global_adapters.nominal_rank} with layer shapes "
+                            f"{global_adapters.shapes()}, server expects rank {rank} "
+                            f"with {shapes}")
     global_dense = state.adapters.dense()
     # a generator: each client's dense update is freed once its displacement is formed
     grads, sens = zip(*(sensitivity(u.adapters.dense(), global_dense) for u in updates))
@@ -321,7 +314,6 @@ def server_round(state: ServerState, updates):
     ema_neg = [ema_update(p, c, state.settings.theta)
                for p, c in zip(state.ema_neg or [None] * len(neg), neg)]
     consistency = gradient_consistency(ema_pos, ema_neg)
-    global_adapters = aggregate(updates, state.settings.aggregation)
     new_state = replace(state, adapters=global_adapters,
                         ema_pos=ema_pos, ema_neg=ema_neg)
     new_state, dropped = maybe_dropout(new_state, consistency)

@@ -5,7 +5,8 @@ beside the code that does the work. A name counts as called when it is
 used anywhere in ``src/`` outside its own definition, so a method that
 only forwards to a namesake (``self._gen.integers``) is not its own
 caller. A private module-level function or class that nothing in ``src/``
-uses outside its own definition is dead code and fails the same way."""
+uses outside its own definition is dead code and fails the same way, and
+so does a name that a module imports and never uses."""
 
 import ast
 from collections import Counter
@@ -106,3 +107,41 @@ def test_allowlist_names_only_uncalled_definitions():
     # an entry whose name gained a caller, or lost its definition, is removed
     uncalled = {name for _, name in _uncalled(_trees())}
     assert ALLOWED_UNCALLED <= uncalled, ALLOWED_UNCALLED - uncalled
+
+
+# (module, name) imported without a use in that module, each for a stated reason.
+ALLOWED_UNUSED_IMPORTS = {
+    # the benchmark's tracer wraps rankfed.harness.auc as its metrics.auc
+    # layer; harness imports it for that target alone
+    ("harness.py", "auc"),
+}
+
+
+def _unused_imports(trees):
+    """(module, name) of each name a module imports and never uses: not as a
+    bare name or a dotted name's root, and not as an ``__all__`` entry."""
+    out = []
+    for module, tree in trees.items():
+        used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                out.extend((module, name) for alias in node.names
+                           if (name := alias.asname or alias.name.partition(".")[0])
+                           not in used)
+    return out
+
+
+def test_every_import_is_used():
+    unused = [f"{module}:{name}" for module, name in _unused_imports(_trees())
+              if (module, name) not in ALLOWED_UNUSED_IMPORTS]
+    assert not unused, f"names imported and never used: {unused}"
+
+
+def test_unused_import_allowlist_names_only_unused_imports():
+    assert ALLOWED_UNUSED_IMPORTS <= set(_unused_imports(_trees()))

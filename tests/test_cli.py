@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_harness import TINY
 
 import rankfed.cli
 import rankfed.harness
@@ -875,3 +876,15 @@ class TestSweepCommand:
         out = tmp_path / "missing" / "sweep.csv"
         assert main(["sweep", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: output ")
+
+
+def test_a_diverging_run_exits_1_with_one_line_and_no_output(tmp_path, capsys):
+    # a step size that overflows in the second round
+    cfg = RunConfig(**dict(TINY, rounds=2, eta=1000.0, cl_method="ewc"))
+    path, out = tmp_path / "diverges.cfg", tmp_path / "o"
+    path.write_text(config_text(cfg))
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: NumericError: clients 0, 1: overflow encountered in multiply at round 2 "
+        "(training diverged)\n")
+    assert list(out.iterdir()) == []

@@ -216,6 +216,27 @@ class TestSgdEpochs:
                 assert yb[at].tobytes() == y[at][idx].tobytes()
                 assert rb[at].tobytes() == rows[at][idx].tobytes()
 
+    @pytest.mark.parametrize("clients", [None, 3])
+    def test_a_none_row_keeps_its_slot(self, clients):
+        # LwF without a stability teacher hands (None, plasticity) or the reverse
+        n, lead = 11, () if clients is None else (clients,)
+        root = Rng(5)
+        c = clients or 1
+        x = root.substream("x").normal(c * n, 5).reshape(*lead, n, 5)
+        y = np.arange(c * n).reshape(*lead, n)
+        teacher = root.substream("t").normal(c * n, 3).reshape(*lead, n, 3)
+        orders = [np.stack([root.substream("o", e, i).permutation(n) for i in range(c)])
+                  if clients else root.substream("o", e).permutation(n) for e in range(2)]
+        alone, slotted = [], []
+        sgd_epochs(lambda epoch, *batch: alone.append(batch), x, y, 4, orders, teacher)
+        sgd_epochs(lambda epoch, *batch: slotted.append(batch), x, y, 4, orders,
+                   teacher, None)
+        assert len(slotted) == len(alone) == 6
+        for (xa, ya, ta), (xs, ys, ts, absent) in zip(alone, slotted):
+            assert absent is None
+            assert [xs.tobytes(), ys.tobytes(), ts.tobytes()] == [
+                xa.tobytes(), ya.tobytes(), ta.tobytes()]
+
 
 # A short LwF run with one rank drop, at round 6 of 8, and half of four
 # clients in each round.

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankfed.errors import (InputError, InvariantError, ParameterError,
-                            ProtocolError)
+                            ProtocolError, ShapeError)
 from rankfed.lora import (AdapterSet, LoRAAdapter, RankSchedule,
-                          init_adapter_set)
+                          init_adapter_set, reinit_at_rank)
 from rankfed.metrics import weight_distance
 from rankfed.numerics import Rng, svd_truncate
 from rankfed.server import (ClientUpdate, ServerSettings, ServerState, aggregate,
@@ -571,3 +571,53 @@ class TestServerProperties:
         assert all(a >= b for a, b in zip(ranks, ranks[1:]))
         assert {a - b for a, b in zip(ranks, ranks[1:])} <= {0, subtractor}
         assert min(ranks) >= r_min
+
+
+def test_a_round_unlike_the_server_is_refused_naming_clients_and_expectation(rng):
+    state = make_state(rng, rank=4)
+    updates = [ClientUpdate(i, warm_set(rng.substream("u", i), rank=3), 5) for i in (1, 0)]
+    with pytest.raises(ProtocolError) as raised:
+        server_round(state, updates)
+    assert str(raised.value) == ("clients 0, 1 sent rank 3 with layer shapes [(6, 4), (3, 6)], "
+                                 "server expects rank 4 with [(6, 4), (3, 6)]")
+
+
+def _refusal_cases():
+    """One call per guard on the server path, each with its refusal."""
+    rng = Rng(7)
+    good = ClientUpdate(0, warm_set(rng.substream("g")), 5)
+    wide = ClientUpdate(1, warm_set(rng.substream("w"), shapes=((6, 4), (3, 5))), 5)
+    grads = [[np.ones((2, 3)), -np.ones(3)] for _ in range(3)]
+    pos, neg = [np.ones((2, 3))], [-np.ones((2, 3))]
+    return {
+        "aggregate-unknown-mode": (lambda: aggregate([good], mode="median"), ParameterError,
+                                   "unknown aggregation mode: median"),
+        "aggregate-layer-shapes": (lambda: aggregate([wide, good]), ProtocolError,
+                                   "client 1 sent layer shapes [(6, 4), (3, 5)] at rank 2, "
+                                   "client 0 sent [(6, 4), (3, 6)] at rank 2"),
+        "pool-weight-count": (lambda: pool_gradients(grads, [0.5, 0.5]), InputError,
+                              "one weight per client required"),
+        "pool-layer-count": (lambda: pool_gradients([grads[0], grads[1][:1]], [0.5, 0.5]),
+                             ShapeError, "layer count mismatch across clients"),
+        "ema-shape": (lambda: ema_update(np.ones((2, 3)), np.ones(3), 0.9), ShapeError,
+                      "shape mismatch: (2, 3) vs (3,)"),
+        "consistency-layer-count": (lambda: gradient_consistency(pos * 2, neg), ShapeError,
+                                    "layer count mismatch"),
+        "consistency-positive-negative-part": (
+            lambda: gradient_consistency(pos, [np.full((2, 3), 1e-300)]), InvariantError,
+            "negative component has positive entries"),
+        "reinit-gaussian-without-rng": (
+            lambda: reinit_at_rank([np.ones((3, 2))], 1, method="gaussian"), ParameterError,
+            "gaussian re-initialization needs an rng"),
+        "reinit-unknown-method": (
+            lambda: reinit_at_rank([np.ones((3, 2))], 1, method="qr"), ParameterError,
+            "unknown re-initialization method: qr"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_refusal_cases()))
+def test_server_path_refusals(case):
+    call, error, message = _refusal_cases()[case]
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
