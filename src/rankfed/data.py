@@ -237,6 +237,8 @@ def partition_multilabel(dataset: Dataset, num_clients: int, rng: Rng,
     label (client s prefers label s mod L). Any finite skew >= 0 is taken;
     ``validate()`` keeps a config's ``multilabel_skew`` in [0, 1].
     """
+    if dataset.task != "multilabel":
+        raise ParameterError("label-prevalence partitioning needs multilabel labels")
     if not num_clients >= 1:
         raise ParameterError(f"num_clients must be >= 1, got {num_clients}")
     require_finite("multilabel_skew", prevalence_skew, 0)

@@ -61,10 +61,7 @@ class RoundRecord:
     dropped: bool = False
 
     def to_dict(self) -> dict:
-        d = {"schema_version": SCHEMA_VERSION}
-        for f in dataclasses.fields(self):
-            d[f.name] = getattr(self, f.name)
-        return d
+        return {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
 
 
 RECORD_FIELDS = ("schema_version",

@@ -9,6 +9,7 @@ format.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -138,8 +139,6 @@ def init_adapter(h1: int, h2: int, r: int, sigma: float, rng: Rng) -> LoRAAdapte
 
 def init_adapter_set(layer_shapes, rank: int, sigma: float, rng: Rng) -> AdapterSet:
     """One fresh adapter per layer at the nominal rank, capped per layer."""
-    if rank < 1:
-        raise ParameterError(f"rank must be >= 1, got {rank}")
     return AdapterSet(tuple(
         init_adapter(h1, h2, capped_rank(rank, h1, h2), sigma,
                      rng.substream("adapter-init", lid))
@@ -222,9 +221,13 @@ def save_adapters(path, adapter_set: AdapterSet, base_checksum: str) -> None:
     frozen base the adapters were trained on (``FrozenBase.checksum()``);
     (h1, h2, r) per layer, all u32; then each layer's B and A as float64, all
     little-endian. A client-stacked set raises ``ShapeError``: save each
-    client's set."""
+    client's set. A checksum that is not 64 hex digits raises
+    ``ParameterError``; both before the file is opened."""
     if any(a.B.ndim != 2 for a in adapter_set):
         raise ShapeError("a client-stacked adapter set cannot be saved; save client(i)")
+    if not (isinstance(base_checksum, str) and re.fullmatch(r"[0-9a-fA-F]{64}", base_checksum)):
+        raise ParameterError(f"base_checksum must be a sha256 of 64 hex digits, "
+                             f"got {base_checksum!r}")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<III", CHECKPOINT_VERSION, len(adapter_set),

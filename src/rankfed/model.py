@@ -320,8 +320,6 @@ def _importance(base: FrozenBase, adapters_at_anchor, x, logit_error,
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
-    if n == 0:
-        raise InputError("empty shard")
     walk = Walk(base.weights, base.biases, adapters_at_anchor)
     stats = walk.backward(logit_error(walk.forward(x)), combine=combine)
     return ImportanceEstimate(tuple(s / n for s in stats))

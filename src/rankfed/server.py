@@ -175,8 +175,11 @@ def sensitivity(local_dense, global_dense) -> tuple[list, float]:
 
 
 def normalize_sensitivities(values) -> np.ndarray:
-    """Sensitivities to weights summing to 1; all-zero input falls back to uniform."""
+    """Sensitivities to weights summing to 1; all-zero input falls back to
+    uniform. No sensitivity raises ``InputError``."""
     u = np.asarray(values, dtype=np.float64)
+    if u.size == 0:
+        raise InputError("no sensitivities to normalize")
     if np.any(u < 0):
         raise InvariantError("sensitivities must be nonnegative")
     total = u.sum()
@@ -234,23 +237,17 @@ def gradient_consistency(ema_pos, ema_neg) -> float:
     """
     if len(ema_pos) != len(ema_neg):
         raise ShapeError("layer count mismatch")
-    num_sq = 0.0
-    pos_sq = 0.0
-    neg_sq = 0.0
-    for p, n in zip(ema_pos, ema_neg):
-        p = np.asarray(p, dtype=np.float64)
-        n = np.asarray(n, dtype=np.float64)
+    pos = [np.asarray(p, dtype=np.float64) for p in ema_pos]
+    neg = [np.asarray(n, dtype=np.float64) for n in ema_neg]
+    for p, n in zip(pos, neg):
         if np.any(p < 0):
             raise InvariantError("positive component has negative entries")
         if np.any(n > 0):
             raise InvariantError("negative component has positive entries")
-        num_sq += float(np.sum((p + n) ** 2))
-        pos_sq += float(np.sum(p ** 2))
-        neg_sq += float(np.sum(n ** 2))
-    denom = np.sqrt(pos_sq) + np.sqrt(neg_sq)
+    denom = frobenius_norm(pos) + frobenius_norm(neg)
     if denom == 0.0:
         return 1.0
-    return min(float(np.sqrt(num_sq) / denom), 1.0)
+    return min(frobenius_norm(p + n for p, n in zip(pos, neg)) / denom, 1.0)
 
 
 def maybe_dropout(state: ServerState, consistency: float):

@@ -1,6 +1,7 @@
 """The in-place update kernels against the out-of-place expressions they
-replaced, bit for bit, and the backward walk that writes into given gradient
-buffers against the allocating walk and a reference of fresh products.
+replaced, bit for bit, the SGC score against its sums of squares spelled
+out, and the backward walk that writes into given gradient buffers against
+the allocating walk and a reference of fresh products.
 
 Each reference below is the kernel's former expression, with a fresh
 temporary per elementwise step. The kernels now scale or split into one
@@ -22,7 +23,7 @@ from rankfed.model import (CLConfig, ImportanceEstimate, Walk, _binary_cross_ent
                            forward, full_grads, lwf_penalty, quadratic_penalty, random_base,
                            sgd_step, supervised_loss_and_grads, total_local_loss)
 from rankfed.numerics import Rng, aligned_params, logit_error
-from rankfed.server import pool_gradients, sensitivity
+from rankfed.server import gradient_consistency, pool_gradients, sensitivity
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
          1e300, -1e300, 1.7976931348623157e308]
@@ -55,6 +56,20 @@ def pool_reference(grads_by_client, alpha):
 def sensitivity_reference(local_dense, global_dense):
     grad = [dl - dg for dl, dg in zip(local_dense, global_dense)]
     return grad, sum(float(np.sum(np.abs(d * g))) for d, g in zip(local_dense, grad))
+
+
+def consistency_reference(ema_pos, ema_neg):
+    """|P + N| / (|P| + |N|) with each layer's sum of squares added to a
+    running float, as ``gradient_consistency`` once spelled it out."""
+    num_sq = pos_sq = neg_sq = 0.0
+    for p, n in zip(ema_pos, ema_neg):
+        num_sq += float(np.sum((p + n) ** 2))
+        pos_sq += float(np.sum(p ** 2))
+        neg_sq += float(np.sum(n ** 2))
+    denom = np.sqrt(pos_sq) + np.sqrt(neg_sq)
+    if denom == 0.0:
+        return 1.0
+    return min(float(np.sqrt(num_sq) / denom), 1.0)
 
 
 def step_reference(params, grads, eta):
@@ -149,6 +164,37 @@ def test_sensitivity_equals_its_reference(local, global_):
         grad_g, sens_g = sensitivity(local, global_)
     assert all(same_bits(e, g) for e, g in zip(grad_e, grad_g))
     assert same_bits(sens_e, sens_g)
+
+
+# magnitudes up to 1e150, so that no square overflows; those of one size
+# round where the layers' sums of squares are added
+MAGNITUDES = st.one_of(st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e150]),
+                       st.floats(0.0, 1e150), st.floats(1.0, 10.0))
+
+
+@st.composite
+def pooled_parts(draw):
+    """1-4 layers of a positive and a negative pooled part, each part drawn
+    or all zero, holding signed zeros and subnormals."""
+    pos, neg = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+        for part, sign, zero in ((pos, 1.0, -0.0), (neg, -1.0, 0.0)):
+            values = st.one_of(MAGNITUDES.map(lambda v, s=sign: s * v), st.just(zero))
+            part.append(np.zeros(shape) if draw(st.booleans())
+                        else draw(arrays(np.float64, shape, elements=values)))
+    return pos, neg
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=pooled_parts())
+def test_gradient_consistency_equals_its_reference(parts):
+    pos, neg = parts
+    got = gradient_consistency(pos, neg)
+    assert type(got) is float
+    assert same_bits(got, consistency_reference(pos, neg))
+    if not any(np.any(m) for m in (*pos, *neg)):
+        assert got == 1.0
 
 
 @settings(max_examples=60, deadline=None)
